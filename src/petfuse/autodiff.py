@@ -1,6 +1,6 @@
 """Minimal reverse-mode autodiff on numpy arrays.
 
-Covers exactly the ops the fusion pathway, mini-encoders, and tuning
+Covers exactly the ops the fusion pathway, the mini text encoder, and tuning
 injections need: matmul, broadcast add/mul, relu, row softmax, non-affine
 layer norm, dropout, gathers/slices, and reductions. Tensors are float64
 throughout; the graph is a dynamic tape, backward visits each node once.
@@ -189,12 +189,6 @@ def tsum(x, axis=None) -> Tensor:
     return Tensor(x.data.sum(axis=axis), _parents=(x,), _backward=bw)
 
 
-def tmean(x, axis=None) -> Tensor:
-    x = as_tensor(x)
-    n = x.data.size if axis is None else x.data.shape[axis]
-    return mul(tsum(x, axis=axis), 1.0 / n)
-
-
 # -- indexing ---------------------------------------------------------------
 
 
@@ -221,15 +215,6 @@ def slice_rows(x, start, stop) -> Tensor:
         _accum(x, gx)
 
     return Tensor(x.data[start:stop], _parents=(x,), _backward=bw)
-
-
-def reshape(x, shape) -> Tensor:
-    x = as_tensor(x)
-
-    def bw(g):
-        _accum(x, g.reshape(x.data.shape))
-
-    return Tensor(x.data.reshape(shape), _parents=(x,), _backward=bw)
 
 
 def concat_rows(parts) -> Tensor:
@@ -292,16 +277,22 @@ def softmax_attention(q, k, v, scale: float) -> Tensor:
     return matmul(softmax_rows(scores), v)
 
 
-def dropout(x, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout; identity in eval mode or at p == 0."""
+def dropout(x, p: float, training: bool, uniform=None) -> Tensor:
+    """Inverted dropout; identity in eval mode or at p == 0.
+
+    `uniform` holds one U[0, 1) draw per element of x; an element survives
+    where its draw is >= p.
+    """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     x = as_tensor(x)
     if not training or p == 0.0:
         return x
-    if rng is None:
-        raise ConfigError("training-mode dropout needs an explicit rng stream")
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
+    got = None if uniform is None else np.shape(uniform)
+    if got != x.data.shape:
+        raise ShapeError(f"training-mode dropout needs uniform draws of shape "
+                         f"{x.data.shape}, got {got}")
+    mask = (np.asarray(uniform) >= p) / (1.0 - p)
 
     def bw(g):
         _accum(x, g * mask)

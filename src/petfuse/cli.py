@@ -11,7 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +22,9 @@ from . import harness, metrics, redaction
 from .config import echo_config, load_config
 from .data import LABELS, SplitSpec, label_matrix
 from .encoders import Tokenizer
-from .errors import PetfuseError
+from .errors import InputError, PetfuseError
 from .fusion import FusionConfig, build_fusion
-from .pet import count_params
+from .pet import AdapterConfig, LoRAConfig, count_params
 from .training import load_checkpoint, save_checkpoint, train_loop
 
 
@@ -103,10 +103,20 @@ def _parser() -> _Parser:
 # -- command implementations ---------------------------------------------------
 
 
+def _read_json_object(path, what: str) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # malformed JSON or not UTF-8
+        raise InputError(f"{path}: invalid {what} JSON ({e})") from e
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: {what} must be a JSON object")
+    return doc
+
+
 def _cmd_gen_data(args):
     plan = None
     if args.signal_plan:
-        plan = json.loads(Path(args.signal_plan).read_text())
+        plan = _read_json_object(args.signal_plan, "signal plan")
     samples = data_mod.generate_synthetic(args.patients, signal_plan=plan,
                                           seed=args.seed, leak_prob=args.leak_prob)
     data_mod.save_manifest(args.out, samples)
@@ -154,7 +164,8 @@ def _load_arm_model(cfg, tokenizer, seed):
                                          "seeds": [seed]})
     if cfg["arm"] == "full_pet":
         arm.fusion = cfg["fusion"]
-    return arm, harness._build_model(arm, tokenizer, seed)
+    return arm, harness._build_model(arm, tokenizer, seed, lora_cfg=cfg["lora"],
+                                     adapter_cfg=cfg["adapter"])
 
 
 def _cmd_train(args):
@@ -174,6 +185,8 @@ def _cmd_train(args):
                     header_extra={"arm": arm.kind, "policy": arm.policy,
                                   "seed": cfg["train"].seed,
                                   "fusion": arm.fusion.__dict__,
+                                  "lora": asdict(cfg["lora"]),
+                                  "adapter": asdict(cfg["adapter"]),
                                   "best_epoch": result.best_epoch,
                                   "best_val_auroc": result.best_val_auroc})
     print(f"best epoch {result.best_epoch}, val AUROC {result.best_val_auroc:.4f}")
@@ -188,8 +201,11 @@ def _restore_model(checkpoint, manifest):
     split = SplitSpec(seed=seed)
     train_set, val_set, test_set = data_mod.split_patients(samples, split)
     tokenizer = Tokenizer.build([s.text for s in train_set])
+    # checkpoints written before lora/adapter were recorded used the defaults
     cfg = {"arm": extra["arm"], "policy": extra["policy"],
-           "fusion": FusionConfig(**extra["fusion"])}
+           "fusion": FusionConfig(**extra["fusion"]),
+           "lora": LoRAConfig(**extra.get("lora", {})),
+           "adapter": AdapterConfig(**extra.get("adapter", {}))}
     _, model = _load_arm_model(cfg, tokenizer, seed)
     if hasattr(model, "fit_normalizer"):
         # normalizer statistics are a pure function of the training split,
@@ -255,8 +271,13 @@ def _cmd_count_params(args):
 
 
 def _cmd_attribute(args):
-    doc = json.loads(Path(args.plan).read_text())
-    arms = [harness.build_arm(a.pop("kind"), a) for a in doc.get("arms", [])]
+    doc = _read_json_object(args.plan, "plan")
+    arms = []
+    for i, a in enumerate(doc.get("arms", [])):
+        if not isinstance(a, dict) or "kind" not in a:
+            raise InputError(f"{args.plan}: arms[{i}] needs a \"kind\", one of "
+                             f"{', '.join(harness.ARM_KINDS)}")
+        arms.append(harness.build_arm(a.pop("kind"), a))
     split = SplitSpec(**doc.get("split", {}))
     train_cfg = load_config(None, {"train": doc.get("train", {})})["train"]
     plan = harness.ExperimentPlan(arms, split, train_cfg)

@@ -1,24 +1,21 @@
-"""Frozen feature providers: structural mini-encoders and feature ingestion.
+"""Frozen text encoder: tokenizer and structural mini transformer.
 
-The mini encoders stand in for large pretrained backbones at desk scale.
-They keep every structural hook a tuning policy needs (attention
+The mini encoder stands in for a large pretrained text backbone at desk
+scale. It keeps every structural hook a tuning policy needs (attention
 projections, biases, adapter slots) while staying small enough to
-finite-difference. The precomputed encoder ingests externally extracted
-features and exposes no hooks.
+finite-difference. Vision features arrive precomputed in the manifest.
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InputError
 from .model import HOOK_ATTN_PROJ, HOOK_BIAS, ModelGraph
 
-VISION_DIM = 2048
 TEXT_DIM = 768
 MAX_TEXT_LEN = 512
 
@@ -68,37 +65,34 @@ class Tokenizer:
 
 @dataclass
 class EncoderSpec:
-    kind: str  # mini-vision | mini-text | precomputed
-    output_dim: int
     depth: int = 2
     width: int = 128
-    patch: int = 4
-    pet_layers: list[int] | None = None  # tuning-eligible blocks; None = all
 
 
 def text_spec(depth: int = 2, width: int = 128) -> EncoderSpec:
-    return EncoderSpec("mini-text", TEXT_DIM, depth=depth, width=width)
+    return EncoderSpec(depth=depth, width=width)
 
 
-def vision_spec(depth: int = 2, width: int = 128, patch: int = 4) -> EncoderSpec:
-    return EncoderSpec("mini-vision", VISION_DIM, depth=depth, width=width, patch=patch)
+class MiniTextEncoder:
+    """2-block transformer over a small vocabulary; CLS state -> 768 dims.
 
+    Each block is attention + mlp with residuals, non-affine layer norm and
+    an adapter slot.
+    """
 
-def precomputed_spec(output_dim: int = VISION_DIM) -> EncoderSpec:
-    return EncoderSpec("precomputed", output_dim, depth=0, width=0)
-
-
-class _TransformerBlocks:
-    """Shared block structure: attention + mlp, residual, non-affine LN."""
-
-    def __init__(self, graph: ModelGraph, prefix: str, spec: EncoderSpec,
-                 rng: np.random.Generator):
+    def __init__(self, graph: ModelGraph, tokenizer: Tokenizer,
+                 spec: EncoderSpec | None = None, seed: int = 0,
+                 prefix: str = "text_encoder"):
+        self.spec = spec or text_spec()
         self.graph = graph
+        self.tokenizer = tokenizer
         self.prefix = prefix
-        self.spec = spec
-        w = spec.width
+        rng = ad.make_rng(seed, "init", prefix)
+        w = self.spec.width
         s = 0.02
-        for b in range(spec.depth):
+        graph.add_param(f"{prefix}/emb/tok", rng.normal(0, 0.1, (len(tokenizer), w)))
+        graph.add_param(f"{prefix}/emb/pos", rng.normal(0, 0.1, (MAX_TEXT_LEN, w)))
+        for b in range(self.spec.depth):
             base = f"{prefix}/block{b}"
             for proj in ("wq", "wk", "wv", "wo"):
                 graph.add_param(f"{base}/attn/{proj}", rng.normal(0, s, (w, w)),
@@ -110,12 +104,18 @@ class _TransformerBlocks:
             graph.add_param(f"{base}/mlp/w2", rng.normal(0, s, (w, w)))
             graph.add_param(f"{base}/mlp/b2", np.zeros(w), hook=HOOK_BIAS)
             graph.add_adapter_slot(f"{base}/adapter")
+        graph.add_param(f"{prefix}/out/w", rng.normal(0, 0.05, (w, TEXT_DIM)))
+        graph.add_param(f"{prefix}/out/b", np.zeros(TEXT_DIM), hook=HOOK_BIAS)
 
-    def forward(self, binding, h: ad.Tensor) -> ad.Tensor:
-        g = self.graph
+    def encode(self, binding, text: str) -> ad.Tensor:
+        """First-position (CLS) hidden state projected to 768 dims; (1, 768)."""
+        g, pfx = self.graph, self.prefix
+        ids = self.tokenizer.encode(text)
+        h = (ad.gather_rows(binding[f"{pfx}/emb/tok"], ids)
+             + ad.slice_rows(binding[f"{pfx}/emb/pos"], 0, len(ids)))
         scale = 1.0 / np.sqrt(self.spec.width)
         for b in range(self.spec.depth):
-            base = f"{self.prefix}/block{b}"
+            base = f"{pfx}/block{b}"
             x = ad.layer_norm(h)
             q = g.linear(binding, x, f"{base}/attn/wq") + binding[f"{base}/attn/bq"]
             k = g.linear(binding, x, f"{base}/attn/wk") + binding[f"{base}/attn/bk"]
@@ -126,84 +126,5 @@ class _TransformerBlocks:
             m = ad.relu(ad.matmul(x, binding[f"{base}/mlp/w1"]) + binding[f"{base}/mlp/b1"])
             h = h + ad.matmul(m, binding[f"{base}/mlp/w2"]) + binding[f"{base}/mlp/b2"]
             h = g.apply_adapter(binding, h, f"{base}/adapter")
-        return ad.layer_norm(h)
-
-
-class MiniTextEncoder:
-    """2-block transformer over a small vocabulary; CLS state -> 768 dims."""
-
-    def __init__(self, graph: ModelGraph, tokenizer: Tokenizer,
-                 spec: EncoderSpec | None = None, seed: int = 0,
-                 prefix: str = "text_encoder"):
-        self.spec = spec or text_spec()
-        self.graph = graph
-        self.tokenizer = tokenizer
-        self.prefix = prefix
-        rng = ad.make_rng(seed, "init", prefix)
-        w = self.spec.width
-        graph.add_param(f"{prefix}/emb/tok", rng.normal(0, 0.1, (len(tokenizer), w)))
-        graph.add_param(f"{prefix}/emb/pos", rng.normal(0, 0.1, (MAX_TEXT_LEN, w)))
-        self.blocks = _TransformerBlocks(graph, prefix, self.spec, rng)
-        graph.add_param(f"{prefix}/out/w", rng.normal(0, 0.05, (w, TEXT_DIM)))
-        graph.add_param(f"{prefix}/out/b", np.zeros(TEXT_DIM), hook=HOOK_BIAS)
-
-    def encode(self, binding, text: str) -> ad.Tensor:
-        """First-position (CLS) hidden state projected to 768 dims; (1, 768)."""
-        ids = self.tokenizer.encode(text)
-        h = gather = ad.gather_rows(binding[f"{self.prefix}/emb/tok"], ids)
-        pos = ad.slice_rows(binding[f"{self.prefix}/emb/pos"], 0, len(ids))
-        h = gather + pos
-        h = self.blocks.forward(binding, h)
-        cls = ad.slice_rows(h, 0, 1)
-        return ad.matmul(cls, binding[f"{self.prefix}/out/w"]) + binding[f"{self.prefix}/out/b"]
-
-
-class MiniVisionEncoder:
-    """Patch-flatten transformer; mean-pooled state -> 2048 dims."""
-
-    def __init__(self, graph: ModelGraph, spec: EncoderSpec | None = None,
-                 seed: int = 0, prefix: str = "vision_encoder"):
-        self.spec = spec or vision_spec()
-        self.graph = graph
-        self.prefix = prefix
-        rng = ad.make_rng(seed, "init", prefix)
-        p, w = self.spec.patch, self.spec.width
-        graph.add_param(f"{prefix}/patch/w", rng.normal(0, 0.1, (p * p, w)))
-        graph.add_param(f"{prefix}/patch/b", np.zeros(w), hook=HOOK_BIAS)
-        self.blocks = _TransformerBlocks(graph, prefix, self.spec, rng)
-        graph.add_param(f"{prefix}/out/w", rng.normal(0, 0.05, (w, VISION_DIM)))
-        graph.add_param(f"{prefix}/out/b", np.zeros(VISION_DIM), hook=HOOK_BIAS)
-
-    def encode(self, binding, image: np.ndarray) -> ad.Tensor:
-        """Deterministic (1, 2048) feature for a 2-D image array."""
-        image = np.asarray(image, dtype=np.float64)
-        p = self.spec.patch
-        if image.ndim != 2 or image.shape[0] % p or image.shape[1] % p:
-            raise InputError(f"image shape {image.shape} not divisible into {p}x{p} patches")
-        rows, cols = image.shape[0] // p, image.shape[1] // p
-        patches = (image.reshape(rows, p, cols, p).swapaxes(1, 2).reshape(rows * cols, p * p))
-        h = ad.matmul(ad.Tensor(patches), binding[f"{self.prefix}/patch/w"])
-        h = h + binding[f"{self.prefix}/patch/b"]
-        h = self.blocks.forward(binding, h)
-        pooled = ad.reshape(ad.tmean(h, axis=0), (1, -1))
-        return ad.matmul(pooled, binding[f"{self.prefix}/out/w"]) + binding[f"{self.prefix}/out/b"]
-
-
-class PrecomputedEncoder:
-    """Pass-through for externally extracted feature vectors; no hooks."""
-
-    def __init__(self, output_dim: int):
-        self.spec = precomputed_spec(output_dim)
-        self.output_dim = output_dim
-
-    def encode(self, binding, features) -> ad.Tensor:
-        arr = np.asarray(features, dtype=np.float64).reshape(-1)
-        if arr.shape[0] != self.output_dim:
-            raise InputError(
-                f"precomputed feature length {arr.shape[0]} != expected {self.output_dim}")
-        return ad.Tensor(arr.reshape(1, -1))
-
-
-def list_hooks(graph: ModelGraph, prefix: str = "") -> dict[str, list[str]]:
-    """All hook addresses under a prefix, in stable registration order."""
-    return {kind: graph.hook_addresses(kind, prefix) for kind in graph.hooks}
+        cls = ad.slice_rows(ad.layer_norm(h), 0, 1)
+        return ad.matmul(cls, binding[f"{pfx}/out/w"]) + binding[f"{pfx}/out/b"]

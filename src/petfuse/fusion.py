@@ -69,19 +69,20 @@ class FusionPathway:
         if t.data.shape[-1] != self.cfg.text_in:
             raise ShapeError(f"text feature length {t.data.shape[-1]} != {self.cfg.text_in}")
 
-    def _head(self, binding, fused, training, dropout_rng):
+    def _head(self, binding, fused, training, dropout_uniform):
         p = self.prefix
-        fused = ad.dropout(fused, self.cfg.dropout_p, training, dropout_rng)
+        fused = ad.dropout(fused, self.cfg.dropout_p, training, dropout_uniform)
         hidden = ad.relu(ad.matmul(fused, binding[f"{p}/head/w1"]))
         return ad.matmul(hidden, binding[f"{p}/head/w2"])
 
     def forward(self, binding, v: ad.Tensor, t: ad.Tensor, training: bool = False,
-                dropout_rng=None) -> ad.Tensor:
+                dropout_uniform=None) -> ad.Tensor:
         """Batched single-vector case: v (B, 2048), t (B, 768) -> logits (B, L).
 
         Each sample's text is a one-element key/value sequence, so the
         attention weight is identically 1 and the attended value reduces to
-        the Wv-projected text row.
+        the Wv-projected text row. Training-mode dropout needs
+        `dropout_uniform`, a (B, shared_dim) array of U[0, 1) draws.
         """
         self._check(v, t)
         p = self.prefix
@@ -89,10 +90,10 @@ class FusionPathway:
         pt = ad.matmul(t, binding[f"{p}/text_proj/w"])
         attended = ad.matmul(pt, binding[f"{p}/attention/wv"])
         fused = ad.layer_norm(pv + attended)
-        return self._head(binding, fused, training, dropout_rng)
+        return self._head(binding, fused, training, dropout_uniform)
 
     def forward_tokens(self, binding, v: ad.Tensor, t_tokens: ad.Tensor,
-                       training: bool = False, dropout_rng=None) -> ad.Tensor:
+                       training: bool = False, dropout_uniform=None) -> ad.Tensor:
         """Token-level case: v (1, 2048), t_tokens (m, 768) -> logits (1, L)."""
         self._check(v, t_tokens)
         p = self.prefix
@@ -104,7 +105,7 @@ class FusionPathway:
         vv = ad.matmul(pt, binding[f"{p}/attention/wv"])
         attended = ad.softmax_attention(q, k, vv, 1.0 / np.sqrt(d))
         fused = ad.layer_norm(pv + attended)
-        return self._head(binding, fused, training, dropout_rng)
+        return self._head(binding, fused, training, dropout_uniform)
 
 
 def build_fusion(cfg: FusionConfig | None = None, seed: int = 0) -> FusionPathway:

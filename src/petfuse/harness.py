@@ -13,16 +13,16 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import LABELS, SplitSpec, label_matrix, split_patients
-from .encoders import MiniTextEncoder, PrecomputedEncoder, Tokenizer, text_spec
+from .encoders import MiniTextEncoder, Tokenizer, text_spec
 from .errors import InputError, SearchError
 from .fusion import FusionConfig, FusionPathway
-from .metrics import (EvalReport, evaluate_predictions, write_per_label_csv,
-                      write_reports_csv)
+from .metrics import (EvalReport, evaluate_predictions, macro_auroc,
+                      write_per_label_csv, write_reports_csv)
 from .model import ModelGraph
 from .pet import AdapterConfig, LoRAConfig, apply_policy, count_params
 from .training import TrainConfig, train_loop
 
-ARM_KINDS = ("vision_only", "budget_matched", "full_pet", "full_finetune")
+ARM_KINDS = ("vision_only", "budget_matched", "full_pet")
 
 VISION_ONLY_PARAMS = 2048 * 512 + 512 * 14  # 1,055,744
 
@@ -117,7 +117,7 @@ class VisionOnlyModel:
         return logits.data
 
     def validation_auroc(self, samples):
-        return _macro_auroc(self.predict(samples), label_matrix(samples))
+        return macro_auroc(self.predict(samples), label_matrix(samples))
 
 
 class MultimodalModel:
@@ -126,19 +126,14 @@ class MultimodalModel:
     def __init__(self, fusion_cfg: FusionConfig, tokenizer: Tokenizer,
                  seed: int = 0, text_encoder_spec=None, policy: str = "frozen",
                  lora_cfg: LoRAConfig | None = None,
-                 adapter_cfg: AdapterConfig | None = None,
-                 full_finetune: bool = False):
+                 adapter_cfg: AdapterConfig | None = None):
         self.graph = ModelGraph()
-        self.vision = PrecomputedEncoder(fusion_cfg.vision_in)
         self.text = MiniTextEncoder(self.graph, tokenizer,
                                     spec=text_encoder_spec or text_spec(), seed=seed)
         self.fusion = FusionPathway(self.graph, fusion_cfg, seed=seed)
         self.cfg = fusion_cfg
         apply_policy(self.graph, policy, lora_cfg=lora_cfg,
                      adapter_cfg=adapter_cfg, seed=seed)
-        if full_finetune:
-            for p in self.graph.params.values():
-                p.trainable = True
         self._text_cache: dict[str, np.ndarray] = {}
         self.vision_norm = _Standardizer()
         self.text_norm = _Standardizer()
@@ -181,15 +176,14 @@ class MultimodalModel:
         v = ad.Tensor(self.vision_norm.apply(
             np.asarray([s.vision_features for s in samples])))
         t = self._standardize_text(self._text_features(binding, samples))
-        rng = None
+        uniform = None
         if training and self.cfg.dropout_p > 0:
-            # one mask row per sample, keyed by (seed, epoch, sample id) so the
+            # one draw row per sample, keyed by (seed, epoch, sample id) so the
             # trajectory is invariant to micro-batch boundaries
-            rows = [ad.make_rng(seed, "dropout", epoch, s.id)
-                    .random(self.cfg.shared_dim) for s in samples]
-            rng = _FixedMaskRng(np.asarray(rows))
+            uniform = np.asarray([ad.make_rng(seed, "dropout", epoch, s.id)
+                                  .random(self.cfg.shared_dim) for s in samples])
         return self.fusion.forward(binding, v, t, training=training,
-                                   dropout_rng=rng), binding
+                                   dropout_uniform=uniform), binding
 
     def loss_batch(self, samples, training, epoch, seed):
         logits, binding = self.logits_batch(samples, training, epoch, seed)
@@ -200,31 +194,7 @@ class MultimodalModel:
         return logits.data
 
     def validation_auroc(self, samples):
-        return _macro_auroc(self.predict(samples), label_matrix(samples))
-
-
-class _FixedMaskRng:
-    """Adapter exposing .random() over precomputed per-sample uniform rows."""
-
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
-
-    def random(self, shape):
-        assert shape == self.rows.shape, (shape, self.rows.shape)
-        return self.rows
-
-
-def _macro_auroc(logits, labels):
-    from .metrics import UndefinedMetric, auroc_label, macro_average
-    vals, mask = [], []
-    for j in range(labels.shape[1]):
-        try:
-            vals.append(auroc_label(logits[:, j], labels[:, j]))
-            mask.append(True)
-        except UndefinedMetric:
-            vals.append(0.0)
-            mask.append(False)
-    return macro_average(vals, mask)
+        return macro_auroc(self.predict(samples), label_matrix(samples))
 
 
 # -- plans ---------------------------------------------------------------------
@@ -260,7 +230,7 @@ class ExperimentPlan:
 
 
 def build_arm(kind: str, overrides: dict | None = None) -> ArmSpec:
-    """Canonical arm configs for the attribution triad plus full fine-tuning."""
+    """Canonical arm configs for the attribution triad."""
     if kind not in ARM_KINDS:
         raise InputError(f"unknown arm kind {kind!r}")
     overrides = dict(overrides or {})
@@ -274,11 +244,9 @@ def build_arm(kind: str, overrides: dict | None = None) -> ArmSpec:
         arm = ArmSpec("budget_matched", kind, policy="frozen",
                       fusion=FusionConfig(shared_dim=d, head_hidden=h),
                       budget_target=count, seeds=seeds)
-    elif kind == "full_pet":
+    else:
         arm = ArmSpec("full_pet", kind, policy=policy,
                       budget_target=FusionConfig().param_count(), seeds=seeds)
-    else:
-        arm = ArmSpec("full_finetune", kind, policy="frozen", seeds=seeds)
     for key, value in overrides.items():
         if key == "fusion":
             arm.fusion = replace(arm.fusion, **value)
@@ -290,13 +258,12 @@ def build_arm(kind: str, overrides: dict | None = None) -> ArmSpec:
 
 
 def _build_model(arm: ArmSpec, tokenizer, seed: int,
-                 text_encoder_spec=None):
+                 lora_cfg: LoRAConfig | None = None,
+                 adapter_cfg: AdapterConfig | None = None):
     if arm.kind == "vision_only":
         return VisionOnlyModel(seed=seed)
-    return MultimodalModel(arm.fusion, tokenizer, seed=seed,
-                           text_encoder_spec=text_encoder_spec,
-                           policy=arm.policy,
-                           full_finetune=arm.kind == "full_finetune")
+    return MultimodalModel(arm.fusion, tokenizer, seed=seed, policy=arm.policy,
+                           lora_cfg=lora_cfg, adapter_cfg=adapter_cfg)
 
 
 @dataclass
@@ -319,8 +286,7 @@ def compute_deltas(arm_means: dict[str, float]):
     return fusion_effect, scaling_effect
 
 
-def run_plan(plan: ExperimentPlan, samples, out_dir,
-             text_encoder_spec=None) -> AttributionResult:
+def run_plan(plan: ExperimentPlan, samples, out_dir) -> AttributionResult:
     """Train every arm x seed, evaluate on the test split, persist artifacts."""
     plan.validate()
     out = Path(out_dir)
@@ -336,7 +302,7 @@ def run_plan(plan: ExperimentPlan, samples, out_dir,
         reports = []
         for seed in arm.seeds:
             try:
-                model = _build_model(arm, tokenizer, seed, text_encoder_spec)
+                model = _build_model(arm, tokenizer, seed)
                 cfg = replace(plan.train, seed=seed)
                 train_loop(model, train_set, val_set, cfg)
                 budget = count_params(model.graph)

@@ -64,6 +64,17 @@ def macro_average(values, validity_mask=None) -> float:
     return float(np.mean(valid))
 
 
+def macro_auroc(scores, labels) -> float:
+    """Mean AUROC over the label columns where AUROC is defined."""
+    values = []
+    for j in range(labels.shape[1]):
+        try:
+            values.append(auroc_label(scores[:, j], labels[:, j]))
+        except UndefinedMetric:
+            pass
+    return macro_average(values)
+
+
 @dataclass
 class CalibrationReport:
     ece: float

@@ -111,9 +111,6 @@ class ModelGraph:
                 out[name] = np.zeros_like(p.data) if g is None else g
         return out
 
-    def state(self) -> dict[str, np.ndarray]:
-        return {n: p.data.copy() for n, p in self.params.items()}
-
     def load_state(self, state: dict[str, np.ndarray], only_trainable: bool = False):
         for n, arr in state.items():
             p = self.params.get(n)

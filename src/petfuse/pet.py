@@ -20,15 +20,13 @@ from .model import (HOOK_ADAPTER_SLOT, HOOK_ATTN_PROJ, HOOK_BIAS,
                     BottleneckAdapter, LowRankInjection, ModelGraph)
 
 POLICIES = ("frozen", "lora", "bitfit", "adapter")
-ENCODER_PREFIXES = ("vision_encoder", "text_encoder")
+ENCODER_PREFIX = "text_encoder"
 
 
 @dataclass
 class LoRAConfig:
     rank: int = 8
     alpha: float = 32.0
-    targets: tuple = (HOOK_ATTN_PROJ,)
-    layers: list[int] | None = None  # restrict to these block indices; None = all
 
     @property
     def scale(self) -> float:
@@ -40,7 +38,6 @@ class LoRAConfig:
 @dataclass
 class AdapterConfig:
     bottleneck: int = 64
-    layers: list[int] | None = None
 
     def validate(self):
         if self.bottleneck < 1:
@@ -73,20 +70,10 @@ class BudgetReport:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _match_layer(addr: str, layers) -> bool:
-    if layers is None:
-        return True
-    for i in layers:
-        if f"/block{i}/" in addr:
-            return True
-    return False
-
-
 def apply_policy(graph: ModelGraph, policy: str,
                  lora_cfg: LoRAConfig | None = None,
                  adapter_cfg: AdapterConfig | None = None,
-                 seed: int = 0,
-                 encoder_prefixes=ENCODER_PREFIXES) -> ModelGraph:
+                 seed: int = 0) -> ModelGraph:
     """Set trainable flags and attach injections in place.
 
     All policies leave the fusion pathway trainable and every encoder base
@@ -96,17 +83,14 @@ def apply_policy(graph: ModelGraph, policy: str,
     if policy not in POLICIES:
         raise PolicyError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
-    def in_encoder(addr):
-        return any(addr.startswith(p) for p in encoder_prefixes)
-
     for addr, p in graph.params.items():
-        p.trainable = not in_encoder(addr)
+        p.trainable = not addr.startswith(ENCODER_PREFIX)
 
     if policy == "frozen":
         return graph
 
     if policy == "bitfit":
-        targets = [a for a in graph.hook_addresses(HOOK_BIAS) if in_encoder(a)]
+        targets = graph.hook_addresses(HOOK_BIAS, ENCODER_PREFIX)
         if not targets:
             raise PolicyError("bitfit policy targets a graph with no encoder biases")
         for addr in targets:
@@ -117,10 +101,8 @@ def apply_policy(graph: ModelGraph, policy: str,
 
     if policy == "lora":
         cfg = lora_cfg or LoRAConfig()
-        targets = []
-        for kind in cfg.targets:
-            targets += [a for a in graph.hook_addresses(kind)
-                        if in_encoder(a) and _match_layer(a, cfg.layers)]
+        scale = cfg.scale  # rejects rank < 1 before it reaches sqrt or shapes
+        targets = graph.hook_addresses(HOOK_ATTN_PROJ, ENCODER_PREFIX)
         if not targets:
             raise PolicyError("lora policy targets a graph with no attention projections")
         for addr in targets:
@@ -131,23 +113,19 @@ def apply_policy(graph: ModelGraph, policy: str,
                                 rng.uniform(-limit, limit, (n_in, cfg.rank)), trainable=True)
             b = graph.add_param(f"{addr}/lora_b",
                                 np.zeros((cfg.rank, n_out)), trainable=True)
-            graph.loras[addr] = LowRankInjection(a, b, cfg.scale)
+            graph.loras[addr] = LowRankInjection(a, b, scale)
         return graph
 
     cfg = adapter_cfg or AdapterConfig()
     cfg.validate()
-    slots = [a for a in graph.hook_addresses(HOOK_ADAPTER_SLOT)
-             if in_encoder(a) and _match_layer(a, cfg.layers)]
+    slots = graph.hook_addresses(HOOK_ADAPTER_SLOT, ENCODER_PREFIX)
     if not slots:
         raise PolicyError("adapter policy targets a graph with no adapter slots")
     for slot in slots:
-        prefix = slot.rsplit("/", 2)[0]
-        width = None
-        for cand in (f"{prefix}/block0/attn/wq", slot.rsplit("/", 1)[0] + "/attn/wq"):
-            if cand in graph.params:
-                width = graph.params[cand].data.shape[0]
-        if width is None:
+        wq = graph.params.get(slot.rsplit("/", 1)[0] + "/attn/wq")
+        if wq is None:
             raise PolicyError(f"cannot infer width for adapter slot {slot}")
+        width = wq.data.shape[0]
         k = cfg.bottleneck
         down_w = graph.add_param(f"{slot}/down_w",
                                  rng.normal(0, 1.0 / math.sqrt(width), (width, k)),

@@ -9,7 +9,6 @@ vs redacted corpora and compares test macro AUROC.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import DISTRACTOR_TERMS, LABELS, _TERMS
 from .errors import InputError
-from .metrics import UndefinedMetric, auroc_label, macro_average
+from .metrics import macro_auroc
 from .model import Param
 from .training import AdamW, clip_gradients, lr_schedule
 
@@ -188,16 +187,7 @@ def _probe_macro_auroc(texts_train, texts_test, y_train, y_test, seed):
     x_train = _count_features(texts_train, vocab)
     x_test = _count_features(texts_test, vocab)
     w, b = _fit_linear_probe(x_train, y_train, seed)
-    scores = x_test @ w + b
-    per_label, mask = [], []
-    for j in range(y_test.shape[1]):
-        try:
-            per_label.append(auroc_label(scores[:, j], y_test[:, j]))
-            mask.append(True)
-        except UndefinedMetric:
-            per_label.append(math.nan)
-            mask.append(False)
-    return macro_average(per_label, mask)
+    return macro_auroc(x_test @ w + b, y_test)
 
 
 def audit_leakage(raw_corpus, redacted_corpus, labels, train_idx, test_idx,

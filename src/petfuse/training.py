@@ -1,4 +1,4 @@
-"""Optimization recipe: BCE loss, AdamW, warmup+cosine schedule, gradient
+"""Optimization recipe: AdamW, warmup+cosine schedule, gradient
 accumulation and clipping, early stopping on validation AUROC, checkpoints.
 """
 
@@ -17,8 +17,6 @@ from .errors import ConfigError, InputError
 from .model import ModelGraph
 
 CHECKPOINT_MAGIC = b"PFCKPT01"
-
-bce_loss = ad.bce_with_logits
 
 
 @dataclass
@@ -88,11 +86,6 @@ class AdamW:
             v_hat = v / (1 - self.beta2 ** t)
             p.data = p.data - lr_t * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def state(self):
-        return {"step": self.step_count,
-                "m": {k: v.copy() for k, v in self.m.items()},
-                "v": {k: v.copy() for k, v in self.v.items()}}
-
 
 # -- checkpoint container -------------------------------------------------
 
@@ -130,12 +123,18 @@ def load_checkpoint(path):
         if f.read(8) != CHECKPOINT_MAGIC:
             raise InputError(f"{path} is not a petfuse checkpoint")
         hlen = int.from_bytes(f.read(8), "little")
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        try:
+            header = json.loads(f.read(hlen).decode("utf-8"))
+        except ValueError as e:  # truncated or corrupt header
+            raise InputError(f"{path}: unreadable checkpoint header ({e})") from e
         arrays = {}
         for meta in header["arrays"]:
             shape = tuple(meta["shape"])
             n = int(np.prod(shape)) if shape else 1
             buf = f.read(8 * n)
+            if len(buf) != 8 * n:
+                raise InputError(f"{path} is truncated: array {meta['name']!r} "
+                                 f"has {len(buf)} of {8 * n} bytes")
             arrays[meta["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     return header, arrays
 

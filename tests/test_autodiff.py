@@ -116,10 +116,20 @@ def test_dropout_invalid_p():
         ad.dropout(ad.Tensor([1.0, 2.0]), -0.1, training=True)
 
 
+def test_dropout_training_needs_matching_uniform_draws():
+    x = ad.Tensor(np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        ad.dropout(x, 0.1, training=True)
+    with pytest.raises(ShapeError):
+        ad.dropout(x, 0.1, training=True, uniform=np.zeros((3, 2)))
+    out = ad.dropout(x, 0.5, training=True, uniform=np.array([[0.2, 0.7, 0.5]] * 2))
+    assert np.array_equal(out.data, [[0.0, 2.0, 2.0]] * 2)
+
+
 def test_dropout_mean_preserved():
     p, n = 0.1, 100_000
     x = ad.Tensor(np.ones(n))
-    out = ad.dropout(x, p, training=True, rng=ad.make_rng(0, "drop"))
+    out = ad.dropout(x, p, training=True, uniform=ad.make_rng(0, "drop").random(n))
     # survivor count is Binomial(n, 1-p); mean of output is within 3 sigma of 1
     sigma = np.sqrt(p * (1 - p) / n) / (1 - p)
     assert abs(out.data.mean() - 1.0) < 3 * sigma
@@ -148,7 +158,7 @@ def test_forward_bit_reproducible():
         rng = ad.make_rng(42, "forward")
         x = ad.Tensor(rng.normal(0, 1, (3, 8)))
         out = ad.dropout(ad.layer_norm(x), 0.2, training=True,
-                         rng=ad.make_rng(42, "mask"))
+                         uniform=ad.make_rng(42, "mask").random((3, 8)))
         return out.data
     a, b = run(), run()
     assert np.array_equal(a, b)

@@ -6,6 +6,7 @@ import pytest
 
 from petfuse.cli import main
 from petfuse.data import LABELS, load_manifest
+from petfuse.training import load_checkpoint
 
 
 def run(capsys, *argv):
@@ -214,6 +215,80 @@ def test_train_retrain_checkpoint_bit_identical(trained, tmp_path, capsys):
     assert code == 0
     assert (rerun / "checkpoint.bin").read_bytes() \
         == (out / "checkpoint.bin").read_bytes()
+
+
+def test_train_honours_lora_config(trained, capsys, tmp_path):
+    _, data, _, _ = trained
+    capsys.readouterr()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "arm": "full_pet", "policy": "lora", "lora": {"rank": 4},
+        "fusion": {"shared_dim": 32, "head_hidden": 16, "dropout_p": 0.0},
+        "train": {"batch": 16, "accumulation": 1, "max_epochs": 1,
+                  "patience": 5, "lr": 1e-3},
+    }))
+    out = tmp_path / "run"
+    code, _, _ = run(capsys, "train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(out))
+    assert code == 0
+    header, arrays = load_checkpoint(out / "checkpoint.bin")
+    assert header["extra"]["lora"] == {"rank": 4, "alpha": 32.0}
+    assert {a.shape for k, a in arrays.items() if k.endswith("/lora_a")} == {(128, 4)}
+    code, _, _ = run(capsys, "eval", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--data", str(data))
+    assert code == 0
+
+
+def _arm_without_kind(tmp_path, data, run_dir):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"arms": [{"seeds": [0]}]}))
+    return ["attribute", "--plan", plan, "--data", data, "--out", tmp_path / "res"]
+
+
+def _malformed_plan(tmp_path, data, run_dir):
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"arms": [')
+    return ["attribute", "--plan", plan, "--data", data, "--out", tmp_path / "res"]
+
+
+def _malformed_signal_plan(tmp_path, data, run_dir):
+    plan = tmp_path / "signal.json"
+    plan.write_text("{vision: text}")
+    return ["gen-data", "--patients", "4", "--signal-plan", plan,
+            "--out", tmp_path / "d.jsonl"]
+
+
+def _lora_rank_zero(tmp_path, data, run_dir):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"arm": "full_pet", "policy": "lora",
+                               "lora": {"rank": 0}}))
+    return ["train", "--config", cfg, "--data", data, "--out", tmp_path / "run"]
+
+
+def _truncated_checkpoint(tmp_path, data, run_dir):
+    ckpt = tmp_path / "checkpoint.bin"
+    ckpt.write_bytes((run_dir / "checkpoint.bin").read_bytes()[:-100])
+    return ["eval", "--checkpoint", ckpt, "--data", data]
+
+
+def _checkpoint_cut_in_header(tmp_path, data, run_dir):
+    ckpt = tmp_path / "checkpoint.bin"
+    ckpt.write_bytes((run_dir / "checkpoint.bin").read_bytes()[:40])
+    return ["eval", "--checkpoint", ckpt, "--data", data]
+
+
+@pytest.mark.parametrize("make_argv", [_arm_without_kind, _malformed_plan,
+                                       _malformed_signal_plan, _lora_rank_zero,
+                                       _truncated_checkpoint, _checkpoint_cut_in_header])
+def test_malformed_input_is_one_line_runtime_error(make_argv, trained, capsys,
+                                                   tmp_path):
+    _, data, _, run_dir = trained
+    capsys.readouterr()
+    argv = [str(a) for a in make_argv(tmp_path, data, run_dir)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # -------------------------------------------------------------- audit + plan

@@ -1,11 +1,7 @@
 import numpy as np
-import pytest
 
 from petfuse import autodiff as ad
-from petfuse.encoders import (MiniTextEncoder, MiniVisionEncoder,
-                              PrecomputedEncoder, Tokenizer, list_hooks,
-                              text_spec, vision_spec)
-from petfuse.errors import InputError
+from petfuse.encoders import MiniTextEncoder, Tokenizer, text_spec
 from petfuse.model import HOOK_ADAPTER_SLOT, HOOK_ATTN_PROJ, HOOK_BIAS, ModelGraph
 
 CORPUS = ["heart size normal", "no acute findings", "left base effusion noted"]
@@ -33,18 +29,6 @@ def test_tokenizer_unknown_maps_to_unk():
     assert ids[1] == tok.vocab["[UNK]"]
 
 
-def test_precomputed_pass_through():
-    enc = PrecomputedEncoder(2048)
-    feats = np.arange(2048.0)
-    out = enc.encode({}, feats)
-    assert np.array_equal(out.data, feats.reshape(1, -1))
-
-
-def test_precomputed_wrong_length():
-    with pytest.raises(InputError):
-        PrecomputedEncoder(2048).encode({}, np.zeros(100))
-
-
 def test_text_encode_deterministic():
     graph, enc = make_text_encoder()
     a = enc.encode(graph.bind(), "heart size normal").data
@@ -68,23 +52,11 @@ def test_text_single_token_sensitivity():
     assert not np.allclose(a, b)
 
 
-def test_vision_output_shape_and_determinism():
-    graph = ModelGraph()
-    enc = MiniVisionEncoder(graph, spec=vision_spec(depth=1, width=16, patch=4))
-    img = np.random.default_rng(0).normal(0, 1, (16, 16))
-    a = enc.encode(graph.bind(), img).data
-    b = enc.encode(graph.bind(), img).data
-    assert a.shape == (1, 2048)
-    assert np.isfinite(a).all()
-    assert np.array_equal(a, b)
-
-
 def test_hook_counts_mini_text_depth2():
     graph, _ = make_text_encoder(depth=2)
-    hooks = list_hooks(graph, "text_encoder")
-    assert len(hooks[HOOK_ATTN_PROJ]) == 8  # q,k,v,out x 2 blocks
-    assert len(hooks[HOOK_ADAPTER_SLOT]) == 2
-    assert len(hooks[HOOK_BIAS]) >= 2
+    assert len(graph.hook_addresses(HOOK_ATTN_PROJ, "text_encoder")) == 8  # q,k,v,out x 2
+    assert len(graph.hook_addresses(HOOK_ADAPTER_SLOT, "text_encoder")) == 2
+    assert len(graph.hook_addresses(HOOK_BIAS, "text_encoder")) >= 2
 
 
 def test_hooks_resolve_uniquely():
@@ -95,11 +67,6 @@ def test_hooks_resolve_uniquely():
             assert addr in graph.params
             assert addr not in seen
             seen.add(addr)
-
-
-def test_precomputed_has_no_hooks():
-    graph = ModelGraph()
-    assert list_hooks(graph) == {k: [] for k in graph.hooks}
 
 
 def test_each_block_exposes_all_hook_classes():

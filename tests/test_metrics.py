@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from petfuse.errors import InputError
 from petfuse.metrics import (UndefinedMetric, auprc_label, auroc_label, ece,
-                             evaluate_predictions, macro_average,
+                             evaluate_predictions, macro_auroc, macro_average,
                              temperature_scale)
 
 
@@ -96,6 +96,16 @@ def test_macro_average():
     assert macro_average([0.8, 0.5, 0.6], [True, False, True]) == pytest.approx(0.7)
     with pytest.raises(UndefinedMetric):
         macro_average([0.5], [False])
+
+
+def test_macro_auroc_skips_single_class_labels():
+    scores = np.array([[0.1, 0.9, 0.2], [0.4, 0.8, 0.3], [0.35, 0.1, 0.6],
+                       [0.8, 0.2, 0.7]])
+    labels = np.array([[0, 1, 0], [0, 1, 0], [1, 1, 1], [1, 1, 1]])
+    # column 1 has no negatives, so only columns 0 (0.75) and 2 (1.0) count
+    assert macro_auroc(scores, labels) == pytest.approx(0.875)
+    with pytest.raises(UndefinedMetric):
+        macro_auroc(scores[:, 1:2], labels[:, 1:2])
 
 
 def test_macro_average_of_reference_per_class_column():
