@@ -19,13 +19,13 @@ import numpy as np
 from . import __version__
 from . import data as data_mod
 from . import harness, metrics, redaction
-from .config import echo_config, load_config
+from .config import build_section, echo_config, load_config
 from .data import LABELS, SplitSpec, label_matrix
 from .encoders import Tokenizer
 from .errors import InputError, PetfuseError
 from .fusion import FusionConfig, build_fusion
 from .pet import AdapterConfig, LoRAConfig, count_params
-from .training import load_checkpoint, save_checkpoint, train_loop
+from .training import TrainConfig, load_checkpoint, save_checkpoint, train_loop
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,6 +113,15 @@ def _read_json_object(path, what: str) -> dict:
     return doc
 
 
+def _emit(doc, out=None):
+    """Print a JSON document (a dict, or text already in JSON) and, given a
+    path, write the same text there."""
+    text = doc if isinstance(doc, str) else json.dumps(doc, indent=2, sort_keys=True)
+    print(text)
+    if out:
+        Path(out).write_text(text + "\n")
+
+
 def _cmd_gen_data(args):
     plan = None
     if args.signal_plan:
@@ -153,9 +162,7 @@ def _cmd_audit(args):
         raw, red, label_matrix(samples),
         [index[s.id] for s in train_set], [index[s.id] for s in test_set],
         seed=args.seed)
-    print(json.dumps(result, indent=2, sort_keys=True))
-    if args.out:
-        Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    _emit(result, args.out)
     return 0
 
 
@@ -207,10 +214,9 @@ def _restore_model(checkpoint, manifest):
            "lora": LoRAConfig(**extra.get("lora", {})),
            "adapter": AdapterConfig(**extra.get("adapter", {}))}
     _, model = _load_arm_model(cfg, tokenizer, seed)
-    if hasattr(model, "fit_normalizer"):
-        # normalizer statistics are a pure function of the training split,
-        # so refitting reproduces the training-time transform exactly
-        model.fit_normalizer(train_set)
+    # normalizer statistics are a pure function of the training split and the
+    # initial encoder, so refitting before loading reproduces them exactly
+    model.fit_normalizer(train_set)
     model.graph.load_state({k[len("param/"):]: v for k, v in arrays.items()
                             if k.startswith("param/")})
     return model, extra, val_set, test_set
@@ -223,9 +229,7 @@ def _cmd_eval(args):
     rep = metrics.evaluate_predictions(extra["arm"], extra.get("seed", 0), probs,
                                        label_matrix(test_set), LABELS,
                                        budget.total_trainable, budget.total_params)
-    print(rep.to_json())
-    if args.out:
-        Path(args.out).write_text(rep.to_json() + "\n")
+    _emit(rep.to_json(), args.out)
     return 0
 
 
@@ -237,14 +241,9 @@ def _cmd_calibrate(args):
     t, probs_after = metrics.temperature_scale(val_logits, label_matrix(val_set),
                                                test_logits)
     probs_before = 1.0 / (1.0 + np.exp(-test_logits))
-    result = {
-        "temperature": t,
-        "ece_before": metrics.ece(probs_before, y_test).ece,
-        "ece_after": metrics.ece(probs_after, y_test).ece,
-    }
-    print(json.dumps(result, indent=2, sort_keys=True))
-    if args.out:
-        Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    _emit({"temperature": t,
+           "ece_before": metrics.ece(probs_before, y_test).ece,
+           "ece_after": metrics.ece(probs_after, y_test).ece}, args.out)
     return 0
 
 
@@ -278,22 +277,17 @@ def _cmd_attribute(args):
             raise InputError(f"{args.plan}: arms[{i}] needs a \"kind\", one of "
                              f"{', '.join(harness.ARM_KINDS)}")
         arms.append(harness.build_arm(a.pop("kind"), a))
-    split = SplitSpec(**doc.get("split", {}))
-    train_cfg = load_config(None, {"train": doc.get("train", {})})["train"]
-    plan = harness.ExperimentPlan(arms, split, train_cfg)
+    plan = harness.ExperimentPlan(
+        arms, build_section("split", SplitSpec, doc.get("split", {})),
+        build_section("train", TrainConfig, doc.get("train", {})))
     result = harness.run_plan(plan, data_mod.load_manifest(args.data), args.out)
-    print(json.dumps({"arm_mean_auroc": result.arm_means,
-                      "fusion_effect": result.fusion_effect,
-                      "scaling_effect": result.scaling_effect,
-                      "failures": result.failures}, indent=2, sort_keys=True))
+    print(Path(args.out, "attribution.json").read_text())
     return 0 if not result.failures else 2
 
 
 def _cmd_report(args):
-    summary = harness.recompute_from_artifacts(args.results)
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    Path(args.results, "attribution_recomputed.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _emit(harness.recompute_from_artifacts(args.results),
+          Path(args.results, "attribution_recomputed.json"))
     return 0
 
 

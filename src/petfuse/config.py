@@ -1,5 +1,6 @@
-"""JSON config loading with typo protection and flag > file > default
-precedence. The effective config is echoed into output directories.
+"""JSON config loading with typo and type protection; a --seed flag overrides
+the file, which overrides the defaults. The effective config is echoed into
+output directories.
 """
 
 from __future__ import annotations
@@ -26,18 +27,35 @@ _TOP_LEVEL_SCALARS = {
     "total_params_declared": None,
 }
 
+# JSON types a value may have, keyed by the type of the field's default; a
+# float field takes an int, and no numeric field takes a bool
+_ACCEPTED = {float: (float, int), int: (int,), str: (str,), type(None): (int, type(None))}
 
-def _build_section(cls, values: dict):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(values) - fields
+
+def _check_type(name: str, value, default):
+    accepted = _ACCEPTED[type(default)]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"config value {name} must be {accepted[0].__name__}, "
+                          f"got {value!r}")
+
+
+def build_section(name: str, cls, values):
+    """`cls` built from a JSON object; unknown keys and values whose type does
+    not match the field default are rejected."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"config section {name!r} must be an object")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(values) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    for key, value in values.items():
+        _check_type(f"{name}.{key}", value, defaults[key])
     return cls(**values)
 
 
-def load_config(path=None, overrides: dict | None = None) -> dict:
-    """Effective config dict with dataclass sections filled from defaults,
-    then the JSON file, then explicit overrides (flags)."""
+def load_config(path=None) -> dict:
+    """Effective config dict: dataclass sections and top-level scalars from
+    the JSON file, defaults for whatever it leaves out."""
     doc = {}
     if path is not None:
         try:
@@ -50,18 +68,11 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    cfg = {}
-    for name, cls in _SECTION_TYPES.items():
-        section = dict(doc.get(name, {}))
-        if not isinstance(section, dict):
-            raise ConfigError(f"config section {name!r} must be an object")
-        for key, value in (overrides or {}).get(name, {}).items():
-            section[key] = value
-        cfg[name] = _build_section(cls, section)
+    cfg = {name: build_section(name, cls, doc.get(name, {}))
+           for name, cls in _SECTION_TYPES.items()}
     for name, default in _TOP_LEVEL_SCALARS.items():
         cfg[name] = doc.get(name, default)
-        if overrides and name in overrides:
-            cfg[name] = overrides[name]
+        _check_type(name, cfg[name], default)
     return cfg
 
 

@@ -147,9 +147,11 @@ def _mention_sentence(term: str, rng) -> str:
 
 def generate_synthetic(n_patients: int, prevalence_profile=None, signal_plan=None,
                        seed: int = 0, leak_prob: float = 0.9,
-                       pad_findings_to: int = 6, filler_sentences: int = 2,
+                       pad_findings_to: int = 6,
                        signal_strength: float = 2.0) -> list[Sample]:
     """Desk-scale corpus with label signal planted in chosen channels.
+
+    Each report opens with two filler sentences.
 
     signal_plan maps each label name to vision/text/both/none (default both).
     Text-assigned labels leak their canonical mention term with probability
@@ -197,8 +199,7 @@ def generate_synthetic(n_patients: int, prevalence_profile=None, signal_plan=Non
             while len(mentions) < pad_findings_to:
                 mentions.append(str(srng.choice(DISTRACTOR_TERMS)))
 
-            sentences = [str(srng.choice(_FILLER_SENTENCES))
-                         for _ in range(filler_sentences)]
+            sentences = [str(srng.choice(_FILLER_SENTENCES)) for _ in range(2)]
             sentences += [_mention_sentence(m, srng) for m in mentions]
             samples.append(Sample(
                 id=f"s{pi:05d}_{si}",

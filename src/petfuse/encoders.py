@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .model import HOOK_ATTN_PROJ, HOOK_BIAS, ModelGraph
+from .pet import ENCODER_PREFIX
 
 TEXT_DIM = 768
 MAX_TEXT_LEN = 512
@@ -69,10 +70,6 @@ class EncoderSpec:
     width: int = 128
 
 
-def text_spec(depth: int = 2, width: int = 128) -> EncoderSpec:
-    return EncoderSpec(depth=depth, width=width)
-
-
 class MiniTextEncoder:
     """2-block transformer over a small vocabulary; CLS state -> 768 dims.
 
@@ -81,12 +78,11 @@ class MiniTextEncoder:
     """
 
     def __init__(self, graph: ModelGraph, tokenizer: Tokenizer,
-                 spec: EncoderSpec | None = None, seed: int = 0,
-                 prefix: str = "text_encoder"):
-        self.spec = spec or text_spec()
+                 spec: EncoderSpec | None = None, seed: int = 0):
+        self.spec = spec or EncoderSpec()
         self.graph = graph
         self.tokenizer = tokenizer
-        self.prefix = prefix
+        prefix = ENCODER_PREFIX
         rng = ad.make_rng(seed, "init", prefix)
         w = self.spec.width
         s = 0.02
@@ -109,7 +105,7 @@ class MiniTextEncoder:
 
     def encode(self, binding, text: str) -> ad.Tensor:
         """First-position (CLS) hidden state projected to 768 dims; (1, 768)."""
-        g, pfx = self.graph, self.prefix
+        g, pfx = self.graph, ENCODER_PREFIX
         ids = self.tokenizer.encode(text)
         h = (ad.gather_rows(binding[f"{pfx}/emb/tok"], ids)
              + ad.slice_rows(binding[f"{pfx}/emb/pos"], 0, len(ids)))

@@ -41,24 +41,22 @@ class FusionConfig:
 class FusionPathway:
     """Owns the fusion parameters inside a (possibly larger) model graph."""
 
-    def __init__(self, graph: ModelGraph, cfg: FusionConfig, seed: int = 0,
-                 prefix: str = "fusion"):
+    def __init__(self, graph: ModelGraph, cfg: FusionConfig, seed: int = 0):
         cfg.validate()
         self.cfg = cfg
         self.graph = graph
-        self.prefix = prefix
-        rng = ad.make_rng(seed, "init", prefix)
+        rng = ad.make_rng(seed, "init", "fusion")
         d = cfg.shared_dim
 
         def init(shape):
             return rng.normal(0.0, 1.0 / np.sqrt(shape[0]), shape)
 
-        graph.add_param(f"{prefix}/vision_proj/w", init((cfg.vision_in, d)), trainable=True)
-        graph.add_param(f"{prefix}/text_proj/w", init((cfg.text_in, d)), trainable=True)
+        graph.add_param("fusion/vision_proj/w", init((cfg.vision_in, d)), trainable=True)
+        graph.add_param("fusion/text_proj/w", init((cfg.text_in, d)), trainable=True)
         for name in ("wq", "wk", "wv"):
-            graph.add_param(f"{prefix}/attention/{name}", init((d, d)), trainable=True)
-        graph.add_param(f"{prefix}/head/w1", init((d, cfg.head_hidden)), trainable=True)
-        graph.add_param(f"{prefix}/head/w2", init((cfg.head_hidden, cfg.num_labels)),
+            graph.add_param(f"fusion/attention/{name}", init((d, d)), trainable=True)
+        graph.add_param("fusion/head/w1", init((d, cfg.head_hidden)), trainable=True)
+        graph.add_param("fusion/head/w2", init((cfg.head_hidden, cfg.num_labels)),
                         trainable=True)
 
     # -- forward ------------------------------------------------------------
@@ -70,10 +68,9 @@ class FusionPathway:
             raise ShapeError(f"text feature length {t.data.shape[-1]} != {self.cfg.text_in}")
 
     def _head(self, binding, fused, training, dropout_uniform):
-        p = self.prefix
         fused = ad.dropout(fused, self.cfg.dropout_p, training, dropout_uniform)
-        hidden = ad.relu(ad.matmul(fused, binding[f"{p}/head/w1"]))
-        return ad.matmul(hidden, binding[f"{p}/head/w2"])
+        hidden = ad.relu(ad.matmul(fused, binding["fusion/head/w1"]))
+        return ad.matmul(hidden, binding["fusion/head/w2"])
 
     def forward(self, binding, v: ad.Tensor, t: ad.Tensor, training: bool = False,
                 dropout_uniform=None) -> ad.Tensor:
@@ -85,10 +82,9 @@ class FusionPathway:
         `dropout_uniform`, a (B, shared_dim) array of U[0, 1) draws.
         """
         self._check(v, t)
-        p = self.prefix
-        pv = ad.matmul(v, binding[f"{p}/vision_proj/w"])
-        pt = ad.matmul(t, binding[f"{p}/text_proj/w"])
-        attended = ad.matmul(pt, binding[f"{p}/attention/wv"])
+        pv = ad.matmul(v, binding["fusion/vision_proj/w"])
+        pt = ad.matmul(t, binding["fusion/text_proj/w"])
+        attended = ad.matmul(pt, binding["fusion/attention/wv"])
         fused = ad.layer_norm(pv + attended)
         return self._head(binding, fused, training, dropout_uniform)
 
@@ -96,13 +92,12 @@ class FusionPathway:
                        training: bool = False, dropout_uniform=None) -> ad.Tensor:
         """Token-level case: v (1, 2048), t_tokens (m, 768) -> logits (1, L)."""
         self._check(v, t_tokens)
-        p = self.prefix
         d = self.cfg.shared_dim
-        pv = ad.matmul(v, binding[f"{p}/vision_proj/w"])
-        pt = ad.matmul(t_tokens, binding[f"{p}/text_proj/w"])
-        q = ad.matmul(pv, binding[f"{p}/attention/wq"])
-        k = ad.matmul(pt, binding[f"{p}/attention/wk"])
-        vv = ad.matmul(pt, binding[f"{p}/attention/wv"])
+        pv = ad.matmul(v, binding["fusion/vision_proj/w"])
+        pt = ad.matmul(t_tokens, binding["fusion/text_proj/w"])
+        q = ad.matmul(pv, binding["fusion/attention/wq"])
+        k = ad.matmul(pt, binding["fusion/attention/wk"])
+        vv = ad.matmul(pt, binding["fusion/attention/wv"])
         attended = ad.softmax_attention(q, k, vv, 1.0 / np.sqrt(d))
         fused = ad.layer_norm(pv + attended)
         return self._head(binding, fused, training, dropout_uniform)

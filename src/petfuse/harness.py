@@ -12,14 +12,16 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .config import build_section
 from .data import LABELS, SplitSpec, label_matrix, split_patients
-from .encoders import MiniTextEncoder, Tokenizer, text_spec
+from .encoders import MiniTextEncoder, Tokenizer
 from .errors import InputError, SearchError
 from .fusion import FusionConfig, FusionPathway
 from .metrics import (EvalReport, evaluate_predictions, macro_auroc,
                       write_per_label_csv, write_reports_csv)
 from .model import ModelGraph
-from .pet import AdapterConfig, LoRAConfig, apply_policy, count_params
+from .pet import (ENCODER_PREFIX, AdapterConfig, LoRAConfig, apply_policy,
+                  count_params)
 from .training import TrainConfig, train_loop
 
 ARM_KINDS = ("vision_only", "budget_matched", "full_pet")
@@ -40,8 +42,7 @@ def _search_head_hidden(d: int) -> int:
     return h
 
 
-def search_shared_dim(target: int, tolerance: float = 0.01,
-                      num_labels: int = 14):
+def search_shared_dim(target: int, tolerance: float = 0.01):
     """Smallest-|count - target| fusion config over shared dims 8..512 (step 8).
 
     Returns (d, head_hidden, count). Deterministic; ties go to smaller d.
@@ -49,7 +50,7 @@ def search_shared_dim(target: int, tolerance: float = 0.01,
     candidates = []
     for d in range(8, 513, 8):
         h = _search_head_hidden(d)
-        cfg = FusionConfig(shared_dim=d, head_hidden=h, num_labels=num_labels)
+        cfg = FusionConfig(shared_dim=d, head_hidden=h)
         candidates.append((abs(cfg.param_count() - target), d, h, cfg.param_count()))
     candidates.sort(key=lambda c: (c[0], c[1]))
     best = candidates[0]
@@ -89,12 +90,12 @@ class _Standardizer:
 class VisionOnlyModel:
     """Frozen vision features into a trainable bias-free 2048->512->14 head."""
 
-    def __init__(self, seed: int = 0, hidden: int = 512, num_labels: int = 14):
+    def __init__(self, seed: int = 0):
         self.graph = ModelGraph()
         rng = ad.make_rng(seed, "init", "vision_only")
-        self.graph.add_param("head/w1", rng.normal(0, 1 / np.sqrt(2048), (2048, hidden)),
+        self.graph.add_param("head/w1", rng.normal(0, 1 / np.sqrt(2048), (2048, 512)),
                              trainable=True)
-        self.graph.add_param("head/w2", rng.normal(0, 1 / np.sqrt(hidden), (hidden, num_labels)),
+        self.graph.add_param("head/w2", rng.normal(0, 1 / np.sqrt(512), (512, 14)),
                              trainable=True)
         self.vision_norm = _Standardizer()
 
@@ -124,16 +125,19 @@ class MultimodalModel:
     """Precomputed vision features + mini text encoder + fusion pathway."""
 
     def __init__(self, fusion_cfg: FusionConfig, tokenizer: Tokenizer,
-                 seed: int = 0, text_encoder_spec=None, policy: str = "frozen",
+                 seed: int = 0, policy: str = "frozen",
                  lora_cfg: LoRAConfig | None = None,
                  adapter_cfg: AdapterConfig | None = None):
         self.graph = ModelGraph()
-        self.text = MiniTextEncoder(self.graph, tokenizer,
-                                    spec=text_encoder_spec or text_spec(), seed=seed)
+        self.text = MiniTextEncoder(self.graph, tokenizer, seed=seed)
         self.fusion = FusionPathway(self.graph, fusion_cfg, seed=seed)
         self.cfg = fusion_cfg
         apply_policy(self.graph, policy, lora_cfg=lora_cfg,
                      adapter_cfg=adapter_cfg, seed=seed)
+        # every parameter a policy injects is trainable and sits under the
+        # encoder prefix, so with none trainable there the output is fixed
+        self._text_static = not any(self.graph.params[a].trainable
+                                    for a in self.graph.addresses(ENCODER_PREFIX))
         self._text_cache: dict[str, np.ndarray] = {}
         self.vision_norm = _Standardizer()
         self.text_norm = _Standardizer()
@@ -142,25 +146,20 @@ class MultimodalModel:
         self.vision_norm.fit(np.asarray([s.vision_features
                                          for s in train_samples]))
         binding = self.graph.bind()
-        feats = np.asarray([self.text.encode(binding, s.text).data[0]
-                            for s in train_samples])
-        self.text_norm.fit(feats)
+        # one report per call, so a trainable encoder's tape never spans the split
+        self.text_norm.fit(np.concatenate(
+            [self._text_features(binding, [s]).data for s in train_samples]))
 
-    def _text_is_static(self) -> bool:
-        pfx = self.text.prefix
-        if any(p.trainable for a, p in self.graph.params.items() if a.startswith(pfx)):
-            return False
-        return not any(a.startswith(pfx) for a in list(self.graph.loras) +
-                       list(self.graph.adapters))
-
-    def _text_features(self, binding, samples):
-        if self._text_is_static():
-            missing = [s for s in samples if s.id not in self._text_cache]
-            if missing:
-                for s in missing:
-                    self._text_cache[s.id] = self.text.encode(binding, s.text).data[0]
-            return ad.Tensor(np.asarray([self._text_cache[s.id] for s in samples]))
-        return ad.concat_rows([self.text.encode(binding, s.text) for s in samples])
+    def _text_features(self, binding, samples) -> ad.Tensor:
+        """(B, 768) encoder output. A frozen encoder is a fixed function of
+        the report, so each report is encoded once and cached by sample id;
+        a trainable one is encoded live so gradients reach it."""
+        if not self._text_static:
+            return ad.concat_rows([self.text.encode(binding, s.text) for s in samples])
+        for s in samples:
+            if s.id not in self._text_cache:
+                self._text_cache[s.id] = self.text.encode(binding, s.text).data[0]
+        return ad.Tensor(np.asarray([self._text_cache[s.id] for s in samples]))
 
     def _standardize_text(self, t):
         if self.text_norm.mu is None:
@@ -236,6 +235,11 @@ def build_arm(kind: str, overrides: dict | None = None) -> ArmSpec:
     overrides = dict(overrides or {})
     seeds = overrides.pop("seeds", [0])
     policy = overrides.pop("policy", "frozen")
+    if kind != "full_pet" and policy != "frozen":
+        raise InputError(f"arm kind {kind!r} is always frozen; "
+                         f"policy {policy!r} does not apply to it")
+    if kind == "vision_only" and "fusion" in overrides:
+        raise InputError("arm kind 'vision_only' has no fusion pathway to override")
     if kind == "vision_only":
         arm = ArmSpec("vision_only", kind, policy="frozen",
                       budget_target=VISION_ONLY_PARAMS, seeds=seeds)
@@ -249,6 +253,7 @@ def build_arm(kind: str, overrides: dict | None = None) -> ArmSpec:
                       budget_target=FusionConfig().param_count(), seeds=seeds)
     for key, value in overrides.items():
         if key == "fusion":
+            build_section("fusion", FusionConfig, value)  # rejects bad keys and types
             arm.fusion = replace(arm.fusion, **value)
         elif hasattr(arm, key):
             setattr(arm, key, value)

@@ -54,14 +54,11 @@ def auprc_label(scores, labels) -> float:
     return float(((recall - prev_recall) * precision).sum())
 
 
-def macro_average(values, validity_mask=None) -> float:
+def macro_average(values) -> float:
     values = list(values)
-    if validity_mask is None:
-        validity_mask = [True] * len(values)
-    valid = [v for v, ok in zip(values, validity_mask) if ok]
-    if not valid:
+    if not values:
         raise UndefinedMetric("macro average over zero valid labels")
-    return float(np.mean(valid))
+    return float(np.mean(values))
 
 
 def macro_auroc(scores, labels) -> float:
@@ -177,8 +174,7 @@ class EvalReport:
 
 
 def evaluate_predictions(method: str, seed: int, probs, labels, label_names,
-                         trainable_params: int = 0, total_params: int = 0,
-                         ece_bins: int = 15) -> EvalReport:
+                         trainable_params: int = 0, total_params: int = 0) -> EvalReport:
     """Macro AUROC/AUPRC + pooled ECE over a multi-label prediction matrix."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
@@ -193,7 +189,7 @@ def evaluate_predictions(method: str, seed: int, probs, labels, label_names,
         per_label[name] = {"auroc": a, "auprc": p, "n_pos": int(labels[:, j].sum())}
         aurocs.append(a)
         auprcs.append(p)
-    report = ece(probs, labels, bins=ece_bins)
+    report = ece(probs, labels)
     return EvalReport(method, seed, macro_average(aurocs), macro_average(auprcs),
                       report.ece, trainable_params, total_params, per_label, skipped)
 

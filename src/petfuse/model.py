@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import PolicyError
+from .errors import InputError, PolicyError
 
 HOOK_ATTN_PROJ = "attention_projection"
 HOOK_BIAS = "bias"
@@ -111,11 +111,18 @@ class ModelGraph:
                 out[name] = np.zeros_like(p.data) if g is None else g
         return out
 
-    def load_state(self, state: dict[str, np.ndarray], only_trainable: bool = False):
+    def load_state(self, state: dict[str, np.ndarray]):
+        """Replace every trainable parameter. `state` must name exactly the
+        trainable parameters, each in its own shape; nothing is loaded
+        otherwise."""
+        trainable = {p.name for p in self.trainable()}
+        unknown, missing = sorted(set(state) - trainable), sorted(trainable - set(state))
+        if unknown or missing:
+            raise InputError(f"state does not fit the model: unknown or frozen "
+                             f"{unknown[:3]}, missing {missing[:3]}")
         for n, arr in state.items():
-            p = self.params.get(n)
-            if p is None:
-                continue
-            if only_trainable and not p.trainable:
-                continue
-            p.data = np.array(arr, dtype=np.float64).reshape(p.data.shape)
+            if np.shape(arr) != self.params[n].data.shape:
+                raise InputError(f"state shape {np.shape(arr)} for {n} does not fit "
+                                 f"{self.params[n].data.shape}")
+        for n, arr in state.items():
+            self.params[n].data = np.array(arr, dtype=np.float64)

@@ -50,10 +50,6 @@ class BudgetReport:
     total_trainable: int
     total_params: int
 
-    @property
-    def efficiency(self) -> float:
-        return self.total_trainable / self.total_params if self.total_params else 0.0
-
     def efficiency_pct(self, declared_total: int | None = None) -> float:
         total = declared_total if declared_total else self.total_params
         return 100.0 * self.total_trainable / total if total else 0.0
@@ -137,8 +133,9 @@ def apply_policy(graph: ModelGraph, policy: str,
     return graph
 
 
-def count_params(graph: ModelGraph, depth: int = 2) -> BudgetReport:
-    """Exact integer counts of trainable params grouped by address prefix."""
+def count_params(graph: ModelGraph) -> BudgetReport:
+    """Exact integer counts of trainable params grouped by their first two
+    address components."""
     components: dict[str, int] = {}
     total_trainable = 0
     total_params = 0
@@ -147,7 +144,7 @@ def count_params(graph: ModelGraph, depth: int = 2) -> BudgetReport:
         total_params += n
         if p.trainable:
             total_trainable += n
-            key = "/".join(addr.split("/")[:depth])
+            key = "/".join(addr.split("/")[:2])
             components[key] = components.get(key, 0) + n
     return BudgetReport(dict(sorted(components.items())), total_trainable, total_params)
 

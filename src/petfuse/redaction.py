@@ -133,11 +133,6 @@ def redact(text: str, lexicon: Lexicon | None = None) -> RedactedReport:
     return RedactedReport("".join(parts), counts)
 
 
-def redact_corpus(texts, lexicon: Lexicon | None = None):
-    lexicon = lexicon or Lexicon()
-    return [redact(t, lexicon) for t in texts]
-
-
 # -- residual-leakage audit ---------------------------------------------------
 
 _AUDIT_TOKEN_RE = re.compile(r"\[(?:FINDING|NUM|LOC)\]|[a-z0-9']+")

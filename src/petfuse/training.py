@@ -17,6 +17,7 @@ from .errors import ConfigError, InputError
 from .model import ModelGraph
 
 CHECKPOINT_MAGIC = b"PFCKPT01"
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -63,11 +64,9 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = 1.0):
 class AdamW:
     """Decoupled weight decay applied before the bias-corrected Adam update."""
 
-    def __init__(self, params, weight_decay: float = 1e-2,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, weight_decay: float = 1e-2):
         self.params = list(params)
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = {p.name: np.zeros_like(p.data) for p in self.params}
         self.v = {p.name: np.zeros_like(p.data) for p in self.params}
@@ -80,11 +79,11 @@ class AdamW:
             if g is None:
                 g = np.zeros_like(p.data)
             p.data = p.data - lr_t * self.weight_decay * p.data
-            m = self.m[p.name] = self.beta1 * self.m[p.name] + (1 - self.beta1) * g
-            v = self.v[p.name] = self.beta2 * self.v[p.name] + (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1 ** t)
-            v_hat = v / (1 - self.beta2 ** t)
-            p.data = p.data - lr_t * m_hat / (np.sqrt(v_hat) + self.eps)
+            m = self.m[p.name] = ADAM_BETA1 * self.m[p.name] + (1 - ADAM_BETA1) * g
+            v = self.v[p.name] = ADAM_BETA2 * self.v[p.name] + (1 - ADAM_BETA2) * g * g
+            m_hat = m / (1 - ADAM_BETA1 ** t)
+            v_hat = v / (1 - ADAM_BETA2 ** t)
+            p.data = p.data - lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # -- checkpoint container -------------------------------------------------
@@ -158,19 +157,15 @@ class TrainResult:
                             f"{secs:.3f}"])
 
 
-def train_loop(model, train_samples, val_samples, cfg: TrainConfig,
-               evaluate_fn=None) -> TrainResult:
+def train_loop(model, train_samples, val_samples, cfg: TrainConfig) -> TrainResult:
     """Run up to max_epochs with accumulation, clipping, and early stopping.
 
-    `model` exposes .graph and .loss_batch(samples, training, epoch, seed)
-    returning (loss Tensor, binding). `evaluate_fn(model, val_samples)`
-    returns the validation macro AUROC; injectable for testing.
+    `model` exposes .graph, .loss_batch(samples, training, epoch, seed)
+    returning (loss Tensor, binding), and .validation_auroc(samples).
     """
     cfg.validate()
     if not train_samples or not val_samples:
         raise InputError("train and validation splits must be non-empty")
-    if evaluate_fn is None:
-        evaluate_fn = lambda m, val: m.validation_auroc(val)
     if hasattr(model, "fit_normalizer"):
         model.fit_normalizer(train_samples)
 
@@ -210,7 +205,7 @@ def train_loop(model, train_samples, val_samples, cfg: TrainConfig,
             opt.step(clipped, lr_t)
             step += 1
 
-        val_auroc = float(evaluate_fn(model, val_samples))
+        val_auroc = float(model.validation_auroc(val_samples))
         history.append((epoch, float(np.mean(epoch_losses)), val_auroc,
                         lr_schedule(step - 1, total_steps, warmup_steps, cfg.lr),
                         time.perf_counter() - t0))
@@ -224,5 +219,5 @@ def train_loop(model, train_samples, val_samples, cfg: TrainConfig,
                 break
 
     if best_state is not None:
-        graph.load_state(best_state, only_trainable=True)
+        graph.load_state(best_state)
     return TrainResult(history, best_epoch, best_val, best_state or {})

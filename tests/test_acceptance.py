@@ -15,14 +15,14 @@ import petfuse.autodiff as ad
 from petfuse.cli import main
 from petfuse.data import (LABELS, SplitSpec, generate_synthetic, label_matrix,
                           split_patients)
-from petfuse.encoders import Tokenizer, text_spec
+from petfuse.encoders import Tokenizer
 from petfuse.fusion import FusionConfig, build_fusion
 from petfuse.harness import (VISION_ONLY_PARAMS, ExperimentPlan,
                              MultimodalModel, VisionOnlyModel, build_arm,
                              run_plan, search_shared_dim)
 from petfuse.metrics import auprc_label, auroc_label, ece, temperature_scale
 from petfuse.model import ModelGraph
-from petfuse.pet import LoRAConfig, apply_policy, count_params
+from petfuse.pet import ENCODER_PREFIX, LoRAConfig, apply_policy, count_params
 from petfuse.redaction import audit_leakage, redact
 from petfuse.training import (AdamW, TrainConfig, clip_gradients, lr_schedule,
                               train_loop)
@@ -183,8 +183,7 @@ def _small_model(policy, seed=0, **kw):
     samples = generate_synthetic(n_patients=10, seed=0)
     tok = Tokenizer.build([s.text for s in samples])
     cfg = FusionConfig(shared_dim=32, head_hidden=16, dropout_p=0.0)
-    return MultimodalModel(cfg, tok, seed=seed, policy=policy,
-                           text_encoder_spec=text_spec(), **kw), samples
+    return MultimodalModel(cfg, tok, seed=seed, policy=policy, **kw), samples
 
 
 def test_criterion_05_pet_invariants():
@@ -215,7 +214,7 @@ def test_criterion_05_pet_invariants():
     loss, binding = model.loss_batch(samples[:4], training=True, epoch=0,
                                      seed=0)
     loss.backward()
-    for addr in model.graph.addresses(model.text.prefix):
+    for addr in model.graph.addresses(ENCODER_PREFIX):
         assert binding[addr].grad is None, addr
 
     # every LoRA delta has rank <= 8

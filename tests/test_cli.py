@@ -277,9 +277,77 @@ def _checkpoint_cut_in_header(tmp_path, data, run_dir):
     return ["eval", "--checkpoint", ckpt, "--data", data]
 
 
-@pytest.mark.parametrize("make_argv", [_arm_without_kind, _malformed_plan,
-                                       _malformed_signal_plan, _lora_rank_zero,
-                                       _truncated_checkpoint, _checkpoint_cut_in_header])
+def _plan(doc):
+    def make_argv(tmp_path, data, run_dir):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"arms": [{"kind": "vision_only"}], **doc}))
+        return ["attribute", "--plan", plan, "--data", data, "--out", tmp_path / "res"]
+    return make_argv
+
+
+def _config(doc, command="train"):
+    def make_argv(tmp_path, data, run_dir):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        if command == "count-params":
+            return ["count-params", "--config", cfg]
+        return ["train", "--config", cfg, "--data", data, "--out", tmp_path / "run"]
+    return make_argv
+
+
+def _checkpoint_header(command, **extra):
+    """The fixture's checkpoint with its header `extra` changed, so the
+    model the header describes no longer fits the stored arrays."""
+    def make_argv(tmp_path, data, run_dir):
+        raw = (run_dir / "checkpoint.bin").read_bytes()
+        hlen = int.from_bytes(raw[8:16], "little")
+        header = json.loads(raw[16:16 + hlen])
+        for key, value in extra.items():
+            header["extra"][key] = (dict(header["extra"][key], **value)
+                                    if isinstance(value, dict) else value)
+        hbytes = json.dumps(header).encode()
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes(raw[:8] + len(hbytes).to_bytes(8, "little") + hbytes
+                         + raw[16 + hlen:])
+        return [command, "--checkpoint", ckpt, "--data", data]
+    return make_argv
+
+
+@pytest.mark.parametrize("make_argv", [
+    _arm_without_kind, _malformed_plan, _malformed_signal_plan, _lora_rank_zero,
+    _truncated_checkpoint, _checkpoint_cut_in_header,
+    # plan sections go through the config checks
+    pytest.param(_plan({"split": {"bogus": 1}}), id="plan_split_unknown_key"),
+    pytest.param(_plan({"split": [0.7, 0.15, 0.15]}), id="plan_split_not_object"),
+    pytest.param(_plan({"train": "ab"}), id="plan_train_not_object"),
+    # config values are type-checked, and a section must be an object
+    pytest.param(_config({"lora": {"rank": "4"}, "policy": "lora"}), id="lora_rank_str"),
+    pytest.param(_config({"fusion": {"shared_dim": 1.5}}), id="shared_dim_float"),
+    pytest.param(_config({"train": {"batch": True}}), id="batch_bool"),
+    pytest.param(_config({"lora": [1]}), id="lora_not_object"),
+    pytest.param(_config({"train": "ab"}), id="train_not_object"),
+    pytest.param(_config({"total_params_declared": "x"}, "count-params"),
+                 id="declared_total_str"),
+    # an arm kind rejects overrides it would ignore
+    pytest.param(_plan({"arms": [{"kind": "vision_only", "policy": "lora"}]}),
+                 id="vision_only_policy"),
+    pytest.param(_plan({"arms": [{"kind": "budget_matched", "policy": "adapter"}]}),
+                 id="budget_matched_policy"),
+    pytest.param(_plan({"arms": [{"kind": "vision_only", "fusion": {"shared_dim": 8}}]}),
+                 id="vision_only_fusion"),
+    pytest.param(_plan({"arms": [{"kind": "full_pet", "fusion": {"bogus": 1}}]}),
+                 id="arm_fusion_unknown_key"),
+    pytest.param(_config({"arm": "vision_only", "policy": "lora"}),
+                 id="train_vision_only_policy"),
+    # a checkpoint that does not fit its own header
+    pytest.param(_checkpoint_header("eval", policy="lora"), id="eval_missing_lora"),
+    pytest.param(_checkpoint_header("calibrate", policy="bitfit"),
+                 id="calibrate_missing_biases"),
+    pytest.param(_checkpoint_header("eval", fusion={"shared_dim": 16}),
+                 id="eval_shape_mismatch"),
+    pytest.param(_checkpoint_header("calibrate", fusion={"head_hidden": 8}),
+                 id="calibrate_shape_mismatch"),
+])
 def test_malformed_input_is_one_line_runtime_error(make_argv, trained, capsys,
                                                    tmp_path):
     _, data, _, run_dir = trained

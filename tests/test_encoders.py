@@ -1,7 +1,7 @@
 import numpy as np
 
 from petfuse import autodiff as ad
-from petfuse.encoders import MiniTextEncoder, Tokenizer, text_spec
+from petfuse.encoders import EncoderSpec, MiniTextEncoder, Tokenizer
 from petfuse.model import HOOK_ADAPTER_SLOT, HOOK_ATTN_PROJ, HOOK_BIAS, ModelGraph
 
 CORPUS = ["heart size normal", "no acute findings", "left base effusion noted"]
@@ -10,7 +10,7 @@ CORPUS = ["heart size normal", "no acute findings", "left base effusion noted"]
 def make_text_encoder(seed=0, depth=2, width=32):
     graph = ModelGraph()
     tok = Tokenizer.build(CORPUS)
-    enc = MiniTextEncoder(graph, tok, spec=text_spec(depth=depth, width=width),
+    enc = MiniTextEncoder(graph, tok, spec=EncoderSpec(depth=depth, width=width),
                           seed=seed)
     return graph, enc
 

@@ -1,19 +1,22 @@
 """Arm construction, budget search, attribution plans, efficiency tables."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from petfuse.data import generate_synthetic
-from petfuse.errors import InputError, SearchError
+from petfuse.data import SplitSpec, generate_synthetic, split_patients
+from petfuse.encoders import MiniTextEncoder, Tokenizer
+from petfuse.errors import ConfigError, InputError, SearchError
 from petfuse.fusion import FusionConfig
 from petfuse.harness import (VISION_ONLY_PARAMS, ArmSpec, ExperimentPlan,
-                             VisionOnlyModel, build_arm, compute_deltas,
-                             efficiency_table, recompute_from_artifacts,
-                             run_plan, search_shared_dim)
+                             MultimodalModel, VisionOnlyModel, build_arm,
+                             compute_deltas, efficiency_table,
+                             recompute_from_artifacts, run_plan,
+                             search_shared_dim)
 from petfuse.pet import count_params
-from petfuse.training import TrainConfig
+from petfuse.training import TrainConfig, train_loop
 
 
 def test_vision_only_param_count():
@@ -63,6 +66,52 @@ def test_build_arm_overrides_and_rejects_unknown():
         build_arm("full_pet", {"nope": 1})
     with pytest.raises(InputError):
         build_arm("mystery_arm")
+    with pytest.raises(ConfigError):
+        build_arm("full_pet", {"fusion": {"bogus": 1}})
+
+
+@pytest.mark.parametrize("kind, overrides", [
+    ("vision_only", {"policy": "lora"}),
+    ("budget_matched", {"policy": "bitfit"}),
+    ("vision_only", {"fusion": {"shared_dim": 32}}),
+])
+def test_build_arm_rejects_overrides_its_kind_ignores(kind, overrides):
+    with pytest.raises(InputError):
+        build_arm(kind, overrides)
+    # frozen is what these kinds train anyway, so saying so is accepted
+    assert build_arm(kind, {"policy": "frozen"}).policy == "frozen"
+
+
+def _count_encodes(monkeypatch, policy):
+    """Train a small multimodal model for 2 epochs and predict on every
+    split; returns (per-text encode counts, train, val, test)."""
+    calls = Counter()
+    encode = MiniTextEncoder.encode
+
+    def counting(self, binding, text):
+        calls[text] += 1
+        return encode(self, binding, text)
+
+    monkeypatch.setattr(MiniTextEncoder, "encode", counting)
+    samples = generate_synthetic(n_patients=24, seed=29)
+    train, val, test = split_patients(samples, SplitSpec(seed=0))
+    model = MultimodalModel(FusionConfig(shared_dim=16, head_hidden=8, dropout_p=0.0),
+                            Tokenizer.build([s.text for s in train]), policy=policy)
+    train_loop(model, train, val, TrainConfig(batch=8, accumulation=1, max_epochs=2,
+                                              patience=5, lr=1e-3))
+    model.predict(train + val + test)
+    return calls, train, val, test
+
+
+def test_frozen_encoder_encodes_each_report_once(monkeypatch):
+    calls, train, val, test = _count_encodes(monkeypatch, "frozen")
+    assert calls == Counter(s.text for s in train + val + test)
+
+
+def test_trainable_encoder_reencodes_every_batch(monkeypatch):
+    calls, train, val, test = _count_encodes(monkeypatch, "lora")
+    # fit_normalizer, 2 training epochs, 2 validations, then the final predict
+    assert sum(calls.values()) == 4 * len(train) + 3 * len(val) + len(test)
 
 
 def test_plan_validation():

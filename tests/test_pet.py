@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from petfuse import autodiff as ad
-from petfuse.encoders import MiniTextEncoder, Tokenizer, text_spec
+from petfuse.encoders import EncoderSpec, MiniTextEncoder, Tokenizer
 from petfuse.errors import PolicyError
 from petfuse.fusion import FusionConfig, FusionPathway, build_fusion
 from petfuse.model import ModelGraph
@@ -15,7 +15,7 @@ TEXT = "left base effusion noted with stable heart size"
 def tiny_model(policy="frozen", seed=0, **policy_kw):
     graph = ModelGraph()
     tok = Tokenizer.build([TEXT])
-    enc = MiniTextEncoder(graph, tok, spec=text_spec(depth=1, width=8), seed=seed)
+    enc = MiniTextEncoder(graph, tok, spec=EncoderSpec(depth=1, width=8), seed=seed)
     cfg = FusionConfig(vision_in=10, text_in=768, shared_dim=6, head_hidden=4,
                        num_labels=3, dropout_p=0.0)
     fp = FusionPathway(graph, cfg, seed=seed)

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from petfuse.autodiff import make_rng
 from petfuse.data import LABELS, generate_synthetic
-from petfuse.redaction import (DEFAULT_NEGATION, Lexicon, audit_leakage,
-                               redact, redact_corpus)
+from petfuse.redaction import DEFAULT_NEGATION, Lexicon, audit_leakage, redact
 
 
 def test_worked_negation_example_is_byte_exact():
@@ -72,7 +71,7 @@ def test_idempotent_on_random_synthetic_reports(seed):
 
 def test_redact_corpus_order_preserving():
     texts = ["Effusion at left base, 3 cm.", "Normal study."]
-    out = redact_corpus(texts)
+    out = [redact(t) for t in texts]
     assert [r.text for r in out] == ["[FINDING] at [LOC] [LOC], [NUM] cm.",
                                      "Normal study."]
 

@@ -324,3 +324,34 @@ def test_checkpoint_rejects_corrupt_magic(tmp_path):
     path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
     with pytest.raises(InputError):
         load_checkpoint(path)
+
+
+def _graph_for_state():
+    graph = ModelGraph()
+    graph.add_param("a/w", np.zeros((2, 3)), trainable=True)
+    graph.add_param("a/b", np.zeros(3), trainable=True)
+    graph.add_param("enc/w", np.zeros(4))
+    return graph
+
+
+@pytest.mark.parametrize("state", [
+    {"a/w": np.ones((2, 3)), "a/b": np.ones(3), "x/w": np.ones(1)},  # unknown
+    {"a/w": np.ones((2, 3)), "a/b": np.ones(3), "enc/w": np.ones(4)},  # frozen
+    {"a/w": np.ones((2, 3))},  # a trainable parameter missing
+    {"a/w": np.ones((3, 2)), "a/b": np.ones(3)},  # same size, other shape
+    {"a/w": np.ones((2, 3)), "a/b": np.ones(4)},
+])
+def test_load_state_rejects_a_state_that_does_not_fit(state):
+    graph = _graph_for_state()
+    with pytest.raises(InputError):
+        graph.load_state(state)
+    # nothing is loaded when the state is rejected
+    assert not any(p.data.any() for p in graph.params.values())
+
+
+def test_load_state_replaces_every_trainable_parameter():
+    graph = _graph_for_state()
+    graph.load_state({"a/w": np.ones((2, 3)), "a/b": np.full(3, 2.0)})
+    assert graph.params["a/w"].data.sum() == 6
+    assert graph.params["a/b"].data.sum() == 6
+    assert not graph.params["enc/w"].data.any()
