@@ -271,8 +271,11 @@ def _cmd_count_params(args):
 
 def _cmd_attribute(args):
     doc = _read_json_object(args.plan, "plan")
+    arm_docs = doc.get("arms", [])
+    if not isinstance(arm_docs, list):
+        raise InputError(f"{args.plan}: arms must be a list of arm objects")
     arms = []
-    for i, a in enumerate(doc.get("arms", [])):
+    for i, a in enumerate(arm_docs):
         if not isinstance(a, dict) or "kind" not in a:
             raise InputError(f"{args.plan}: arms[{i}] needs a \"kind\", one of "
                              f"{', '.join(harness.ARM_KINDS)}")

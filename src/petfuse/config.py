@@ -32,7 +32,8 @@ _TOP_LEVEL_SCALARS = {
 _ACCEPTED = {float: (float, int), int: (int,), str: (str,), type(None): (int, type(None))}
 
 
-def _check_type(name: str, value, default):
+def check_type(name: str, value, default):
+    """Raise ConfigError unless `value` may stand where `default` does."""
     accepted = _ACCEPTED[type(default)]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"config value {name} must be {accepted[0].__name__}, "
@@ -49,7 +50,7 @@ def build_section(name: str, cls, values):
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     for key, value in values.items():
-        _check_type(f"{name}.{key}", value, defaults[key])
+        check_type(f"{name}.{key}", value, defaults[key])
     return cls(**values)
 
 
@@ -72,7 +73,7 @@ def load_config(path=None) -> dict:
            for name, cls in _SECTION_TYPES.items()}
     for name, default in _TOP_LEVEL_SCALARS.items():
         cfg[name] = doc.get(name, default)
-        _check_type(name, cfg[name], default)
+        check_type(name, cfg[name], default)
     return cfg
 
 

@@ -218,7 +218,10 @@ _OPTIONAL = ("vision_features", "redacted_text")
 
 
 def load_manifest(path) -> list[Sample]:
+    """Samples of a JSONL manifest; every line is checked, and sample ids
+    must be unique (models cache frozen text features by id)."""
     samples = []
+    id_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -247,7 +250,12 @@ def load_manifest(path) -> list[Sample]:
                     raise ParseError(
                         f"{path}:{lineno}: vision_features must be {VISION_DIM} numbers")
                 feats = [float(v) for v in feats]
-            samples.append(Sample(str(rec["id"]), str(rec["patient_id"]),
+            sid = str(rec["id"])
+            if sid in id_line:
+                raise ParseError(f"{path}:{lineno}: duplicate sample id {sid!r} "
+                                 f"(first on line {id_line[sid]})")
+            id_line[sid] = lineno
+            samples.append(Sample(sid, str(rec["patient_id"]),
                                   rec["text"], [int(v) for v in labels],
                                   feats, rec.get("redacted_text")))
     return samples

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .config import build_section
+from .config import build_section, check_type
 from .data import LABELS, SplitSpec, label_matrix, split_patients
 from .encoders import MiniTextEncoder, Tokenizer
 from .errors import InputError, SearchError
@@ -234,6 +234,10 @@ def build_arm(kind: str, overrides: dict | None = None) -> ArmSpec:
         raise InputError(f"unknown arm kind {kind!r}")
     overrides = dict(overrides or {})
     seeds = overrides.pop("seeds", [0])
+    # an empty list is left to ExperimentPlan.validate
+    if not isinstance(seeds, list) or any(isinstance(s, bool) or not isinstance(s, int)
+                                          for s in seeds):
+        raise InputError(f"arm {kind!r}: seeds must be a list of ints, got {seeds!r}")
     policy = overrides.pop("policy", "frozen")
     if kind != "full_pet" and policy != "frozen":
         raise InputError(f"arm kind {kind!r} is always frozen; "
@@ -255,7 +259,8 @@ def build_arm(kind: str, overrides: dict | None = None) -> ArmSpec:
         if key == "fusion":
             build_section("fusion", FusionConfig, value)  # rejects bad keys and types
             arm.fusion = replace(arm.fusion, **value)
-        elif hasattr(arm, key):
+        elif key in ("name", "budget_target"):
+            check_type(f"arm {kind!r} {key}", value, "" if key == "name" else None)
             setattr(arm, key, value)
         else:
             raise InputError(f"unknown arm override {key!r}")

@@ -102,19 +102,11 @@ class ModelGraph:
         h = ad.relu(ad.matmul(x, binding[mod.down_w.name]) + binding[mod.down_b.name])
         return x + ad.matmul(h, binding[mod.up_w.name]) + binding[mod.up_b.name]
 
-    def collect_grads(self, binding) -> dict[str, np.ndarray]:
-        """Gradients of trainable params from a bound forward/backward pass."""
-        out = {}
-        for name, p in self.params.items():
-            if p.trainable:
-                g = binding[name].grad
-                out[name] = np.zeros_like(p.data) if g is None else g
-        return out
-
     def load_state(self, state: dict[str, np.ndarray]):
-        """Replace every trainable parameter. `state` must name exactly the
-        trainable parameters, each in its own shape; nothing is loaded
-        otherwise."""
+        """Overwrite every trainable parameter in place, so a parameter that
+        is a view into an optimizer's arena stays one. `state` must name
+        exactly the trainable parameters, each in its own shape; nothing is
+        loaded otherwise."""
         trainable = {p.name for p in self.trainable()}
         unknown, missing = sorted(set(state) - trainable), sorted(trainable - set(state))
         if unknown or missing:
@@ -125,4 +117,4 @@ class ModelGraph:
                 raise InputError(f"state shape {np.shape(arr)} for {n} does not fit "
                                  f"{self.params[n].data.shape}")
         for n, arr in state.items():
-            self.params[n].data = np.array(arr, dtype=np.float64)
+            self.params[n].data[...] = arr

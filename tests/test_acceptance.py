@@ -205,7 +205,7 @@ def test_criterion_05_pet_invariants():
         batch = samples[step % 2::2]
         loss, binding = model.loss_batch(batch, training=True, epoch=0, seed=0)
         loss.backward()
-        opt.step(model.graph.collect_grads(binding), lr_t=1e-3)
+        opt.step({name: binding[name].grad for name in opt.grads}, lr_t=1e-3)
     for name, data in before.items():
         assert model.graph.params[name].data.tobytes() == data.tobytes(), name
 

@@ -277,6 +277,13 @@ def _checkpoint_cut_in_header(tmp_path, data, run_dir):
     return ["eval", "--checkpoint", ckpt, "--data", data]
 
 
+def _duplicate_id(tmp_path, data, run_dir):
+    lines = data.read_text().splitlines(keepends=True)
+    manifest = tmp_path / "dup.jsonl"
+    manifest.write_text("".join(lines) + lines[0])
+    return ["train", "--data", manifest, "--out", tmp_path / "run"]
+
+
 def _plan(doc):
     def make_argv(tmp_path, data, run_dir):
         plan = tmp_path / "plan.json"
@@ -315,11 +322,23 @@ def _checkpoint_header(command, **extra):
 
 @pytest.mark.parametrize("make_argv", [
     _arm_without_kind, _malformed_plan, _malformed_signal_plan, _lora_rank_zero,
-    _truncated_checkpoint, _checkpoint_cut_in_header,
+    _truncated_checkpoint, _checkpoint_cut_in_header, _duplicate_id,
     # plan sections go through the config checks
     pytest.param(_plan({"split": {"bogus": 1}}), id="plan_split_unknown_key"),
     pytest.param(_plan({"split": [0.7, 0.15, 0.15]}), id="plan_split_not_object"),
     pytest.param(_plan({"train": "ab"}), id="plan_train_not_object"),
+    # plan arms and their fields are type-checked
+    pytest.param(_plan({"arms": 5}), id="plan_arms_not_list"),
+    pytest.param(_plan({"arms": [{"kind": "vision_only", "seeds": 3}]}), id="seeds_int"),
+    pytest.param(_plan({"arms": [{"kind": "vision_only", "seeds": [True]}]}),
+                 id="seeds_bool"),
+    pytest.param(_plan({"arms": [{"kind": "vision_only", "seeds": ["0"]}]}),
+                 id="seeds_str"),
+    pytest.param(_plan({"arms": [{"kind": "vision_only", "seeds": []}]}), id="seeds_empty"),
+    pytest.param(_plan({"arms": [{"kind": "vision_only", "name": ["a"]}]}),
+                 id="arm_name_list"),
+    pytest.param(_plan({"arms": [{"kind": "vision_only", "budget_target": "1000"}]}),
+                 id="budget_target_str"),
     # config values are type-checked, and a section must be an object
     pytest.param(_config({"lora": {"rank": "4"}, "policy": "lora"}), id="lora_rank_str"),
     pytest.param(_config({"fusion": {"shared_dim": 1.5}}), id="shared_dim_float"),

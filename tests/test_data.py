@@ -232,6 +232,18 @@ def test_manifest_rejects_wrong_feature_length(tmp_path):
         load_manifest(path)
 
 
+def test_manifest_rejects_duplicate_ids(tmp_path):
+    """Frozen text features are cached by sample id, so a second sample with
+    the same id would silently get the first one's features."""
+    path = tmp_path / "dup.jsonl"
+    recs = [{"id": i, "patient_id": "p", "text": t, "labels": [0] * len(LABELS)}
+            for i, t in (("a", "x"), ("b", "y"), ("a", "z"))]
+    path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    with pytest.raises(ParseError) as exc:
+        load_manifest(path)
+    assert ":3" in str(exc.value) and "line 1" in str(exc.value)
+
+
 def test_manifest_bytes_deterministic(tmp_path):
     samples = generate_synthetic(n_patients=6, seed=30)
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

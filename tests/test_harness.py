@@ -68,6 +68,10 @@ def test_build_arm_overrides_and_rejects_unknown():
         build_arm("mystery_arm")
     with pytest.raises(ConfigError):
         build_arm("full_pet", {"fusion": {"bogus": 1}})
+    # the kind is the argument, not an override
+    with pytest.raises(InputError):
+        build_arm("full_pet", {"kind": "vision_only"})
+    assert build_arm("full_pet", {"name": "b", "budget_target": None}).name == "b"
 
 
 @pytest.mark.parametrize("kind, overrides", [

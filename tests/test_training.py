@@ -1,18 +1,20 @@
 """Optimizer, schedule, accumulation-equivalence, and checkpoint tests."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 import petfuse.autodiff as ad
+import petfuse.training as training
 from petfuse.data import SplitSpec, generate_synthetic, split_patients
 from petfuse.encoders import Tokenizer
 from petfuse.errors import ConfigError, InputError
 from petfuse.fusion import FusionConfig
 from petfuse.harness import MultimodalModel
 from petfuse.model import ModelGraph
-from petfuse.training import (AdamW, TrainConfig, clip_gradients,
+from petfuse.training import (ADAM_BLOCK, AdamW, TrainConfig, clip_gradients,
                               load_checkpoint, lr_schedule, save_checkpoint,
                               train_loop)
 
@@ -106,6 +108,157 @@ def test_adamw_matches_hand_iteration():
         opt.step({"p": g.copy()}, lr_t=1e-2)
     expected = _reference_adamw(theta0, gs, lr=1e-2, wd=1e-2)
     assert np.max(np.abs(graph.params["p"].data - expected)) <= 1e-12
+
+
+def _arena_graph():
+    """Mixed shapes: a parameter spanning two default blocks, a (1, n) bias,
+    a vector and a scalar, plus one frozen parameter."""
+    graph = ModelGraph()
+    rng = np.random.default_rng(11)
+    for name, shape in (("w", (200, 200)), ("b", (1, 7)), ("u", (5,)), ("s", ())):
+        graph.add_param(name, rng.normal(size=shape), trainable=True)
+    graph.add_param("frozen", rng.normal(size=(3, 3)))
+    return graph
+
+
+@pytest.mark.parametrize("block", [ADAM_BLOCK, 5])
+def test_adamw_arena_equals_reference_exactly(block, monkeypatch):
+    """20 steps over several parameters, one of which ("u") gets no gradient
+    on every third step, equal the hand iteration bit for bit; a block of 5
+    elements cuts through every parameter boundary."""
+    monkeypatch.setattr(training, "ADAM_BLOCK", block)
+    graph = _arena_graph()
+    theta0 = {p.name: p.data.copy() for p in graph.trainable()}
+    rng = np.random.default_rng(12)
+    steps = [{n: rng.normal(size=t.shape) for n, t in theta0.items()
+              if not (n == "u" and k % 3 == 0)} for k in range(20)]
+    opt = AdamW(graph.trainable(), weight_decay=1e-2)
+    for grads in steps:
+        opt.step({n: g.copy() for n, g in grads.items()}, lr_t=1e-2)
+    for n, t in theta0.items():
+        gs = [grads.get(n, np.zeros_like(t)) for grads in steps]
+        expected = _reference_adamw(t, gs, lr=1e-2, wd=1e-2)
+        assert graph.params[n].data.shape == t.shape
+        assert np.array_equal(graph.params[n].data, expected), n
+
+
+def test_adamw_params_are_views_of_the_arena():
+    graph = _arena_graph()
+    frozen = graph.params["frozen"].data
+    before = {p.name: p.data.copy() for p in graph.trainable()}
+    opt = AdamW(graph.trainable())
+    for p in graph.trainable():
+        assert np.shares_memory(p.data, opt.flat), p.name
+        assert np.array_equal(p.data, before[p.name])
+        assert np.shares_memory(opt.grads[p.name], opt.flat_grad)
+        assert np.shares_memory(opt.m[p.name], opt.flat_m)
+    assert graph.params["frozen"].data is frozen
+    assert not np.shares_memory(frozen, opt.flat)
+    state = {n: np.full(a.shape, 3.0) for n, a in before.items()}
+    graph.load_state(state)
+    for p in graph.trainable():
+        assert np.shares_memory(p.data, opt.flat), p.name
+        assert np.array_equal(p.data, state[p.name])
+    assert graph.params["frozen"].data is frozen
+    assert opt.flat.sum() == 3.0 * opt.flat.size
+
+
+class _DictAdamW:
+    """The optimizer before the arena: one dict entry per parameter and
+    fresh arrays on every step."""
+
+    def __init__(self, params, weight_decay):
+        self.params, self.weight_decay, self.t = list(params), weight_decay, 0
+        self.m = {p.name: np.zeros_like(p.data) for p in self.params}
+        self.v = {p.name: np.zeros_like(p.data) for p in self.params}
+
+    def step(self, grads, lr_t):
+        self.t += 1
+        for p in self.params:
+            g = grads[p.name]
+            p.data = p.data - lr_t * self.weight_decay * p.data
+            m = self.m[p.name] = 0.9 * self.m[p.name] + (1 - 0.9) * g
+            v = self.v[p.name] = 0.999 * self.v[p.name] + (1 - 0.999) * g * g
+            m_hat = m / (1 - 0.9 ** self.t)
+            v_hat = v / (1 - 0.999 ** self.t)
+            p.data = p.data - lr_t * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def _dict_train_loop(model, train_samples, val_samples, cfg):
+    """The training loop before the arena: a fresh dict of gradients per
+    micro-batch, clipping into new arrays, a per-parameter best state.
+    Returns (history without seconds, best epoch, steps clipped)."""
+    model.fit_normalizer(train_samples)
+    graph = model.graph
+    opt = _DictAdamW(graph.trainable(), cfg.weight_decay)
+    n = len(train_samples)
+    micro_per_epoch = math.ceil(n / cfg.batch)
+    total_steps = math.ceil(micro_per_epoch / cfg.accumulation) * cfg.max_epochs
+    warmup_steps = int(cfg.warmup_fraction * total_steps)
+    history, best_val, best_epoch, best_state, since, step = [], -np.inf, 0, None, 0, 0
+    clipped = 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = ad.make_rng(cfg.seed, "shuffle", epoch).permutation(n)
+        shuffled = [train_samples[i] for i in order]
+        losses = []
+        for start in range(0, micro_per_epoch, cfg.accumulation):
+            accum = {}
+            micros = range(start, min(start + cfg.accumulation, micro_per_epoch))
+            for mb in micros:
+                loss, binding = model.loss_batch(shuffled[mb * cfg.batch:(mb + 1) * cfg.batch],
+                                                 training=True, epoch=epoch, seed=cfg.seed)
+                losses.append(float(loss.data))
+                ad.mul(loss, 1.0 / len(micros)).backward()
+                for p in graph.trainable():
+                    g = binding[p.name].grad
+                    g = np.zeros_like(p.data) if g is None else g
+                    accum[p.name] = accum.get(p.name, 0.0) + g
+            lr_t = lr_schedule(step, total_steps, warmup_steps, cfg.lr)
+            norm = math.sqrt(sum(float((g * g).sum()) for g in accum.values()))
+            if norm > cfg.clip_norm:
+                clipped += 1
+                accum = {k: g * (cfg.clip_norm / norm) for k, g in accum.items()}
+            opt.step(accum, lr_t)
+            step += 1
+        val = float(model.validation_auroc(val_samples))
+        history.append((epoch, float(np.mean(losses)), val,
+                        lr_schedule(step - 1, total_steps, warmup_steps, cfg.lr)))
+        if val > best_val:
+            best_val, best_epoch, since = val, epoch, 0
+            best_state = {p.name: p.data.copy() for p in graph.trainable()}
+        else:
+            since += 1
+            if since >= cfg.patience:
+                break
+    graph.load_state(best_state)
+    return history, best_epoch, clipped
+
+
+def test_train_loop_matches_dict_reference_loop():
+    """Accumulation 2 with an odd last group, active clipping, dropout and
+    parameters that get no gradient (the attention wq/wk): the arena loop
+    ends on the same bytes as the dict-based loop."""
+    samples = generate_synthetic(n_patients=40, seed=9)
+    train, val, _ = split_patients(samples, SplitSpec())
+    tok = Tokenizer.build([s.text for s in train])
+    cfg = TrainConfig(batch=5, accumulation=2, max_epochs=4, patience=4,
+                      lr=3e-3, clip_norm=0.05, seed=2)
+    assert math.ceil(len(train) / cfg.batch) % 2 == 1
+
+    def model():
+        return MultimodalModel(FusionConfig(shared_dim=32, head_hidden=16, dropout_p=0.1),
+                               tok, seed=2)
+
+    ref = model()
+    history, best_epoch, clipped = _dict_train_loop(ref, train, val, cfg)
+    assert clipped > 0
+    got = model()
+    result = train_loop(got, train, val, cfg)
+    assert [row[:4] for row in result.history] == history
+    assert result.best_epoch == best_epoch
+    for p in ref.graph.trainable():
+        assert got.graph.params[p.name].data.tobytes() == p.data.tobytes(), p.name
+        assert result.best_state[p.name].tobytes() == p.data.tobytes(), p.name
 
 
 def test_adamw_decay_only_shrinks():
