@@ -285,7 +285,12 @@ def _cmd_attribute(args):
         build_section("train", TrainConfig, doc.get("train", {})))
     result = harness.run_plan(plan, data_mod.load_manifest(args.data), args.out)
     print(Path(args.out, "attribution.json").read_text())
-    return 0 if not result.failures else 2
+    if result.failures:
+        run, reason = next(iter(result.failures.items()))
+        print(f"error: {len(result.failures)} arm run(s) failed; first {run}: {reason}",
+              file=sys.stderr)
+        return 2
+    return 0
 
 
 def _cmd_report(args):

@@ -130,9 +130,6 @@ DISTRACTOR_TERMS = ["granuloma", "calcification", "opacity", "scoliosis",
                     "tortuous aorta", "degenerative changes", "bony island",
                     "azygos lobe"]
 
-_LOCATIONS = ["left", "right", "base", "apex", "upper", "lower", "lobe",
-              "bilateral", "retrocardiac", "costophrenic"]
-
 
 def _mention_sentence(term: str, rng) -> str:
     loc = f"{rng.choice(['left', 'right', 'bilateral'])} {rng.choice(['base', 'apex', 'lobe'])}"

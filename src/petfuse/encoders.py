@@ -1,9 +1,10 @@
 """Frozen text encoder: tokenizer and structural mini transformer.
 
 The mini encoder stands in for a large pretrained text backbone at desk
-scale. It keeps every structural hook a tuning policy needs (attention
-projections, biases, adapter slots) while staying small enough to
-finite-difference. Vision features arrive precomputed in the manifest.
+scale. It keeps every tensor a tuning policy targets (attention
+projections, biases, one residual stream per block for an adapter) while
+staying small enough to finite-difference. Vision features arrive
+precomputed in the manifest.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .model import HOOK_ATTN_PROJ, HOOK_BIAS, ModelGraph
-from .pet import ENCODER_PREFIX
+from .model import ModelGraph
+from .pet import ENCODER_PREFIX, adapter_residual, lora_linear
 
 TEXT_DIM = 768
 MAX_TEXT_LEN = 512
@@ -73,8 +74,9 @@ class EncoderSpec:
 class MiniTextEncoder:
     """2-block transformer over a small vocabulary; CLS state -> 768 dims.
 
-    Each block is attention + mlp with residuals, non-affine layer norm and
-    an adapter slot.
+    Each block is attention + mlp with residuals and non-affine layer norm;
+    its attention projections carry any LoRA factors and its output passes
+    through any adapter a policy attached.
     """
 
     def __init__(self, graph: ModelGraph, tokenizer: Tokenizer,
@@ -91,17 +93,15 @@ class MiniTextEncoder:
         for b in range(self.spec.depth):
             base = f"{prefix}/block{b}"
             for proj in ("wq", "wk", "wv", "wo"):
-                graph.add_param(f"{base}/attn/{proj}", rng.normal(0, s, (w, w)),
-                                hook=HOOK_ATTN_PROJ)
+                graph.add_param(f"{base}/attn/{proj}", rng.normal(0, s, (w, w)))
             for bias in ("bq", "bk", "bv", "bo"):
-                graph.add_param(f"{base}/attn/{bias}", np.zeros(w), hook=HOOK_BIAS)
+                graph.add_param(f"{base}/attn/{bias}", np.zeros(w))
             graph.add_param(f"{base}/mlp/w1", rng.normal(0, s, (w, w)))
-            graph.add_param(f"{base}/mlp/b1", np.zeros(w), hook=HOOK_BIAS)
+            graph.add_param(f"{base}/mlp/b1", np.zeros(w))
             graph.add_param(f"{base}/mlp/w2", rng.normal(0, s, (w, w)))
-            graph.add_param(f"{base}/mlp/b2", np.zeros(w), hook=HOOK_BIAS)
-            graph.add_adapter_slot(f"{base}/adapter")
+            graph.add_param(f"{base}/mlp/b2", np.zeros(w))
         graph.add_param(f"{prefix}/out/w", rng.normal(0, 0.05, (w, TEXT_DIM)))
-        graph.add_param(f"{prefix}/out/b", np.zeros(TEXT_DIM), hook=HOOK_BIAS)
+        graph.add_param(f"{prefix}/out/b", np.zeros(TEXT_DIM))
 
     def encode(self, binding, text: str) -> ad.Tensor:
         """First-position (CLS) hidden state projected to 768 dims; (1, 768)."""
@@ -113,14 +113,14 @@ class MiniTextEncoder:
         for b in range(self.spec.depth):
             base = f"{pfx}/block{b}"
             x = ad.layer_norm(h)
-            q = g.linear(binding, x, f"{base}/attn/wq") + binding[f"{base}/attn/bq"]
-            k = g.linear(binding, x, f"{base}/attn/wk") + binding[f"{base}/attn/bk"]
-            v = g.linear(binding, x, f"{base}/attn/wv") + binding[f"{base}/attn/bv"]
+            q = lora_linear(g, binding, x, f"{base}/attn/wq") + binding[f"{base}/attn/bq"]
+            k = lora_linear(g, binding, x, f"{base}/attn/wk") + binding[f"{base}/attn/bk"]
+            v = lora_linear(g, binding, x, f"{base}/attn/wv") + binding[f"{base}/attn/bv"]
             attn = ad.softmax_attention(q, k, v, scale)
-            h = h + g.linear(binding, attn, f"{base}/attn/wo") + binding[f"{base}/attn/bo"]
+            h = h + lora_linear(g, binding, attn, f"{base}/attn/wo") + binding[f"{base}/attn/bo"]
             x = ad.layer_norm(h)
             m = ad.relu(ad.matmul(x, binding[f"{base}/mlp/w1"]) + binding[f"{base}/mlp/b1"])
             h = h + ad.matmul(m, binding[f"{base}/mlp/w2"]) + binding[f"{base}/mlp/b2"]
-            h = g.apply_adapter(binding, h, f"{base}/adapter")
+            h = adapter_residual(binding, h, base)
         cls = ad.slice_rows(ad.layer_norm(h), 0, 1)
         return ad.matmul(cls, binding[f"{pfx}/out/w"]) + binding[f"{pfx}/out/b"]

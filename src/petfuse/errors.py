@@ -26,7 +26,7 @@ class ParseError(InputError):
 
 
 class PolicyError(PetfuseError):
-    """A tuning policy targets a graph region without the needed hooks."""
+    """A tuning policy is unknown, misconfigured, or finds no encoder tensor it targets."""
 
 
 class SearchError(PetfuseError):

@@ -15,7 +15,7 @@ from . import autodiff as ad
 from .config import build_section, check_type
 from .data import LABELS, SplitSpec, label_matrix, split_patients
 from .encoders import MiniTextEncoder, Tokenizer
-from .errors import InputError, SearchError
+from .errors import InputError, PetfuseError, SearchError
 from .fusion import FusionConfig, FusionPathway
 from .metrics import (EvalReport, evaluate_predictions, macro_auroc,
                       write_per_label_csv, write_reports_csv)
@@ -87,6 +87,14 @@ class _Standardizer:
         return (features - self.mu) / self.sd
 
 
+def vision_matrix(samples) -> np.ndarray:
+    """(B, 2048) float64 matrix of the samples' precomputed vision features."""
+    for s in samples:
+        if s.vision_features is None:
+            raise InputError(f"sample {s.id} has no vision_features")
+    return np.asarray([s.vision_features for s in samples], dtype=np.float64)
+
+
 class VisionOnlyModel:
     """Frozen vision features into a trainable bias-free 2048->512->14 head."""
 
@@ -100,12 +108,11 @@ class VisionOnlyModel:
         self.vision_norm = _Standardizer()
 
     def fit_normalizer(self, train_samples):
-        self.vision_norm.fit(np.asarray([s.vision_features for s in train_samples]))
+        self.vision_norm.fit(vision_matrix(train_samples))
 
     def logits_batch(self, samples, training=False, epoch=0, seed=0):
         binding = self.graph.bind()
-        v = ad.Tensor(self.vision_norm.apply(
-            np.asarray([s.vision_features for s in samples])))
+        v = ad.Tensor(self.vision_norm.apply(vision_matrix(samples)))
         h = ad.relu(ad.matmul(v, binding["head/w1"]))
         return ad.matmul(h, binding["head/w2"]), binding
 
@@ -143,8 +150,7 @@ class MultimodalModel:
         self.text_norm = _Standardizer()
 
     def fit_normalizer(self, train_samples):
-        self.vision_norm.fit(np.asarray([s.vision_features
-                                         for s in train_samples]))
+        self.vision_norm.fit(vision_matrix(train_samples))
         binding = self.graph.bind()
         # one report per call, so a trainable encoder's tape never spans the split
         self.text_norm.fit(np.concatenate(
@@ -172,8 +178,7 @@ class MultimodalModel:
 
     def logits_batch(self, samples, training=False, epoch=0, seed=0):
         binding = self.graph.bind()
-        v = ad.Tensor(self.vision_norm.apply(
-            np.asarray([s.vision_features for s in samples])))
+        v = ad.Tensor(self.vision_norm.apply(vision_matrix(samples)))
         t = self._standardize_text(self._text_features(binding, samples))
         uniform = None
         if training and self.cfg.dropout_p > 0:
@@ -321,7 +326,7 @@ def run_plan(plan: ExperimentPlan, samples, out_dir) -> AttributionResult:
                                            LABELS, budget.total_trainable,
                                            budget.total_params)
                 reports.append(rep)
-            except Exception as e:  # record and continue with other arms
+            except PetfuseError as e:  # record and continue with other arms
                 failures[f"{arm.name}/seed{seed}"] = f"{type(e).__name__}: {e}"
         if reports:
             per_arm[arm.name] = reports

@@ -16,10 +16,10 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.stats import rankdata
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, PetfuseError
 
 
-class UndefinedMetric(Exception):
+class UndefinedMetric(PetfuseError):
     """Raised when a label lacks the classes the metric needs."""
 
 

@@ -1,9 +1,14 @@
 """Parameter-efficient tuning policies and the budget accountant.
 
-Four policies over a hooked model graph: frozen (fusion only), low-rank
-injection on attention projections, bias-only tuning, and bottleneck
-adapters. All four keep the fusion pathway trainable; encoder-side
-additions are counted exactly and arbitrated by enforce_budget.
+Four policies, each defined by the encoder tensors it touches: frozen
+touches none, bitfit trains the encoder's biases (its 1-D tensors), lora
+adds (alpha/r) A B to every attention projection (.../attn/w{q,k,v,o}), and
+adapter adds a residual bottleneck after each block. Targets are found by
+address under ENCODER_PREFIX; what lora and adapter attach lives under the
+address it extends (<proj>/lora_a, <block>/adapter/down_w), and the
+encoder's forward pass applies it through lora_linear and adapter_residual.
+All four keep the fusion pathway trainable; encoder-side additions are
+counted exactly and arbitrated by enforce_budget.
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import PolicyError
-from .model import (HOOK_ADAPTER_SLOT, HOOK_ATTN_PROJ, HOOK_BIAS,
-                    BottleneckAdapter, LowRankInjection, ModelGraph)
+from .model import ModelGraph
 
 POLICIES = ("frozen", "lora", "bitfit", "adapter")
 ENCODER_PREFIX = "text_encoder"
+_ATTN_PROJECTIONS = ("/attn/wq", "/attn/wk", "/attn/wv", "/attn/wo")
 
 
 @dataclass
@@ -85,8 +90,9 @@ def apply_policy(graph: ModelGraph, policy: str,
     if policy == "frozen":
         return graph
 
+    encoder = graph.addresses(ENCODER_PREFIX)
     if policy == "bitfit":
-        targets = graph.hook_addresses(HOOK_BIAS, ENCODER_PREFIX)
+        targets = [a for a in encoder if graph.params[a].data.ndim == 1]
         if not targets:
             raise PolicyError("bitfit policy targets a graph with no encoder biases")
         for addr in targets:
@@ -97,40 +103,53 @@ def apply_policy(graph: ModelGraph, policy: str,
 
     if policy == "lora":
         cfg = lora_cfg or LoRAConfig()
-        scale = cfg.scale  # rejects rank < 1 before it reaches sqrt or shapes
-        targets = graph.hook_addresses(HOOK_ATTN_PROJ, ENCODER_PREFIX)
+        graph.lora_scale = cfg.scale  # rejects rank < 1 before it reaches sqrt or shapes
+        targets = [a for a in encoder if a.endswith(_ATTN_PROJECTIONS)]
         if not targets:
             raise PolicyError("lora policy targets a graph with no attention projections")
         for addr in targets:
-            w = graph.params[addr]
-            n_in, n_out = w.data.shape
+            n_in, n_out = graph.params[addr].data.shape
             limit = 1.0 / math.sqrt(cfg.rank)
-            a = graph.add_param(f"{addr}/lora_a",
-                                rng.uniform(-limit, limit, (n_in, cfg.rank)), trainable=True)
-            b = graph.add_param(f"{addr}/lora_b",
-                                np.zeros((cfg.rank, n_out)), trainable=True)
-            graph.loras[addr] = LowRankInjection(a, b, scale)
+            graph.add_param(f"{addr}/lora_a",
+                            rng.uniform(-limit, limit, (n_in, cfg.rank)), trainable=True)
+            graph.add_param(f"{addr}/lora_b", np.zeros((cfg.rank, n_out)), trainable=True)
         return graph
 
     cfg = adapter_cfg or AdapterConfig()
     cfg.validate()
-    slots = graph.hook_addresses(HOOK_ADAPTER_SLOT, ENCODER_PREFIX)
-    if not slots:
-        raise PolicyError("adapter policy targets a graph with no adapter slots")
-    for slot in slots:
-        wq = graph.params.get(slot.rsplit("/", 1)[0] + "/attn/wq")
-        if wq is None:
-            raise PolicyError(f"cannot infer width for adapter slot {slot}")
-        width = wq.data.shape[0]
+    # one slot per block, as wide as the block's query projection
+    blocks = [a for a in encoder if a.endswith("/attn/wq")]
+    if not blocks:
+        raise PolicyError("adapter policy targets a graph with no encoder blocks")
+    for wq in blocks:
+        slot = wq[:-len("/attn/wq")] + "/adapter"
+        width = graph.params[wq].data.shape[0]
         k = cfg.bottleneck
-        down_w = graph.add_param(f"{slot}/down_w",
-                                 rng.normal(0, 1.0 / math.sqrt(width), (width, k)),
-                                 trainable=True)
-        down_b = graph.add_param(f"{slot}/down_b", np.zeros(k), trainable=True)
-        up_w = graph.add_param(f"{slot}/up_w", np.zeros((k, width)), trainable=True)
-        up_b = graph.add_param(f"{slot}/up_b", np.zeros(width), trainable=True)
-        graph.adapters[slot] = BottleneckAdapter(down_w, down_b, up_w, up_b)
+        graph.add_param(f"{slot}/down_w", rng.normal(0, 1.0 / math.sqrt(width), (width, k)),
+                        trainable=True)
+        graph.add_param(f"{slot}/down_b", np.zeros(k), trainable=True)
+        graph.add_param(f"{slot}/up_w", np.zeros((k, width)), trainable=True)
+        graph.add_param(f"{slot}/up_b", np.zeros(width), trainable=True)
     return graph
+
+
+def lora_linear(graph: ModelGraph, binding, x: ad.Tensor, addr: str) -> ad.Tensor:
+    """x @ W at `addr`, plus (alpha/r) x A B when LoRA factors sit there."""
+    y = ad.matmul(x, binding[addr])
+    a = binding.get(f"{addr}/lora_a")
+    if a is not None:
+        y = y + ad.mul(ad.matmul(ad.matmul(x, a), binding[f"{addr}/lora_b"]),
+                       graph.lora_scale)
+    return y
+
+
+def adapter_residual(binding, x: ad.Tensor, block: str) -> ad.Tensor:
+    """x plus the block's residual bottleneck, or x when none is attached."""
+    down_w = binding.get(f"{block}/adapter/down_w")
+    if down_w is None:
+        return x
+    h = ad.relu(ad.matmul(x, down_w) + binding[f"{block}/adapter/down_b"])
+    return x + ad.matmul(h, binding[f"{block}/adapter/up_w"]) + binding[f"{block}/adapter/up_b"]
 
 
 def count_params(graph: ModelGraph) -> BudgetReport:

@@ -84,35 +84,28 @@ def redact(text: str, lexicon: Lexicon | None = None) -> RedactedReport:
     parts = [p for p in _TOKEN_RE.split(text) if p != ""]
     counts = {m: 0 for m in MASKS}
 
-    phrases = sorted({tuple(t.lower().split()) for t in lexicon.pathology},
-                     key=len, reverse=True)
+    # candidate phrases by first word, longest first
+    phrases: dict[str, list[tuple[str, ...]]] = {}
+    for phrase in sorted({tuple(t.lower().split()) for t in lexicon.pathology},
+                         key=len, reverse=True):
+        if phrase:
+            phrases.setdefault(phrase[0], []).append(phrase)
     word_idx = [i for i, p in enumerate(parts) if _is_word(p)]
 
     # stage 1: pathology phrases, longest first over consecutive word tokens
-    consumed = set()
     pos = 0
     while pos < len(word_idx):
-        i = word_idx[pos]
-        if i in consumed:
-            pos += 1
-            continue
         matched = None
-        for phrase in phrases:
+        for phrase in phrases.get(parts[word_idx[pos]].lower(), ()):
             span = word_idx[pos:pos + len(phrase)]
-            if len(span) < len(phrase):
-                continue
-            if all(parts[k].lower() == w for k, w in zip(span, phrase)):
+            if len(span) == len(phrase) and all(
+                    parts[k].lower() == w for k, w in zip(span[1:], phrase[1:])):
                 matched = span
                 break
         if matched:
+            # the phrase's later words and the separators between them go
             parts[matched[0]] = "[FINDING]"
-            for k in matched[1:]:
-                consumed.add(k)
-                parts[k] = ""
-            # drop separators swallowed inside the phrase
-            for k in range(matched[0] + 1, matched[-1]):
-                if k not in matched:
-                    parts[k] = ""
+            parts[matched[0] + 1:matched[-1] + 1] = [""] * (matched[-1] - matched[0])
             counts["FINDING"] += 1
             pos += len(matched)
         else:
@@ -121,7 +114,7 @@ def redact(text: str, lexicon: Lexicon | None = None) -> RedactedReport:
     # stage 2: numeric and location tokens
     location = {t.lower() for t in lexicon.location}
     for i, tok in enumerate(parts):
-        if not tok or not _is_word(tok) or i in consumed:
+        if not tok or not _is_word(tok):
             continue
         if _PURE_NUM_RE.fullmatch(tok) and any(c.isdigit() for c in tok):
             parts[i] = "[NUM]"

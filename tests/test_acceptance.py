@@ -217,12 +217,19 @@ def test_criterion_05_pet_invariants():
     for addr in model.graph.addresses(ENCODER_PREFIX):
         assert binding[addr].grad is None, addr
 
-    # every LoRA delta has rank <= 8
+    # every LoRA delta (alpha/r) A B has rank <= 8, also once B is off zero
     model, _ = _small_model("lora", lora_cfg=LoRAConfig(rank=8))
-    assert model.graph.loras
-    for addr, inj in model.graph.loras.items():
-        rank = np.linalg.matrix_rank(inj.delta())
-        assert rank <= 8, (addr, rank)
+    params = model.graph.params
+    projections = [a[:-len("/lora_a")] for a in params if a.endswith("/lora_a")]
+    assert projections
+    rng = np.random.default_rng(0)
+    for proj in projections:
+        b = params[f"{proj}/lora_b"].data
+        delta = model.graph.lora_scale * (params[f"{proj}/lora_a"].data
+                                          @ (b + rng.normal(0, 1, b.shape)))
+        assert delta.shape == params[proj].data.shape
+        rank = np.linalg.matrix_rank(delta)
+        assert rank <= 8, (proj, rank)
     _report(5, "LoRA/Adapter identity at init (<=1e-12); BitFit preserves "
                "non-bias tensors over 50 steps; frozen grads exactly zero; "
                "rank(dW) <= 8")

@@ -284,6 +284,30 @@ def _duplicate_id(tmp_path, data, run_dir):
     return ["train", "--data", manifest, "--out", tmp_path / "run"]
 
 
+def _four_patients(tmp_path, data, run_dir):
+    """A valid manifest whose one-patient validation split leaves no label
+    with both classes, so validation AUROC is undefined."""
+    manifest = tmp_path / "four.jsonl"
+    assert main(["gen-data", "--patients", "4", "--out", str(manifest)]) == 0
+    return ["train", "--data", manifest, "--out", tmp_path / "run"]
+
+
+def _without_vision(command):
+    """The fixture's manifest with one sample's optional vision_features dropped."""
+    def make_argv(tmp_path, data, run_dir):
+        lines = data.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[0])
+        del rec["vision_features"]
+        manifest = tmp_path / "novision.jsonl"
+        manifest.write_text(json.dumps(rec) + "\n" + "".join(lines[1:]))
+        if command == "train":
+            return ["train", "--data", manifest, "--out", tmp_path / "run"]
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"arms": [{"kind": "vision_only"}]}))
+        return ["attribute", "--plan", plan, "--data", manifest, "--out", tmp_path / "res"]
+    return make_argv
+
+
 def _plan(doc):
     def make_argv(tmp_path, data, run_dir):
         plan = tmp_path / "plan.json"
@@ -322,7 +346,9 @@ def _checkpoint_header(command, **extra):
 
 @pytest.mark.parametrize("make_argv", [
     _arm_without_kind, _malformed_plan, _malformed_signal_plan, _lora_rank_zero,
-    _truncated_checkpoint, _checkpoint_cut_in_header, _duplicate_id,
+    _truncated_checkpoint, _checkpoint_cut_in_header, _duplicate_id, _four_patients,
+    pytest.param(_without_vision("train"), id="train_without_vision"),
+    pytest.param(_without_vision("attribute"), id="attribute_without_vision"),
     # plan sections go through the config checks
     pytest.param(_plan({"split": {"bogus": 1}}), id="plan_split_unknown_key"),
     pytest.param(_plan({"split": [0.7, 0.15, 0.15]}), id="plan_split_not_object"),

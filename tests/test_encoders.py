@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 
-from petfuse import autodiff as ad
 from petfuse.encoders import EncoderSpec, MiniTextEncoder, Tokenizer
-from petfuse.model import HOOK_ADAPTER_SLOT, HOOK_ATTN_PROJ, HOOK_BIAS, ModelGraph
+from petfuse.model import ModelGraph
+from petfuse.pet import AdapterConfig, LoRAConfig, apply_policy
 
 CORPUS = ["heart size normal", "no acute findings", "left base effusion noted"]
 
@@ -52,31 +53,49 @@ def test_text_single_token_sensitivity():
     assert not np.allclose(a, b)
 
 
-def test_hook_counts_mini_text_depth2():
-    graph, _ = make_text_encoder(depth=2)
-    assert len(graph.hook_addresses(HOOK_ATTN_PROJ, "text_encoder")) == 8  # q,k,v,out x 2
-    assert len(graph.hook_addresses(HOOK_ADAPTER_SLOT, "text_encoder")) == 2
-    assert len(graph.hook_addresses(HOOK_BIAS, "text_encoder")) >= 2
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_lora_factors_on_exactly_the_attention_projections(depth):
+    graph, _ = make_text_encoder(depth=depth)
+    before = set(graph.params)
+    apply_policy(graph, "lora", lora_cfg=LoRAConfig(rank=2))
+    added = [a for a in graph.params if a not in before]
+    projections = sorted({a.rsplit("/", 1)[0] for a in added})
+    assert len(projections) == 4 * depth
+    assert projections == sorted(f"text_encoder/block{b}/attn/{w}"
+                                 for b in range(depth) for w in ("wq", "wk", "wv", "wo"))
+    assert sorted(added) == sorted(f"{p}/lora_{f}" for p in projections for f in "ab")
+    for p in projections:
+        assert graph.params[f"{p}/lora_a"].data.shape == (32, 2)
+        assert graph.params[f"{p}/lora_b"].data.shape == (2, 32)
+    assert all(graph.params[a].trainable for a in added)
+    assert not any(graph.params[a].trainable for a in before
+                   if a.startswith("text_encoder"))
 
 
-def test_hooks_resolve_uniquely():
-    graph, _ = make_text_encoder()
-    seen = set()
-    for kind in (HOOK_ATTN_PROJ, HOOK_BIAS):
-        for addr in graph.hooks[kind]:
-            assert addr in graph.params
-            assert addr not in seen
-            seen.add(addr)
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_bitfit_trains_exactly_the_encoder_vectors(depth):
+    graph, _ = make_text_encoder(depth=depth)
+    names = set(graph.params)
+    apply_policy(graph, "bitfit")
+    assert set(graph.params) == names  # bitfit adds nothing
+    encoder = graph.addresses("text_encoder")
+    trained = [a for a in encoder if graph.params[a].trainable]
+    assert trained == [a for a in encoder if graph.params[a].data.ndim == 1]
+    assert len(trained) == 6 * depth + 1  # attn q/k/v/o + mlp 1/2 per block, out
 
 
-def test_each_block_exposes_all_hook_classes():
-    graph, enc = make_text_encoder(depth=3)
-    for b in range(3):
-        prefix = f"text_encoder/block{b}"
-        assert graph.hook_addresses(HOOK_ATTN_PROJ, prefix)
-        assert graph.hook_addresses(HOOK_BIAS, prefix)
-        assert any(a.startswith(prefix)
-                   for a in graph.hooks[HOOK_ADAPTER_SLOT])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_adapter_one_bottleneck_per_block(depth):
+    graph, _ = make_text_encoder(depth=depth)
+    before = set(graph.params)
+    apply_policy(graph, "adapter", adapter_cfg=AdapterConfig(bottleneck=5))
+    added = [a for a in graph.params if a not in before]
+    assert added == [f"text_encoder/block{b}/adapter/{n}" for b in range(depth)
+                     for n in ("down_w", "down_b", "up_w", "up_b")]
+    for b in range(depth):
+        slot = f"text_encoder/block{b}/adapter"
+        assert graph.params[f"{slot}/down_w"].data.shape == (32, 5)
+        assert graph.params[f"{slot}/up_w"].data.shape == (5, 32)
 
 
 def test_frozen_by_default():

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from petfuse import harness
 from petfuse.data import SplitSpec, generate_synthetic, split_patients
 from petfuse.encoders import MiniTextEncoder, Tokenizer
 from petfuse.errors import ConfigError, InputError, SearchError
@@ -14,7 +15,7 @@ from petfuse.harness import (VISION_ONLY_PARAMS, ArmSpec, ExperimentPlan,
                              MultimodalModel, VisionOnlyModel, build_arm,
                              compute_deltas, efficiency_table,
                              recompute_from_artifacts, run_plan,
-                             search_shared_dim)
+                             search_shared_dim, vision_matrix)
 from petfuse.pet import count_params
 from petfuse.training import TrainConfig, train_loop
 
@@ -230,3 +231,27 @@ def test_run_plan_records_failures(tmp_path):
     result = run_plan(plan, samples, tmp_path)
     assert "boom/seed0" in result.failures
     assert "vision_only" in result.per_arm
+
+
+def test_vision_matrix_names_the_first_sample_without_features():
+    samples = generate_synthetic(n_patients=4, seed=1)
+    m = vision_matrix(samples)
+    assert m.dtype == np.float64 and m.shape == (len(samples), 2048)
+    assert m.tobytes() == np.asarray([s.vision_features for s in samples]).tobytes()
+    samples[2].vision_features = samples[3].vision_features = None
+    with pytest.raises(InputError, match=f"sample {samples[2].id} has no vision_features"):
+        vision_matrix(samples)
+
+
+def test_run_plan_lets_programming_errors_propagate(tmp_path, monkeypatch):
+    """Only petfuse errors become recorded arm failures; a bug such as a
+    TypeError inside an arm stops the run with its traceback."""
+    def broken_train_loop(*args, **kwargs):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(harness, "train_loop", broken_train_loop)
+    samples = generate_synthetic(n_patients=20, seed=23)
+    plan = ExperimentPlan(arms=[build_arm("vision_only")],
+                          train=TrainConfig(batch=8, accumulation=1, max_epochs=1))
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_plan(plan, samples, tmp_path)

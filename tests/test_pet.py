@@ -43,18 +43,39 @@ def test_lora_scaling_constant():
 
 def test_lora_injected_param_count():
     graph = ModelGraph()
-    graph.add_param("text_encoder/block0/attn/wq", np.zeros((128, 128)),
-                    hook="attention_projection")
+    graph.add_param("text_encoder/block0/attn/wq", np.zeros((128, 128)))
     apply_policy(graph, "lora")
     report = count_params(graph)
     assert report.total_trainable == 2 * 8 * 128  # 2,048
+    assert graph.lora_scale == 4.0
 
 
 def test_lora_delta_rank_bounded():
     graph, enc, fp = tiny_model("lora", lora_cfg=LoRAConfig(rank=2))
-    for inj in graph.loras.values():
-        inj.b.data = np.random.default_rng(0).normal(0, 1, inj.b.data.shape)
-        assert np.linalg.matrix_rank(inj.delta()) <= 2
+    projections = [a[:-len("/lora_a")] for a in graph.params if a.endswith("/lora_a")]
+    assert len(projections) == 4
+    for proj in projections:
+        a = graph.params[f"{proj}/lora_a"].data
+        b = np.random.default_rng(0).normal(0, 1, graph.params[f"{proj}/lora_b"].data.shape)
+        assert np.linalg.matrix_rank(graph.lora_scale * (a @ b)) <= 2
+
+
+def test_lora_factors_change_the_projection():
+    """Once B is off zero, the encoder output moves by exactly the LoRA term."""
+    graph, enc, fp = tiny_model("lora", lora_cfg=LoRAConfig(rank=2, alpha=4.0))
+    base = enc.encode(graph.bind(), TEXT).data
+    for addr in graph.addresses("text_encoder"):
+        if addr.endswith("/lora_b"):
+            graph.params[addr].data[...] = 0.1
+    moved = enc.encode(graph.bind(), TEXT).data
+    assert not np.allclose(base, moved)
+    # folding (alpha/r) A B into each W gives the same output with no factors
+    folded, enc2, _ = tiny_model("frozen")
+    for addr in folded.addresses("text_encoder"):
+        if f"{addr}/lora_a" in graph.params:
+            folded.params[addr].data += graph.lora_scale * (
+                graph.params[f"{addr}/lora_a"].data @ graph.params[f"{addr}/lora_b"].data)
+    assert np.allclose(enc2.encode(folded.bind(), TEXT).data, moved, atol=1e-10)
 
 
 def test_adapter_identity_at_init():
@@ -72,8 +93,8 @@ def test_bitfit_only_biases_trainable_in_encoder():
     graph, _, _ = tiny_model("bitfit")
     for addr, p in graph.params.items():
         if addr.startswith("text_encoder"):
-            is_bias = addr in graph.hooks["bias"]
-            assert p.trainable == is_bias
+            is_bias = addr.rsplit("/", 1)[-1] in ("bq", "bk", "bv", "bo", "b1", "b2", "b")
+            assert p.trainable == is_bias, addr
 
 
 def test_frozen_policy_zero_encoder_gradients():

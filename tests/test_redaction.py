@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from petfuse.autodiff import make_rng
 from petfuse.data import LABELS, generate_synthetic
-from petfuse.redaction import DEFAULT_NEGATION, Lexicon, audit_leakage, redact
+from petfuse.redaction import (_TOKEN_RE, DEFAULT_NEGATION, Lexicon, _is_word,
+                               audit_leakage, redact)
 
 
 def test_worked_negation_example_is_byte_exact():
@@ -67,6 +68,40 @@ def test_idempotent_on_random_synthetic_reports(seed):
     for s in samples:
         once = redact(s.text).text
         assert redact(once).text == once
+
+
+def _scan_every_phrase(text, pathology):
+    """Reference for redact's phrase stage: at each word, try every phrase,
+    longest first, and blank the matched words and what lies between them."""
+    parts = [p for p in _TOKEN_RE.split(text) if p]
+    words = [i for i, p in enumerate(parts) if _is_word(p)]
+    phrases = sorted({tuple(t.lower().split()) for t in pathology}, key=len, reverse=True)
+    count = pos = 0
+    while pos < len(words):
+        for phrase in phrases:
+            span = words[pos:pos + len(phrase)]
+            if len(span) == len(phrase) and [parts[k].lower() for k in span] == list(phrase):
+                parts[span[0]:span[-1] + 1] = ["[FINDING]"] + [""] * (span[-1] - span[0])
+                count += 1
+                pos += len(phrase)
+                break
+        else:
+            pos += 1
+    return "".join(parts), count
+
+
+_OVERLAPPING = ("a b c", "a b", "B c", "c", "a-b", "x y z", "x")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["a b c", "A b", "b C", "x y z", "x y", "a", "b",
+                                           "c", "x", "a-b", "[FINDING]", "q"]),
+                          st.sampled_from([" ", "  ", ", ", ". ", "-", "\n", ""])),
+                max_size=30))
+def test_phrase_stage_matches_a_scan_of_every_phrase(tokens):
+    text = "".join(w + sep for w, sep in tokens)
+    out = redact(text, Lexicon(pathology=list(_OVERLAPPING), negation=[], location=[]))
+    assert (out.text, out.counts["FINDING"]) == _scan_every_phrase(text, _OVERLAPPING)
 
 
 def test_redact_corpus_order_preserving():
