@@ -1,0 +1,143 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the benchmark, summarised in one JSON.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --first-seed 601 --pairs 10 --out BENCH_6.json
+
+Pair i runs `python3 perfbench/workloads.py --workload W --seed S --seconds T
+--trace 0` once in each checkout, for every workload W of the change's
+BENCHMARK.json in turn, with seed S = first seed + i and T its
+`run_seconds`; the parent runs first on even pairs and the change first on
+odd ones. Each run is a fresh process with its checkout as working
+directory, so it benchmarks that checkout's sources with that checkout's
+benchmark. The script reads each run's last stdout line and its
+`.perfbench_work/<workload>.result.json` (for the environment stamp); it
+never imports or edits the benchmark.
+
+The output holds, per workload and end-to-end metric, every run, each
+side's median and quartiles (`statistics.quantiles(n=4,
+method='inclusive')`), the change's wins (ties count for neither), the
+parent's interquartile range, and whether the change's median is within the
+metric's bound in BENCHMARK.json. A gain is claimable when the change wins
+at least nine tenths of the pairs and the medians differ, in its favour, by
+more than the parent's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ENV_KEYS = ("cores", "cores_usable", "machine", "python", "numpy", "blas",
+            "blas_threads")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/workloads.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+    doc = json.loads(lines[-1])
+    result = json.loads((checkout / ".perfbench_work" / f"{workload}.result.json")
+                        .read_text())
+    return {"seed": seed, "correct": doc["correct"], "attempted": doc["attempted"],
+            "failed": doc["failed"], "environment": result["environment"],
+            "metrics": {k: v["value"] for k, v in doc["metrics"].items()}}
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
+    sign = 1.0 if spec["better"] == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    ps, cs = summary(parent), summary(change)
+    iqr = ps["q3"] - ps["q1"]
+    gain = sign * (ps["median"] - cs["median"])
+    worse_by = -gain / ps["median"] if ps["median"] else 0.0
+    return {"better": spec["better"], "bound": spec["bound"], "parent": ps,
+            "change": cs, "change_wins": wins, "pairs": len(parent),
+            "median_ratio_change_over_parent":
+                cs["median"] / ps["median"] if ps["median"] else None,
+            "parent_iqr": iqr,
+            "gain_claimable": wins >= 0.9 * len(parent) and gain > iqr,
+            "within_bound": worse_by <= spec["bound"]}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", type=Path, required=True, help="parent checkout")
+    p.add_argument("--change", type=Path, required=True, help="change checkout")
+    p.add_argument("--first-seed", type=int, required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--what", default="", help="one line on what the change does")
+    p.add_argument("--out", type=Path, required=True)
+    args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2")
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs = {w: {side: [] for side in sides} for w in workloads}
+    for i in range(args.pairs):
+        seed = args.first_seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for w in workloads:
+            for side in order:
+                r = run_once(sides[side], w, seed, seconds)
+                runs[w][side].append(r)
+                print(f"pair {i + 1}/{args.pairs} seed {seed} {w} {side}: "
+                      + " ".join(f"{k}={v:.4g}" for k, v in r["metrics"].items())
+                      + ("" if r["correct"] else f" FAILED {r['failed']}/{r['attempted']}"),
+                      flush=True)
+
+    first = runs[workloads[0]]
+    doc = {
+        "what": args.what,
+        "commits": {side: first[side][0]["environment"]["git_commit"] for side in sides},
+        "source_sha256": {side: first[side][0]["environment"]["source_sha256"]
+                          for side in sides},
+        "environment": {k: first["change"][0]["environment"][k] for k in ENV_KEYS},
+        "command": f"python3 perfbench/workloads.py --workload W --seed S "
+                   f"--seconds {seconds:g} --trace 0",
+        "pairs": f"{args.pairs} per workload, seeds {args.first_seed}-"
+                 f"{args.first_seed + args.pairs - 1}; the parent ran first on even "
+                 f"pairs, the change first on odd ones; each run a fresh process "
+                 f"in its own checkout",
+        "quartiles": "statistics.quantiles(n=4, method='inclusive')",
+        "workloads": {},
+    }
+    for w in workloads:
+        entry = {name: compare(metrics[name],
+                               [r["metrics"][name] for r in runs[w]["parent"]],
+                               [r["metrics"][name] for r in runs[w]["change"]])
+                 for name in metrics}
+        for side in sides:
+            entry[f"failed_ops_{side}"] = [[r["failed"], r["attempted"]]
+                                           for r in runs[w][side]]
+        doc["workloads"][w] = entry
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    for w in workloads:
+        for name in metrics:
+            c = doc["workloads"][w][name]
+            print(f"{w:<20} {name:<20} parent {c['parent']['median']:<10.4g} "
+                  f"change {c['change']['median']:<10.4g} wins {c['change_wins']}/"
+                  f"{c['pairs']} iqr {c['parent_iqr']:.3g} "
+                  f"claimable {c['gain_claimable']} within_bound {c['within_bound']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

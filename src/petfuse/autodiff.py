@@ -4,6 +4,11 @@ Covers exactly the ops the fusion pathway, the mini text encoder, and tuning
 injections need: matmul, broadcast add/mul, relu, row softmax, non-affine
 layer norm, dropout, gathers/slices, and reductions. Tensors are float64
 throughout; the graph is a dynamic tape, backward visits each node once.
+
+Backward forms only the gradients that are needed: it visits only nodes that
+require a gradient, and matmul, mul and add form each operand's product
+only when that operand requires one. A frozen weight, or a constant input
+such as precomputed features, costs no backward GEMM.
 """
 
 from __future__ import annotations
@@ -119,8 +124,10 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return Tensor(out_data, _parents=(a, b), _backward=bw)
 
@@ -130,8 +137,10 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return Tensor(out_data, _parents=(a, b), _backward=bw)
 
@@ -157,8 +166,10 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
 
     def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     return Tensor(a.data @ b.data, _parents=(a, b), _backward=bw)
 

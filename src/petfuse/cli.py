@@ -19,10 +19,10 @@ import numpy as np
 from . import __version__
 from . import data as data_mod
 from . import harness, metrics, redaction
-from .config import build_section, echo_config, load_config
+from .config import build_section, check_type, echo_config, load_config
 from .data import LABELS, SplitSpec, label_matrix
 from .encoders import Tokenizer
-from .errors import InputError, PetfuseError
+from .errors import ConfigError, InputError, PetfuseError
 from .fusion import FusionConfig, build_fusion
 from .pet import AdapterConfig, LoRAConfig, count_params
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train_loop
@@ -195,38 +195,75 @@ def _cmd_train(args):
                                   "lora": asdict(cfg["lora"]),
                                   "adapter": asdict(cfg["adapter"]),
                                   "best_epoch": result.best_epoch,
-                                  "best_val_auroc": result.best_val_auroc})
+                                  "best_val_auroc": result.best_val_auroc},
+                    state={"vocab": tokenizer.tokens(),
+                           "normalizers": {name: norm.state() for name, norm
+                                           in model.normalizers.items()}})
     print(f"best epoch {result.best_epoch}, val AUROC {result.best_val_auroc:.4f}")
     return 0
 
 
+def _header_config(path, extra) -> dict:
+    """The arm, policy, seed and section configs a checkpoint header records;
+    checkpoints written before lora/adapter were recorded used the defaults."""
+    try:
+        if not isinstance(extra, dict) or not {"arm", "policy", "fusion"} <= set(extra):
+            raise ConfigError("extra must be an object with arm, policy and fusion")
+        cfg = {"arm": extra["arm"], "policy": extra["policy"],
+               "seed": extra.get("seed", 0)}
+        for key, default in (("arm", ""), ("policy", ""), ("seed", 0)):
+            check_type(key, cfg[key], default)
+        for key, cls in (("fusion", FusionConfig), ("lora", LoRAConfig),
+                         ("adapter", AdapterConfig)):
+            cfg[key] = build_section(key, cls, extra.get(key, {}))
+    except ConfigError as e:
+        raise InputError(f"{path}: checkpoint header: {e}") from e
+    return cfg
+
+
 def _restore_model(checkpoint, manifest):
+    """The model a checkpoint holds, and the validation and test splits of
+    `manifest` under the checkpoint's seed.
+
+    A version-2 checkpoint carries the tokenizer vocabulary and the fitted
+    normalizers. A version-1 checkpoint does not: both are rebuilt from the
+    training split of `manifest`, which reproduces them only when it is the
+    manifest the model was trained on.
+    """
     header, arrays = load_checkpoint(checkpoint)
-    extra = header["extra"]
+    cfg = _header_config(checkpoint, header.get("extra"))
     samples = data_mod.load_manifest(manifest)
-    seed = extra.get("seed", 0)
-    split = SplitSpec(seed=seed)
-    train_set, val_set, test_set = data_mod.split_patients(samples, split)
-    tokenizer = Tokenizer.build([s.text for s in train_set])
-    # checkpoints written before lora/adapter were recorded used the defaults
-    cfg = {"arm": extra["arm"], "policy": extra["policy"],
-           "fusion": FusionConfig(**extra["fusion"]),
-           "lora": LoRAConfig(**extra.get("lora", {})),
-           "adapter": AdapterConfig(**extra.get("adapter", {}))}
-    _, model = _load_arm_model(cfg, tokenizer, seed)
-    # normalizer statistics are a pure function of the training split and the
-    # initial encoder, so refitting before loading reproduces them exactly
-    model.fit_normalizer(train_set)
+    train_set, val_set, test_set = data_mod.split_patients(
+        samples, SplitSpec(seed=cfg["seed"]))
+    if header["version"] == 1:
+        _, model = _load_arm_model(cfg, Tokenizer.build([s.text for s in train_set]),
+                                   cfg["seed"])
+        # a pure function of the training split and the initial encoder, so
+        # refitting before loading reproduces the trained model's statistics
+        model.fit_normalizer(train_set)
+    else:
+        state = header.get("state")
+        if not isinstance(state, dict) or set(state) != {"vocab", "normalizers"}:
+            raise InputError(f"{checkpoint}: checkpoint state must be an object "
+                             f"with vocab and normalizers")
+        _, model = _load_arm_model(cfg, Tokenizer.from_tokens(state["vocab"]),
+                                   cfg["seed"])
+        stats = state["normalizers"]
+        if not isinstance(stats, dict) or set(stats) != set(model.normalizers):
+            raise InputError(f"{checkpoint}: checkpoint normalizers must be "
+                             f"{sorted(model.normalizers)}")
+        for name, norm in model.normalizers.items():
+            norm.load_state(stats[name], f"{checkpoint}: normalizer {name!r}")
     model.graph.load_state({k[len("param/"):]: v for k, v in arrays.items()
                             if k.startswith("param/")})
-    return model, extra, val_set, test_set
+    return model, cfg, val_set, test_set
 
 
 def _cmd_eval(args):
-    model, extra, _, test_set = _restore_model(args.checkpoint, args.data)
+    model, cfg, _, test_set = _restore_model(args.checkpoint, args.data)
     budget = count_params(model.graph)
     probs = 1.0 / (1.0 + np.exp(-model.predict(test_set)))
-    rep = metrics.evaluate_predictions(extra["arm"], extra.get("seed", 0), probs,
+    rep = metrics.evaluate_predictions(cfg["arm"], cfg["seed"], probs,
                                        label_matrix(test_set), LABELS,
                                        budget.total_trainable, budget.total_params)
     _emit(rep.to_json(), args.out)

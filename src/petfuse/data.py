@@ -214,20 +214,45 @@ _REQUIRED = ("id", "patient_id", "text", "labels")
 _OPTIONAL = ("vision_features", "redacted_text")
 
 
+def _vision_floats(feats) -> list[float] | None:
+    """A manifest's vision_features as floats; None unless it is a list of
+    VISION_DIM JSON numbers (a bool counts as an int)."""
+    try:
+        arr = np.array(feats)
+    except ValueError:  # a ragged nested list
+        return None
+    if arr.dtype.kind in "biuf":
+        return arr.astype(np.float64).tolist() if arr.shape == (VISION_DIM,) else None
+    # an object or string array, e.g. one holding a None or an int beyond
+    # 64 bits: element by element
+    if not isinstance(feats, list) or len(feats) != VISION_DIM or not all(
+            isinstance(v, (int, float)) for v in feats):
+        return None
+    try:
+        return [float(v) for v in feats]
+    except OverflowError:  # an int beyond the float range
+        return None
+
+
 def load_manifest(path) -> list[Sample]:
     """Samples of a JSONL manifest; every line is checked, and sample ids
     must be unique (models cache frozen text features by id)."""
     samples = []
     id_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise ParseError(f"{path}:{lineno}: not UTF-8 ({e.reason})") from e
             if not line:
                 continue
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+            if not isinstance(rec, dict):
+                raise ParseError(f"{path}:{lineno}: a sample must be a JSON object")
             for key in _REQUIRED:
                 if key not in rec:
                     raise ParseError(f"{path}:{lineno}: missing field {key!r}")
@@ -235,18 +260,22 @@ def load_manifest(path) -> list[Sample]:
             if unknown:
                 raise ParseError(f"{path}:{lineno}: unknown fields {sorted(unknown)}")
             labels = rec["labels"]
-            if len(labels) != NUM_LABELS or any(v not in (0, 1) for v in labels):
+            if (not isinstance(labels, list) or len(labels) != NUM_LABELS
+                    or any(v not in (0, 1) for v in labels)):
                 raise ParseError(
                     f"{path}:{lineno}: labels must be {NUM_LABELS} binary values")
+            if not isinstance(rec["text"], str) or not isinstance(
+                    rec.get("redacted_text", ""), (str, type(None))):
+                raise ParseError(f"{path}:{lineno}: text and redacted_text "
+                                 f"must be strings")
             if not rec["patient_id"]:
                 raise ParseError(f"{path}:{lineno}: empty patient_id")
             feats = rec.get("vision_features")
             if feats is not None:
-                if len(feats) != VISION_DIM or not all(
-                        isinstance(v, (int, float)) for v in feats):
+                feats = _vision_floats(feats)
+                if feats is None:
                     raise ParseError(
                         f"{path}:{lineno}: vision_features must be {VISION_DIM} numbers")
-                feats = [float(v) for v in feats]
             sid = str(rec["id"])
             if sid in id_line:
                 raise ParseError(f"{path}:{lineno}: duplicate sample id {sid!r} "

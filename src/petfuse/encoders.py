@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .errors import InputError
 from .model import ModelGraph
 from .pet import ENCODER_PREFIX, adapter_residual, lora_linear
 
@@ -50,6 +51,22 @@ class Tokenizer:
         for tok in sorted(words):
             vocab[tok] = len(vocab)
         return cls(vocab)
+
+    @classmethod
+    def from_tokens(cls, tokens) -> "Tokenizer":
+        """The tokenizer whose vocabulary is `tokens` in id order, as
+        `tokens()` lists it; InputError unless they are unique strings that
+        start with SPECIALS."""
+        if (not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens)
+                or tuple(tokens[:len(SPECIALS)]) != SPECIALS
+                or len(set(tokens)) != len(tokens)):
+            raise InputError(f"a vocabulary must be a list of unique strings "
+                             f"starting with {list(SPECIALS)}")
+        return cls({tok: i for i, tok in enumerate(tokens)})
+
+    def tokens(self) -> list[str]:
+        """The vocabulary in id order."""
+        return sorted(self.vocab, key=self.vocab.__getitem__)
 
     def encode(self, text: str, max_len: int = MAX_TEXT_LEN) -> list[int]:
         """Token ids with a leading [CLS]; right truncation at max_len."""

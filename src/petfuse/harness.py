@@ -73,13 +73,36 @@ class _Standardizer:
     inputs with training-set statistics (a fixed, deterministic transform).
     """
 
-    def __init__(self):
+    def __init__(self, dim: int):
+        self.dim = dim
         self.mu = None
         self.sd = None
 
     def fit(self, features: np.ndarray):
         self.mu = features.mean(axis=0)
         self.sd = features.std(axis=0) + 1e-6
+
+    def state(self) -> dict:
+        """The fitted statistics as float lists; JSON round-trips them exactly."""
+        return {"mu": self.mu.tolist(), "sd": self.sd.tolist()}
+
+    def load_state(self, doc, what: str):
+        """Set the statistics from `state()`'s output; InputError, naming
+        `what`, unless both are `dim` finite numbers and every sd is positive."""
+        if not isinstance(doc, dict) or set(doc) != {"mu", "sd"}:
+            raise InputError(f"{what} must be an object with keys mu and sd")
+        stats = {}
+        for key in ("mu", "sd"):
+            values = doc[key]
+            if not isinstance(values, list) or len(values) != self.dim or any(
+                    isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+                raise InputError(f"{what} {key} must be a list of {self.dim} numbers")
+            stats[key] = np.asarray(values, dtype=np.float64)
+            if not np.isfinite(stats[key]).all():
+                raise InputError(f"{what} {key} holds a non-finite value")
+        if (stats["sd"] <= 0).any():
+            raise InputError(f"{what} sd must be positive")
+        self.mu, self.sd = stats["mu"], stats["sd"]
 
     def apply(self, features: np.ndarray) -> np.ndarray:
         if self.mu is None:
@@ -105,7 +128,8 @@ class VisionOnlyModel:
                              trainable=True)
         self.graph.add_param("head/w2", rng.normal(0, 1 / np.sqrt(512), (512, 14)),
                              trainable=True)
-        self.vision_norm = _Standardizer()
+        self.vision_norm = _Standardizer(2048)
+        self.normalizers = {"vision": self.vision_norm}
 
     def fit_normalizer(self, train_samples):
         self.vision_norm.fit(vision_matrix(train_samples))
@@ -146,8 +170,9 @@ class MultimodalModel:
         self._text_static = not any(self.graph.params[a].trainable
                                     for a in self.graph.addresses(ENCODER_PREFIX))
         self._text_cache: dict[str, np.ndarray] = {}
-        self.vision_norm = _Standardizer()
-        self.text_norm = _Standardizer()
+        self.vision_norm = _Standardizer(fusion_cfg.vision_in)
+        self.text_norm = _Standardizer(fusion_cfg.text_in)
+        self.normalizers = {"vision": self.vision_norm, "text": self.text_norm}
 
     def fit_normalizer(self, train_samples):
         self.vision_norm.fit(vision_matrix(train_samples))

@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -17,6 +18,9 @@ from .errors import ConfigError, InputError
 from .model import ModelGraph
 
 CHECKPOINT_MAGIC = b"PFCKPT01"
+# Version 2 adds the header's "state": what restoring a model needs besides
+# its trainable arrays (cli.py writes and reads it). Version 1 has none.
+CHECKPOINT_VERSIONS = (1, 2)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Elements per pass of the fused AdamW step: the 256 KB slices of p/m/v/g
 # and the two scratch blocks stay in cache between the pass's ufuncs. Of 8K,
@@ -141,8 +145,11 @@ class AdamW:
 
 
 def save_checkpoint(path, graph: ModelGraph, header_extra: dict | None = None,
-                    optimizer: AdamW | None = None):
-    """Versioned binary container: magic, JSON header, raw float64 blobs."""
+                    optimizer: AdamW | None = None, state: dict | None = None):
+    """Versioned binary container: magic, JSON header, raw float64 blobs.
+
+    The header holds `header_extra` and `state` as given; floats in them
+    round-trip exactly."""
     arrays = {}
     for name, p in graph.params.items():
         if p.trainable:
@@ -153,10 +160,11 @@ def save_checkpoint(path, graph: ModelGraph, header_extra: dict | None = None,
         for k, v in optimizer.v.items():
             arrays[f"adam_v/{k}"] = v
     header = {
-        "version": 1,
+        "version": CHECKPOINT_VERSIONS[-1],
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()],
         "optimizer_step": optimizer.step_count if optimizer else None,
         "extra": header_extra or {},
+        "state": state,
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
@@ -167,25 +175,54 @@ def save_checkpoint(path, graph: ModelGraph, header_extra: dict | None = None,
             f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
 
 
+def _array_sizes(header) -> list[int] | None:
+    """Element count of each array the header lists; None unless every entry
+    is {"name": str, "shape": [non-negative ints]}."""
+    metas = header.get("arrays") if isinstance(header, dict) else None
+    if not isinstance(metas, list):
+        return None
+    sizes = []
+    for meta in metas:
+        if not isinstance(meta, dict) or not isinstance(meta.get("name"), str):
+            return None
+        shape = meta.get("shape")
+        if not isinstance(shape, list) or any(
+                type(d) is not int or d < 0 for d in shape):
+            return None
+        sizes.append(math.prod(shape))
+    return sizes
+
+
 def load_checkpoint(path):
-    """Returns (header dict, {name: array})."""
+    """Returns (header dict, {name: array}). InputError unless the file is a
+    checkpoint of a known version whose arrays fill it exactly."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         if f.read(8) != CHECKPOINT_MAGIC:
             raise InputError(f"{path} is not a petfuse checkpoint")
         hlen = int.from_bytes(f.read(8), "little")
+        if hlen > size - 16:
+            raise InputError(f"{path} is truncated: its header needs {hlen} bytes, "
+                             f"{max(size - 16, 0)} follow")
         try:
             header = json.loads(f.read(hlen).decode("utf-8"))
         except ValueError as e:  # truncated or corrupt header
             raise InputError(f"{path}: unreadable checkpoint header ({e})") from e
+        sizes = _array_sizes(header)
+        if sizes is None:
+            raise InputError(f"{path}: checkpoint header lists no valid arrays")
+        version = header.get("version")
+        if type(version) is not int or version not in CHECKPOINT_VERSIONS:
+            raise InputError(f"{path}: unsupported checkpoint version {version!r}")
+        have, need = size - 16 - hlen, 8 * sum(sizes)
+        if have != need:
+            raise InputError(f"{path} is truncated: its arrays need {need} bytes, "
+                             f"{have} follow the header" if have < need else
+                             f"{path} has {have - need} bytes after its last array")
         arrays = {}
-        for meta in header["arrays"]:
-            shape = tuple(meta["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            buf = f.read(8 * n)
-            if len(buf) != 8 * n:
-                raise InputError(f"{path} is truncated: array {meta['name']!r} "
-                                 f"has {len(buf)} of {8 * n} bytes")
-            arrays[meta["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        for meta, n in zip(header["arrays"], sizes):
+            arrays[meta["name"]] = np.frombuffer(f.read(8 * n), dtype="<f8") \
+                .reshape(meta["shape"]).copy()
     return header, arrays
 
 
@@ -211,14 +248,14 @@ class TrainResult:
 def train_loop(model, train_samples, val_samples, cfg: TrainConfig) -> TrainResult:
     """Run up to max_epochs with accumulation, clipping, and early stopping.
 
-    `model` exposes .graph, .loss_batch(samples, training, epoch, seed)
-    returning (loss Tensor, binding), and .validation_auroc(samples).
+    `model` exposes .graph, .fit_normalizer(samples) (called once, on the
+    training split), .loss_batch(samples, training, epoch, seed) returning
+    (loss Tensor, binding), and .validation_auroc(samples).
     """
     cfg.validate()
     if not train_samples or not val_samples:
         raise InputError("train and validation splits must be non-empty")
-    if hasattr(model, "fit_normalizer"):
-        model.fit_normalizer(train_samples)
+    model.fit_normalizer(train_samples)
 
     graph = model.graph
     opt = AdamW(graph.trainable(), weight_decay=cfg.weight_decay)

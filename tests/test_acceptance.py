@@ -329,6 +329,9 @@ def test_criterion_09_early_stopping():
             self.scores = [0.6, 0.7] + [0.65] * 40
             self.calls = 0
 
+        def fit_normalizer(self, samples):
+            pass
+
         def loss_batch(self, samples, training, epoch, seed):
             binding = self.graph.bind()
             w = binding["w"]

@@ -201,3 +201,36 @@ def test_gather_and_slice_gradients():
         return ad.tsum(ad.mul(ad.slice_rows(rows, 1, 2), w))
 
     assert grad_check(fn, [table]) < 1e-6
+
+
+@pytest.mark.parametrize("op,a_shape,b_shape", [
+    (ad.matmul, (3, 4), (4, 2)),
+    (ad.mul, (3, 4), (3, 4)),
+    (ad.mul, (3, 4), (4,)),
+    (ad.mul, (3, 1), (1, 4)),
+    (ad.mul, (3, 4), ()),
+    (ad.add, (3, 4), (3, 4)),
+    (ad.add, (3, 4), (4,)),
+    (ad.add, (1, 4), (3, 1)),
+    (ad.add, (), (2, 3)),
+])
+def test_trainable_operand_gradient_does_not_depend_on_the_other(op, a_shape, b_shape):
+    """Backward forms an operand's gradient only when it requires one; the
+    other operand's gradient is the same bits either way."""
+    rng = np.random.default_rng(31)
+    a_data, b_data = rng.normal(0, 1, a_shape), rng.normal(0, 1, b_shape)
+    w = rng.normal(0, 1, np.broadcast_shapes(a_shape, b_shape)
+                   if op is not ad.matmul else (a_shape[0], b_shape[1]))
+
+    def grads(a_trains, b_trains):
+        a = ad.Tensor(a_data, requires_grad=a_trains)
+        b = ad.Tensor(b_data, requires_grad=b_trains)
+        ad.tsum(ad.mul(op(a, b), w)).backward()
+        return a.grad, b.grad
+
+    both = grads(True, True)
+    a_only, b_only = grads(True, False), grads(False, True)
+    assert a_only[1] is None and b_only[0] is None
+    assert a_only[0].shape == a_shape and b_only[1].shape == b_shape
+    assert a_only[0].tobytes() == both[0].tobytes()
+    assert b_only[1].tobytes() == both[1].tobytes()

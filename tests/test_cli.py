@@ -3,9 +3,11 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from petfuse.cli import main
-from petfuse.data import LABELS, load_manifest
+from petfuse.data import LABELS, SplitSpec, load_manifest, split_patients
 from petfuse.training import load_checkpoint
 
 
@@ -239,6 +241,55 @@ def test_train_honours_lora_config(trained, capsys, tmp_path):
     assert code == 0
 
 
+def _eval_and_calibrate(capsys, ckpt, data):
+    outs = []
+    for command in ("eval", "calibrate"):
+        code, stdout, _ = run(capsys, command, "--checkpoint", str(ckpt),
+                              "--data", str(data))
+        assert code == 0
+        outs.append(stdout)
+    return outs
+
+
+def test_checkpoint_carries_vocab_and_normalizers(trained, capsys, tmp_path):
+    """eval and calibrate restore the tokenizer and the normalizers from the
+    checkpoint, so rewriting every training-split report (ids and patients
+    unchanged) changes nothing they print."""
+    _, data, _, out = trained
+    capsys.readouterr()
+    header, _ = load_checkpoint(out / "checkpoint.bin")
+    train_set, _, _ = split_patients(load_manifest(data),
+                                     SplitSpec(seed=header["extra"]["seed"]))
+    train_ids = {s.id for s in train_set}
+    lines = []
+    for line in data.read_text().splitlines():
+        rec = json.loads(line)
+        if rec["id"] in train_ids:
+            rec["text"] = f"Rewritten report {rec['id']} with novel wording."
+        lines.append(json.dumps(rec))
+    rewritten = tmp_path / "rewritten.jsonl"
+    rewritten.write_text("\n".join(lines) + "\n")
+    ckpt = out / "checkpoint.bin"
+    assert _eval_and_calibrate(capsys, ckpt, rewritten) \
+        == _eval_and_calibrate(capsys, ckpt, data)
+
+
+def test_version_1_checkpoint_evaluates_like_its_version_2_twin(trained, capsys,
+                                                                tmp_path):
+    """A checkpoint without stored state rebuilds the vocabulary and refits
+    the normalizers from the manifest's training split."""
+    _, data, _, out = trained
+    capsys.readouterr()
+    header, blobs = _split_checkpoint((out / "checkpoint.bin").read_bytes())
+    assert header["version"] == 2
+    del header["state"]
+    header["version"] = 1
+    v1 = tmp_path / "v1.bin"
+    v1.write_bytes(_join_checkpoint(header, blobs))
+    assert _eval_and_calibrate(capsys, v1, data) \
+        == _eval_and_calibrate(capsys, out / "checkpoint.bin", data)
+
+
 def _arm_without_kind(tmp_path, data, run_dir):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"arms": [{"seeds": [0]}]}))
@@ -326,22 +377,57 @@ def _config(doc, command="train"):
     return make_argv
 
 
+def _split_checkpoint(raw):
+    """(header dict, array bytes) of a checkpoint file's contents."""
+    hlen = int.from_bytes(raw[8:16], "little")
+    return json.loads(raw[16:16 + hlen]), raw[16 + hlen:]
+
+
+def _join_checkpoint(header, blobs):
+    hbytes = json.dumps(header).encode()
+    return b"PFCKPT01" + len(hbytes).to_bytes(8, "little") + hbytes + blobs
+
+
+def _rewritten_checkpoint(command, edit):
+    """The fixture's checkpoint with `edit(header)` applied to its header."""
+    def make_argv(tmp_path, data, run_dir):
+        header, blobs = _split_checkpoint((run_dir / "checkpoint.bin").read_bytes())
+        edit(header)
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes(_join_checkpoint(header, blobs))
+        return [command, "--checkpoint", ckpt, "--data", data]
+    return make_argv
+
+
 def _checkpoint_header(command, **extra):
     """The fixture's checkpoint with its header `extra` changed, so the
     model the header describes no longer fits the stored arrays."""
-    def make_argv(tmp_path, data, run_dir):
-        raw = (run_dir / "checkpoint.bin").read_bytes()
-        hlen = int.from_bytes(raw[8:16], "little")
-        header = json.loads(raw[16:16 + hlen])
+    def edit(header):
         for key, value in extra.items():
             header["extra"][key] = (dict(header["extra"][key], **value)
                                     if isinstance(value, dict) else value)
-        hbytes = json.dumps(header).encode()
-        ckpt = tmp_path / "checkpoint.bin"
-        ckpt.write_bytes(raw[:8] + len(hbytes).to_bytes(8, "little") + hbytes
-                         + raw[16 + hlen:])
-        return [command, "--checkpoint", ckpt, "--data", data]
-    return make_argv
+    return _rewritten_checkpoint(command, edit)
+
+
+def _checkpoint_state(command, edit):
+    """The fixture's checkpoint with `edit(state)` applied to its restore state."""
+    return _rewritten_checkpoint(command, lambda header: edit(header["state"]))
+
+
+def _set(doc, key, value):
+    doc[key] = value
+
+
+def _vision_stat(key, value):
+    def edit(state):
+        state["normalizers"]["vision"][key] = value
+    return edit
+
+
+def _trailing_bytes(tmp_path, data, run_dir):
+    ckpt = tmp_path / "checkpoint.bin"
+    ckpt.write_bytes((run_dir / "checkpoint.bin").read_bytes() + b"\0" * 8)
+    return ["calibrate", "--checkpoint", ckpt, "--data", data]
 
 
 @pytest.mark.parametrize("make_argv", [
@@ -392,6 +478,44 @@ def _checkpoint_header(command, **extra):
                  id="eval_shape_mismatch"),
     pytest.param(_checkpoint_header("calibrate", fusion={"head_hidden": 8}),
                  id="calibrate_shape_mismatch"),
+    pytest.param(_checkpoint_header("eval", fusion=[32]), id="eval_fusion_not_object"),
+    pytest.param(_checkpoint_header("eval", seed="0"), id="eval_seed_str"),
+    pytest.param(_rewritten_checkpoint("eval", lambda h: h.pop("extra")),
+                 id="eval_no_extra"),
+    _trailing_bytes,
+    # the container's version: 1 and 2 are read, nothing else
+    pytest.param(_rewritten_checkpoint("eval", lambda h: _set(h, "version", 3)),
+                 id="version_3"),
+    pytest.param(_rewritten_checkpoint("calibrate", lambda h: _set(h, "version", "2")),
+                 id="version_str"),
+    pytest.param(_rewritten_checkpoint("eval", lambda h: _set(h, "version", True)),
+                 id="version_bool"),
+    # a version-2 checkpoint whose restore state is missing or malformed
+    pytest.param(_rewritten_checkpoint("eval", lambda h: h.pop("state")),
+                 id="state_missing"),
+    pytest.param(_rewritten_checkpoint("calibrate", lambda h: _set(h, "state", None)),
+                 id="state_null"),
+    pytest.param(_checkpoint_state("eval", lambda st: st.pop("vocab")), id="vocab_missing"),
+    pytest.param(_checkpoint_state("eval", lambda st: _set(st, "vocab", "[CLS]")),
+                 id="vocab_not_list"),
+    pytest.param(_checkpoint_state("eval", lambda st: st["vocab"].append(st["vocab"][-1])),
+                 id="vocab_duplicate"),
+    pytest.param(_checkpoint_state("calibrate", lambda st: st["vocab"].pop(0)),
+                 id="vocab_without_specials"),
+    pytest.param(_checkpoint_state("eval", lambda st: st["vocab"].append(7)),
+                 id="vocab_not_strings"),
+    pytest.param(_checkpoint_state("eval", lambda st: st["normalizers"].pop("text")),
+                 id="normalizer_missing"),
+    pytest.param(_checkpoint_state("eval", _vision_stat("mu", [0.0] * 2047)),
+                 id="mu_short"),
+    pytest.param(_checkpoint_state("calibrate", _vision_stat("sd", [1.0] * 2049)),
+                 id="sd_long"),
+    pytest.param(_checkpoint_state("eval", _vision_stat("mu", [float("nan")] * 2048)),
+                 id="mu_nan"),
+    pytest.param(_checkpoint_state("calibrate", _vision_stat("sd", [float("inf")] * 2048)),
+                 id="sd_inf"),
+    pytest.param(_checkpoint_state("eval", _vision_stat("sd", [0.0] * 2048)), id="sd_zero"),
+    pytest.param(_checkpoint_state("eval", _vision_stat("mu", ["0"] * 2048)), id="mu_str"),
 ])
 def test_malformed_input_is_one_line_runtime_error(make_argv, trained, capsys,
                                                    tmp_path):
@@ -402,6 +526,94 @@ def test_malformed_input_is_one_line_runtime_error(make_argv, trained, capsys,
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# ------------------------------------------------------------- fuzzed inputs
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats(-1e6, 1e6)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                              max_size=3),
+    max_leaves=6)
+
+
+def _malformed_row(record):
+    """Strategy for a manifest line that no manifest may hold, derived from
+    a valid record."""
+    def without(key):
+        return {k: v for k, v in record.items() if k != key}
+
+    def with_value(key, value):
+        return json.dumps(dict(record, **{key: value})).encode()
+
+    return st.one_of(
+        st.binary(min_size=1, max_size=6).map(lambda b: b"\xff" + b),  # not UTF-8
+        st.text(max_size=8).map(lambda t: ("{" + t).encode()),          # not JSON
+        _JSON.filter(lambda v: not isinstance(v, dict)).map(lambda v: json.dumps(v).encode()),
+        st.sampled_from(["id", "patient_id", "text", "labels"])
+        .map(lambda k: json.dumps(without(k)).encode()),
+        st.just(json.dumps(dict(record, extra=1)).encode()),
+        _JSON.filter(lambda v: not isinstance(v, str)).map(lambda v: with_value("text", v)),
+        _JSON.filter(lambda v: not isinstance(v, list)).map(lambda v: with_value("labels", v)),
+        st.lists(st.integers(0, 1), max_size=20).filter(lambda v: len(v) != len(LABELS))
+        .map(lambda v: with_value("labels", v)),
+        st.sampled_from([None, "0", [0.0]])
+        .map(lambda bad: with_value("vision_features", [0.5] * 2047 + [bad])),
+        st.integers(0, 2049).filter(lambda n: n != 2048)
+        .map(lambda n: with_value("vision_features", [0.5] * n)),
+    )
+
+
+def _corrupt_checkpoint(raw):
+    """Strategy for (bytes, must_fail): the checkpoint with bytes of its header
+    or its arrays overwritten, or cut short or extended. An overwrite can
+    leave a valid checkpoint (a digit of a statistic, a parameter's bits), so
+    only a cut or an extension must fail."""
+    hlen = int.from_bytes(raw[8:16], "little")
+
+    def overwrite(lo, hi):
+        return st.tuples(st.integers(lo, hi - 1), st.binary(min_size=1, max_size=8)).map(
+            lambda t: (raw[:t[0]] + t[1] + raw[t[0] + len(t[1]):], False))
+
+    return st.one_of(
+        overwrite(16, 16 + hlen), overwrite(16 + hlen, len(raw)),
+        st.integers(0, len(raw) - 1).map(lambda n: (raw[:n], True)),
+        st.binary(min_size=1, max_size=16).map(lambda b: (raw + b, True)),
+    )
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.data())
+def test_fuzzed_checkpoint_or_manifest_never_escapes_the_error_surface(
+        trained, capsys, tmp_path_factory, case):
+    """eval and calibrate on a corrupted checkpoint or a manifest with one
+    malformed row either succeed or exit 2 with one `error:` line; no
+    exception escapes `main`."""
+    _, data, _, run_dir = trained
+    work = tmp_path_factory.mktemp("fuzz")
+    ckpt, manifest = work / "checkpoint.bin", work / "data.jsonl"
+    raw = (run_dir / "checkpoint.bin").read_bytes()
+    lines = data.read_bytes().splitlines(keepends=True)
+    if case.draw(st.booleans(), label="corrupt the manifest"):
+        i = case.draw(st.integers(0, len(lines) - 1), label="row")
+        row = case.draw(_malformed_row(json.loads(lines[i])), label="malformed row")
+        lines[i] = row + b"\n"
+        must_fail = True
+    else:
+        raw, must_fail = case.draw(_corrupt_checkpoint(raw), label="checkpoint")
+    ckpt.write_bytes(raw)
+    manifest.write_bytes(b"".join(lines))
+    command = case.draw(st.sampled_from(["eval", "calibrate"]), label="command")
+    capsys.readouterr()
+    code, out, err = run(capsys, command, "--checkpoint", str(ckpt),
+                         "--data", str(manifest))
+    if code == 0 and not must_fail:
+        json.loads(out)
+    else:
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -------------------------------------------------------------- audit + plan

@@ -223,6 +223,28 @@ def test_manifest_rejects_nonbinary_labels(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("labels", 5), ("labels", None), ("labels", "01" * 7), ("text", None),
+    ("text", ["t"]), ("redacted_text", 3),
+])
+def test_manifest_rejects_fields_of_the_wrong_type(tmp_path, field, value):
+    path = tmp_path / "bad.jsonl"
+    rec = {"id": "a", "patient_id": "p", "text": "t", "labels": [0] * len(LABELS)}
+    path.write_text(json.dumps(dict(rec, **{field: value})) + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_manifest(path)
+    assert field in str(exc.value) and ":1:" in str(exc.value)
+
+
+@pytest.mark.parametrize("line", [b"[1, 2]", b'"a"', b"7", b"null", b"\xff\xfe{}"])
+def test_manifest_rejects_a_row_that_is_not_an_object(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(line + b"\n")
+    with pytest.raises(ParseError) as exc:
+        load_manifest(path)
+    assert ":1:" in str(exc.value)
+
+
 def test_manifest_rejects_wrong_feature_length(tmp_path):
     path = tmp_path / "bad.jsonl"
     rec = {"id": "a", "patient_id": "p", "text": "t",
@@ -230,6 +252,66 @@ def test_manifest_rejects_wrong_feature_length(tmp_path):
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(ParseError):
         load_manifest(path)
+
+
+def _per_element_features(feats):
+    """The element-by-element vision_features rule: a list of 2048 ints,
+    floats or bools, each converted with float(); None when rejected."""
+    if not isinstance(feats, list) or len(feats) != 2048 or not all(
+            isinstance(v, (int, float)) for v in feats):
+        return None
+    try:
+        return [float(v) for v in feats]
+    except OverflowError:
+        return None
+
+
+def _load_features(path, feats):
+    rec = {"id": "a", "patient_id": "p", "text": "t", "labels": [0] * len(LABELS),
+           "vision_features": feats}
+    path.write_text(json.dumps(rec) + "\n")
+    try:
+        return load_manifest(path)[0].vision_features
+    except ParseError as e:
+        assert str(e) == f"{path}:1: vision_features must be 2048 numbers"
+        return None
+
+
+_FEATURE_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.booleans(),
+    st.integers(-2**70, 2**70), st.sampled_from([2**63, 2**64 - 1, 10**400, -10**400]),
+    st.none(), st.text(max_size=2), st.lists(st.integers(0, 1), max_size=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.one_of(st.floats(-1e6, 1e6), st.integers(-2**40, 2**40), st.booleans()),
+       edits=st.dictionaries(st.integers(0, 2048), _FEATURE_VALUES, max_size=4),
+       length=st.sampled_from([2047, 2048, 2049]),
+       nest=st.booleans())
+def test_vision_features_accepted_and_converted_as_element_by_element(
+        tmp_path_factory, base, edits, length, nest):
+    feats = [base] * length
+    for i, v in edits.items():
+        if i < length:
+            feats[i] = v
+    if nest:  # a nested (possibly ragged) row is rejected
+        feats = [feats[:1024], feats[1024:]]
+    got = _load_features(tmp_path_factory.mktemp("feats") / "m.jsonl", feats)
+    want = _per_element_features(feats)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert all(type(v) is float for v in got)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("feats", [
+    [[0.0] * 1024, [0.0] * 1023],     # ragged nesting: numpy raises ValueError
+    [0.0] * 2047 + [None],            # an object row
+    [0.0] * 2047 + [10**400],         # an int beyond the float range
+    "0" * 2048, {"0": 0.0}, 3.5,
+])
+def test_manifest_rejects_malformed_features_with_one_message(tmp_path, feats):
+    assert _load_features(tmp_path / "m.jsonl", feats) is None
 
 
 def test_manifest_rejects_duplicate_ids(tmp_path):

@@ -322,6 +322,9 @@ class _StubModel:
         self._scores = list(val_scores)
         self.calls = 0
 
+    def fit_normalizer(self, samples):
+        pass
+
     def loss_batch(self, samples, training, epoch, seed):
         binding = self.graph.bind()
         w = binding["w"]
