@@ -14,13 +14,11 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import data as data_mod
 from . import harness, metrics, redaction
 from .config import build_section, check_type, echo_config, load_config
-from .data import LABELS, SplitSpec, label_matrix
+from .data import SplitSpec, label_matrix
 from .encoders import Tokenizer
 from .errors import ConfigError, InputError, PetfuseError
 from .fusion import FusionConfig, build_fusion
@@ -76,15 +74,13 @@ def _parser() -> _Parser:
     t.add_argument("--seed", type=int)
     t.add_argument("--out", required=True)
 
-    e = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
-    e.add_argument("--checkpoint", required=True)
-    e.add_argument("--data", required=True)
-    e.add_argument("--out")
-
-    c = sub.add_parser("calibrate", help="fit temperature on val, apply to test")
-    c.add_argument("--checkpoint", required=True)
-    c.add_argument("--data", required=True)
-    c.add_argument("--out")
+    # eval and calibrate both restore a checkpoint and score a manifest's splits
+    for name, text in (("eval", "evaluate a checkpoint on the test split"),
+                       ("calibrate", "fit temperature on val, apply to test")):
+        c = sub.add_parser(name, help=text)
+        c.add_argument("--checkpoint", required=True)
+        c.add_argument("--data", required=True)
+        c.add_argument("--out")
 
     k = sub.add_parser("count-params", help="trainable-parameter breakdown")
     k.add_argument("--config")
@@ -166,6 +162,14 @@ def _cmd_audit(args):
     return 0
 
 
+# The model sections of a config, each with whether the config's arm and
+# policy read it: only full_pet takes a fusion config, and only the lora and
+# adapter policies read theirs.
+_SECTIONS = {"fusion": (FusionConfig, lambda cfg: cfg["arm"] == "full_pet"),
+             "lora": (LoRAConfig, lambda cfg: cfg["policy"] == "lora"),
+             "adapter": (AdapterConfig, lambda cfg: cfg["policy"] == "adapter")}
+
+
 def _load_arm_model(cfg, tokenizer, seed):
     arm = harness.build_arm(cfg["arm"], {"policy": cfg["policy"],
                                          "seeds": [seed]})
@@ -177,6 +181,10 @@ def _load_arm_model(cfg, tokenizer, seed):
 
 def _cmd_train(args):
     cfg = load_config(args.config)
+    for name, (cls, reads) in _SECTIONS.items():
+        if not reads(cfg) and cfg[name] != cls():
+            raise ConfigError(f"arm {cfg['arm']!r} with policy {cfg['policy']!r} "
+                              f"would ignore config section {name!r}")
     if args.seed is not None:
         cfg["train"] = replace(cfg["train"], seed=args.seed)
     out = Path(args.out)
@@ -204,82 +212,80 @@ def _cmd_train(args):
 
 
 def _header_config(path, extra) -> dict:
-    """The arm, policy, seed and section configs a checkpoint header records;
-    checkpoints written before lora/adapter were recorded used the defaults."""
+    """The arm, policy, seed and section configs a checkpoint header records."""
+    keys = ["arm", "policy", "seed", *_SECTIONS]
     try:
-        if not isinstance(extra, dict) or not {"arm", "policy", "fusion"} <= set(extra):
-            raise ConfigError("extra must be an object with arm, policy and fusion")
-        cfg = {"arm": extra["arm"], "policy": extra["policy"],
-               "seed": extra.get("seed", 0)}
+        if not isinstance(extra, dict) or not set(keys) <= set(extra):
+            raise ConfigError(f"extra must be an object with {', '.join(keys)}")
+        cfg = {key: extra[key] for key in ("arm", "policy", "seed")}
         for key, default in (("arm", ""), ("policy", ""), ("seed", 0)):
             check_type(key, cfg[key], default)
-        for key, cls in (("fusion", FusionConfig), ("lora", LoRAConfig),
-                         ("adapter", AdapterConfig)):
-            cfg[key] = build_section(key, cls, extra.get(key, {}))
+        for key, (cls, _) in _SECTIONS.items():
+            cfg[key] = build_section(key, cls, extra[key])
     except ConfigError as e:
         raise InputError(f"{path}: checkpoint header: {e}") from e
     return cfg
 
 
-def _restore_model(checkpoint, manifest):
-    """The model a checkpoint holds, and the validation and test splits of
-    `manifest` under the checkpoint's seed.
+def _check_claimed_sizes(path, cfg, params):
+    """InputError unless each size the header claims for a section the model
+    reads is that of the stored arrays, so that no model is built larger
+    than the checkpoint holds."""
+    def held(suffix):  # the trailing dims of the arrays at addresses ending in suffix
+        return {a.shape[1:] for name, a in params.items() if name.endswith(suffix)}
 
-    A version-2 checkpoint carries the tokenizer vocabulary and the fitted
-    normalizers. A version-1 checkpoint does not: both are rebuilt from the
-    training split of `manifest`, which reproduces them only when it is the
-    manifest the model was trained on.
-    """
+    fusion_count = sum(a.size for name, a in params.items() if name.startswith("fusion/"))
+    claims = {"fusion": ("parameter count", cfg["fusion"].param_count(), {(fusion_count,)}),
+              "lora": ("rank", cfg["lora"].rank, held("/lora_a")),
+              "adapter": ("bottleneck", cfg["adapter"].bottleneck, held("/adapter/down_w"))}
+    for name, (_, reads) in _SECTIONS.items():
+        what, claimed, stored = claims[name]
+        if reads(cfg) and stored != {(claimed,)}:
+            raise InputError(f"{path}: checkpoint header claims a {name} {what} of "
+                             f"{claimed}, which its arrays do not hold")
+
+
+def _restore_model(checkpoint, manifest):
+    """The model a checkpoint holds, with its stored vocabulary and
+    normalizers, and the validation and test splits of `manifest` under the
+    checkpoint's seed."""
     header, arrays = load_checkpoint(checkpoint)
     cfg = _header_config(checkpoint, header.get("extra"))
+    state = header.get("state")
+    if not isinstance(state, dict) or set(state) != {"vocab", "normalizers"}:
+        raise InputError(f"{checkpoint}: checkpoint state must be an object "
+                         f"with vocab and normalizers")
+    params = {k[len("param/"):]: v for k, v in arrays.items() if k.startswith("param/")}
+    _check_claimed_sizes(checkpoint, cfg, params)
     samples = data_mod.load_manifest(manifest)
-    train_set, val_set, test_set = data_mod.split_patients(
-        samples, SplitSpec(seed=cfg["seed"]))
-    if header["version"] == 1:
-        _, model = _load_arm_model(cfg, Tokenizer.build([s.text for s in train_set]),
-                                   cfg["seed"])
-        # a pure function of the training split and the initial encoder, so
-        # refitting before loading reproduces the trained model's statistics
-        model.fit_normalizer(train_set)
-    else:
-        state = header.get("state")
-        if not isinstance(state, dict) or set(state) != {"vocab", "normalizers"}:
-            raise InputError(f"{checkpoint}: checkpoint state must be an object "
-                             f"with vocab and normalizers")
-        _, model = _load_arm_model(cfg, Tokenizer.from_tokens(state["vocab"]),
-                                   cfg["seed"])
-        stats = state["normalizers"]
-        if not isinstance(stats, dict) or set(stats) != set(model.normalizers):
-            raise InputError(f"{checkpoint}: checkpoint normalizers must be "
-                             f"{sorted(model.normalizers)}")
-        for name, norm in model.normalizers.items():
-            norm.load_state(stats[name], f"{checkpoint}: normalizer {name!r}")
-    model.graph.load_state({k[len("param/"):]: v for k, v in arrays.items()
-                            if k.startswith("param/")})
+    _, val_set, test_set = data_mod.split_patients(samples, SplitSpec(seed=cfg["seed"]))
+    _, model = _load_arm_model(cfg, Tokenizer.from_tokens(state["vocab"]), cfg["seed"])
+    stats = state["normalizers"]
+    if not isinstance(stats, dict) or set(stats) != set(model.normalizers):
+        raise InputError(f"{checkpoint}: checkpoint normalizers must be "
+                         f"{sorted(model.normalizers)}")
+    for name, norm in model.normalizers.items():
+        norm.load_state(stats[name], f"{checkpoint}: normalizer {name!r}")
+    model.graph.load_state(params)
     return model, cfg, val_set, test_set
 
 
 def _cmd_eval(args):
     model, cfg, _, test_set = _restore_model(args.checkpoint, args.data)
-    budget = count_params(model.graph)
-    probs = 1.0 / (1.0 + np.exp(-model.predict(test_set)))
-    rep = metrics.evaluate_predictions(cfg["arm"], cfg["seed"], probs,
-                                       label_matrix(test_set), LABELS,
-                                       budget.total_trainable, budget.total_params)
-    _emit(rep.to_json(), args.out)
+    _emit(harness.evaluate_model(model, cfg["arm"], cfg["seed"], test_set).to_json(),
+          args.out)
     return 0
 
 
 def _cmd_calibrate(args):
     model, _, val_set, test_set = _restore_model(args.checkpoint, args.data)
-    val_logits = model.predict(val_set)
-    test_logits = model.predict(test_set)
+    val_logits = harness.predict_logits(model, val_set)
+    test_logits = harness.predict_logits(model, test_set)
     y_test = label_matrix(test_set)
     t, probs_after = metrics.temperature_scale(val_logits, label_matrix(val_set),
                                                test_logits)
-    probs_before = 1.0 / (1.0 + np.exp(-test_logits))
     _emit({"temperature": t,
-           "ece_before": metrics.ece(probs_before, y_test).ece,
+           "ece_before": metrics.ece(harness.sigmoid(test_logits), y_test).ece,
            "ece_after": metrics.ece(probs_after, y_test).ece}, args.out)
     return 0
 
@@ -361,10 +367,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except PetfuseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (PetfuseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

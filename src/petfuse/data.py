@@ -37,15 +37,12 @@ class Sample:
     text: str
     labels: list[int]
     vision_features: list[float] | None = None
-    redacted_text: str | None = None
 
     def to_record(self) -> dict:
         rec = {"id": self.id, "patient_id": self.patient_id, "text": self.text,
                "labels": self.labels}
         if self.vision_features is not None:
             rec["vision_features"] = self.vision_features
-        if self.redacted_text is not None:
-            rec["redacted_text"] = self.redacted_text
         return rec
 
 
@@ -211,7 +208,7 @@ def generate_synthetic(n_patients: int, prevalence_profile=None, signal_plan=Non
 # -- manifest io ----------------------------------------------------------------
 
 _REQUIRED = ("id", "patient_id", "text", "labels")
-_OPTIONAL = ("vision_features", "redacted_text")
+_OPTIONAL = ("vision_features",)
 
 
 def _vision_floats(feats) -> list[float] | None:
@@ -264,10 +261,8 @@ def load_manifest(path) -> list[Sample]:
                     or any(v not in (0, 1) for v in labels)):
                 raise ParseError(
                     f"{path}:{lineno}: labels must be {NUM_LABELS} binary values")
-            if not isinstance(rec["text"], str) or not isinstance(
-                    rec.get("redacted_text", ""), (str, type(None))):
-                raise ParseError(f"{path}:{lineno}: text and redacted_text "
-                                 f"must be strings")
+            if not isinstance(rec["text"], str):
+                raise ParseError(f"{path}:{lineno}: text must be a string")
             if not rec["patient_id"]:
                 raise ParseError(f"{path}:{lineno}: empty patient_id")
             feats = rec.get("vision_features")
@@ -283,7 +278,7 @@ def load_manifest(path) -> list[Sample]:
             id_line[sid] = lineno
             samples.append(Sample(sid, str(rec["patient_id"]),
                                   rec["text"], [int(v) for v in labels],
-                                  feats, rec.get("redacted_text")))
+                                  feats))
     return samples
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from . import autodiff as ad
 from .config import build_section, check_type
 from .data import LABELS, SplitSpec, label_matrix, split_patients
 from .encoders import MiniTextEncoder, Tokenizer
-from .errors import InputError, PetfuseError, SearchError
+from .errors import InputError, NumericError, PetfuseError, SearchError
 from .fusion import FusionConfig, FusionPathway
 from .metrics import (EvalReport, evaluate_predictions, macro_auroc,
                       write_per_label_csv, write_reports_csv)
@@ -88,18 +89,16 @@ class _Standardizer:
 
     def load_state(self, doc, what: str):
         """Set the statistics from `state()`'s output; InputError, naming
-        `what`, unless both are `dim` finite numbers and every sd is positive."""
+        `what`, unless both are `dim` finite floats and every sd is positive."""
         if not isinstance(doc, dict) or set(doc) != {"mu", "sd"}:
             raise InputError(f"{what} must be an object with keys mu and sd")
         stats = {}
         for key in ("mu", "sd"):
             values = doc[key]
-            if not isinstance(values, list) or len(values) != self.dim or any(
-                    isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
-                raise InputError(f"{what} {key} must be a list of {self.dim} numbers")
-            stats[key] = np.asarray(values, dtype=np.float64)
-            if not np.isfinite(stats[key]).all():
-                raise InputError(f"{what} {key} holds a non-finite value")
+            if not isinstance(values, list) or len(values) != self.dim or not all(
+                    type(v) is float and math.isfinite(v) for v in values):
+                raise InputError(f"{what} {key} must be a list of {self.dim} finite floats")
+            stats[key] = np.asarray(values)
         if (stats["sd"] <= 0).any():
             raise InputError(f"{what} sd must be positive")
         self.mu, self.sd = stats["mu"], stats["sd"]
@@ -306,6 +305,29 @@ def _build_model(arm: ArmSpec, tokenizer, seed: int,
                            lora_cfg=lora_cfg, adapter_cfg=adapter_cfg)
 
 
+def sigmoid(logits: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-logits)); exp overflows only where the result, 0, is exact."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-logits))
+
+
+def predict_logits(model, samples) -> np.ndarray:
+    """`model.predict(samples)`; NumericError on a float64 overflow or invalid op."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return model.predict(samples)
+    except FloatingPointError as e:
+        raise NumericError(f"model forward pass: {e}") from e
+
+
+def evaluate_model(model, method: str, seed: int, samples) -> EvalReport:
+    """The evaluation report of `model`'s probabilities on `samples`."""
+    budget = count_params(model.graph)
+    return evaluate_predictions(method, seed, sigmoid(predict_logits(model, samples)),
+                                label_matrix(samples), LABELS,
+                                budget.total_trainable, budget.total_params)
+
+
 @dataclass
 class AttributionResult:
     per_arm: dict[str, list[EvalReport]]
@@ -333,7 +355,6 @@ def run_plan(plan: ExperimentPlan, samples, out_dir) -> AttributionResult:
     out.mkdir(parents=True, exist_ok=True)
     train_set, val_set, test_set = split_patients(samples, plan.split)
     tokenizer = Tokenizer.build([s.text for s in train_set])
-    test_labels = label_matrix(test_set)
 
     per_arm: dict[str, list[EvalReport]] = {}
     failures: dict[str, str] = {}
@@ -343,14 +364,8 @@ def run_plan(plan: ExperimentPlan, samples, out_dir) -> AttributionResult:
         for seed in arm.seeds:
             try:
                 model = _build_model(arm, tokenizer, seed)
-                cfg = replace(plan.train, seed=seed)
-                train_loop(model, train_set, val_set, cfg)
-                budget = count_params(model.graph)
-                probs = 1.0 / (1.0 + np.exp(-model.predict(test_set)))
-                rep = evaluate_predictions(arm.name, seed, probs, test_labels,
-                                           LABELS, budget.total_trainable,
-                                           budget.total_params)
-                reports.append(rep)
+                train_loop(model, train_set, val_set, replace(plan.train, seed=seed))
+                reports.append(evaluate_model(model, arm.name, seed, test_set))
             except PetfuseError as e:  # record and continue with other arms
                 failures[f"{arm.name}/seed{seed}"] = f"{type(e).__name__}: {e}"
         if reports:

@@ -18,9 +18,9 @@ from .errors import ConfigError, InputError
 from .model import ModelGraph
 
 CHECKPOINT_MAGIC = b"PFCKPT01"
-# Version 2 adds the header's "state": what restoring a model needs besides
-# its trainable arrays (cli.py writes and reads it). Version 1 has none.
-CHECKPOINT_VERSIONS = (1, 2)
+# The header's "state" holds what restoring a model needs besides its
+# trainable arrays (cli.py writes and reads it); version 1 had none.
+CHECKPOINT_VERSION = 2
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Elements per pass of the fused AdamW step: the 256 KB slices of p/m/v/g
 # and the two scratch blocks stay in cache between the pass's ufuncs. Of 8K,
@@ -77,8 +77,8 @@ class AdamW:
 
     The parameters live in one flat float64 arena, `flat`: construction
     copies each parameter in and rebinds its `Param.data` to a shaped view of
-    it. `m`, `v` and `grads` are name -> view dicts over matching flat
-    buffers, so a caller can accumulate gradients straight into `grads`.
+    it. `grads` is a name -> view dict over `flat_grad`, so a caller can
+    accumulate gradients straight into it.
     `step` updates the arena in place, block by block, with the elementwise
     operations of the textbook update in their order, so results are
     bit-identical to it.
@@ -97,8 +97,6 @@ class AdamW:
         for p in self.params:
             views[p.name][...] = p.data
             p.data = views[p.name]
-        self.m = self.views(self.flat_m)
-        self.v = self.views(self.flat_v)
         self.grads = self.views(self.flat_grad)
         self._scratch = np.empty((2, min(ADAM_BLOCK, self.flat.size)))
 
@@ -144,26 +142,16 @@ class AdamW:
 # -- checkpoint container -------------------------------------------------
 
 
-def save_checkpoint(path, graph: ModelGraph, header_extra: dict | None = None,
-                    optimizer: AdamW | None = None, state: dict | None = None):
-    """Versioned binary container: magic, JSON header, raw float64 blobs.
-
-    The header holds `header_extra` and `state` as given; floats in them
-    round-trip exactly."""
-    arrays = {}
-    for name, p in graph.params.items():
-        if p.trainable:
-            arrays[f"param/{name}"] = p.data
-    if optimizer is not None:
-        for k, v in optimizer.m.items():
-            arrays[f"adam_m/{k}"] = v
-        for k, v in optimizer.v.items():
-            arrays[f"adam_v/{k}"] = v
+def save_checkpoint(path, graph: ModelGraph, header_extra: dict, state: dict):
+    """Versioned binary container: magic, JSON header, raw float64 blobs of
+    the trainable parameters. The header holds `header_extra` and `state` as
+    given; floats in them round-trip exactly."""
+    arrays = {f"param/{name}": p.data for name, p in graph.params.items()
+              if p.trainable}
     header = {
-        "version": CHECKPOINT_VERSIONS[-1],
+        "version": CHECKPOINT_VERSION,
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()],
-        "optimizer_step": optimizer.step_count if optimizer else None,
-        "extra": header_extra or {},
+        "extra": header_extra,
         "state": state,
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -179,23 +167,18 @@ def _array_sizes(header) -> list[int] | None:
     """Element count of each array the header lists; None unless every entry
     is {"name": str, "shape": [non-negative ints]}."""
     metas = header.get("arrays") if isinstance(header, dict) else None
-    if not isinstance(metas, list):
+    if not isinstance(metas, list) or not all(
+            isinstance(m, dict) and isinstance(m.get("name"), str)
+            and isinstance(m.get("shape"), list)
+            and all(type(d) is int and d >= 0 for d in m["shape"]) for m in metas):
         return None
-    sizes = []
-    for meta in metas:
-        if not isinstance(meta, dict) or not isinstance(meta.get("name"), str):
-            return None
-        shape = meta.get("shape")
-        if not isinstance(shape, list) or any(
-                type(d) is not int or d < 0 for d in shape):
-            return None
-        sizes.append(math.prod(shape))
-    return sizes
+    return [math.prod(m["shape"]) for m in metas]
 
 
 def load_checkpoint(path):
     """Returns (header dict, {name: array}). InputError unless the file is a
-    checkpoint of a known version whose arrays fill it exactly."""
+    checkpoint of CHECKPOINT_VERSION whose arrays fill it exactly and hold
+    only finite values."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         if f.read(8) != CHECKPOINT_MAGIC:
@@ -212,8 +195,9 @@ def load_checkpoint(path):
         if sizes is None:
             raise InputError(f"{path}: checkpoint header lists no valid arrays")
         version = header.get("version")
-        if type(version) is not int or version not in CHECKPOINT_VERSIONS:
-            raise InputError(f"{path}: unsupported checkpoint version {version!r}")
+        if version != CHECKPOINT_VERSION:  # neither True nor "2" equals 2
+            raise InputError(f"{path}: unsupported checkpoint version {version!r}; "
+                             f"this petfuse reads version {CHECKPOINT_VERSION}")
         have, need = size - 16 - hlen, 8 * sum(sizes)
         if have != need:
             raise InputError(f"{path} is truncated: its arrays need {need} bytes, "
@@ -221,8 +205,10 @@ def load_checkpoint(path):
                              f"{path} has {have - need} bytes after its last array")
         arrays = {}
         for meta, n in zip(header["arrays"], sizes):
-            arrays[meta["name"]] = np.frombuffer(f.read(8 * n), dtype="<f8") \
-                .reshape(meta["shape"]).copy()
+            arr = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(meta["shape"])
+            if not np.isfinite(arr).all():
+                raise InputError(f"{path}: checkpoint array {meta['name']!r} is not finite")
+            arrays[meta["name"]] = arr.copy()
     return header, arrays
 
 

@@ -1,11 +1,14 @@
 """End-to-end CLI behaviour: exit codes, artifacts, determinism."""
 
 import json
+import struct
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from petfuse import harness
 from petfuse.cli import main
 from petfuse.data import LABELS, SplitSpec, load_manifest, split_patients
 from petfuse.training import load_checkpoint
@@ -219,24 +222,30 @@ def test_train_retrain_checkpoint_bit_identical(trained, tmp_path, capsys):
         == (out / "checkpoint.bin").read_bytes()
 
 
-def test_train_honours_lora_config(trained, capsys, tmp_path):
-    _, data, _, _ = trained
-    capsys.readouterr()
-    cfg = tmp_path / "cfg.json"
+@pytest.fixture(scope="module")
+def lora_trained(trained):
+    """One LoRA (rank 4) training run on the `trained` fixture's manifest."""
+    root, data, _, _ = trained
+    cfg = root / "lora_cfg.json"
     cfg.write_text(json.dumps({
         "arm": "full_pet", "policy": "lora", "lora": {"rank": 4},
         "fusion": {"shared_dim": 32, "head_hidden": 16, "dropout_p": 0.0},
         "train": {"batch": 16, "accumulation": 1, "max_epochs": 1,
                   "patience": 5, "lr": 1e-3},
     }))
-    out = tmp_path / "run"
-    code, _, _ = run(capsys, "train", "--config", str(cfg), "--data", str(data),
-                     "--out", str(out))
-    assert code == 0
-    header, arrays = load_checkpoint(out / "checkpoint.bin")
+    out = root / "lora_run"
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out", str(out)]) == 0
+    return out
+
+
+def test_train_honours_lora_config(trained, lora_trained, capsys):
+    _, data, _, _ = trained
+    capsys.readouterr()
+    header, arrays = load_checkpoint(lora_trained / "checkpoint.bin")
     assert header["extra"]["lora"] == {"rank": 4, "alpha": 32.0}
     assert {a.shape for k, a in arrays.items() if k.endswith("/lora_a")} == {(128, 4)}
-    code, _, _ = run(capsys, "eval", "--checkpoint", str(out / "checkpoint.bin"),
+    code, _, _ = run(capsys, "eval", "--checkpoint", str(lora_trained / "checkpoint.bin"),
                      "--data", str(data))
     assert code == 0
 
@@ -272,22 +281,6 @@ def test_checkpoint_carries_vocab_and_normalizers(trained, capsys, tmp_path):
     ckpt = out / "checkpoint.bin"
     assert _eval_and_calibrate(capsys, ckpt, rewritten) \
         == _eval_and_calibrate(capsys, ckpt, data)
-
-
-def test_version_1_checkpoint_evaluates_like_its_version_2_twin(trained, capsys,
-                                                                tmp_path):
-    """A checkpoint without stored state rebuilds the vocabulary and refits
-    the normalizers from the manifest's training split."""
-    _, data, _, out = trained
-    capsys.readouterr()
-    header, blobs = _split_checkpoint((out / "checkpoint.bin").read_bytes())
-    assert header["version"] == 2
-    del header["state"]
-    header["version"] = 1
-    v1 = tmp_path / "v1.bin"
-    v1.write_bytes(_join_checkpoint(header, blobs))
-    assert _eval_and_calibrate(capsys, v1, data) \
-        == _eval_and_calibrate(capsys, out / "checkpoint.bin", data)
 
 
 def _arm_without_kind(tmp_path, data, run_dir):
@@ -424,6 +417,12 @@ def _vision_stat(key, value):
     return edit
 
 
+def _version_1(header):
+    """A version-1 header: no stored vocabulary or normalizers."""
+    del header["state"]
+    header["version"] = 1
+
+
 def _trailing_bytes(tmp_path, data, run_dir):
     ckpt = tmp_path / "checkpoint.bin"
     ckpt.write_bytes((run_dir / "checkpoint.bin").read_bytes() + b"\0" * 8)
@@ -470,6 +469,16 @@ def _trailing_bytes(tmp_path, data, run_dir):
                  id="arm_fusion_unknown_key"),
     pytest.param(_config({"arm": "vision_only", "policy": "lora"}),
                  id="train_vision_only_policy"),
+    # a config section the arm or policy would ignore
+    pytest.param(_config({"arm": "budget_matched", "fusion": {"shared_dim": 64},
+                          "lora": {"rank": 3}}), id="train_budget_matched_fusion_lora"),
+    pytest.param(_config({"arm": "vision_only", "fusion": {"dropout_p": 0.0}}),
+                 id="train_vision_only_fusion"),
+    pytest.param(_config({"policy": "frozen", "lora": {"rank": 3}}), id="train_frozen_lora"),
+    pytest.param(_config({"policy": "lora", "adapter": {"bottleneck": 8}}),
+                 id="train_lora_adapter"),
+    pytest.param(_config({"policy": "bitfit", "adapter": {"bottleneck": 8}}),
+                 id="train_bitfit_adapter"),
     # a checkpoint that does not fit its own header
     pytest.param(_checkpoint_header("eval", policy="lora"), id="eval_missing_lora"),
     pytest.param(_checkpoint_header("calibrate", policy="bitfit"),
@@ -482,8 +491,15 @@ def _trailing_bytes(tmp_path, data, run_dir):
     pytest.param(_checkpoint_header("eval", seed="0"), id="eval_seed_str"),
     pytest.param(_rewritten_checkpoint("eval", lambda h: h.pop("extra")),
                  id="eval_no_extra"),
+    pytest.param(_rewritten_checkpoint("eval", lambda h: h["extra"].pop("seed")),
+                 id="header_without_seed"),
+    pytest.param(_rewritten_checkpoint("calibrate", lambda h: h["extra"].pop("lora")),
+                 id="header_without_lora"),
+    pytest.param(_rewritten_checkpoint("eval", lambda h: h["extra"].pop("adapter")),
+                 id="header_without_adapter"),
     _trailing_bytes,
-    # the container's version: 1 and 2 are read, nothing else
+    # the container's version: only 2 is read
+    pytest.param(_rewritten_checkpoint("eval", _version_1), id="version_1"),
     pytest.param(_rewritten_checkpoint("eval", lambda h: _set(h, "version", 3)),
                  id="version_3"),
     pytest.param(_rewritten_checkpoint("calibrate", lambda h: _set(h, "version", "2")),
@@ -516,6 +532,11 @@ def _trailing_bytes(tmp_path, data, run_dir):
                  id="sd_inf"),
     pytest.param(_checkpoint_state("eval", _vision_stat("sd", [0.0] * 2048)), id="sd_zero"),
     pytest.param(_checkpoint_state("eval", _vision_stat("mu", ["0"] * 2048)), id="mu_str"),
+    # train writes the statistics as floats, so an int is refused, even one
+    # beyond the float range
+    pytest.param(_checkpoint_state("calibrate", _vision_stat("mu", [0] * 2048)), id="mu_int"),
+    pytest.param(_checkpoint_state("eval", _vision_stat("sd", [10**400] * 2048)),
+                 id="sd_int_beyond_float"),
 ])
 def test_malformed_input_is_one_line_runtime_error(make_argv, trained, capsys,
                                                    tmp_path):
@@ -526,6 +547,74 @@ def test_malformed_input_is_one_line_runtime_error(make_argv, trained, capsys,
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_version_1_checkpoint_error_names_its_version(trained, capsys, tmp_path):
+    _, data, _, run_dir = trained
+    capsys.readouterr()
+    argv = [str(a) for a in _rewritten_checkpoint("eval", _version_1)(tmp_path, data, run_dir)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "version 1" in err
+
+
+def _lora_header(command, **lora):
+    """The LoRA fixture's checkpoint with its header's lora section changed."""
+    def make_argv(tmp_path, data, run_dir):
+        return _checkpoint_header(command, lora=lora)(tmp_path, data,
+                                                      run_dir.parent / "lora_run")
+    return make_argv
+
+
+@pytest.mark.parametrize("make_argv", [
+    pytest.param(_checkpoint_header("eval", fusion={"shared_dim": 1024}), id="shared_dim"),
+    pytest.param(_checkpoint_header("calibrate", fusion={"head_hidden": 4096}),
+                 id="head_hidden"),
+    pytest.param(_checkpoint_header("eval", fusion={"text_in": 10**6}), id="text_in"),
+    pytest.param(_checkpoint_header("eval", fusion={"num_labels": 10**6}), id="num_labels"),
+    pytest.param(_lora_header("eval", rank=64), id="lora_rank"),
+    # a policy whose injected parameters the checkpoint does not hold
+    pytest.param(_checkpoint_header("eval", policy="lora", lora={"rank": 64}),
+                 id="lora_rank_without_factors"),
+    pytest.param(_checkpoint_header("calibrate", policy="adapter",
+                                    adapter={"bottleneck": 10**5}),
+                 id="adapter_without_slots"),
+])
+def test_header_sizes_are_checked_before_a_model_is_built(make_argv, trained, lora_trained,
+                                                          capsys, tmp_path, monkeypatch):
+    """A header that claims a larger model than its arrays hold exits 2
+    before any model is allocated at the claimed size."""
+    _, data, _, run_dir = trained
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(harness, "MultimodalModel", refuse)
+    with pytest.raises(AssertionError, match="a model was built"):  # the patch bites
+        main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"), "--data", str(data)])
+    capsys.readouterr()
+    argv = [str(a) for a in make_argv(tmp_path, data, run_dir)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "calibrate"])
+@pytest.mark.parametrize("value", [float("inf"), 1e300, -1e300])
+def test_a_weight_that_is_not_finite_or_overflows_is_one_error_line(
+        trained, capsys, tmp_path, command, value):
+    """A non-finite stored weight is refused on load, and one too large for
+    the forward pass stops it; neither prints a numpy warning."""
+    _, data, _, run_dir = trained
+    capsys.readouterr()
+    header, blobs = _split_checkpoint((run_dir / "checkpoint.bin").read_bytes())
+    ckpt = tmp_path / "checkpoint.bin"
+    ckpt.write_bytes(_join_checkpoint(header, struct.pack("<d", value) + blobs[8:]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, "--checkpoint", str(ckpt), "--data", str(data))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ------------------------------------------------------------- fuzzed inputs

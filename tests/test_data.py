@@ -214,6 +214,15 @@ def test_manifest_rejects_unknown_field(tmp_path):
         load_manifest(path)
 
 
+def test_manifest_has_no_redacted_text_field(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    rec = {"id": "a", "patient_id": "p", "text": "t",
+           "labels": [0] * len(LABELS), "redacted_text": "t"}
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(ParseError, match="unknown fields \\['redacted_text'\\]"):
+        load_manifest(path)
+
+
 def test_manifest_rejects_nonbinary_labels(tmp_path):
     path = tmp_path / "bad.jsonl"
     rec = {"id": "a", "patient_id": "p", "text": "t",
@@ -225,7 +234,7 @@ def test_manifest_rejects_nonbinary_labels(tmp_path):
 
 @pytest.mark.parametrize("field,value", [
     ("labels", 5), ("labels", None), ("labels", "01" * 7), ("text", None),
-    ("text", ["t"]), ("redacted_text", 3),
+    ("text", ["t"]), ("vision_features", "x"),
 ])
 def test_manifest_rejects_fields_of_the_wrong_type(tmp_path, field, value):
     path = tmp_path / "bad.jsonl"

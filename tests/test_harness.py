@@ -1,6 +1,7 @@
 """Arm construction, budget search, attribution plans, efficiency tables."""
 
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -255,3 +256,12 @@ def test_run_plan_lets_programming_errors_propagate(tmp_path, monkeypatch):
                           train=TrainConfig(batch=8, accumulation=1, max_epochs=1))
     with pytest.raises(TypeError, match="unsupported operand"):
         run_plan(plan, samples, tmp_path)
+
+
+def test_sigmoid_keeps_the_textbook_bits_and_its_exp_overflow_is_silent():
+    x = np.random.default_rng(5).normal(0, 8, 1000)
+    assert harness.sigmoid(x).tobytes() == (1.0 / (1.0 + np.exp(-x))).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        extremes = harness.sigmoid(np.array([-1000.0, -np.inf, 0.0, 1000.0]))
+    assert extremes.tolist() == [0.0, 0.0, 0.5, 1.0]
