@@ -110,12 +110,12 @@ def _read_json_object(path, what: str) -> dict:
 
 
 def _emit(doc, out=None):
-    """Print a JSON document (a dict, or text already in JSON) and, given a
-    path, write the same text there."""
+    """Given a path, write a JSON document (a dict, or text already in JSON)
+    there; then print it, so that a failed write prints nothing."""
     text = doc if isinstance(doc, str) else json.dumps(doc, indent=2, sort_keys=True)
-    print(text)
     if out:
         Path(out).write_text(text + "\n")
+    print(text)
 
 
 def _cmd_gen_data(args):

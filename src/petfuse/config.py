@@ -28,7 +28,8 @@ _TOP_LEVEL_SCALARS = {
 }
 
 # JSON types a value may have, keyed by the type of the field's default; a
-# float field takes an int, and no numeric field takes a bool
+# float field takes an int that float() can represent, and no numeric field
+# takes a bool
 _ACCEPTED = {float: (float, int), int: (int,), str: (str,), type(None): (int, type(None))}
 
 
@@ -38,6 +39,12 @@ def check_type(name: str, value, default):
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"config value {name} must be {accepted[0].__name__}, "
                           f"got {value!r}")
+    if isinstance(default, float):
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(f"config value {name} is an int beyond the float "
+                              f"range") from None
 
 
 def build_section(name: str, cls, values):
@@ -61,8 +68,8 @@ def load_config(path=None) -> dict:
     if path is not None:
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON ({e.msg})") from e
+        except ValueError as e:  # malformed JSON, not UTF-8, or an int too long to parse
+            raise ConfigError(f"{path}: invalid JSON ({e})") from e
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: top level must be an object")
     unknown = set(doc) - set(_SECTION_TYPES) - set(_TOP_LEVEL_SCALARS)

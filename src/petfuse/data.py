@@ -2,7 +2,8 @@
 
 Manifests are JSONL: one object per line with
 {id, patient_id, text, labels:[14 x {0,1}], vision_features:[2048]?}.
-Label order is part of the file contract.
+Label order is part of the file contract. In memory a sample's
+vision_features is a read-only float64 array of shape (2048,).
 """
 
 from __future__ import annotations
@@ -36,14 +37,21 @@ class Sample:
     patient_id: str
     text: str
     labels: list[int]
-    vision_features: list[float] | None = None
+    vision_features: np.ndarray | None = None
 
     def to_record(self) -> dict:
         rec = {"id": self.id, "patient_id": self.patient_id, "text": self.text,
                "labels": self.labels}
         if self.vision_features is not None:
-            rec["vision_features"] = self.vision_features
+            rec["vision_features"] = self.vision_features.tolist()
         return rec
+
+
+def _read_only(values) -> np.ndarray:
+    """`values` as a float64 array that cannot be written to."""
+    arr = np.asarray(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass
@@ -200,7 +208,7 @@ def generate_synthetic(n_patients: int, prevalence_profile=None, signal_plan=Non
                 patient_id=f"p{pi:05d}",
                 text=" ".join(sentences),
                 labels=[int(x) for x in labels],
-                vision_features=[round(float(x), 6) for x in features],
+                vision_features=_read_only([round(float(x), 6) for x in features]),
             ))
     return samples
 
@@ -211,22 +219,22 @@ _REQUIRED = ("id", "patient_id", "text", "labels")
 _OPTIONAL = ("vision_features",)
 
 
-def _vision_floats(feats) -> list[float] | None:
-    """A manifest's vision_features as floats; None unless it is a list of
-    VISION_DIM JSON numbers (a bool counts as an int)."""
+def _vision_floats(feats) -> np.ndarray | None:
+    """A manifest's vision_features as a read-only float64 array; None unless
+    it is a list of VISION_DIM JSON numbers (a bool counts as an int)."""
     try:
         arr = np.array(feats)
     except ValueError:  # a ragged nested list
         return None
     if arr.dtype.kind in "biuf":
-        return arr.astype(np.float64).tolist() if arr.shape == (VISION_DIM,) else None
+        return _read_only(arr) if arr.shape == (VISION_DIM,) else None
     # an object or string array, e.g. one holding a None or an int beyond
     # 64 bits: element by element
     if not isinstance(feats, list) or len(feats) != VISION_DIM or not all(
             isinstance(v, (int, float)) for v in feats):
         return None
     try:
-        return [float(v) for v in feats]
+        return _read_only([float(v) for v in feats])
     except OverflowError:  # an int beyond the float range
         return None
 

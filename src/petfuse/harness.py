@@ -114,7 +114,7 @@ def vision_matrix(samples) -> np.ndarray:
     for s in samples:
         if s.vision_features is None:
             raise InputError(f"sample {s.id} has no vision_features")
-    return np.asarray([s.vision_features for s in samples], dtype=np.float64)
+    return np.stack([s.vision_features for s in samples], dtype=np.float64)
 
 
 class VisionOnlyModel:
@@ -152,12 +152,19 @@ class VisionOnlyModel:
 
 
 class MultimodalModel:
-    """Precomputed vision features + mini text encoder + fusion pathway."""
+    """Precomputed vision features + mini text encoder + fusion pathway.
+
+    A frozen encoder's features are read from and written to `text_store`
+    (sample id -> (768,) row); models whose frozen encoders are equal may
+    share one. Without a store a frozen model keeps a private one, and a
+    trainable encoder never touches it.
+    """
 
     def __init__(self, fusion_cfg: FusionConfig, tokenizer: Tokenizer,
                  seed: int = 0, policy: str = "frozen",
                  lora_cfg: LoRAConfig | None = None,
-                 adapter_cfg: AdapterConfig | None = None):
+                 adapter_cfg: AdapterConfig | None = None,
+                 text_store: dict[str, np.ndarray] | None = None):
         self.graph = ModelGraph()
         self.text = MiniTextEncoder(self.graph, tokenizer, seed=seed)
         self.fusion = FusionPathway(self.graph, fusion_cfg, seed=seed)
@@ -166,9 +173,10 @@ class MultimodalModel:
                      adapter_cfg=adapter_cfg, seed=seed)
         # every parameter a policy injects is trainable and sits under the
         # encoder prefix, so with none trainable there the output is fixed
-        self._text_static = not any(self.graph.params[a].trainable
-                                    for a in self.graph.addresses(ENCODER_PREFIX))
-        self._text_cache: dict[str, np.ndarray] = {}
+        self._text_store = None
+        if not any(self.graph.params[a].trainable
+                   for a in self.graph.addresses(ENCODER_PREFIX)):
+            self._text_store = {} if text_store is None else text_store
         self.vision_norm = _Standardizer(fusion_cfg.vision_in)
         self.text_norm = _Standardizer(fusion_cfg.text_in)
         self.normalizers = {"vision": self.vision_norm, "text": self.text_norm}
@@ -182,14 +190,18 @@ class MultimodalModel:
 
     def _text_features(self, binding, samples) -> ad.Tensor:
         """(B, 768) encoder output. A frozen encoder is a fixed function of
-        the report, so each report is encoded once and cached by sample id;
-        a trainable one is encoded live so gradients reach it."""
-        if not self._text_static:
+        the report, so each report is encoded once into the text store,
+        keyed by sample id; a trainable one is encoded live so gradients
+        reach it."""
+        store = self._text_store
+        if store is None:
             return ad.concat_rows([self.text.encode(binding, s.text) for s in samples])
         for s in samples:
-            if s.id not in self._text_cache:
-                self._text_cache[s.id] = self.text.encode(binding, s.text).data[0]
-        return ad.Tensor(np.asarray([self._text_cache[s.id] for s in samples]))
+            if s.id not in store:
+                row = self.text.encode(binding, s.text).data[0]
+                row.flags.writeable = False
+                store[s.id] = row
+        return ad.Tensor(np.stack([store[s.id] for s in samples]))
 
     def _standardize_text(self, t):
         if self.text_norm.mu is None:
@@ -298,11 +310,13 @@ def build_arm(kind: str, overrides: dict | None = None) -> ArmSpec:
 
 def _build_model(arm: ArmSpec, tokenizer, seed: int,
                  lora_cfg: LoRAConfig | None = None,
-                 adapter_cfg: AdapterConfig | None = None):
+                 adapter_cfg: AdapterConfig | None = None,
+                 text_store: dict[str, np.ndarray] | None = None):
     if arm.kind == "vision_only":
         return VisionOnlyModel(seed=seed)
     return MultimodalModel(arm.fusion, tokenizer, seed=seed, policy=arm.policy,
-                           lora_cfg=lora_cfg, adapter_cfg=adapter_cfg)
+                           lora_cfg=lora_cfg, adapter_cfg=adapter_cfg,
+                           text_store=text_store)
 
 
 def sigmoid(logits: np.ndarray) -> np.ndarray:
@@ -355,6 +369,11 @@ def run_plan(plan: ExperimentPlan, samples, out_dir) -> AttributionResult:
     out.mkdir(parents=True, exist_ok=True)
     train_set, val_set, test_set = split_patients(samples, plan.split)
     tokenizer = Tokenizer.build([s.text for s in train_set])
+    # Frozen text features, one store per seed keyed by sample id. Arms may
+    # share a store because a frozen MiniTextEncoder is a function of
+    # (tokenizer, seed) alone: its weights are drawn from the seed at sizes
+    # the tokenizer fixes, whatever the fusion config; sample ids are unique.
+    text_stores: dict[int, dict[str, np.ndarray]] = {}
 
     per_arm: dict[str, list[EvalReport]] = {}
     failures: dict[str, str] = {}
@@ -363,7 +382,8 @@ def run_plan(plan: ExperimentPlan, samples, out_dir) -> AttributionResult:
         reports = []
         for seed in arm.seeds:
             try:
-                model = _build_model(arm, tokenizer, seed)
+                model = _build_model(arm, tokenizer, seed,
+                                     text_store=text_stores.setdefault(seed, {}))
                 train_loop(model, train_set, val_set, replace(plan.train, seed=seed))
                 reports.append(evaluate_model(model, arm.name, seed, test_set))
             except PetfuseError as e:  # record and continue with other arms
@@ -424,7 +444,8 @@ def efficiency_table(results):
 
 
 def recompute_from_artifacts(out_dir):
-    """Re-derive attribution deltas purely from the stored per-arm CSVs."""
+    """Re-derive attribution deltas purely from the stored per-arm CSVs;
+    InputError when there is no arm result to read."""
     out = Path(out_dir)
     arm_means = {}
     for path in sorted(out.glob("arm_*.csv")):
@@ -435,6 +456,8 @@ def recompute_from_artifacts(out_dir):
         if rows:
             arm_means[rows[0]["method"]] = float(
                 np.mean([float(r["auroc_macro"]) for r in rows]))
+    if not arm_means:
+        raise InputError(f"{out}: no arm results (arm_*.csv) to report")
     fusion_effect, scaling_effect = compute_deltas(arm_means)
     return {"arm_mean_auroc": arm_means, "fusion_effect": fusion_effect,
             "scaling_effect": scaling_effect}

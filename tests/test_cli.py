@@ -423,6 +423,12 @@ def _version_1(header):
     header["version"] = 1
 
 
+def _config_int_too_long_to_parse(tmp_path, data, run_dir):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"train": {"lr": 1' + "0" * 5000 + "}}")
+    return ["train", "--config", cfg, "--data", data, "--out", tmp_path / "run"]
+
+
 def _trailing_bytes(tmp_path, data, run_dir):
     ckpt = tmp_path / "checkpoint.bin"
     ckpt.write_bytes((run_dir / "checkpoint.bin").read_bytes() + b"\0" * 8)
@@ -458,6 +464,11 @@ def _trailing_bytes(tmp_path, data, run_dir):
     pytest.param(_config({"train": "ab"}), id="train_not_object"),
     pytest.param(_config({"total_params_declared": "x"}, "count-params"),
                  id="declared_total_str"),
+    # a float field takes an int only when float() can represent it
+    pytest.param(_config({"policy": "lora", "lora": {"alpha": 10**400}}),
+                 id="lora_alpha_int_beyond_float"),
+    pytest.param(_config({"train": {"lr": -10**400}}), id="lr_int_beyond_float"),
+    _config_int_too_long_to_parse,
     # an arm kind rejects overrides it would ignore
     pytest.param(_plan({"arms": [{"kind": "vision_only", "policy": "lora"}]}),
                  id="vision_only_policy"),
@@ -489,6 +500,10 @@ def _trailing_bytes(tmp_path, data, run_dir):
                  id="calibrate_shape_mismatch"),
     pytest.param(_checkpoint_header("eval", fusion=[32]), id="eval_fusion_not_object"),
     pytest.param(_checkpoint_header("eval", seed="0"), id="eval_seed_str"),
+    pytest.param(_checkpoint_header("eval", lora={"alpha": 10**400}),
+                 id="header_lora_alpha_int_beyond_float"),
+    pytest.param(_checkpoint_header("calibrate", fusion={"dropout_p": 10**400}),
+                 id="header_dropout_int_beyond_float"),
     pytest.param(_rewritten_checkpoint("eval", lambda h: h.pop("extra")),
                  id="eval_no_extra"),
     pytest.param(_rewritten_checkpoint("eval", lambda h: h["extra"].pop("seed")),
@@ -547,6 +562,37 @@ def test_malformed_input_is_one_line_runtime_error(make_argv, trained, capsys,
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_a_float_field_still_takes_an_int_within_range(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"policy": "lora", "lora": {"alpha": 10**300}}))
+    code, _, err = run(capsys, "count-params", "--config", str(cfg))
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("command", ["eval", "calibrate"])
+def test_a_failed_write_prints_nothing(trained, capsys, tmp_path, command):
+    """The result is written before it is printed, so an --out that cannot
+    be written leaves stdout empty."""
+    _, data, _, run_dir = trained
+    capsys.readouterr()
+    code, out, err = run(capsys, command, "--checkpoint", str(run_dir / "checkpoint.bin"),
+                         "--data", str(data), "--out", str(tmp_path / "missing" / "r.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("results", ["missing", "empty", "per_label_only"])
+def test_report_without_arm_results_is_one_error_line(capsys, tmp_path, results):
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "per_label_only").mkdir()
+    (tmp_path / "per_label_only" / "arm_x_per_label.csv").write_text("label,x\n")
+    code, out, err = run(capsys, "report", "--results", str(tmp_path / results))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "arm_*.csv" in err
+    assert not list(tmp_path.rglob("attribution_recomputed.json"))
 
 
 def test_version_1_checkpoint_error_names_its_version(trained, capsys, tmp_path):

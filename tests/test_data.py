@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from petfuse.cli import main
 from petfuse.data import (DEFAULT_PREVALENCE, LABELS, Sample, SplitSpec,
                           generate_synthetic, label_matrix, load_manifest,
                           save_manifest, split_patients)
@@ -309,7 +310,7 @@ def test_vision_features_accepted_and_converted_as_element_by_element(
     want = _per_element_features(feats)
     assert (got is None) == (want is None)
     if want is not None:
-        assert all(type(v) is float for v in got)
+        assert got.dtype == np.float64 and got.shape == (2048,)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
@@ -333,6 +334,34 @@ def test_manifest_rejects_duplicate_ids(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_manifest(path)
     assert ":3" in str(exc.value) and "line 1" in str(exc.value)
+
+
+def _assert_read_only_vectors(samples):
+    for s in samples:
+        feats = s.vision_features
+        assert type(feats) is np.ndarray
+        assert feats.dtype == np.float64 and feats.shape == (2048,)
+        assert not feats.flags.writeable
+
+
+def test_vision_features_are_read_only_float64_vectors(tmp_path):
+    samples = generate_synthetic(n_patients=6, seed=31)
+    _assert_read_only_vectors(samples)
+    path = tmp_path / "m.jsonl"
+    save_manifest(path, samples)
+    loaded = load_manifest(path)
+    _assert_read_only_vectors(loaded)
+    assert all(a.vision_features.tobytes() == b.vision_features.tobytes()
+               for a, b in zip(samples, loaded))
+
+
+def test_loaded_manifest_saves_back_byte_for_byte(tmp_path):
+    """A gen-data manifest survives load and save unchanged: the arrays
+    write back the generator's rounded floats."""
+    path, again = tmp_path / "gen.jsonl", tmp_path / "again.jsonl"
+    assert main(["gen-data", "--patients", "12", "--seed", "9", "--out", str(path)]) == 0
+    save_manifest(again, load_manifest(path))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_manifest_bytes_deterministic(tmp_path):

@@ -120,6 +120,57 @@ def test_trainable_encoder_reencodes_every_batch(monkeypatch):
     assert sum(calls.values()) == 4 * len(train) + 3 * len(val) + len(test)
 
 
+def test_plan_shares_one_frozen_text_store_per_seed(monkeypatch, tmp_path):
+    """Frozen arms at one seed share a text store: each report is encoded
+    once across them, and what the store hands full_pet is bit for bit its
+    own encoder's output. A LoRA arm, run first, encodes live and leaves
+    the store empty for the frozen arms to fill."""
+    calls = Counter()
+    encode = MiniTextEncoder.encode
+
+    def counting(self, binding, text):
+        calls[id(self), text] += 1
+        return encode(self, binding, text)
+
+    monkeypatch.setattr(MiniTextEncoder, "encode", counting)
+    models = {}
+    build = harness._build_model
+
+    def recording(arm, *args, **kwargs):
+        models[arm.name] = build(arm, *args, **kwargs)
+        return models[arm.name]
+
+    monkeypatch.setattr(harness, "_build_model", recording)
+    fusion = {"shared_dim": 16, "head_hidden": 8, "dropout_p": 0.0}
+    plan = ExperimentPlan(
+        arms=[build_arm("full_pet", {"name": "full_pet_lora", "policy": "lora",
+                                     "fusion": fusion}),
+              build_arm("budget_matched", {"fusion": fusion}),
+              build_arm("full_pet", {"fusion": fusion})],
+        train=TrainConfig(batch=8, accumulation=1, max_epochs=1, patience=5, lr=1e-3))
+    samples = generate_synthetic(n_patients=24, seed=29)
+    result = run_plan(plan, samples, tmp_path)
+    assert not result.failures
+    train, val, test = split_patients(samples, plan.split)
+
+    lora, matched, full = (models[n] for n in ("full_pet_lora", "budget_matched", "full_pet"))
+    assert lora._text_store is None
+    assert matched._text_store is full._text_store
+    assert set(full._text_store) == {s.id for s in train + val + test}
+    per_encoder = {name: Counter({text: n for (enc, text), n in calls.items()
+                                  if enc == id(models[name].text)})
+                   for name in models}
+    # fit_normalizer, one training epoch, one validation, the test evaluation
+    assert sum(per_encoder["full_pet_lora"].values()) == 2 * len(train) + len(val) + len(test)
+    assert per_encoder["budget_matched"] == Counter(s.text for s in train + val + test)
+    assert not per_encoder["full_pet"]
+
+    binding = full.graph.bind()
+    stored = full._text_features(binding, test).data
+    live = np.concatenate([encode(full.text, binding, s.text).data for s in test])
+    assert stored.tobytes() == live.tobytes()
+
+
 def test_plan_validation():
     with pytest.raises(InputError):
         ExperimentPlan(arms=[]).validate()
