@@ -2,13 +2,20 @@
 
 Covers exactly the ops the fusion pathway, the mini text encoder, and tuning
 injections need: matmul, broadcast add/mul, relu, row softmax, non-affine
-layer norm, dropout, gathers/slices, and reductions. Tensors are float64
-throughout; the graph is a dynamic tape, backward visits each node once.
+layer norm, dropout, row gathers and concatenation, reductions, and
+attention, over one sequence or over a batch of padded sequences with a key
+mask. Tensors are float64 throughout; the graph is a dynamic tape, backward
+visits each node once.
 
-Backward forms only the gradients that are needed: it visits only nodes that
-require a gradient, and matmul, mul and add form each operand's product
-only when that operand requires one. A frozen weight, or a constant input
-such as precomputed features, costs no backward GEMM.
+Only what a gradient can flow through is recorded: a node that requires no
+gradient keeps neither its inputs nor its backward closure, so a frozen
+forward pass holds no tape and its intermediates are freed as soon as the
+next op has read them. Backward forms only the gradients that are needed:
+it visits only nodes that require a gradient, and matmul, mul, add and
+masked_attention form each operand's product only when that operand
+requires one. A frozen weight, or a constant input such as precomputed
+features, costs no backward GEMM. An inner node's gradient is dropped once
+backward has passed it on; leaves keep theirs.
 """
 
 from __future__ import annotations
@@ -33,7 +40,8 @@ def make_rng(seed: int, *stream) -> np.random.Generator:
 
 
 class Tensor:
-    """Immutable value node in the computation tape."""
+    """Immutable value node in the computation tape; a node that requires no
+    gradient is a constant and records no tape."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -41,8 +49,8 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self.grad = None
-        self._parents = _parents
-        self._backward = _backward
+        self._parents = _parents if self.requires_grad else ()
+        self._backward = _backward if self.requires_grad else None
 
     @property
     def shape(self):
@@ -78,6 +86,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None  # passed on to the parents; only leaves keep theirs
 
     # -- operator sugar ---------------------------------------------------
 
@@ -217,17 +226,6 @@ def gather_rows(table, ids) -> Tensor:
     return Tensor(table.data[ids], _parents=(table,), _backward=bw)
 
 
-def slice_rows(x, start, stop) -> Tensor:
-    x = as_tensor(x)
-
-    def bw(g):
-        gx = np.zeros_like(x.data)
-        gx[start:stop] = g
-        _accum(x, gx)
-
-    return Tensor(x.data[start:stop], _parents=(x,), _backward=bw)
-
-
 def concat_rows(parts) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     sizes = [p.data.shape[0] for p in parts]
@@ -286,6 +284,55 @@ def softmax_attention(q, k, v, scale: float) -> Tensor:
         raise ShapeError(f"k/v sequence lengths disagree: {k.data.shape} vs {v.data.shape}")
     scores = mul(matmul(q, transpose(k)), scale)
     return matmul(softmax_rows(scores), v)
+
+
+def masked_attention(q, k, v, key_mask, scale: float) -> Tensor:
+    """softmax(q k^T * scale) v within each of B padded sequences, over its
+    real keys only; one tape node.
+
+    k and v hold the (B*T, d) rows of B sequences padded to length T;
+    key_mask is (B, T) bool, True at a real key, and each sequence needs at
+    least one. q holds Tq rows per sequence, (B*Tq, d): Tq = T for a full
+    block, Tq = 1 for one query per sequence. A masked key gets exactly zero
+    weight, so its k and v rows get exactly zero gradient. Returns (B*Tq, d).
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    for t in (q, k, v):
+        if not np.isfinite(t.data).all():
+            raise NumericError("non-finite attention input")
+    mask = np.asarray(key_mask, dtype=bool)
+    if mask.ndim != 2 or not mask.any(axis=1).all():
+        raise ShapeError(f"key_mask must be (B, T) with a real key in every row, "
+                         f"got shape {mask.shape}")
+    b, t = mask.shape
+    if (q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2
+            or q.data.shape[1] != k.data.shape[1]
+            or k.data.shape[0] != b * t or v.data.shape[0] != b * t
+            or q.data.shape[0] % b):
+        raise ShapeError(f"masked attention over {b} sequences of {t} keys got "
+                         f"q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
+    tq = q.data.shape[0] // b
+    qb = q.data.reshape(b, tq, -1)
+    kb = k.data.reshape(b, t, -1)
+    vb = v.data.reshape(b, t, -1)
+    scores = np.where(mask[:, None, :], np.matmul(qb, kb.transpose(0, 2, 1)) * scale,
+                      -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))  # exp(-inf) is 0
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def bw(g):
+        g = g.reshape(b, tq, -1)
+        if v.requires_grad:
+            _accum(v, np.matmul(p.transpose(0, 2, 1), g).reshape(v.data.shape))
+        if q.requires_grad or k.requires_grad:
+            gp = np.matmul(g, vb.transpose(0, 2, 1))
+            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+            if q.requires_grad:
+                _accum(q, np.matmul(gs, kb).reshape(q.data.shape))
+            if k.requires_grad:
+                _accum(k, np.matmul(gs.transpose(0, 2, 1), qb).reshape(k.data.shape))
+
+    return Tensor(np.matmul(p, vb).reshape(b * tq, -1), _parents=(q, k, v), _backward=bw)
 
 
 def dropout(x, p: float, training: bool, uniform=None) -> Tensor:

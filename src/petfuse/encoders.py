@@ -5,6 +5,10 @@ scale. It keeps every tensor a tuning policy targets (attention
 projections, biases, one residual stream per block for an adapter) while
 staying small enough to finite-difference. Vision features arrive
 precomputed in the manifest.
+
+The encoder runs a list of reports as one tape: they are padded to the
+longest, every attention masks the padded keys, and the last block computes
+only the CLS rows, the only ones the output reads.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InputError
+from .errors import InputError, ShapeError
 from .model import ModelGraph
 from .pet import ENCODER_PREFIX, adapter_residual, lora_linear
 
@@ -120,24 +124,43 @@ class MiniTextEncoder:
         graph.add_param(f"{prefix}/out/w", rng.normal(0, 0.05, (w, TEXT_DIM)))
         graph.add_param(f"{prefix}/out/b", np.zeros(TEXT_DIM))
 
-    def encode(self, binding, text: str) -> ad.Tensor:
-        """First-position (CLS) hidden state projected to 768 dims; (1, 768)."""
+    def encode(self, binding, texts) -> ad.Tensor:
+        """CLS state of each report projected to 768 dims; (len(texts), 768).
+
+        The reports are padded to the longest and encoded in one tape. Each
+        attention masks the padded keys, so a report's row is its own
+        function: batching moves only the last bits of summation order. The
+        last block's keys and values cover every position, but its query,
+        output projection, MLP and adapter run on the CLS rows alone.
+        """
+        if isinstance(texts, str):
+            raise TypeError("encode takes a list of reports, not one str")
+        ids = [self.tokenizer.encode(t) for t in texts]
+        if not ids:
+            raise ShapeError("encode needs at least one report")
+        n, t = len(ids), max(map(len, ids))
+        tokens = np.zeros((n, t), dtype=np.int64)  # padding reads token 0, never attended
+        mask = np.zeros((n, t), dtype=bool)
+        for i, row in enumerate(ids):
+            tokens[i, :len(row)] = row
+            mask[i, :len(row)] = True
         g, pfx = self.graph, ENCODER_PREFIX
-        ids = self.tokenizer.encode(text)
-        h = (ad.gather_rows(binding[f"{pfx}/emb/tok"], ids)
-             + ad.slice_rows(binding[f"{pfx}/emb/pos"], 0, len(ids)))
+        h = (ad.gather_rows(binding[f"{pfx}/emb/tok"], tokens.ravel())
+             + ad.gather_rows(binding[f"{pfx}/emb/pos"], np.tile(np.arange(t), n)))
+        cls_rows = np.arange(n) * t
         scale = 1.0 / np.sqrt(self.spec.width)
         for b in range(self.spec.depth):
             base = f"{pfx}/block{b}"
             x = ad.layer_norm(h)
-            q = lora_linear(g, binding, x, f"{base}/attn/wq") + binding[f"{base}/attn/bq"]
             k = lora_linear(g, binding, x, f"{base}/attn/wk") + binding[f"{base}/attn/bk"]
             v = lora_linear(g, binding, x, f"{base}/attn/wv") + binding[f"{base}/attn/bv"]
-            attn = ad.softmax_attention(q, k, v, scale)
+            if b == self.spec.depth - 1:  # nothing reads the other rows of the last block
+                h, x = ad.gather_rows(h, cls_rows), ad.gather_rows(x, cls_rows)
+            q = lora_linear(g, binding, x, f"{base}/attn/wq") + binding[f"{base}/attn/bq"]
+            attn = ad.masked_attention(q, k, v, mask, scale)
             h = h + lora_linear(g, binding, attn, f"{base}/attn/wo") + binding[f"{base}/attn/bo"]
             x = ad.layer_norm(h)
             m = ad.relu(ad.matmul(x, binding[f"{base}/mlp/w1"]) + binding[f"{base}/mlp/b1"])
             h = h + ad.matmul(m, binding[f"{base}/mlp/w2"]) + binding[f"{base}/mlp/b2"]
             h = adapter_residual(binding, h, base)
-        cls = ad.slice_rows(ad.layer_norm(h), 0, 1)
-        return ad.matmul(cls, binding[f"{pfx}/out/w"]) + binding[f"{pfx}/out/b"]
+        return ad.matmul(ad.layer_norm(h), binding[f"{pfx}/out/w"]) + binding[f"{pfx}/out/b"]

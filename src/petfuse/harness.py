@@ -29,6 +29,13 @@ ARM_KINDS = ("vision_only", "budget_matched", "full_pet")
 
 VISION_ONLY_PARAMS = 2048 * 512 + 512 * 14  # 1,055,744
 
+# Reports per text-encoder tape: the default micro-batch (TrainConfig.batch).
+ENCODE_CHUNK = 16
+
+
+def _chunks(items, size: int = ENCODE_CHUNK) -> list:
+    return [items[i:i + size] for i in range(0, len(items), size)]
+
 
 # -- budget search ------------------------------------------------------------
 
@@ -184,23 +191,24 @@ class MultimodalModel:
     def fit_normalizer(self, train_samples):
         self.vision_norm.fit(vision_matrix(train_samples))
         binding = self.graph.bind()
-        # one report per call, so a trainable encoder's tape never spans the split
+        # one chunk per call, so a trainable encoder's tape never spans the split
         self.text_norm.fit(np.concatenate(
-            [self._text_features(binding, [s]).data for s in train_samples]))
+            [self._text_features(binding, chunk).data for chunk in _chunks(train_samples)]))
 
     def _text_features(self, binding, samples) -> ad.Tensor:
-        """(B, 768) encoder output. A frozen encoder is a fixed function of
-        the report, so each report is encoded once into the text store,
-        keyed by sample id; a trainable one is encoded live so gradients
-        reach it."""
+        """(B, 768) encoder output, ENCODE_CHUNK reports per encoder tape. A
+        frozen encoder is a fixed function of the report, so each report is
+        encoded once into the text store, keyed by sample id; a trainable
+        one is encoded live so gradients reach it."""
         store = self._text_store
         if store is None:
-            return ad.concat_rows([self.text.encode(binding, s.text) for s in samples])
-        for s in samples:
-            if s.id not in store:
-                row = self.text.encode(binding, s.text).data[0]
-                row.flags.writeable = False
-                store[s.id] = row
+            return ad.concat_rows([self.text.encode(binding, [s.text for s in chunk])
+                                   for chunk in _chunks(samples)])
+        missing = list({s.id: s for s in samples if s.id not in store}.values())
+        for chunk in _chunks(missing):
+            rows = self.text.encode(binding, [s.text for s in chunk]).data
+            rows.flags.writeable = False
+            store.update(zip((s.id for s in chunk), rows))
         return ad.Tensor(np.stack([store[s.id] for s in samples]))
 
     def _standardize_text(self, t):

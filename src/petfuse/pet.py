@@ -103,10 +103,13 @@ def apply_policy(graph: ModelGraph, policy: str,
 
     if policy == "lora":
         cfg = lora_cfg or LoRAConfig()
-        graph.lora_scale = cfg.scale  # rejects rank < 1 before it reaches sqrt or shapes
         targets = [a for a in encoder if a.endswith(_ATTN_PROJECTIONS)]
         if not targets:
             raise PolicyError("lora policy targets a graph with no attention projections")
+        width = min(min(graph.params[a].data.shape) for a in targets)
+        if cfg.rank > width:
+            raise PolicyError(f"lora rank {cfg.rank} exceeds the projection width {width}")
+        graph.lora_scale = cfg.scale  # rejects rank < 1 before it reaches sqrt or shapes
         for addr in targets:
             n_in, n_out = graph.params[addr].data.shape
             limit = 1.0 / math.sqrt(cfg.rank)
@@ -121,6 +124,10 @@ def apply_policy(graph: ModelGraph, policy: str,
     blocks = [a for a in encoder if a.endswith("/attn/wq")]
     if not blocks:
         raise PolicyError("adapter policy targets a graph with no encoder blocks")
+    width = min(graph.params[wq].data.shape[0] for wq in blocks)
+    if cfg.bottleneck > width:
+        raise PolicyError(f"adapter bottleneck {cfg.bottleneck} exceeds the block "
+                          f"width {width}")
     for wq in blocks:
         slot = wq[:-len("/attn/wq")] + "/adapter"
         width = graph.params[wq].data.shape[0]

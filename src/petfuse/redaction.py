@@ -161,8 +161,10 @@ def _fit_linear_probe(x_train, y_train, seed, steps=300, lr=0.05):
         logits = ad.matmul(xt, wt) + bt
         loss = ad.bce_with_logits(logits, y_train)
         loss.backward()
-        grads, _ = clip_gradients({"probe/w": wt.grad, "probe/b": bt.grad}, 5.0)
-        opt.step(grads, lr_schedule(step, steps, warmup, lr))
+        opt.grads["probe/w"][...] = wt.grad
+        opt.grads["probe/b"][...] = bt.grad
+        clip_gradients(opt.flat_grad, 5.0)
+        opt.step(opt.grads, lr_schedule(step, steps, warmup, lr))
     return w.data, b.data
 
 

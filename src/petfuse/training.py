@@ -60,14 +60,19 @@ def lr_schedule(step: int, total_steps: int, warmup_steps: int, peak: float) -> 
     return peak * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = 1.0):
-    """Scale all gradients in place by max_norm/g when the global L2 norm g
-    exceeds it. Returns (grads, g)."""
-    sq = sum(float((g * g).sum()) for g in grads.values())
-    norm = math.sqrt(sq)
+def clip_gradients(grads, max_norm: float = 1.0):
+    """Scale gradients in place by max_norm/g when their global L2 norm g
+    exceeds max_norm. Returns (grads, g).
+
+    `grads` is one flat gradient array, such as AdamW.flat_grad, or a
+    name -> array dict. The norm takes one dot product per array, so no
+    full-size temporary is formed; over a flat array it is a single dot.
+    """
+    arrays = list(grads.values()) if isinstance(grads, dict) else [grads]
+    norm = math.sqrt(sum(float(g.ravel() @ g.ravel()) for g in arrays))
     if norm > max_norm:
         factor = max_norm / norm
-        for g in grads.values():
+        for g in arrays:
             g *= factor
     return grads, norm
 
@@ -277,7 +282,7 @@ def train_loop(model, train_samples, val_samples, cfg: TrainConfig) -> TrainResu
                     if micro_g is not None:
                         g += micro_g
             lr_t = lr_schedule(step, total_steps, warmup_steps, cfg.lr)
-            clip_gradients(opt.grads, cfg.clip_norm)
+            clip_gradients(opt.flat_grad, cfg.clip_norm)
             opt.step(opt.grads, lr_t)
             step += 1
 

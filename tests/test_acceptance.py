@@ -102,6 +102,16 @@ def test_criterion_03_gradient_correctness():
         k = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         v = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         run(lambda: ad.tsum(ad.softmax_attention(q, k, v, 0.5)), q, k, v)
+        # two padded sequences of 3 keys, the second CLS only; a full block
+        # (3 queries per sequence) and one query per sequence
+        mask = np.array([[True, True, False], [True, False, False]])
+        km = ad.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        vm = ad.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        for tq in (3, 1):
+            qm = ad.Tensor(rng.normal(size=(2 * tq, 4)), requires_grad=True)
+            wm = ad.Tensor(rng.normal(size=(2 * tq, 4)))
+            run(lambda: ad.tsum(ad.mul(ad.masked_attention(qm, km, vm, mask, 0.5), wm)),
+                qm, km, vm)
 
     # full fusion forward: perturb every fusion parameter tensor
     cfg = FusionConfig(vision_in=6, text_in=5, shared_dim=4, head_hidden=3,
@@ -310,9 +320,9 @@ def test_criterion_08_schedule_and_optimizer():
             np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
     assert np.max(np.abs(graph.params["p"].data - ref)) <= 1e-12
 
-    grads = {"a": np.array([30.0]), "b": np.array([40.0])}
-    clipped, _ = clip_gradients(grads, max_norm=1.0)
-    post = np.sqrt(sum(float((g * g).sum()) for g in clipped.values()))
+    flat_grad = np.array([30.0, 40.0])
+    clip_gradients(flat_grad, max_norm=1.0)
+    post = np.sqrt(float((flat_grad * flat_grad).sum()))
     assert post <= 1.0 + 1e-12
     _report(8, "lr closed forms at {0,W,(W+T)/2,T} within 1e-9; AdamW 3-step "
                "trace within 1e-12; post-clip norm <= 1.0")

@@ -75,6 +75,92 @@ def test_attention_gradient():
     assert err < 1e-6
 
 
+# three sequences padded to 4 keys: full, two real keys, CLS only
+MASK = np.array([[True, True, True, True],
+                 [True, True, False, False],
+                 [True, False, False, False]])
+
+
+def _masked_inputs(tq, seed=12):
+    rng = np.random.default_rng(seed)
+    b, t = MASK.shape
+    return [ad.Tensor(rng.normal(0, 1, (b * n, 3)), requires_grad=True)
+            for n in (tq, t, t)]
+
+
+@pytest.mark.parametrize("tq", [4, 1], ids=["full_block", "one_query"])
+def test_masked_attention_gradient(tq):
+    q, k, v = _masked_inputs(tq)
+    w = np.random.default_rng(13).normal(0, 1, q.data.shape)
+    err = grad_check(lambda: ad.tsum(ad.mul(ad.masked_attention(q, k, v, MASK, 0.5), w)),
+                     [q, k, v])
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("tq", [4, 1], ids=["full_block", "one_query"])
+def test_masked_attention_is_softmax_attention_over_the_real_keys(tq):
+    q, k, v = _masked_inputs(tq)
+    out = ad.masked_attention(q, k, v, MASK, 0.5).data
+    t = MASK.shape[1]
+    for i, row in enumerate(MASK):
+        n = int(row.sum())
+        ref = ad.softmax_attention(q.data[i * tq:(i + 1) * tq], k.data[i * t:i * t + n],
+                                   v.data[i * t:i * t + n], 0.5).data
+        assert np.max(np.abs(out[i * tq:(i + 1) * tq] - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("tq", [4, 1], ids=["full_block", "one_query"])
+def test_padded_keys_get_exactly_zero_weight_and_gradient(tq):
+    """Changing a padded key or value leaves the output's bits alone, and
+    backward gives padded k and v rows exactly zero, in a CLS-only sequence
+    too."""
+    q, k, v = _masked_inputs(tq)
+    out = ad.masked_attention(q, k, v, MASK, 0.5)
+    padded = ~MASK.ravel()
+    k2, v2 = k.data.copy(), v.data.copy()
+    k2[padded] = 1e3
+    v2[padded] = -7.0
+    assert ad.masked_attention(q.data, k2, v2, MASK, 0.5).data.tobytes() == out.data.tobytes()
+    ad.tsum(ad.mul(out, np.random.default_rng(2).normal(0, 1, out.data.shape))).backward()
+    for t in (k, v):
+        assert not t.grad[padded].any()
+        assert t.grad[~padded].any()
+
+
+def test_masked_attention_checks_its_inputs():
+    q, k, v = _masked_inputs(1)
+    bad = k.data.copy()
+    bad[-1, 0] = np.nan  # a padded row is checked too
+    with pytest.raises(NumericError):
+        ad.masked_attention(q, bad, v, MASK, 1.0)
+    with pytest.raises(ShapeError):  # a sequence without a real key
+        ad.masked_attention(q, k, v, np.zeros_like(MASK), 1.0)
+    with pytest.raises(ShapeError):  # k rows do not fill B x T
+        ad.masked_attention(q, k.data[:-1], v, MASK, 1.0)
+    with pytest.raises(ShapeError):  # q rows are not a multiple of B
+        ad.masked_attention(q.data[:-1], k, v, MASK, 1.0)
+
+
+def test_a_node_without_gradient_records_no_tape():
+    w = ad.Tensor(np.ones((2, 2)))
+    x = ad.Tensor(np.ones((3, 2)))
+    frozen = ad.relu(ad.matmul(x, w))
+    assert not frozen.requires_grad
+    assert frozen._parents == () and frozen._backward is None
+    live = ad.matmul(frozen, ad.Tensor(np.ones((2, 2)), requires_grad=True))
+    assert live.requires_grad and len(live._parents) == 2
+
+
+def test_backward_keeps_only_the_leaves_gradients():
+    a = ad.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    b = ad.Tensor(np.array([[0.5], [3.0]]), requires_grad=True)
+    h = ad.relu(ad.matmul(a, b))
+    y = ad.tsum(ad.mul(h, 2.0))
+    y.backward()
+    assert h.grad is None and y.grad is None
+    assert a.grad is not None and b.grad is not None
+
+
 def test_layer_norm_constant_row_is_zero():
     out = ad.layer_norm(ad.Tensor([[5.0, 5.0, 5.0]]))
     assert np.allclose(out.data, 0.0)
@@ -198,7 +284,7 @@ def test_gather_and_slice_gradients():
 
     def fn():
         rows = ad.gather_rows(table, ids)
-        return ad.tsum(ad.mul(ad.slice_rows(rows, 1, 2), w))
+        return ad.tsum(ad.mul(ad.gather_rows(rows, [1]), w))  # the slice rows[1:2]
 
     assert grad_check(fn, [table]) < 1e-6
 

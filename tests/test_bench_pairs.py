@@ -1,0 +1,58 @@
+"""scripts/bench_pairs.compare on hand-made runs: when a gain is claimable
+and when a metric stays within its bound."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+HIGHER = {"better": "higher", "bound": 0.25}
+LOWER = {"better": "lower", "bound": 0.25}
+# median 100, inclusive quartiles 98.25 and 101.75: an interquartile range of 3.5
+PARENT = [96.0, 97.0, 98.0, 99.0, 100.0, 100.0, 101.0, 102.0, 103.0, 104.0]
+
+
+def test_nine_wins_and_a_gap_beyond_the_iqr_is_claimable():
+    change = [p + 10.0 for p in PARENT]
+    change[0] = PARENT[0] - 1.0  # one loss
+    c = bench_pairs.compare(HIGHER, PARENT, change)
+    assert c["change_wins"] == 9 and c["pairs"] == 10
+    assert c["parent_iqr"] == pytest.approx(3.5)
+    assert c["gain_claimable"] and c["within_bound"]
+
+
+def test_eight_wins_are_not_claimable():
+    change = [p + 10.0 for p in PARENT]
+    change[0] = change[9] = 50.0
+    c = bench_pairs.compare(HIGHER, PARENT, change)
+    assert c["change_wins"] == 8
+    assert not c["gain_claimable"]
+
+
+def test_ten_wins_inside_the_iqr_are_not_claimable():
+    change = [p + 3.0 for p in PARENT]  # median gap 3 < IQR 3.5
+    c = bench_pairs.compare(HIGHER, PARENT, change)
+    assert c["change_wins"] == 10
+    assert not c["gain_claimable"]
+
+
+def test_ties_count_for_neither_side():
+    c = bench_pairs.compare(LOWER, PARENT, list(PARENT))
+    assert c["change_wins"] == 0
+    assert not c["gain_claimable"] and c["within_bound"]
+    assert c["median_ratio_change_over_parent"] == 1.0
+
+
+@pytest.mark.parametrize("spec, factor, within", [
+    (LOWER, 1.2, True), (LOWER, 1.3, False),      # a time 30% longer breaks 0.25
+    (HIGHER, 0.8, True), (HIGHER, 0.7, False),    # a rate 30% lower breaks it too
+    (LOWER, 0.5, True), (HIGHER, 2.0, True),      # a gain is always within
+])
+def test_within_bound_is_the_relative_loss_against_the_bound(spec, factor, within):
+    c = bench_pairs.compare(spec, PARENT, [p * factor for p in PARENT])
+    assert c["within_bound"] is within

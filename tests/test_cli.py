@@ -468,6 +468,12 @@ def _trailing_bytes(tmp_path, data, run_dir):
     pytest.param(_config({"policy": "lora", "lora": {"alpha": 10**400}}),
                  id="lora_alpha_int_beyond_float"),
     pytest.param(_config({"train": {"lr": -10**400}}), id="lr_int_beyond_float"),
+    # a rank or bottleneck wider than the encoder is refused before any draw
+    pytest.param(_config({"arm": "full_pet", "policy": "lora", "lora": {"rank": 10**400}}),
+                 id="lora_rank_beyond_width"),
+    pytest.param(_config({"arm": "full_pet", "policy": "adapter",
+                          "adapter": {"bottleneck": 100000}}),
+                 id="adapter_bottleneck_beyond_width"),
     _config_int_too_long_to_parse,
     # an arm kind rejects overrides it would ignore
     pytest.param(_plan({"arms": [{"kind": "vision_only", "policy": "lora"}]}),

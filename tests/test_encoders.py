@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from petfuse import autodiff as ad
 from petfuse.encoders import EncoderSpec, MiniTextEncoder, Tokenizer
+from petfuse.errors import ShapeError
 from petfuse.model import ModelGraph
-from petfuse.pet import AdapterConfig, LoRAConfig, apply_policy
+from petfuse.pet import (ENCODER_PREFIX, AdapterConfig, LoRAConfig, adapter_residual,
+                         apply_policy, lora_linear)
 
 CORPUS = ["heart size normal", "no acute findings", "left base effusion noted"]
 
@@ -32,25 +35,85 @@ def test_tokenizer_unknown_maps_to_unk():
 
 def test_text_encode_deterministic():
     graph, enc = make_text_encoder()
-    a = enc.encode(graph.bind(), "heart size normal").data
-    b = enc.encode(graph.bind(), "heart size normal").data
+    a = enc.encode(graph.bind(), ["heart size normal"]).data
+    b = enc.encode(graph.bind(), ["heart size normal"]).data
     assert np.array_equal(a, b)
     assert a.shape == (1, 768)
 
 
 def test_text_empty_input_is_cls_only():
     graph, enc = make_text_encoder()
-    out = enc.encode(graph.bind(), "")
+    out = enc.encode(graph.bind(), [""])
     assert out.data.shape == (1, 768)
     assert np.isfinite(out.data).all()
 
 
 def test_text_single_token_sensitivity():
     graph, enc = make_text_encoder()
-    binding = graph.bind()
-    a = enc.encode(binding, "heart size normal").data
-    b = enc.encode(binding, "heart size effusion").data
+    a, b = enc.encode(graph.bind(), ["heart size normal", "heart size effusion"]).data
     assert not np.allclose(a, b)
+
+
+def test_encode_refuses_a_bare_str():
+    """A str is a sequence of one-character reports; encode refuses it."""
+    graph, enc = make_text_encoder()
+    with pytest.raises(TypeError):
+        enc.encode(graph.bind(), "heart size normal")
+    with pytest.raises(ShapeError):
+        enc.encode(graph.bind(), [])
+
+
+def _encode_one_by_one(enc, binding, text):
+    """The encoder's function of one report composed from the per-sequence
+    ops over every row, independent of masked_attention and of the batch."""
+    g, pfx = enc.graph, ENCODER_PREFIX
+    ids = enc.tokenizer.encode(text)
+    h = (ad.gather_rows(binding[f"{pfx}/emb/tok"], ids)
+         + ad.gather_rows(binding[f"{pfx}/emb/pos"], np.arange(len(ids))))
+    scale = 1.0 / np.sqrt(enc.spec.width)
+    for b in range(enc.spec.depth):
+        base = f"{pfx}/block{b}"
+        x = ad.layer_norm(h)
+        q, k, v = (lora_linear(g, binding, x, f"{base}/attn/w{n}") + binding[f"{base}/attn/b{n}"]
+                   for n in "qkv")
+        attn = ad.softmax_attention(q, k, v, scale)
+        h = h + lora_linear(g, binding, attn, f"{base}/attn/wo") + binding[f"{base}/attn/bo"]
+        x = ad.layer_norm(h)
+        m = ad.relu(ad.matmul(x, binding[f"{base}/mlp/w1"]) + binding[f"{base}/mlp/b1"])
+        h = h + ad.matmul(m, binding[f"{base}/mlp/w2"]) + binding[f"{base}/mlp/b2"]
+        h = adapter_residual(binding, h, base)
+    cls = ad.gather_rows(ad.layer_norm(h), [0])
+    return ad.matmul(cls, binding[f"{pfx}/out/w"]) + binding[f"{pfx}/out/b"]
+
+
+@pytest.mark.parametrize("policy", ["frozen", "lora", "bitfit", "adapter"])
+def test_batched_encode_matches_one_report_at_a_time(policy):
+    """Reports of different lengths, one of them CLS only, encoded in one
+    padded tape give each report's own output and the same gradients, within
+    1e-12, as composing the per-sequence ops report by report."""
+    texts = ["left base effusion noted", "", "heart size normal with no acute findings",
+             "heart", "no acute findings"]
+    graph, enc = make_text_encoder(seed=3, depth=2, width=16)
+    apply_policy(graph, policy, lora_cfg=LoRAConfig(rank=2),
+                 adapter_cfg=AdapterConfig(bottleneck=3), seed=3)
+    rng = np.random.default_rng(0)
+    trained = [p for p in graph.params.values() if p.trainable]
+    for p in trained:  # off their zero initialisation, so every path is live
+        p.data[...] = rng.normal(0, 0.1, p.data.shape)
+    weights = rng.normal(0, 1, (len(texts), 768))
+
+    batched = graph.bind()
+    out = enc.encode(batched, texts)
+    ad.tsum(ad.mul(out, weights)).backward()
+    alone = graph.bind()
+    ref = ad.concat_rows([_encode_one_by_one(enc, alone, t) for t in texts])
+    ad.tsum(ad.mul(ref, weights)).backward()
+
+    assert out.data.shape == (len(texts), 768)
+    assert np.max(np.abs(out.data - ref.data)) <= 1e-12
+    assert bool(trained) == (policy != "frozen")
+    for p in trained:
+        assert np.max(np.abs(batched[p.name].grad - alone[p.name].grad)) <= 1e-12, p.name
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])

@@ -90,13 +90,14 @@ def test_build_arm_rejects_overrides_its_kind_ignores(kind, overrides):
 
 def _count_encodes(monkeypatch, policy):
     """Train a small multimodal model for 2 epochs and predict on every
-    split; returns (per-text encode counts, train, val, test)."""
+    split; returns (per-text encode counts, train, val, test). A count is
+    of reports encoded, whatever the number of reports per call."""
     calls = Counter()
     encode = MiniTextEncoder.encode
 
-    def counting(self, binding, text):
-        calls[text] += 1
-        return encode(self, binding, text)
+    def counting(self, binding, texts):
+        calls.update(texts)
+        return encode(self, binding, texts)
 
     monkeypatch.setattr(MiniTextEncoder, "encode", counting)
     samples = generate_synthetic(n_patients=24, seed=29)
@@ -120,6 +121,31 @@ def test_trainable_encoder_reencodes_every_batch(monkeypatch):
     assert sum(calls.values()) == 4 * len(train) + 3 * len(val) + len(test)
 
 
+@pytest.mark.parametrize("policy", ["frozen", "lora"])
+def test_reports_are_encoded_at_most_one_chunk_per_tape(monkeypatch, policy):
+    """fit_normalizer and the text features encode ENCODE_CHUNK reports per
+    encoder call at most; a frozen encoder encodes only the reports its
+    store lacks, a trainable one every report it is given."""
+    sizes = []
+    encode = MiniTextEncoder.encode
+
+    def recording(self, binding, texts):
+        sizes.append(len(texts))
+        return encode(self, binding, texts)
+
+    monkeypatch.setattr(MiniTextEncoder, "encode", recording)
+    samples = generate_synthetic(n_patients=40, seed=29)[:40]
+    assert len(samples) == 40 and harness.ENCODE_CHUNK == 16
+    model = MultimodalModel(FusionConfig(shared_dim=16, head_hidden=8, dropout_p=0.0),
+                            Tokenizer.build([s.text for s in samples]), policy=policy)
+    model.fit_normalizer(samples[:20])
+    assert sizes == [16, 4]
+    sizes.clear()
+    features = model._text_features(model.graph.bind(), samples)
+    assert features.data.shape == (40, 768)
+    assert sizes == ([16, 4] if policy == "frozen" else [16, 16, 8])
+
+
 def test_plan_shares_one_frozen_text_store_per_seed(monkeypatch, tmp_path):
     """Frozen arms at one seed share a text store: each report is encoded
     once across them, and what the store hands full_pet is bit for bit its
@@ -128,9 +154,9 @@ def test_plan_shares_one_frozen_text_store_per_seed(monkeypatch, tmp_path):
     calls = Counter()
     encode = MiniTextEncoder.encode
 
-    def counting(self, binding, text):
-        calls[id(self), text] += 1
-        return encode(self, binding, text)
+    def counting(self, binding, texts):
+        calls.update((id(self), text) for text in texts)
+        return encode(self, binding, texts)
 
     monkeypatch.setattr(MiniTextEncoder, "encode", counting)
     models = {}
@@ -165,9 +191,12 @@ def test_plan_shares_one_frozen_text_store_per_seed(monkeypatch, tmp_path):
     assert per_encoder["budget_matched"] == Counter(s.text for s in train + val + test)
     assert not per_encoder["full_pet"]
 
+    # budget_matched stored the test reports in chunks when it predicted on
+    # them; encoding the same chunks again gives the same bits
     binding = full.graph.bind()
     stored = full._text_features(binding, test).data
-    live = np.concatenate([encode(full.text, binding, s.text).data for s in test])
+    live = np.concatenate([encode(full.text, binding, [s.text for s in chunk]).data
+                           for chunk in harness._chunks(test)])
     assert stored.tobytes() == live.tobytes()
 
 

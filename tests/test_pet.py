@@ -13,6 +13,8 @@ TEXT = "left base effusion noted with stable heart size"
 
 
 def tiny_model(policy="frozen", seed=0, **policy_kw):
+    if policy == "adapter":  # the default bottleneck is wider than this encoder
+        policy_kw.setdefault("adapter_cfg", AdapterConfig(bottleneck=4))
     graph = ModelGraph()
     tok = Tokenizer.build([TEXT])
     enc = MiniTextEncoder(graph, tok, spec=EncoderSpec(depth=1, width=8), seed=seed)
@@ -27,7 +29,7 @@ def forward(graph, enc, fp, text=TEXT, v=None):
     binding = graph.bind()
     if v is None:
         v = np.arange(10.0).reshape(1, 10) / 10
-    t = enc.encode(binding, text)
+    t = enc.encode(binding, [text])
     return fp.forward(binding, ad.Tensor(v), t), binding
 
 
@@ -63,11 +65,11 @@ def test_lora_delta_rank_bounded():
 def test_lora_factors_change_the_projection():
     """Once B is off zero, the encoder output moves by exactly the LoRA term."""
     graph, enc, fp = tiny_model("lora", lora_cfg=LoRAConfig(rank=2, alpha=4.0))
-    base = enc.encode(graph.bind(), TEXT).data
+    base = enc.encode(graph.bind(), [TEXT]).data
     for addr in graph.addresses("text_encoder"):
         if addr.endswith("/lora_b"):
             graph.params[addr].data[...] = 0.1
-    moved = enc.encode(graph.bind(), TEXT).data
+    moved = enc.encode(graph.bind(), [TEXT]).data
     assert not np.allclose(base, moved)
     # folding (alpha/r) A B into each W gives the same output with no factors
     folded, enc2, _ = tiny_model("frozen")
@@ -75,7 +77,7 @@ def test_lora_factors_change_the_projection():
         if f"{addr}/lora_a" in graph.params:
             folded.params[addr].data += graph.lora_scale * (
                 graph.params[f"{addr}/lora_a"].data @ graph.params[f"{addr}/lora_b"].data)
-    assert np.allclose(enc2.encode(folded.bind(), TEXT).data, moved, atol=1e-10)
+    assert np.allclose(enc2.encode(folded.bind(), [TEXT]).data, moved, atol=1e-10)
 
 
 def test_adapter_identity_at_init():
@@ -87,6 +89,26 @@ def test_adapter_identity_at_init():
 def test_adapter_config_validation():
     with pytest.raises(PolicyError):
         apply_policy(tiny_model()[0], "adapter", adapter_cfg=AdapterConfig(bottleneck=0))
+
+
+@pytest.mark.parametrize("policy, cfg, width_cfg", [
+    ("lora", {"lora_cfg": LoRAConfig(rank=9)}, {"lora_cfg": LoRAConfig(rank=8)}),
+    ("lora", {"lora_cfg": LoRAConfig(rank=10**400)}, {"lora_cfg": LoRAConfig(rank=8)}),
+    ("adapter", {"adapter_cfg": AdapterConfig(bottleneck=9)},
+     {"adapter_cfg": AdapterConfig(bottleneck=8)}),
+    ("adapter", {"adapter_cfg": AdapterConfig(bottleneck=100000)},
+     {"adapter_cfg": AdapterConfig(bottleneck=8)}),
+], ids=["rank_9", "rank_huge", "bottleneck_9", "bottleneck_100000"])
+def test_rank_and_bottleneck_wider_than_the_encoder_are_refused(policy, cfg, width_cfg):
+    """On an 8-wide encoder a LoRA rank or adapter bottleneck above 8 is a
+    PolicyError before anything is drawn or scaled; 8 itself is accepted."""
+    graph, _, _ = tiny_model()
+    names = set(graph.params)
+    with pytest.raises(PolicyError, match="exceeds"):
+        apply_policy(graph, policy, **cfg)
+    assert set(graph.params) == names and graph.lora_scale == 0.0
+    apply_policy(graph, policy, **width_cfg)
+    assert set(graph.params) > names
 
 
 def test_bitfit_only_biases_trainable_in_encoder():

@@ -57,25 +57,51 @@ def test_schedule_monotone_decay_after_warmup():
 
 
 def test_clip_scales_to_max_norm():
-    grads = {"p": np.array([3.0, 4.0])}  # norm 5
-    clipped, norm = clip_gradients(grads, max_norm=1.0)
+    flat = np.array([3.0, 4.0])  # norm 5
+    clipped, norm = clip_gradients(flat, max_norm=1.0)
     assert norm == pytest.approx(5.0)
-    assert np.allclose(clipped["p"], [0.6, 0.8])
+    assert clipped is flat and np.allclose(flat, [0.6, 0.8])
 
 
 def test_clip_noop_under_threshold():
     grads = {"p": np.array([0.3, 0.4])}
     clipped, norm = clip_gradients(grads, max_norm=1.0)
     assert norm == pytest.approx(0.5)
-    assert np.allclose(clipped["p"], [0.3, 0.4])
+    assert clipped["p"].tolist() == [0.3, 0.4]
 
 
 def test_clip_global_norm_across_params():
-    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-    clipped, norm = clip_gradients(grads, max_norm=2.5)
+    """The arena holds every parameter's gradient, so the norm and the
+    scaling are global: each view of it is scaled by the same factor."""
+    graph = ModelGraph()
+    graph.add_param("a", np.zeros(1), trainable=True)
+    graph.add_param("b", np.zeros(1), trainable=True)
+    opt = AdamW(graph.trainable())
+    opt.grads["a"][...] = 3.0
+    opt.grads["b"][...] = 4.0
+    _, norm = clip_gradients(opt.flat_grad, max_norm=2.5)
     assert norm == pytest.approx(5.0)
-    assert np.allclose(clipped["a"], [1.5])
-    assert np.allclose(clipped["b"], [2.0])
+    assert np.allclose(opt.grads["a"], [1.5])
+    assert np.allclose(opt.grads["b"], [2.0])
+
+
+def test_clip_norm_is_the_per_parameter_norm_within_rounding():
+    """One dot over the arena sums in another order than a pairwise sum per
+    parameter: the norms agree to a few ulps, and an unclipped arena keeps
+    its bits."""
+    rng = np.random.default_rng(3)
+    graph = ModelGraph()
+    for name, shape in (("w", (300, 200)), ("b", (7,)), ("s", ())):
+        graph.add_param(name, np.zeros(shape), trainable=True)
+    opt = AdamW(graph.trainable())
+    opt.flat_grad[...] = rng.normal(0, 1, opt.flat_grad.shape)
+    reference = math.sqrt(sum(float((g * g).sum()) for g in opt.grads.values()))
+    before = opt.flat_grad.copy()
+    _, norm = clip_gradients(opt.flat_grad, max_norm=2 * reference)
+    assert abs(norm - reference) <= 1e-12 * reference
+    assert opt.flat_grad.tobytes() == before.tobytes()
+    _, per_array = clip_gradients(opt.grads, max_norm=2 * reference)
+    assert abs(per_array - reference) <= 1e-12 * reference
 
 
 # ---------------------------------------------------------------- AdamW
@@ -213,7 +239,9 @@ def _dict_train_loop(model, train_samples, val_samples, cfg):
                     g = np.zeros_like(p.data) if g is None else g
                     accum[p.name] = accum.get(p.name, 0.0) + g
             lr_t = lr_schedule(step, total_steps, warmup_steps, cfg.lr)
-            norm = math.sqrt(sum(float((g * g).sum()) for g in accum.values()))
+            # the global norm is one dot over every gradient in parameter order
+            flat = np.concatenate([accum[p.name].ravel() for p in graph.trainable()])
+            norm = math.sqrt(float(flat @ flat))
             if norm > cfg.clip_norm:
                 clipped += 1
                 accum = {k: g * (cfg.clip_norm / norm) for k, g in accum.items()}
