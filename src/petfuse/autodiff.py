@@ -1,17 +1,19 @@
 """Minimal reverse-mode autodiff on numpy arrays.
 
-Covers exactly the ops the fusion pathway, the mini text encoder, and tuning
-injections need: matmul, broadcast add/mul, relu, row softmax, non-affine
-layer norm, dropout, row gathers and concatenation, reductions, and
-attention, over one sequence or over a batch of padded sequences with a key
-mask. Tensors are float64 throughout; the graph is a dynamic tape, backward
-visits each node once.
+Covers exactly the ops the fusion pathway, the mini text encoder, tuning
+injections and the training loss need: matmul and transpose, broadcast
+add (also as `+`) and mul, relu, row softmax, non-affine layer norm,
+dropout, row gathers and concatenation, sums, attention over one sequence
+or over a batch of padded sequences with a key mask, and binary
+cross-entropy on logits. Tensors are float64 throughout; the graph is a
+dynamic tape, backward visits each node once.
 
 Only what a gradient can flow through is recorded: a node that requires no
-gradient keeps neither its inputs nor its backward closure, so a frozen
-forward pass holds no tape and its intermediates are freed as soon as the
-next op has read them. Backward forms only the gradients that are needed:
-it visits only nodes that require a gradient, and matmul, mul, add and
+gradient keeps neither its inputs nor its backward closure, so a forward
+pass over constants (a frozen encoder, or any pass but a training one)
+holds no tape and its intermediates are freed as soon as the next op has
+read them. Backward forms only the gradients that are needed: it visits
+only nodes that require a gradient, and matmul, mul, add and
 masked_attention form each operand's product only when that operand
 requires one. A frozen weight, or a constant input such as precomputed
 features, costs no backward GEMM. An inner node's gradient is dropped once
@@ -92,15 +94,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def t(self):
         return transpose(self)
@@ -356,20 +349,6 @@ def dropout(x, p: float, training: bool, uniform=None) -> Tensor:
         _accum(x, g * mask)
 
     return Tensor(x.data * mask, _parents=(x,), _backward=bw)
-
-
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    y = np.empty_like(x.data)
-    pos = x.data >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    y[~pos] = ex / (1.0 + ex)
-
-    def bw(g):
-        _accum(x, g * y * (1.0 - y))
-
-    return Tensor(y, _parents=(x,), _backward=bw)
 
 
 def bce_with_logits(logits, targets) -> Tensor:

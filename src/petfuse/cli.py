@@ -367,7 +367,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (PetfuseError, OSError) as e:
+    except (PetfuseError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

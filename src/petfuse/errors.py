@@ -1,5 +1,9 @@
 """Exception hierarchy shared across the package."""
 
+from contextlib import contextmanager
+
+import numpy as np
+
 
 class PetfuseError(Exception):
     """Base class for all petfuse errors."""
@@ -11,6 +15,17 @@ class ShapeError(PetfuseError):
 
 class NumericError(PetfuseError):
     """Non-finite values where finite ones are required."""
+
+
+@contextmanager
+def numeric_guard(what: str):
+    """Run the block with float64 overflow and invalid operations raised, not
+    warned about; either one is a NumericError naming `what`."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as e:
+        raise NumericError(f"{what}: {e}") from e
 
 
 class ConfigError(PetfuseError):

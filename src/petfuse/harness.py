@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .config import build_section, check_type
 from .data import LABELS, SplitSpec, label_matrix, split_patients
 from .encoders import MiniTextEncoder, Tokenizer
-from .errors import InputError, NumericError, PetfuseError, SearchError
+from .errors import InputError, PetfuseError, SearchError, numeric_guard
 from .fusion import FusionConfig, FusionPathway
 from .metrics import (EvalReport, evaluate_predictions, macro_auroc,
                       write_per_label_csv, write_reports_csv)
@@ -141,7 +141,7 @@ class VisionOnlyModel:
         self.vision_norm.fit(vision_matrix(train_samples))
 
     def logits_batch(self, samples, training=False, epoch=0, seed=0):
-        binding = self.graph.bind()
+        binding = self.graph.bind(training)
         v = ad.Tensor(self.vision_norm.apply(vision_matrix(samples)))
         h = ad.relu(ad.matmul(v, binding["head/w1"]))
         return ad.matmul(h, binding["head/w2"]), binding
@@ -190,10 +190,7 @@ class MultimodalModel:
 
     def fit_normalizer(self, train_samples):
         self.vision_norm.fit(vision_matrix(train_samples))
-        binding = self.graph.bind()
-        # one chunk per call, so a trainable encoder's tape never spans the split
-        self.text_norm.fit(np.concatenate(
-            [self._text_features(binding, chunk).data for chunk in _chunks(train_samples)]))
+        self.text_norm.fit(self._text_features(self.graph.bind(), train_samples).data)
 
     def _text_features(self, binding, samples) -> ad.Tensor:
         """(B, 768) encoder output, ENCODE_CHUNK reports per encoder tape. A
@@ -221,7 +218,7 @@ class MultimodalModel:
         return ad.mul(ad.add(t, shift), scale)
 
     def logits_batch(self, samples, training=False, epoch=0, seed=0):
-        binding = self.graph.bind()
+        binding = self.graph.bind(training)
         v = ad.Tensor(self.vision_norm.apply(vision_matrix(samples)))
         t = self._standardize_text(self._text_features(binding, samples))
         uniform = None
@@ -335,11 +332,8 @@ def sigmoid(logits: np.ndarray) -> np.ndarray:
 
 def predict_logits(model, samples) -> np.ndarray:
     """`model.predict(samples)`; NumericError on a float64 overflow or invalid op."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return model.predict(samples)
-    except FloatingPointError as e:
-        raise NumericError(f"model forward pass: {e}") from e
+    with numeric_guard("model forward pass"):
+        return model.predict(samples)
 
 
 def evaluate_model(model, method: str, seed: int, samples) -> EvalReport:

@@ -3,7 +3,7 @@
 Every weight lives at a slash-separated address ("fusion/attention/wq").
 Tuning policies (pet.py) pick their targets by address and attach new
 parameters under the addresses they extend. Binding a graph produces fresh
-Tensors for one forward pass.
+Tensors for one forward pass; only a training pass records a tape.
 """
 
 from __future__ import annotations
@@ -42,9 +42,11 @@ class ModelGraph:
     def addresses(self, prefix: str = "") -> list[str]:
         return [a for a in self.params if a.startswith(prefix)]
 
-    def bind(self) -> dict[str, ad.Tensor]:
-        """Fresh Tensor per parameter; grads land on these after backward."""
-        return {name: ad.Tensor(p.data, requires_grad=p.trainable)
+    def bind(self, training: bool = False) -> dict[str, ad.Tensor]:
+        """Fresh Tensor per parameter. For a training pass the trainable ones
+        require a gradient, which lands on them after backward; any other
+        pass binds constants, so it records no tape."""
+        return {name: ad.Tensor(p.data, requires_grad=training and p.trainable)
                 for name, p in self.params.items()}
 
     def load_state(self, state: dict[str, np.ndarray]):

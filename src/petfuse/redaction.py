@@ -164,7 +164,7 @@ def _fit_linear_probe(x_train, y_train, seed, steps=300, lr=0.05):
         opt.grads["probe/w"][...] = wt.grad
         opt.grads["probe/b"][...] = bt.grad
         clip_gradients(opt.flat_grad, 5.0)
-        opt.step(opt.grads, lr_schedule(step, steps, warmup, lr))
+        opt.step(lr_schedule(step, steps, warmup, lr))
     return w.data, b.data
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, numeric_guard
 from .model import ModelGraph
 
 CHECKPOINT_MAGIC = b"PFCKPT01"
@@ -82,8 +82,8 @@ class AdamW:
 
     The parameters live in one flat float64 arena, `flat`: construction
     copies each parameter in and rebinds its `Param.data` to a shaped view of
-    it. `grads` is a name -> view dict over `flat_grad`, so a caller can
-    accumulate gradients straight into it.
+    it. The gradient lives only in `flat_grad`: a caller writes or
+    accumulates into it, or into `grads`, a name -> view dict over it.
     `step` updates the arena in place, block by block, with the elementwise
     operations of the textbook update in their order, so results are
     bit-identical to it.
@@ -110,16 +110,10 @@ class AdamW:
         return {p.name: flat[a:b].reshape(p.data.shape)
                 for p, a, b in zip(self.params, self._bounds, self._bounds[1:])}
 
-    def step(self, grads: dict[str, np.ndarray], lr_t: float):
-        """One update; a parameter missing from `grads` gets a zero gradient."""
+    def step(self, lr_t: float):
+        """One update from the gradient held in `flat_grad`."""
         self.step_count += 1
         t = self.step_count
-        for name, own in self.grads.items():
-            g = grads.get(name)
-            if g is None:
-                own.fill(0.0)
-            elif g is not own:
-                own[...] = g
         decay = lr_t * self.weight_decay
         bc1, bc2 = 1 - ADAM_BETA1 ** t, 1 - ADAM_BETA2 ** t
         for a in range(0, self.flat.size, ADAM_BLOCK):
@@ -236,12 +230,17 @@ class TrainResult:
                             f"{secs:.3f}"])
 
 
+@numeric_guard("training")
 def train_loop(model, train_samples, val_samples, cfg: TrainConfig) -> TrainResult:
     """Run up to max_epochs with accumulation, clipping, and early stopping.
 
     `model` exposes .graph, .fit_normalizer(samples) (called once, on the
     training split), .loss_batch(samples, training, epoch, seed) returning
-    (loss Tensor, binding), and .validation_auroc(samples).
+    (loss Tensor, binding), and .validation_auroc(samples). Only
+    `loss_batch(training=True)` records a tape: each micro-batch's gradients
+    are added from its binding into the optimizer's flat gradient, which is
+    clipped and stepped once per accumulation group. A float64 overflow or
+    invalid operation anywhere in the run is a NumericError.
     """
     cfg.validate()
     if not train_samples or not val_samples:
@@ -283,7 +282,7 @@ def train_loop(model, train_samples, val_samples, cfg: TrainConfig) -> TrainResu
                         g += micro_g
             lr_t = lr_schedule(step, total_steps, warmup_steps, cfg.lr)
             clip_gradients(opt.flat_grad, cfg.clip_norm)
-            opt.step(opt.grads, lr_t)
+            opt.step(lr_t)
             step += 1
 
         val_auroc = float(model.validation_auroc(val_samples))

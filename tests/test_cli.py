@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from petfuse import harness
 from petfuse.cli import main
 from petfuse.data import LABELS, SplitSpec, load_manifest, split_patients
+from petfuse.fusion import FusionPathway
 from petfuse.training import load_checkpoint
 
 
@@ -475,6 +476,12 @@ def _trailing_bytes(tmp_path, data, run_dir):
                           "adapter": {"bottleneck": 100000}}),
                  id="adapter_bottleneck_beyond_width"),
     _config_int_too_long_to_parse,
+    # a float64 overflow in training stops the run, or the arm, without a warning
+    pytest.param(_config({"arm": "full_pet", "train": {"lr": 1e200, "max_epochs": 2}}),
+                 id="train_lr_overflows"),
+    pytest.param(_plan({"arms": [{"kind": "full_pet"}],
+                        "train": {"lr": 1e200, "max_epochs": 2}}),
+                 id="attribute_lr_overflows"),
     # an arm kind rejects overrides it would ignore
     pytest.param(_plan({"arms": [{"kind": "vision_only", "policy": "lora"}]}),
                  id="vision_only_policy"),
@@ -568,6 +575,25 @@ def test_malformed_input_is_one_line_runtime_error(make_argv, trained, capsys,
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_out_of_memory_is_one_line_runtime_error(trained, capsys, tmp_path, monkeypatch):
+    """A model too large to allocate, such as a fusion section whose
+    (768, 100000) text projection exceeds the address space, ends in one
+    error line."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 586. MiB for an array with shape "
+                          "(768, 100000) and data type float64")
+
+    monkeypatch.setattr(FusionPathway, "__init__", no_memory)
+    _, data, _, _ = trained
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"arm": "full_pet", "fusion": {"shared_dim": 100000}}))
+    code, _, err = run(capsys, "train", "--config", str(cfg), "--data", str(data),
+                       "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert err == "error: Unable to allocate 586. MiB for an array with shape " \
+                  "(768, 100000) and data type float64\n"
 
 
 def test_a_float_field_still_takes_an_int_within_range(capsys, tmp_path):

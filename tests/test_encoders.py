@@ -102,10 +102,10 @@ def test_batched_encode_matches_one_report_at_a_time(policy):
         p.data[...] = rng.normal(0, 0.1, p.data.shape)
     weights = rng.normal(0, 1, (len(texts), 768))
 
-    batched = graph.bind()
+    batched = graph.bind(training=True)
     out = enc.encode(batched, texts)
     ad.tsum(ad.mul(out, weights)).backward()
-    alone = graph.bind()
+    alone = graph.bind(training=True)
     ref = ad.concat_rows([_encode_one_by_one(enc, alone, t) for t in texts])
     ad.tsum(ad.mul(ref, weights)).backward()
 

@@ -96,7 +96,7 @@ def test_fusion_gradients_match_finite_differences(token_level):
     y = (rng.random((1, 3)) < 0.5).astype(float)
 
     def fn():
-        binding = fp.graph.bind()
+        binding = fp.graph.bind(training=True)
         binding_holder["b"] = binding
         if token_level:
             logits = fp.forward_tokens(binding, ad.Tensor(v), ad.Tensor(t))

@@ -7,11 +7,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from petfuse import autodiff as ad
 from petfuse import harness
 from petfuse.data import SplitSpec, generate_synthetic, split_patients
 from petfuse.encoders import MiniTextEncoder, Tokenizer
 from petfuse.errors import ConfigError, InputError, SearchError
-from petfuse.fusion import FusionConfig
+from petfuse.fusion import FusionConfig, FusionPathway
 from petfuse.harness import (VISION_ONLY_PARAMS, ArmSpec, ExperimentPlan,
                              MultimodalModel, VisionOnlyModel, build_arm,
                              compute_deltas, efficiency_table,
@@ -144,6 +145,47 @@ def test_reports_are_encoded_at_most_one_chunk_per_tape(monkeypatch, policy):
     features = model._text_features(model.graph.bind(), samples)
     assert features.data.shape == (40, 768)
     assert sizes == ([16, 4] if policy == "frozen" else [16, 16, 8])
+
+
+@pytest.mark.parametrize("policy", ["frozen", "lora", "bitfit", "adapter"])
+def test_only_a_training_pass_records_a_tape(monkeypatch, policy):
+    """fit_normalizer, predict and validation_auroc bind constants: no input
+    to the encoder's attention requires a gradient and no logits do. A
+    training loss_batch binds every trainable parameter with requires_grad,
+    and backward reaches each one the forward pass reads."""
+    taped = []
+    attention, forward = ad.masked_attention, FusionPathway.forward
+
+    def recording_attention(q, k, v, key_mask, scale):
+        taped.append(any(t.requires_grad for t in (q, k, v)))
+        return attention(q, k, v, key_mask, scale)
+
+    def recording_forward(self, *args, **kwargs):
+        logits = forward(self, *args, **kwargs)
+        taped.append(logits.requires_grad)
+        return logits
+
+    monkeypatch.setattr(ad, "masked_attention", recording_attention)
+    monkeypatch.setattr(FusionPathway, "forward", recording_forward)
+    samples = generate_synthetic(n_patients=40, seed=29)
+    model = MultimodalModel(FusionConfig(shared_dim=16, head_hidden=8, dropout_p=0.0),
+                            Tokenizer.build([s.text for s in samples]), policy=policy)
+    model.fit_normalizer(samples)
+    model.predict(samples)
+    model.validation_auroc(samples)
+    assert taped and not any(taped)
+
+    taped.clear()
+    loss, binding = model.loss_batch(samples[:8], training=True, epoch=1, seed=0)
+    loss.backward()
+    trainable = {p.name for p in model.graph.trainable()}
+    assert all(binding[name].requires_grad == (name in trainable) for name in binding)
+    # with one text row per sample the attention weight is 1: wq and wk are not read
+    assert {name for name in trainable if binding[name].grad is not None} == \
+        trainable - {"fusion/attention/wq", "fusion/attention/wk"}
+    assert taped[-1]  # the logits
+    # a frozen encoder's features come from its store; a trainable one records
+    assert any(taped[:-1]) == (policy != "frozen")
 
 
 def test_plan_shares_one_frozen_text_store_per_seed(monkeypatch, tmp_path):

@@ -26,7 +26,7 @@ def tiny_model(policy="frozen", seed=0, **policy_kw):
 
 
 def forward(graph, enc, fp, text=TEXT, v=None):
-    binding = graph.bind()
+    binding = graph.bind(training=True)
     if v is None:
         v = np.arange(10.0).reshape(1, 10) / 10
     t = enc.encode(binding, [text])
