@@ -18,6 +18,14 @@ masked_attention form each operand's product only when that operand
 requires one. A frozen weight, or a constant input such as precomputed
 features, costs no backward GEMM. An inner node's gradient is dropped once
 backward has passed it on; leaves keep theirs.
+
+A leaf may carry a GradSink, a preallocated array such as its view of an
+optimizer's flat gradient. The first gradient to reach an unwritten sink is
+formed in it (a matmul writes there with `out=`) and later ones in the same
+backward are added to it in place; a leaf whose sink was already written
+sums its gradient over the backward first and adds the sum at its end. A
+sink thus accumulates over several backward passes in the order that
+adding each pass's gradient into a zeroed array would, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,16 +49,29 @@ def make_rng(seed: int, *stream) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
+class GradSink:
+    """Where a leaf's gradient lands: `out`, and whether a backward has
+    written it since the owner last cleared `written`."""
+
+    __slots__ = ("out", "written")
+
+    def __init__(self, out: np.ndarray):
+        self.out = out
+        self.written = False
+
+
 class Tensor:
     """Immutable value node in the computation tape; a node that requires no
     gradient is a constant and records no tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "sink", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False, _parents=(), _backward=None,
+                 sink: GradSink | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self.grad = None
+        self.sink = sink if self.requires_grad else None
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
 
@@ -89,6 +110,10 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 node.grad = None  # passed on to the parents; only leaves keep theirs
+        for node in topo:  # a sink written before this pass takes its sum now
+            if node.sink is not None and node.grad is not None \
+                    and node.grad is not node.sink.out:
+                np.add(node.sink.out, node.grad, out=node.sink.out)
 
     # -- operator sugar ---------------------------------------------------
 
@@ -103,10 +128,39 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _fresh_sink(t: Tensor) -> np.ndarray | None:
+    """t's sink array, now also t.grad, when the gradient about to reach t is
+    the first to reach its unwritten sink; None otherwise."""
+    s = t.sink
+    if s is None or s.written or t.grad is not None:
+        return None
+    s.written = True
+    t.grad = s.out
+    return s.out
+
+
 def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
-    t.grad = g if t.grad is None else t.grad + g
+    if t.grad is None:
+        out = _fresh_sink(t)
+        if out is None:
+            t.grad = g
+        else:
+            np.copyto(out, g)
+    elif t.sink is not None and t.grad is t.sink.out:
+        np.add(t.grad, g, out=t.grad)
+    else:
+        t.grad = t.grad + g
+
+
+def _accum_matmul(t: Tensor, x: np.ndarray, y: np.ndarray):
+    """_accum(t, x @ y), with the product formed in t's sink on its first write."""
+    out = _fresh_sink(t)
+    if out is None:
+        _accum(t, x @ y)
+    else:
+        np.matmul(x, y, out=out)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -171,7 +225,7 @@ def matmul(a, b) -> Tensor:
         if a.requires_grad:
             _accum(a, g @ b.data.T)
         if b.requires_grad:
-            _accum(b, a.data.T @ g)
+            _accum_matmul(b, a.data.T, g)
 
     return Tensor(a.data @ b.data, _parents=(a, b), _backward=bw)
 

@@ -47,6 +47,23 @@ class Sample:
         return rec
 
 
+def _round6(x: np.ndarray) -> np.ndarray:
+    """round(float(v), 6) of every element of x, in one vectorized pass.
+
+    k = rint(x*1e6) is the correctly rounded integer unless x*1e6 lies
+    within its own rounding error of a half; those elements, and exact ties
+    (which round() breaks on the decimal value), go through round(). Then
+    k/1e6 is the double nearest to k/10**6, which is what round() returns.
+    """
+    scaled = x * 1e6
+    k = np.rint(scaled)
+    out = k / 1e6
+    near_half = np.abs(np.abs(scaled - k) - 0.5) <= np.maximum(1e-6, np.spacing(scaled))
+    for i in np.flatnonzero(near_half):
+        out[i] = round(float(x[i]), 6)
+    return out
+
+
 def _read_only(values) -> np.ndarray:
     """`values` as a float64 array that cannot be written to."""
     arr = np.asarray(values, dtype=np.float64)
@@ -208,7 +225,7 @@ def generate_synthetic(n_patients: int, prevalence_profile=None, signal_plan=Non
                 patient_id=f"p{pi:05d}",
                 text=" ".join(sentences),
                 labels=[int(x) for x in labels],
-                vision_features=_read_only([round(float(x), 6) for x in features]),
+                vision_features=_read_only(_round6(features)),
             ))
     return samples
 

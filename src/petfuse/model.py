@@ -21,6 +21,8 @@ class Param:
     name: str
     data: np.ndarray
     trainable: bool = False
+    # where a training pass's gradient lands; set by the optimizer over it
+    sink: ad.GradSink | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -44,9 +46,11 @@ class ModelGraph:
 
     def bind(self, training: bool = False) -> dict[str, ad.Tensor]:
         """Fresh Tensor per parameter. For a training pass the trainable ones
-        require a gradient, which lands on them after backward; any other
-        pass binds constants, so it records no tape."""
-        return {name: ad.Tensor(p.data, requires_grad=training and p.trainable)
+        require a gradient, which backward leaves on them and in their sink,
+        if an optimizer gave them one; any other pass binds constants, so it
+        records no tape."""
+        return {name: ad.Tensor(p.data, requires_grad=training and p.trainable,
+                                sink=p.sink)
                 for name, p in self.params.items()}
 
     def load_state(self, state: dict[str, np.ndarray]):

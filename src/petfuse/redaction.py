@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .data import DISTRACTOR_TERMS, LABELS, _TERMS
 from .errors import InputError
 from .metrics import macro_auroc
-from .model import Param
+from .model import ModelGraph
 from .training import AdamW, clip_gradients, lr_schedule
 
 MASKS = ("FINDING", "NUM", "LOC")
@@ -150,19 +150,17 @@ def _fit_linear_probe(x_train, y_train, seed, steps=300, lr=0.05):
     """Multi-label logistic regression trained with the package optimizer."""
     rng = ad.make_rng(seed, "audit", "probe")
     n_feat, n_lab = x_train.shape[1], y_train.shape[1]
-    w = Param("probe/w", rng.normal(0, 0.01, (n_feat, n_lab)), trainable=True)
-    b = Param("probe/b", np.zeros((1, n_lab)), trainable=True)
-    opt = AdamW([w, b], weight_decay=1e-4)
+    graph = ModelGraph()
+    w = graph.add_param("probe/w", rng.normal(0, 0.01, (n_feat, n_lab)), trainable=True)
+    b = graph.add_param("probe/b", np.zeros((1, n_lab)), trainable=True)
+    opt = AdamW(graph.trainable(), weight_decay=1e-4)
     xt = ad.Tensor(x_train)
     warmup = max(1, steps // 10)
     for step in range(steps):
-        wt = ad.Tensor(w.data, requires_grad=True)
-        bt = ad.Tensor(b.data, requires_grad=True)
-        logits = ad.matmul(xt, wt) + bt
-        loss = ad.bce_with_logits(logits, y_train)
-        loss.backward()
-        opt.grads["probe/w"][...] = wt.grad
-        opt.grads["probe/b"][...] = bt.grad
+        binding = graph.bind(training=True)
+        logits = ad.matmul(xt, binding["probe/w"]) + binding["probe/b"]
+        ad.bce_with_logits(logits, y_train).backward()
+        opt.settle_grads()
         clip_gradients(opt.flat_grad, 5.0)
         opt.step(lr_schedule(step, steps, warmup, lr))
     return w.data, b.data

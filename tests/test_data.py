@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from petfuse.cli import main
 from petfuse.data import (DEFAULT_PREVALENCE, LABELS, Sample, SplitSpec,
-                          generate_synthetic, label_matrix, load_manifest,
+                          _round6, generate_synthetic, label_matrix, load_manifest,
                           save_manifest, split_patients)
 from petfuse.errors import ConfigError, ParseError
 
@@ -378,3 +378,15 @@ def test_label_matrix_shape_and_dtype():
     assert mat.shape == (len(samples), len(LABELS))
     assert mat.dtype == np.int64
     assert set(np.unique(mat)) <= {0, 1}
+
+
+def test_round6_equals_round_on_every_element():
+    """The vectorized rounding of synthetic features equals round(x, 6) bit
+    for bit, on exact decimal ties and their neighbours too."""
+    rng = np.random.default_rng(5)
+    ties = (rng.integers(-30_000_000, 30_000_000, 20_000) + 0.5) / 1e6
+    x = np.concatenate([rng.normal(0, 3, 50_000), ties, np.nextafter(ties, np.inf),
+                        np.nextafter(ties, -np.inf),
+                        [0.0, -0.0, -1e-9, 5e-7, -5e-7, 2.5e-6, 1e20, -3e15]])
+    expected = np.array([round(float(v), 6) for v in x])
+    assert _round6(x).tobytes() == expected.tobytes()

@@ -12,7 +12,7 @@ from petfuse.data import SplitSpec, generate_synthetic, split_patients
 from petfuse.encoders import Tokenizer
 from petfuse.errors import ConfigError, InputError
 from petfuse.fusion import FusionConfig
-from petfuse.harness import MultimodalModel
+from petfuse.harness import ENCODE_CHUNK, MultimodalModel
 from petfuse.model import ModelGraph
 from petfuse.training import (ADAM_BLOCK, AdamW, TrainConfig, clip_gradients,
                               load_checkpoint, lr_schedule, save_checkpoint,
@@ -122,6 +122,22 @@ def _reference_adamw(theta, grads, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
     return th
 
 
+def _folded_adamw(theta, grads, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Independent hand iteration of the folded recurrence: moments scaled by
+    1/(1-beta), bias corrections folded into the step size and eps."""
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    th = theta.copy()
+    for t, g in enumerate(grads, start=1):
+        c = math.sqrt((1 - beta2 ** t) / (1 - beta2))
+        alpha = lr * (1 - beta1) / (1 - beta1 ** t) * c
+        th = th * (1 - lr * wd)
+        m = beta1 * m + g
+        v = beta2 * v + g * g
+        th = th - alpha * m / (np.sqrt(v) + eps * c)
+    return th
+
+
 def test_adamw_matches_hand_iteration():
     theta0 = np.array([1.0, -2.0, 0.5])
     gs = [np.array([0.1, -0.2, 0.3]),
@@ -151,8 +167,9 @@ def _arena_graph():
 @pytest.mark.parametrize("block", [ADAM_BLOCK, 5])
 def test_adamw_arena_equals_reference_exactly(block, monkeypatch):
     """20 steps over several parameters, one of which ("u") gets no gradient
-    on every third step, equal the hand iteration bit for bit; a block of 5
-    elements cuts through every parameter boundary."""
+    on every third step, equal the hand iteration of the folded recurrence
+    bit for bit and the textbook one within 1e-12; a block of 5 elements
+    cuts through every parameter boundary."""
     monkeypatch.setattr(training, "ADAM_BLOCK", block)
     graph = _arena_graph()
     theta0 = {p.name: p.data.copy() for p in graph.trainable()}
@@ -167,9 +184,10 @@ def test_adamw_arena_equals_reference_exactly(block, monkeypatch):
         opt.step(lr_t=1e-2)
     for n, t in theta0.items():
         gs = [grads.get(n, np.zeros_like(t)) for grads in steps]
-        expected = _reference_adamw(t, gs, lr=1e-2, wd=1e-2)
-        assert graph.params[n].data.shape == t.shape
-        assert np.array_equal(graph.params[n].data, expected), n
+        got = graph.params[n].data
+        assert got.shape == t.shape
+        assert np.array_equal(got, _folded_adamw(t, gs, lr=1e-2, wd=1e-2)), n
+        assert np.max(np.abs(got - _reference_adamw(t, gs, lr=1e-2, wd=1e-2))) <= 1e-12, n
 
 
 def test_adamw_params_are_views_of_the_arena():
@@ -194,7 +212,7 @@ def test_adamw_params_are_views_of_the_arena():
 
 class _DictAdamW:
     """The optimizer before the arena: one dict entry per parameter and
-    fresh arrays on every step."""
+    fresh arrays on every step, with the folded update of `_folded_adamw`."""
 
     def __init__(self, params, weight_decay):
         self.params, self.weight_decay, self.t = list(params), weight_decay, 0
@@ -203,14 +221,14 @@ class _DictAdamW:
 
     def step(self, grads, lr_t):
         self.t += 1
+        c = math.sqrt((1 - 0.999 ** self.t) / (1 - 0.999))
+        alpha = lr_t * (1 - 0.9) / (1 - 0.9 ** self.t) * c
         for p in self.params:
             g = grads[p.name]
-            p.data = p.data - lr_t * self.weight_decay * p.data
-            m = self.m[p.name] = 0.9 * self.m[p.name] + (1 - 0.9) * g
-            v = self.v[p.name] = 0.999 * self.v[p.name] + (1 - 0.999) * g * g
-            m_hat = m / (1 - 0.9 ** self.t)
-            v_hat = v / (1 - 0.999 ** self.t)
-            p.data = p.data - lr_t * m_hat / (np.sqrt(v_hat) + 1e-8)
+            p.data = p.data * (1 - lr_t * self.weight_decay)
+            m = self.m[p.name] = 0.9 * self.m[p.name] + g
+            v = self.v[p.name] = 0.999 * self.v[p.name] + g * g
+            p.data = p.data - alpha * m / (np.sqrt(v) + 1e-8 * c)
 
 
 def _dict_train_loop(model, train_samples, val_samples, cfg):
@@ -458,6 +476,95 @@ def test_frozen_params_bit_identical_through_training():
     for name, digest in frozen_before.items():
         after = hashlib.sha256(model.graph.params[name].data.tobytes())
         assert after.hexdigest() == digest, name
+
+
+# ------------------------------------------------------ arena gradient path
+
+
+def _policy_model(policy, samples):
+    tok = Tokenizer.build([s.text for s in samples])
+    return MultimodalModel(FusionConfig(shared_dim=16, head_hidden=8, dropout_p=0.1),
+                           tok, policy=policy, seed=4)
+
+
+@pytest.mark.parametrize("accumulation", [1, 2, 3])
+@pytest.mark.parametrize("policy", ["frozen", "lora", "bitfit", "adapter"])
+def test_arena_gradients_equal_the_per_leaf_gradients(policy, accumulation):
+    """Three accumulation groups of micro-batches of 20 (more than one
+    encoder chunk, so a LoRA or adapter leaf gets two gradients in one
+    backward): the settled arena holds, bit for bit, the per-leaf gradients
+    added into zeroed arrays micro-batch by micro-batch."""
+    assert 20 > ENCODE_CHUNK
+    samples = generate_synthetic(n_patients=40, seed=31)
+    got, ref = _policy_model(policy, samples), _policy_model(policy, samples)
+    got.fit_normalizer(samples)
+    ref.fit_normalizer(samples)
+    opt = AdamW(got.graph.trainable(), weight_decay=1e-2)
+    for group in range(3):
+        expected = {p.name: np.zeros_like(p.data) for p in ref.graph.trainable()}
+        for mb in range(accumulation):
+            batch = samples[(group + mb) % 2::2][:20]
+            loss, _ = got.loss_batch(batch, training=True, epoch=group, seed=mb)
+            ad.mul(loss, 1.0 / accumulation).backward()
+            loss, binding = ref.loss_batch(batch, training=True, epoch=group, seed=mb)
+            ad.mul(loss, 1.0 / accumulation).backward()
+            for name, g in expected.items():
+                if binding[name].grad is not None:
+                    g += binding[name].grad
+        opt.settle_grads()
+        for name, g in expected.items():
+            assert opt.grads[name].tobytes() == g.tobytes(), (group, name)
+        # move off the initial point (LoRA's B starts at zero), in step
+        opt.step(lr_t=1e-2)
+        ref.graph.load_state({p.name: p.data for p in got.graph.trainable()})
+
+
+class _ExtraEveryOtherCall:
+    """A model whose loss reads the extra parameter "extra/w" on odd calls
+    of loss_batch only."""
+
+    def __init__(self, model):
+        self.inner, self.graph, self.calls = model, model.graph, 0
+        self.graph.add_param("extra/w", np.ones(3), trainable=True)
+
+    def fit_normalizer(self, samples):
+        self.inner.fit_normalizer(samples)
+
+    def validation_auroc(self, samples):
+        return self.inner.validation_auroc(samples)
+
+    def loss_batch(self, samples, training, epoch, seed):
+        loss, binding = self.inner.loss_batch(samples, training, epoch, seed)
+        self.calls += 1
+        if self.calls % 2:
+            w = binding["extra/w"]
+            loss = loss + ad.tsum(ad.mul(w, w))
+        return loss, binding
+
+
+@pytest.mark.parametrize("policy", ["frozen", "lora", "bitfit", "adapter"])
+def test_a_view_no_gradient_reached_reads_zero_when_clipped(policy, monkeypatch):
+    """A parameter that got a gradient at step k and none at step k+1 reads
+    exactly 0 in flat_grad when step k+1 clips."""
+    seen = []
+    clip = training.clip_gradients
+
+    def recording_clip(grads, max_norm=1.0):
+        seen.append(grads[-3:].copy())  # "extra/w" is the last parameter
+        return clip(grads, max_norm)
+
+    monkeypatch.setattr(training, "clip_gradients", recording_clip)
+    samples = generate_synthetic(n_patients=24, seed=33)
+    train, val, _ = split_patients(samples, SplitSpec())
+    model = _ExtraEveryOtherCall(_policy_model(policy, train))
+    cfg = TrainConfig(batch=8, accumulation=1, max_epochs=2, patience=2, lr=1e-3)
+    train_loop(model, train, val, cfg)
+    assert len(seen) == model.calls >= 4
+    for step, g in enumerate(seen):
+        if step % 2:
+            assert g.tobytes() == np.zeros(3).tobytes(), step
+        else:
+            assert (g != 0).all(), step
 
 
 # ---------------------------------------------------------------- checkpoint
