@@ -1,12 +1,11 @@
 """Minimal reverse-mode autodiff on numpy arrays.
 
 Covers exactly the ops the fusion pathway, the mini text encoder, tuning
-injections and the training loss need: matmul and transpose, broadcast
-add (also as `+`) and mul, relu, row softmax, non-affine layer norm,
-dropout, row gathers and concatenation, sums, attention over one sequence
-or over a batch of padded sequences with a key mask, and binary
-cross-entropy on logits. Tensors are float64 throughout; the graph is a
-dynamic tape, backward visits each node once.
+injections and the training loss need: matmul, broadcast add (also as
+`+`) and mul, relu, non-affine layer norm, dropout, row gathers and
+concatenation, sums, attention over a batch of padded sequences with a key
+mask, and binary cross-entropy on logits. Tensors are float64 throughout;
+the graph is a dynamic tape, backward visits each node once.
 
 Only what a gradient can flow through is recorded: a node that requires no
 gradient keeps neither its inputs nor its backward closure, so a forward
@@ -120,9 +119,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def t(self):
-        return transpose(self)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -230,17 +226,6 @@ def matmul(a, b) -> Tensor:
     return Tensor(a.data @ b.data, _parents=(a, b), _backward=bw)
 
 
-def transpose(x) -> Tensor:
-    x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError("transpose expects a 2-D tensor")
-
-    def bw(g):
-        _accum(x, g.T)
-
-    return Tensor(x.data.T, _parents=(x,), _backward=bw)
-
-
 # -- reductions -------------------------------------------------------------
 
 
@@ -289,18 +274,6 @@ def concat_rows(parts) -> Tensor:
 # -- normalization / attention ----------------------------------------------
 
 
-def softmax_rows(x) -> Tensor:
-    x = as_tensor(x)
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def bw(g):
-        _accum(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
-
-    return Tensor(y, _parents=(x,), _backward=bw)
-
-
 def layer_norm(x, eps: float = 1e-5) -> Tensor:
     """Per-row zero mean / unit variance, no learned scale or shift."""
     x = as_tensor(x)
@@ -317,20 +290,6 @@ def layer_norm(x, eps: float = 1e-5) -> Tensor:
         _accum(x, inv * (g - gm - y * gy))
 
     return Tensor(y, _parents=(x,), _backward=bw)
-
-
-def softmax_attention(q, k, v, scale: float) -> Tensor:
-    """softmax(q k^T * scale) v; rows of the attention matrix sum to 1."""
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    for t in (q, k, v):
-        if not np.isfinite(t.data).all():
-            raise NumericError("non-finite attention input")
-    if q.data.shape[-1] != k.data.shape[-1]:
-        raise ShapeError(f"q/k feature dims disagree: {q.data.shape} vs {k.data.shape}")
-    if k.data.shape[0] != v.data.shape[0]:
-        raise ShapeError(f"k/v sequence lengths disagree: {k.data.shape} vs {v.data.shape}")
-    scores = mul(matmul(q, transpose(k)), scale)
-    return matmul(softmax_rows(scores), v)
 
 
 def masked_attention(q, k, v, key_mask, scale: float) -> Tensor:

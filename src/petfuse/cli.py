@@ -2,7 +2,9 @@
 
 Subcommands: gen-data, redact, audit-leakage, train, eval, calibrate,
 count-params, attribute, report. Exit codes: 0 success, 1 usage error,
-2 runtime failure. All randomness is controlled by --seed.
+2 runtime failure. All randomness is controlled by a seed: --seed for
+gen-data and audit-leakage, train.seed in a train config, and each arm's
+seeds in an attribution plan.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -19,9 +21,9 @@ from . import data as data_mod
 from . import harness, metrics, redaction
 from .config import build_section, check_type, echo_config, load_config
 from .data import SplitSpec, label_matrix
-from .encoders import Tokenizer
+from .encoders import SPECIALS, Tokenizer
 from .errors import ConfigError, InputError, PetfuseError
-from .fusion import FusionConfig, build_fusion
+from .fusion import FusionConfig
 from .pet import AdapterConfig, LoRAConfig, count_params
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train_loop
 
@@ -71,7 +73,6 @@ def _parser() -> _Parser:
     t = sub.add_parser("train", help="train one arm on a manifest")
     t.add_argument("--config")
     t.add_argument("--data", required=True)
-    t.add_argument("--seed", type=int)
     t.add_argument("--out", required=True)
 
     # eval and calibrate both restore a checkpoint and score a manifest's splits
@@ -170,6 +171,14 @@ _SECTIONS = {"fusion": (FusionConfig, lambda cfg: cfg["arm"] == "full_pet"),
              "adapter": (AdapterConfig, lambda cfg: cfg["policy"] == "adapter")}
 
 
+def _refuse_ignored_sections(cfg):
+    """ConfigError when a config sets a section its arm and policy ignore."""
+    for name, (cls, reads) in _SECTIONS.items():
+        if not reads(cfg) and cfg[name] != cls():
+            raise ConfigError(f"arm {cfg['arm']!r} with policy {cfg['policy']!r} "
+                              f"would ignore config section {name!r}")
+
+
 def _load_arm_model(cfg, tokenizer, seed):
     arm = harness.build_arm(cfg["arm"], {"policy": cfg["policy"],
                                          "seeds": [seed]})
@@ -181,12 +190,7 @@ def _load_arm_model(cfg, tokenizer, seed):
 
 def _cmd_train(args):
     cfg = load_config(args.config)
-    for name, (cls, reads) in _SECTIONS.items():
-        if not reads(cfg) and cfg[name] != cls():
-            raise ConfigError(f"arm {cfg['arm']!r} with policy {cfg['policy']!r} "
-                              f"would ignore config section {name!r}")
-    if args.seed is not None:
-        cfg["train"] = replace(cfg["train"], seed=args.seed)
+    _refuse_ignored_sections(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     echo_config(cfg, out)
@@ -291,9 +295,13 @@ def _cmd_calibrate(args):
 
 
 def _cmd_count_params(args):
+    """The counts of the model `train` builds for the config. No policy trains
+    the token embedding, so the special tokens alone stand for the vocabulary."""
     cfg = load_config(args.config)
-    pathway = build_fusion(cfg["fusion"])
-    report = count_params(pathway.graph)
+    _refuse_ignored_sections(cfg)
+    _, model = _load_arm_model(cfg, Tokenizer.from_tokens(list(SPECIALS)),
+                               cfg["train"].seed)
+    report = count_params(model.graph)
     declared = cfg["total_params_declared"] or 94_300_000
     if args.json:
         print(report.to_json(declared))
@@ -302,10 +310,9 @@ def _cmd_count_params(args):
                  "fusion/attention": "Cross-modal Attention",
                  "fusion/text_proj": "Text Projection Layer",
                  "fusion/head": "Classification Head"}
-        for key in ("fusion/vision_proj", "fusion/attention",
-                    "fusion/text_proj", "fusion/head"):
-            if key in report.components:
-                print(f"{names[key]:<26} {report.components[key]:>12,}")
+        keys = [k for k in names if k in report.components]
+        for key in keys + [k for k in report.components if k not in names]:
+            print(f"{names.get(key, key):<26} {report.components[key]:>12,}")
         print(f"{'Total Trainable':<26} {report.total_trainable:>12,}")
         print(f"{'Declared Total':<26} {declared:>12,}")
         print(f"{'Efficiency Ratio':<26} {report.efficiency_pct(declared):>11.2f}%")

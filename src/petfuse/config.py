@@ -1,6 +1,5 @@
-"""JSON config loading with typo and type protection; a --seed flag overrides
-the file, which overrides the defaults. The effective config is echoed into
-output directories.
+"""JSON config loading with typo and type protection; the file overrides the
+defaults. The effective config is echoed into output directories.
 """
 
 from __future__ import annotations

@@ -4,6 +4,10 @@ Bias-free by construction: projections, single-head Q/K/V attention without
 an output projection, and a two-layer ReLU head. With defaults
 (2048/768 -> 512, head 256 -> 14) the trainable count is exactly 2,362,880.
 Layer norm carries no learned scale/shift so no extra parameters appear.
+
+Each sample's report arrives as one text vector, a one-element key/value
+sequence, so every attention weight is 1: the forward pass reads Wv only,
+and Wq and Wk are counted in the budget but receive no gradient.
 """
 
 from __future__ import annotations
@@ -59,50 +63,22 @@ class FusionPathway:
         graph.add_param("fusion/head/w2", init((cfg.head_hidden, cfg.num_labels)),
                         trainable=True)
 
-    # -- forward ------------------------------------------------------------
+    def forward(self, binding, v: ad.Tensor, t: ad.Tensor, training: bool = False,
+                dropout_uniform=None) -> ad.Tensor:
+        """v (B, 2048), t (B, 768) -> logits (B, L).
 
-    def _check(self, v, t):
+        The attended value of a sample is its Wv-projected text row, since
+        its text is a one-element sequence. Training-mode dropout needs
+        `dropout_uniform`, a (B, shared_dim) array of U[0, 1) draws.
+        """
         if v.data.shape[-1] != self.cfg.vision_in:
             raise ShapeError(f"vision feature length {v.data.shape[-1]} != {self.cfg.vision_in}")
         if t.data.shape[-1] != self.cfg.text_in:
             raise ShapeError(f"text feature length {t.data.shape[-1]} != {self.cfg.text_in}")
-
-    def _head(self, binding, fused, training, dropout_uniform):
-        fused = ad.dropout(fused, self.cfg.dropout_p, training, dropout_uniform)
-        hidden = ad.relu(ad.matmul(fused, binding["fusion/head/w1"]))
-        return ad.matmul(hidden, binding["fusion/head/w2"])
-
-    def forward(self, binding, v: ad.Tensor, t: ad.Tensor, training: bool = False,
-                dropout_uniform=None) -> ad.Tensor:
-        """Batched single-vector case: v (B, 2048), t (B, 768) -> logits (B, L).
-
-        Each sample's text is a one-element key/value sequence, so the
-        attention weight is identically 1 and the attended value reduces to
-        the Wv-projected text row. Training-mode dropout needs
-        `dropout_uniform`, a (B, shared_dim) array of U[0, 1) draws.
-        """
-        self._check(v, t)
         pv = ad.matmul(v, binding["fusion/vision_proj/w"])
         pt = ad.matmul(t, binding["fusion/text_proj/w"])
         attended = ad.matmul(pt, binding["fusion/attention/wv"])
-        fused = ad.layer_norm(pv + attended)
-        return self._head(binding, fused, training, dropout_uniform)
-
-    def forward_tokens(self, binding, v: ad.Tensor, t_tokens: ad.Tensor,
-                       training: bool = False, dropout_uniform=None) -> ad.Tensor:
-        """Token-level case: v (1, 2048), t_tokens (m, 768) -> logits (1, L)."""
-        self._check(v, t_tokens)
-        d = self.cfg.shared_dim
-        pv = ad.matmul(v, binding["fusion/vision_proj/w"])
-        pt = ad.matmul(t_tokens, binding["fusion/text_proj/w"])
-        q = ad.matmul(pv, binding["fusion/attention/wq"])
-        k = ad.matmul(pt, binding["fusion/attention/wk"])
-        vv = ad.matmul(pt, binding["fusion/attention/wv"])
-        attended = ad.softmax_attention(q, k, vv, 1.0 / np.sqrt(d))
-        fused = ad.layer_norm(pv + attended)
-        return self._head(binding, fused, training, dropout_uniform)
-
-
-def build_fusion(cfg: FusionConfig | None = None, seed: int = 0) -> FusionPathway:
-    """Fresh graph holding only the fusion pathway, all weights trainable."""
-    return FusionPathway(ModelGraph(), cfg or FusionConfig(), seed=seed)
+        fused = ad.dropout(ad.layer_norm(pv + attended), self.cfg.dropout_p, training,
+                           dropout_uniform)
+        hidden = ad.relu(ad.matmul(fused, binding["fusion/head/w1"]))
+        return ad.matmul(hidden, binding["fusion/head/w2"])

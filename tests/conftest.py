@@ -1,6 +1,11 @@
-"""Shared independent oracles: finite differences, brute-force ranking metrics."""
+"""Shared independent oracles: finite differences, brute-force ranking
+metrics, and attention over one sequence composed from per-op tape nodes,
+which masked_attention and the batched text encoder are checked against."""
 
 import numpy as np
+
+from petfuse.autodiff import Tensor, _accum, as_tensor, matmul, mul
+from petfuse.errors import NumericError, ShapeError
 
 
 def grad_check(fn, tensors, step=1e-5):
@@ -62,3 +67,40 @@ def hand_stepped_auprc(scores, labels):
         ap += (recall - prev_recall) * precision
         prev_recall = recall
     return ap
+
+
+def transpose(x) -> Tensor:
+    x = as_tensor(x)
+    if x.data.ndim != 2:
+        raise ShapeError("transpose expects a 2-D tensor")
+
+    def bw(g):
+        _accum(x, g.T)
+
+    return Tensor(x.data.T, _parents=(x,), _backward=bw)
+
+
+def softmax_rows(x) -> Tensor:
+    x = as_tensor(x)
+    z = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def bw(g):
+        _accum(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+
+    return Tensor(y, _parents=(x,), _backward=bw)
+
+
+def softmax_attention(q, k, v, scale: float) -> Tensor:
+    """softmax(q k^T * scale) v; rows of the attention matrix sum to 1."""
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    for t in (q, k, v):
+        if not np.isfinite(t.data).all():
+            raise NumericError("non-finite attention input")
+    if q.data.shape[-1] != k.data.shape[-1]:
+        raise ShapeError(f"q/k feature dims disagree: {q.data.shape} vs {k.data.shape}")
+    if k.data.shape[0] != v.data.shape[0]:
+        raise ShapeError(f"k/v sequence lengths disagree: {k.data.shape} vs {v.data.shape}")
+    scores = mul(matmul(q, transpose(k)), scale)
+    return matmul(softmax_rows(scores), v)

@@ -9,14 +9,15 @@ import time
 
 import numpy as np
 import pytest
-from conftest import brute_force_auroc, grad_check, hand_stepped_auprc
+from conftest import (brute_force_auroc, grad_check, hand_stepped_auprc,
+                      softmax_attention, softmax_rows)
 
 import petfuse.autodiff as ad
 from petfuse.cli import main
 from petfuse.data import (LABELS, SplitSpec, generate_synthetic, label_matrix,
                           split_patients)
 from petfuse.encoders import Tokenizer
-from petfuse.fusion import FusionConfig, build_fusion
+from petfuse.fusion import FusionConfig, FusionPathway
 from petfuse.harness import (VISION_ONLY_PARAMS, ExperimentPlan,
                              MultimodalModel, VisionOnlyModel, build_arm,
                              run_plan, search_shared_dim)
@@ -39,7 +40,7 @@ def _report(n, message):
 
 def test_criterion_01_parameter_accounting():
     t0 = time.perf_counter()
-    pathway = build_fusion(FusionConfig())
+    pathway = FusionPathway(ModelGraph(), FusionConfig())
     report = count_params(pathway.graph)
     expected = {"fusion/vision_proj": 1_048_576,
                 "fusion/attention": 786_432,
@@ -94,13 +95,13 @@ def test_criterion_03_gradient_correctness():
         # weight the rows so the scalar objective is not constant in x
         w = ad.Tensor(rng.normal(size=(2, 5)))
         run(lambda: ad.tsum(ad.mul(ad.layer_norm(x), w)), x)
-        run(lambda: ad.tsum(ad.mul(ad.softmax_rows(x), w)), x)
+        run(lambda: ad.tsum(ad.mul(softmax_rows(x), w)), x)
         y = (rng.random((2, 5)) < 0.5).astype(float)
         run(lambda: ad.bce_with_logits(x, y), x)
         q = ad.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
         k = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         v = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        run(lambda: ad.tsum(ad.softmax_attention(q, k, v, 0.5)), q, k, v)
+        run(lambda: ad.tsum(softmax_attention(q, k, v, 0.5)), q, k, v)
         # two padded sequences of 3 keys, the second CLS only; a full block
         # (3 queries per sequence) and one query per sequence
         mask = np.array([[True, True, False], [True, False, False]])
@@ -115,7 +116,7 @@ def test_criterion_03_gradient_correctness():
     # full fusion forward: perturb every fusion parameter tensor
     cfg = FusionConfig(vision_in=6, text_in=5, shared_dim=4, head_hidden=3,
                        num_labels=2, dropout_p=0.0)
-    pathway = build_fusion(cfg, seed=1)
+    pathway = FusionPathway(ModelGraph(), cfg, seed=1)
     vin = rng.normal(size=(3, 6))
     tin = rng.normal(size=(3, 5))
     targets = (rng.random((3, 2)) < 0.5).astype(float)

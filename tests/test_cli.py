@@ -143,6 +143,31 @@ def test_count_params_rejects_unknown_config_key(capsys, tmp_path):
     assert "mystery_knob" in err
 
 
+@pytest.mark.parametrize("arm,policy,trainable", [
+    ("vision_only", "frozen", 1_055_744),
+    ("budget_matched", "frozen", 1_061_312),
+    ("full_pet", "frozen", 2_362_880),
+    ("full_pet", "bitfit", 2_365_184),
+    ("full_pet", "lora", 2_379_264),
+    ("full_pet", "adapter", 2_396_032),
+])
+def test_count_params_counts_the_model_train_builds(arm, policy, trainable, capsys,
+                                                    tmp_path):
+    """count-params gives each arm and policy's trainable count, and it is the
+    number of values in the checkpoint train writes for the same config."""
+    data, cfg = tmp_path / "data.jsonl", tmp_path / "cfg.json"
+    assert main(["gen-data", "--patients", "20", "--seed", "9", "--out", str(data)]) == 0
+    cfg.write_text(json.dumps({"arm": arm, "policy": policy, "train": {"max_epochs": 1}}))
+    capsys.readouterr()
+    code, out, _ = run(capsys, "count-params", "--config", str(cfg), "--json")
+    assert code == 0
+    assert json.loads(out)["total_trainable"] == trainable
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 0
+    _, arrays = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+    assert sum(a.size for a in arrays.values()) == trainable
+
+
 # ---------------------------------------------------------------- train + eval
 
 
@@ -503,6 +528,10 @@ def _trailing_bytes(tmp_path, data, run_dir):
                  id="train_lora_adapter"),
     pytest.param(_config({"policy": "bitfit", "adapter": {"bottleneck": 8}}),
                  id="train_bitfit_adapter"),
+    pytest.param(_config({"policy": "frozen", "lora": {"rank": 3}}, "count-params"),
+                 id="count_params_frozen_lora"),
+    pytest.param(_config({"arm": "vision_only", "fusion": {"dropout_p": 0.0}},
+                         "count-params"), id="count_params_vision_only_fusion"),
     # a checkpoint that does not fit its own header
     pytest.param(_checkpoint_header("eval", policy="lora"), id="eval_missing_lora"),
     pytest.param(_checkpoint_header("calibrate", policy="bitfit"),

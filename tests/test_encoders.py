@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import softmax_attention
 
 from petfuse import autodiff as ad
 from petfuse.encoders import EncoderSpec, MiniTextEncoder, Tokenizer
@@ -76,7 +77,7 @@ def _encode_one_by_one(enc, binding, text):
         x = ad.layer_norm(h)
         q, k, v = (lora_linear(g, binding, x, f"{base}/attn/w{n}") + binding[f"{base}/attn/b{n}"]
                    for n in "qkv")
-        attn = ad.softmax_attention(q, k, v, scale)
+        attn = softmax_attention(q, k, v, scale)
         h = h + lora_linear(g, binding, attn, f"{base}/attn/wo") + binding[f"{base}/attn/bo"]
         x = ad.layer_norm(h)
         m = ad.relu(ad.matmul(x, binding[f"{base}/mlp/w1"]) + binding[f"{base}/mlp/b1"])

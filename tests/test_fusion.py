@@ -4,7 +4,8 @@ from conftest import grad_check
 
 from petfuse import autodiff as ad
 from petfuse.errors import ShapeError
-from petfuse.fusion import FusionConfig, build_fusion
+from petfuse.fusion import FusionConfig, FusionPathway
+from petfuse.model import ModelGraph
 from petfuse.pet import count_params
 
 
@@ -16,7 +17,7 @@ def small_cfg(**kw):
 
 
 def test_default_counts_match_reference_breakdown():
-    report = count_params(build_fusion().graph)
+    report = count_params(FusionPathway(ModelGraph(), FusionConfig()).graph)
     assert report.components == {
         "fusion/vision_proj": 1_048_576,
         "fusion/attention": 786_432,
@@ -36,19 +37,19 @@ def test_head_count_closed_form():
 
 
 def test_efficiency_vs_declared_total():
-    report = count_params(build_fusion().graph)
+    report = count_params(FusionPathway(ModelGraph(), FusionConfig()).graph)
     assert round(report.efficiency_pct(94_300_000), 2) == 2.51
 
 
 def test_zero_inputs_give_zero_logits():
-    fp = build_fusion(small_cfg())
+    fp = FusionPathway(ModelGraph(), small_cfg())
     binding = fp.graph.bind()
     out = fp.forward(binding, ad.Tensor(np.zeros((2, 12))), ad.Tensor(np.zeros((2, 7))))
     assert np.allclose(out.data, 0.0, atol=1e-12)
 
 
 def test_eval_mode_deterministic():
-    fp = build_fusion(small_cfg(dropout_p=0.1))
+    fp = FusionPathway(ModelGraph(), small_cfg(dropout_p=0.1))
     rng = np.random.default_rng(0)
     v, t = rng.normal(0, 1, (3, 12)), rng.normal(0, 1, (3, 7))
     a = fp.forward(fp.graph.bind(), ad.Tensor(v), ad.Tensor(t), training=False).data
@@ -57,14 +58,14 @@ def test_eval_mode_deterministic():
 
 
 def test_length_mismatch_raises():
-    fp = build_fusion(small_cfg())
+    fp = FusionPathway(ModelGraph(), small_cfg())
     with pytest.raises(ShapeError):
         fp.forward(fp.graph.bind(), ad.Tensor(np.zeros((1, 5))),
                    ad.Tensor(np.zeros((1, 7))))
 
 
 def test_sensitivity_to_both_modalities():
-    fp = build_fusion(small_cfg())
+    fp = FusionPathway(ModelGraph(), small_cfg())
     rng = np.random.default_rng(1)
     v, t = rng.normal(0, 1, (1, 12)), rng.normal(0, 1, (1, 7))
     base = fp.forward(fp.graph.bind(), ad.Tensor(v), ad.Tensor(t)).data
@@ -74,34 +75,18 @@ def test_sensitivity_to_both_modalities():
     assert not np.allclose(base, bumped_t)
 
 
-def test_attention_weights_over_tokens_sum_to_one():
-    fp = build_fusion(small_cfg())
-    binding = fp.graph.bind()
-    rng = np.random.default_rng(2)
-    pv = ad.matmul(ad.Tensor(rng.normal(0, 1, (1, 12))), binding["fusion/vision_proj/w"])
-    pt = ad.matmul(ad.Tensor(rng.normal(0, 1, (5, 7))), binding["fusion/text_proj/w"])
-    q = ad.matmul(pv, binding["fusion/attention/wq"])
-    k = ad.matmul(pt, binding["fusion/attention/wk"])
-    weights = ad.softmax_rows(ad.mul(ad.matmul(q, k.t()), 1 / np.sqrt(6)))
-    assert np.allclose(weights.data.sum(axis=1), 1.0, atol=1e-12)
-
-
-@pytest.mark.parametrize("token_level", [False, True])
-def test_fusion_gradients_match_finite_differences(token_level):
-    fp = build_fusion(small_cfg())
+def test_fusion_gradients_match_finite_differences():
+    fp = FusionPathway(ModelGraph(), small_cfg())
     binding_holder = {}
     rng = np.random.default_rng(3)
     v = rng.normal(0, 1, (1, 12))
-    t = rng.normal(0, 1, (4 if token_level else 1, 7))
+    t = rng.normal(0, 1, (1, 7))
     y = (rng.random((1, 3)) < 0.5).astype(float)
 
     def fn():
         binding = fp.graph.bind(training=True)
         binding_holder["b"] = binding
-        if token_level:
-            logits = fp.forward_tokens(binding, ad.Tensor(v), ad.Tensor(t))
-        else:
-            logits = fp.forward(binding, ad.Tensor(v), ad.Tensor(t))
+        logits = fp.forward(binding, ad.Tensor(v), ad.Tensor(t))
         return ad.bce_with_logits(logits, y)
 
     loss = fn()

@@ -4,7 +4,7 @@ import pytest
 from petfuse import autodiff as ad
 from petfuse.encoders import EncoderSpec, MiniTextEncoder, Tokenizer
 from petfuse.errors import PolicyError
-from petfuse.fusion import FusionConfig, FusionPathway, build_fusion
+from petfuse.fusion import FusionConfig, FusionPathway
 from petfuse.model import ModelGraph
 from petfuse.pet import (AdapterConfig, BudgetReport, LoRAConfig, apply_policy,
                          count_params, enforce_budget)
@@ -157,12 +157,12 @@ def test_count_params_empty_graph():
 
 
 def test_count_params_default_fusion():
-    report = count_params(build_fusion().graph)
+    report = count_params(FusionPathway(ModelGraph(), FusionConfig()).graph)
     assert report.total_trainable == 2_362_880
 
 
 def test_budget_report_json_uses_integers():
-    report = count_params(build_fusion().graph)
+    report = count_params(FusionPathway(ModelGraph(), FusionConfig()).graph)
     doc = report.to_json(94_300_000)
     assert '"total_trainable": 2362880' in doc
     assert '"efficiency_pct": 2.51' in doc
