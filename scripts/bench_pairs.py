@@ -8,11 +8,15 @@ Pair i runs `python3 perfbench/workloads.py --workload W --seed S --seconds T
 --trace 0` once in each checkout, for every workload W of the change's
 BENCHMARK.json in turn, with seed S = first seed + i and T its
 `run_seconds`; the parent runs first on even pairs and the change first on
-odd ones. Each run is a fresh process with its checkout as working
-directory, so it benchmarks that checkout's sources with that checkout's
-benchmark. The script reads each run's last stdout line and its
-`.perfbench_work/<workload>.result.json` (for the environment stamp); it
-never imports or edits the benchmark.
+odd ones. Before any run, each checkout is copied into a fresh temporary
+directory, without `.git`, `.perfbench_work` or caches, so the two sides
+run from directories made the same way (a git clone and a plain copy of the
+same sources have been measured 5% apart). Each run is a fresh process with
+its copy as working directory, so it benchmarks that checkout's sources with
+that checkout's benchmark. The script reads each run's last stdout line and
+its `.perfbench_work/<workload>.result.json` (for the environment stamp);
+it never imports or edits the benchmark. Each side's commit is read from
+the checkout itself, since the copy has no `.git`.
 
 The output holds, per workload and end-to-end metric, every run, each
 side's median and quartiles (`statistics.quantiles(n=4,
@@ -27,13 +31,31 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ENV_KEYS = ("cores", "cores_usable", "machine", "python", "numpy", "blas",
             "blas_threads")
+# What a copy of a checkout leaves out: git metadata, benchmark output, caches.
+NOT_COPIED = (".git", ".perfbench_work", "__pycache__", ".pytest_cache",
+              ".hypothesis", ".benchmarks")
+
+
+def fresh_copy(checkout: Path, dest: Path) -> Path:
+    """Copy `checkout` to the new directory `dest`, leaving out NOT_COPIED."""
+    shutil.copytree(checkout, dest, ignore=shutil.ignore_patterns(*NOT_COPIED))
+    return dest
+
+
+def head_commit(checkout: Path) -> str | None:
+    """The commit checked out in `checkout`; None outside a git repository."""
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -73,6 +95,25 @@ def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
             "within_bound": worse_by <= spec["bound"]}
 
 
+def run_pairs(sides: dict, workloads: list, first_seed: int, pairs: int,
+              seconds: float) -> dict:
+    """workload -> side -> the runs of every pair, alternating which side
+    runs first."""
+    runs = {w: {side: [] for side in sides} for w in workloads}
+    for i in range(pairs):
+        seed = first_seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for w in workloads:
+            for side in order:
+                r = run_once(sides[side], w, seed, seconds)
+                runs[w][side].append(r)
+                print(f"pair {i + 1}/{pairs} seed {seed} {w} {side}: "
+                      + " ".join(f"{k}={v:.4g}" for k, v in r["metrics"].items())
+                      + ("" if r["correct"] else f" FAILED {r['failed']}/{r['attempted']}"),
+                      flush=True)
+    return runs
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True, help="parent checkout")
@@ -89,24 +130,16 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs = {w: {side: [] for side in sides} for w in workloads}
-    for i in range(args.pairs):
-        seed = args.first_seed + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for w in workloads:
-            for side in order:
-                r = run_once(sides[side], w, seed, seconds)
-                runs[w][side].append(r)
-                print(f"pair {i + 1}/{args.pairs} seed {seed} {w} {side}: "
-                      + " ".join(f"{k}={v:.4g}" for k, v in r["metrics"].items())
-                      + ("" if r["correct"] else f" FAILED {r['failed']}/{r['attempted']}"),
-                      flush=True)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        sides = {side: fresh_copy(path, Path(tmp) / side)
+                 for side, path in checkouts.items()}
+        runs = run_pairs(sides, workloads, args.first_seed, args.pairs, seconds)
 
     first = runs[workloads[0]]
     doc = {
         "what": args.what,
-        "commits": {side: first[side][0]["environment"]["git_commit"] for side in sides},
+        "commits": {side: head_commit(path) for side, path in checkouts.items()},
         "source_sha256": {side: first[side][0]["environment"]["source_sha256"]
                           for side in sides},
         "environment": {k: first["change"][0]["environment"][k] for k in ENV_KEYS},
@@ -115,7 +148,7 @@ def main(argv=None) -> int:
         "pairs": f"{args.pairs} per workload, seeds {args.first_seed}-"
                  f"{args.first_seed + args.pairs - 1}; the parent ran first on even "
                  f"pairs, the change first on odd ones; each run a fresh process "
-                 f"in its own checkout",
+                 f"in a fresh copy of its checkout",
         "quartiles": "statistics.quantiles(n=4, method='inclusive')",
         "workloads": {},
     }

@@ -83,12 +83,11 @@ class Tensor:
 
     # -- graph traversal -------------------------------------------------
 
-    def backward(self, grad=None):
-        if grad is None:
-            if self.data.size != 1:
-                raise ShapeError("backward() without a seed gradient needs a scalar output")
-            grad = np.ones_like(self.data)
-        self.grad = np.asarray(grad, dtype=np.float64)
+    def backward(self):
+        """Backpropagate from this scalar output, whose gradient is 1."""
+        if self.data.size != 1:
+            raise ShapeError("backward() needs a scalar output")
+        self.grad = np.ones_like(self.data)
 
         topo, seen = [], set()
         stack = [(self, False)]

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from . import data as data_mod
 from . import harness, metrics, redaction
-from .config import build_section, check_type, echo_config, load_config
+from .config import build_section, check_type, echo_config, load_config, read_json_object
 from .data import SplitSpec, label_matrix
 from .encoders import SPECIALS, Tokenizer
 from .errors import ConfigError, InputError, PetfuseError
@@ -100,16 +100,6 @@ def _parser() -> _Parser:
 # -- command implementations ---------------------------------------------------
 
 
-def _read_json_object(path, what: str) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as e:  # malformed JSON or not UTF-8
-        raise InputError(f"{path}: invalid {what} JSON ({e})") from e
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: {what} must be a JSON object")
-    return doc
-
-
 def _emit(doc, out=None):
     """Given a path, write a JSON document (a dict, or text already in JSON)
     there; then print it, so that a failed write prints nothing."""
@@ -122,7 +112,7 @@ def _emit(doc, out=None):
 def _cmd_gen_data(args):
     plan = None
     if args.signal_plan:
-        plan = _read_json_object(args.signal_plan, "signal plan")
+        plan = read_json_object(args.signal_plan, "signal plan")
     samples = data_mod.generate_synthetic(args.patients, signal_plan=plan,
                                           seed=args.seed, leak_prob=args.leak_prob)
     data_mod.save_manifest(args.out, samples)
@@ -131,8 +121,7 @@ def _cmd_gen_data(args):
 
 
 def _cmd_redact(args):
-    lex = redaction.Lexicon.from_dir(args.lexicon_dir) if args.lexicon_dir \
-        else redaction.Lexicon()
+    lex = redaction.Lexicon.from_dir(args.lexicon_dir)
     samples = data_mod.load_manifest(args.inp)
     totals = {m: 0 for m in redaction.MASKS}
     for s in samples:
@@ -148,8 +137,7 @@ def _cmd_redact(args):
 
 
 def _cmd_audit(args):
-    lex = redaction.Lexicon.from_dir(args.lexicon_dir) if args.lexicon_dir \
-        else redaction.Lexicon()
+    lex = redaction.Lexicon.from_dir(args.lexicon_dir)
     samples = data_mod.load_manifest(args.data)
     raw = [s.text for s in samples]
     red = [redaction.redact(t, lex).text for t in raw]
@@ -289,9 +277,13 @@ def _cmd_calibrate(args):
     t, probs_after = metrics.temperature_scale(val_logits, label_matrix(val_set),
                                                test_logits)
     _emit({"temperature": t,
-           "ece_before": metrics.ece(harness.sigmoid(test_logits), y_test).ece,
+           "ece_before": metrics.ece(metrics.sigmoid(test_logits), y_test).ece,
            "ece_after": metrics.ece(probs_after, y_test).ece}, args.out)
     return 0
+
+
+# The paper's full multimodal model, the denominator of its efficiency ratio.
+DECLARED_TOTAL_PARAMS = 94_300_000
 
 
 def _cmd_count_params(args):
@@ -302,9 +294,8 @@ def _cmd_count_params(args):
     _, model = _load_arm_model(cfg, Tokenizer.from_tokens(list(SPECIALS)),
                                cfg["train"].seed)
     report = count_params(model.graph)
-    declared = cfg["total_params_declared"] or 94_300_000
     if args.json:
-        print(report.to_json(declared))
+        print(report.to_json(DECLARED_TOTAL_PARAMS))
     else:
         names = {"fusion/vision_proj": "Vision Projection Layer",
                  "fusion/attention": "Cross-modal Attention",
@@ -314,13 +305,13 @@ def _cmd_count_params(args):
         for key in keys + [k for k in report.components if k not in names]:
             print(f"{names.get(key, key):<26} {report.components[key]:>12,}")
         print(f"{'Total Trainable':<26} {report.total_trainable:>12,}")
-        print(f"{'Declared Total':<26} {declared:>12,}")
-        print(f"{'Efficiency Ratio':<26} {report.efficiency_pct(declared):>11.2f}%")
+        print(f"{'Declared Total':<26} {DECLARED_TOTAL_PARAMS:>12,}")
+        print(f"{'Efficiency Ratio':<26} {report.efficiency_pct(DECLARED_TOTAL_PARAMS):>11.2f}%")
     return 0
 
 
 def _cmd_attribute(args):
-    doc = _read_json_object(args.plan, "plan")
+    doc = read_json_object(args.plan, "plan")
     arm_docs = doc.get("arms", [])
     if not isinstance(arm_docs, list):
         raise InputError(f"{args.plan}: arms must be a list of arm objects")

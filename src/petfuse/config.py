@@ -23,7 +23,6 @@ _SECTION_TYPES = {
 _TOP_LEVEL_SCALARS = {
     "policy": "frozen",
     "arm": "full_pet",
-    "total_params_declared": None,
 }
 
 # JSON types a value may have, keyed by the type of the field's default; a
@@ -60,17 +59,22 @@ def build_section(name: str, cls, values):
     return cls(**values)
 
 
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the file at `path`; ConfigError, naming `what`,
+    unless the file holds one."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # malformed JSON, not UTF-8, or an int too long to parse
+        raise ConfigError(f"{path}: invalid {what} JSON ({e})") from e
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: {what} must be a JSON object")
+    return doc
+
+
 def load_config(path=None) -> dict:
     """Effective config dict: dataclass sections and top-level scalars from
     the JSON file, defaults for whatever it leaves out."""
-    doc = {}
-    if path is not None:
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as e:  # malformed JSON, not UTF-8, or an int too long to parse
-            raise ConfigError(f"{path}: invalid JSON ({e})") from e
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: top level must be an object")
+    doc = {} if path is None else read_json_object(path, "config")
     unknown = set(doc) - set(_SECTION_TYPES) - set(_TOP_LEVEL_SCALARS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")

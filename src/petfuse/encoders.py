@@ -30,8 +30,12 @@ CLS, UNK, FINDING, NUM, LOC = "[CLS]", "[UNK]", "[FINDING]", "[NUM]", "[LOC]"
 SPECIALS = (CLS, UNK, FINDING, NUM, LOC)
 
 
+# Punctuation but brackets: "[FINDING]." and "([num])" spell special tokens.
+_NOT_BRACKETS = string.punctuation.replace("[", "").replace("]", "")
+
+
 def _normalize_token(raw: str) -> str:
-    up = raw.upper()
+    up = raw.strip(_NOT_BRACKETS).upper()
     if up in SPECIALS:
         return up
     return raw.strip(string.punctuation).lower()

@@ -14,11 +14,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import build_section, check_type
-from .data import LABELS, SplitSpec, label_matrix, split_patients
+from .data import LABELS, NUM_LABELS, VISION_DIM, SplitSpec, label_matrix, split_patients
 from .encoders import MiniTextEncoder, Tokenizer
 from .errors import InputError, PetfuseError, SearchError, numeric_guard
 from .fusion import FusionConfig, FusionPathway
-from .metrics import (EvalReport, evaluate_predictions, macro_auroc,
+from .metrics import (EvalReport, evaluate_predictions, macro_auroc, sigmoid,
                       write_per_label_csv, write_reports_csv)
 from .model import ModelGraph
 from .pet import (ENCODER_PREFIX, AdapterConfig, LoRAConfig, apply_policy,
@@ -27,7 +27,9 @@ from .training import TrainConfig, train_loop
 
 ARM_KINDS = ("vision_only", "budget_matched", "full_pet")
 
-VISION_ONLY_PARAMS = 2048 * 512 + 512 * 14  # 1,055,744
+# The vision-only head's hidden width; its two weights hold 1,055,744 values.
+VISION_HIDDEN = 512
+VISION_ONLY_PARAMS = VISION_DIM * VISION_HIDDEN + VISION_HIDDEN * NUM_LABELS
 
 # Reports per text-encoder tape: the default micro-batch (TrainConfig.batch).
 ENCODE_CHUNK = 16
@@ -117,7 +119,7 @@ class _Standardizer:
 
 
 def vision_matrix(samples) -> np.ndarray:
-    """(B, 2048) float64 matrix of the samples' precomputed vision features."""
+    """(B, VISION_DIM) float64 matrix of the samples' precomputed vision features."""
     for s in samples:
         if s.vision_features is None:
             raise InputError(f"sample {s.id} has no vision_features")
@@ -125,16 +127,16 @@ def vision_matrix(samples) -> np.ndarray:
 
 
 class VisionOnlyModel:
-    """Frozen vision features into a trainable bias-free 2048->512->14 head."""
+    """Frozen vision features into a trainable bias-free two-layer ReLU head."""
 
     def __init__(self, seed: int = 0):
         self.graph = ModelGraph()
         rng = ad.make_rng(seed, "init", "vision_only")
-        self.graph.add_param("head/w1", rng.normal(0, 1 / np.sqrt(2048), (2048, 512)),
-                             trainable=True)
-        self.graph.add_param("head/w2", rng.normal(0, 1 / np.sqrt(512), (512, 14)),
-                             trainable=True)
-        self.vision_norm = _Standardizer(2048)
+        for name, n_in, n_out in (("head/w1", VISION_DIM, VISION_HIDDEN),
+                                  ("head/w2", VISION_HIDDEN, NUM_LABELS)):
+            self.graph.add_param(name, rng.normal(0, 1 / np.sqrt(n_in), (n_in, n_out)),
+                                 trainable=True)
+        self.vision_norm = _Standardizer(VISION_DIM)
         self.normalizers = {"vision": self.vision_norm}
 
     def fit_normalizer(self, train_samples):
@@ -322,12 +324,6 @@ def _build_model(arm: ArmSpec, tokenizer, seed: int,
     return MultimodalModel(arm.fusion, tokenizer, seed=seed, policy=arm.policy,
                            lora_cfg=lora_cfg, adapter_cfg=adapter_cfg,
                            text_store=text_store)
-
-
-def sigmoid(logits: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-logits)); exp overflows only where the result, 0, is exact."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-logits))
 
 
 def predict_logits(model, samples) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -109,6 +109,12 @@ def ece(probs, labels, bins: int = 15) -> CalibrationReport:
     return CalibrationReport(float(value), rows, bins, total)
 
 
+def sigmoid(logits: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-logits)); exp overflows only where the result, 0, is exact."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-logits))
+
+
 def temperature_scale(logits_val, labels_val, logits_apply=None):
     """Fit T > 0 minimizing validation BCE of sigmoid(logit / T).
 
@@ -130,8 +136,7 @@ def temperature_scale(logits_val, labels_val, logits_apply=None):
                           options={"xatol": 1e-10})
     t = math.exp(res.x)
     target = z if logits_apply is None else np.asarray(logits_apply, dtype=np.float64)
-    probs = 1.0 / (1.0 + np.exp(-np.clip(target / t, -500, 500)))
-    return t, probs
+    return t, sigmoid(target / t)
 
 
 # -- aggregate reports --------------------------------------------------------
@@ -163,14 +168,8 @@ class EvalReport:
                 f"{self.efficiency_pct:.4f}"]
 
     def to_json(self) -> str:
-        return json.dumps({
-            "method": self.method, "seed": self.seed,
-            "auroc_macro": self.auroc_macro, "auprc_macro": self.auprc_macro,
-            "ece": self.ece, "trainable_params": self.trainable_params,
-            "total_params": self.total_params,
-            "efficiency_pct": self.efficiency_pct,
-            "per_label": self.per_label, "skipped_labels": self.skipped_labels,
-        }, indent=2, sort_keys=True)
+        return json.dumps({**asdict(self), "efficiency_pct": self.efficiency_pct},
+                          indent=2, sort_keys=True)
 
 
 def evaluate_predictions(method: str, seed: int, probs, labels, label_names,

@@ -7,8 +7,9 @@ adapter adds a residual bottleneck after each block. Targets are found by
 address under ENCODER_PREFIX; what lora and adapter attach lives under the
 address it extends (<proj>/lora_a, <block>/adapter/down_w), and the
 encoder's forward pass applies it through lora_linear and adapter_residual.
-All four keep the fusion pathway trainable; encoder-side additions are
-counted exactly and arbitrated by enforce_budget.
+All four keep the fusion pathway trainable; count_params counts every
+addition exactly (enforce_budget, which would arbitrate a budget, has no
+caller yet).
 """
 
 from __future__ import annotations
@@ -55,20 +56,18 @@ class BudgetReport:
     total_trainable: int
     total_params: int
 
-    def efficiency_pct(self, declared_total: int | None = None) -> float:
-        total = declared_total if declared_total else self.total_params
-        return 100.0 * self.total_trainable / total if total else 0.0
+    def efficiency_pct(self, declared_total: int) -> float:
+        """Trainable parameters as a percentage of `declared_total`."""
+        return 100.0 * self.total_trainable / declared_total
 
-    def to_json(self, declared_total: int | None = None) -> str:
-        doc = {
+    def to_json(self, declared_total: int) -> str:
+        return json.dumps({
             "components": self.components,
             "total_trainable": self.total_trainable,
             "total_params": self.total_params,
             "efficiency_pct": round(self.efficiency_pct(declared_total), 2),
-        }
-        if declared_total:
-            doc["declared_total_params"] = declared_total
-        return json.dumps(doc, indent=2, sort_keys=True)
+            "declared_total_params": declared_total,
+        }, indent=2, sort_keys=True)
 
 
 def apply_policy(graph: ModelGraph, policy: str,
@@ -160,8 +159,9 @@ def adapter_residual(binding, x: ad.Tensor, block: str) -> ad.Tensor:
 
 
 def count_params(graph: ModelGraph) -> BudgetReport:
-    """Exact integer counts of trainable params grouped by their first two
-    address components."""
+    """Exact integer counts of trainable params grouped by module: the first
+    two address components before the last (`fusion/head/w1` -> `fusion/head`,
+    `head/w1` -> `head`)."""
     components: dict[str, int] = {}
     total_trainable = 0
     total_params = 0
@@ -170,7 +170,7 @@ def count_params(graph: ModelGraph) -> BudgetReport:
         total_params += n
         if p.trainable:
             total_trainable += n
-            key = "/".join(addr.split("/")[:2])
+            key = "/".join(addr.split("/")[:-1][:2]) or addr
             components[key] = components.get(key, 0) + n
     return BudgetReport(dict(sorted(components.items())), total_trainable, total_params)
 

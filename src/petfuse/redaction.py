@@ -2,9 +2,10 @@
 
 Stage 1 masks pathology-lexicon phrases (longest match first,
 case-insensitive, whole tokens) with [FINDING]; stage 2 masks numeric
-tokens with [NUM] and location-lexicon tokens with [LOC]. Negation words
-are preserved. The audit trains bag-of-tokens linear classifiers on raw
-vs redacted corpora and compares test macro AUROC.
+tokens with [NUM] and location-lexicon tokens with [LOC]. The default
+lexicons hold no negation word, so "no", "without" and the like stay. The
+audit trains bag-of-tokens linear classifiers on raw vs redacted corpora
+and compares test macro AUROC.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import DISTRACTOR_TERMS, LABELS, _TERMS
-from .errors import InputError
+from .errors import InputError, ParseError
 from .metrics import macro_auroc
 from .model import ModelGraph
 from .training import AdamW, clip_gradients, lr_schedule
@@ -28,9 +29,6 @@ DEFAULT_PATHOLOGY = sorted(
     {t for pair in _TERMS for t in pair} | set(DISTRACTOR_TERMS)
     | {name.lower() for name in LABELS})
 
-DEFAULT_NEGATION = ["no", "not", "without", "absent", "negative", "denies",
-                    "free of", "clear of"]
-
 DEFAULT_LOCATION = ["left", "right", "base", "bases", "basilar", "apex",
                     "apical", "upper", "lower", "middle", "lobe", "lobar",
                     "bilateral", "retrocardiac", "costophrenic",
@@ -40,24 +38,30 @@ DEFAULT_LOCATION = ["left", "right", "base", "bases", "basilar", "apex",
 @dataclass
 class Lexicon:
     pathology: list[str] = field(default_factory=lambda: list(DEFAULT_PATHOLOGY))
-    negation: list[str] = field(default_factory=lambda: list(DEFAULT_NEGATION))
     location: list[str] = field(default_factory=lambda: list(DEFAULT_LOCATION))
 
     @classmethod
     def from_dir(cls, path):
-        """Read pathology.txt / negation.txt / location.txt; '#' comments."""
+        """The lexicon in directory `path`, or the default one when it is None:
+        pathology.txt and location.txt, one term a line, '#' starting a
+        comment; a file the directory lacks keeps its default list."""
+        if path is None:
+            return cls()
+        root = Path(path)
+        if not root.is_dir():
+            raise InputError(f"{path}: not a lexicon directory")
+
         def read(name, fallback):
-            p = Path(path) / name
+            p = root / name
             if not p.exists():
                 return list(fallback)
-            terms = []
-            for line in p.read_text(encoding="utf-8").splitlines():
-                line = line.split("#", 1)[0].strip().lower()
-                if line:
-                    terms.append(line)
-            return terms
+            try:
+                text = p.read_text(encoding="utf-8")
+            except UnicodeDecodeError as e:
+                raise ParseError(f"{p}: lexicon file is not UTF-8 ({e})") from e
+            terms = (line.split("#", 1)[0].strip().lower() for line in text.splitlines())
+            return [t for t in terms if t]
         return cls(read("pathology.txt", DEFAULT_PATHOLOGY),
-                   read("negation.txt", DEFAULT_NEGATION),
                    read("location.txt", DEFAULT_LOCATION))
 
 

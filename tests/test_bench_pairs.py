@@ -1,7 +1,9 @@
-"""scripts/bench_pairs.compare on hand-made runs: when a gain is claimable
-and when a metric stays within its bound."""
+"""scripts/bench_pairs: `compare` on hand-made runs (when a gain is
+claimable and when a metric stays within its bound), and the fresh copy
+each side runs from."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,36 @@ def test_ties_count_for_neither_side():
 def test_within_bound_is_the_relative_loss_against_the_bound(spec, factor, within):
     c = bench_pairs.compare(spec, PARENT, [p * factor for p in PARENT])
     assert c["within_bound"] is within
+
+
+def _checkout(root: Path) -> Path:
+    """A small git checkout with benchmark output and caches in it."""
+    files = {"BENCHMARK.json": "{}", "src/petfuse/cli.py": "x = 1\n",
+             "perfbench/workloads.py": "y = 2\n", ".gitignore": "__pycache__/\n",
+             ".perfbench_work/lora_cli.result.json": "{}",
+             "src/petfuse/__pycache__/cli.cpython-311.pyc": "",
+             ".pytest_cache/v/cache": "", ".hypothesis/examples/a": ""}
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    git = ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "c"]):
+        subprocess.run(git + cmd, check=True, capture_output=True)
+    return root
+
+
+def test_fresh_copy_leaves_out_git_benchmark_output_and_caches(tmp_path):
+    src = _checkout(tmp_path / "checkout")
+    dest = bench_pairs.fresh_copy(src, tmp_path / "copy")
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "BENCHMARK.json", "perfbench/workloads.py",
+                      "src/petfuse/cli.py"]
+    assert (dest / "src/petfuse/cli.py").read_text() == "x = 1\n"
+
+
+def test_each_sides_commit_is_read_from_its_checkout(tmp_path):
+    src = _checkout(tmp_path / "checkout")
+    head = subprocess.run(["git", "-C", str(src), "rev-parse", "HEAD"],
+                          capture_output=True, text=True, check=True).stdout.strip()
+    assert bench_pairs.head_commit(src) == head
+    assert bench_pairs.head_commit(bench_pairs.fresh_copy(src, tmp_path / "copy")) is None

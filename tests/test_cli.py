@@ -93,6 +93,22 @@ def test_redact_roundtrip(capsys, tmp_path):
             assert label.lower() not in lowered, (label, s.text)
 
 
+def test_redact_reads_the_lexicon_dir(capsys, tmp_path):
+    """A lexicon file the directory holds replaces its default list; one it
+    lacks keeps the default."""
+    raw, red, lexicon = tmp_path / "raw.jsonl", tmp_path / "red.jsonl", tmp_path / "lex"
+    lexicon.mkdir()
+    (lexicon / "location.txt").write_text("# nothing is a location\n")
+    run(capsys, "gen-data", "--patients", "10", "--seed", "1", "--out", str(raw))
+    code, stdout, _ = run(capsys, "redact", "--in", str(raw), "--lexicon-dir",
+                          str(lexicon), "--out", str(red))
+    assert code == 0
+    assert "0 locations" in stdout and " 0 findings" not in stdout
+    texts = [s.text for s in load_manifest(red)]
+    assert not any("[LOC]" in t for t in texts)
+    assert any("[FINDING]" in t for t in texts)
+
+
 def test_redact_is_idempotent_via_cli(capsys, tmp_path):
     raw = tmp_path / "raw.jsonl"
     once = tmp_path / "once.jsonl"
@@ -143,6 +159,31 @@ def test_count_params_rejects_unknown_config_key(capsys, tmp_path):
     assert "mystery_knob" in err
 
 
+_FULL_PET_FUSION = {"fusion/attention": 786_432, "fusion/head": 134_656,
+                    "fusion/text_proj": 393_216, "fusion/vision_proj": 1_048_576}
+
+
+def _per_block(n):
+    return {"text_encoder/block0": n, "text_encoder/block1": n}
+
+
+_COMPONENTS = {
+    ("vision_only", "frozen"): {"head": 1_055_744},
+    ("budget_matched", "frozen"): {"fusion/attention": 235_200, "fusion/head": 37_632,
+                                   "fusion/text_proj": 215_040,
+                                   "fusion/vision_proj": 573_440},
+    ("full_pet", "frozen"): _FULL_PET_FUSION,
+    # six 128-wide biases per block, and the output projection's 768
+    ("full_pet", "bitfit"): {**_FULL_PET_FUSION, **_per_block(768),
+                             "text_encoder/out": 768},
+    # rank-8 factors on four 128x128 projections per block
+    ("full_pet", "lora"): {**_FULL_PET_FUSION, **_per_block(4 * 2 * 8 * 128)},
+    # one 64-wide bottleneck per block
+    ("full_pet", "adapter"): {**_FULL_PET_FUSION,
+                              **_per_block(2 * 64 * 128 + 64 + 128)},
+}
+
+
 @pytest.mark.parametrize("arm,policy,trainable", [
     ("vision_only", "frozen", 1_055_744),
     ("budget_matched", "frozen", 1_061_312),
@@ -153,8 +194,9 @@ def test_count_params_rejects_unknown_config_key(capsys, tmp_path):
 ])
 def test_count_params_counts_the_model_train_builds(arm, policy, trainable, capsys,
                                                     tmp_path):
-    """count-params gives each arm and policy's trainable count, and it is the
-    number of values in the checkpoint train writes for the same config."""
+    """count-params gives each arm and policy's trainable count, one row per
+    module, and the count is the number of values in the checkpoint train
+    writes for the same config."""
     data, cfg = tmp_path / "data.jsonl", tmp_path / "cfg.json"
     assert main(["gen-data", "--patients", "20", "--seed", "9", "--out", str(data)]) == 0
     cfg.write_text(json.dumps({"arm": arm, "policy": policy, "train": {"max_epochs": 1}}))
@@ -162,6 +204,7 @@ def test_count_params_counts_the_model_train_builds(arm, policy, trainable, caps
     code, out, _ = run(capsys, "count-params", "--config", str(cfg), "--json")
     assert code == 0
     assert json.loads(out)["total_trainable"] == trainable
+    assert json.loads(out)["components"] == _COMPONENTS[arm, policy]
     assert main(["train", "--config", str(cfg), "--data", str(data),
                  "--out", str(tmp_path / "run")]) == 0
     _, arrays = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
@@ -378,6 +421,35 @@ def _without_vision(command):
     return make_argv
 
 
+def _lexicon_dir(command, make_dir):
+    """`command` on the fixture's manifest with --lexicon-dir naming what
+    `make_dir(tmp_path)` made."""
+    def make_argv(tmp_path, data, run_dir):
+        lexicon = make_dir(tmp_path)
+        if command == "redact":
+            return ["redact", "--in", data, "--lexicon-dir", lexicon,
+                    "--out", tmp_path / "red.jsonl"]
+        return ["audit-leakage", "--data", data, "--lexicon-dir", lexicon]
+    return make_argv
+
+
+def _missing_dir(tmp_path):
+    return tmp_path / "nonexistent"
+
+
+def _plain_file(tmp_path):
+    path = tmp_path / "lexicon.txt"
+    path.write_text("effusion\n")
+    return path
+
+
+def _location_not_utf8(tmp_path):
+    lexicon = tmp_path / "lexicon"
+    lexicon.mkdir()
+    (lexicon / "location.txt").write_bytes(b"left\n\xff\xfe\n")
+    return lexicon
+
+
 def _plan(doc):
     def make_argv(tmp_path, data, run_dir):
         plan = tmp_path / "plan.json"
@@ -466,6 +538,14 @@ def _trailing_bytes(tmp_path, data, run_dir):
     _truncated_checkpoint, _checkpoint_cut_in_header, _duplicate_id, _four_patients,
     pytest.param(_without_vision("train"), id="train_without_vision"),
     pytest.param(_without_vision("attribute"), id="attribute_without_vision"),
+    # --lexicon-dir must name a directory whose lexicon files are UTF-8
+    pytest.param(_lexicon_dir("redact", _missing_dir), id="redact_lexicon_missing"),
+    pytest.param(_lexicon_dir("audit-leakage", _missing_dir), id="audit_lexicon_missing"),
+    pytest.param(_lexicon_dir("redact", _plain_file), id="redact_lexicon_plain_file"),
+    pytest.param(_lexicon_dir("audit-leakage", _plain_file), id="audit_lexicon_plain_file"),
+    pytest.param(_lexicon_dir("redact", _location_not_utf8), id="redact_lexicon_not_utf8"),
+    pytest.param(_lexicon_dir("audit-leakage", _location_not_utf8),
+                 id="audit_lexicon_not_utf8"),
     # plan sections go through the config checks
     pytest.param(_plan({"split": {"bogus": 1}}), id="plan_split_unknown_key"),
     pytest.param(_plan({"split": [0.7, 0.15, 0.15]}), id="plan_split_not_object"),
@@ -488,6 +568,7 @@ def _trailing_bytes(tmp_path, data, run_dir):
     pytest.param(_config({"train": {"batch": True}}), id="batch_bool"),
     pytest.param(_config({"lora": [1]}), id="lora_not_object"),
     pytest.param(_config({"train": "ab"}), id="train_not_object"),
+    # the declared total is the paper's constant, not a config key
     pytest.param(_config({"total_params_declared": "x"}, "count-params"),
                  id="declared_total_str"),
     # a float field takes an int only when float() can represent it

@@ -1,13 +1,18 @@
+import string
+
 import numpy as np
 import pytest
 from conftest import softmax_attention
 
 from petfuse import autodiff as ad
-from petfuse.encoders import EncoderSpec, MiniTextEncoder, Tokenizer
+from petfuse.data import LABELS, generate_synthetic
+from petfuse.encoders import (MAX_TEXT_LEN, SPECIALS, EncoderSpec, MiniTextEncoder,
+                              Tokenizer)
 from petfuse.errors import ShapeError
 from petfuse.model import ModelGraph
 from petfuse.pet import (ENCODER_PREFIX, AdapterConfig, LoRAConfig, adapter_residual,
                          apply_policy, lora_linear)
+from petfuse.redaction import redact
 
 CORPUS = ["heart size normal", "no acute findings", "left base effusion noted"]
 
@@ -26,6 +31,39 @@ def test_tokenizer_specials_and_truncation():
     assert len(ids) == 3
     assert ids[0] == tok.vocab["[CLS]"]
     assert ids[1] == tok.vocab["[FINDING]"]
+
+
+def test_tokenizer_keeps_masks_followed_or_wrapped_by_punctuation():
+    tok = Tokenizer.build([redact("Findings consistent with effusion.").text])
+    assert "finding" not in tok.vocab and "loc" not in tok.vocab
+    ids = tok.encode("[FINDING]. [LOC], ([NUM]) [finding];")
+    assert ids == [tok.vocab[t] for t in ("[CLS]", "[FINDING]", "[LOC]", "[NUM]",
+                                          "[FINDING]")]
+
+
+def _normalize_before_masks_took_punctuation(raw):
+    up = raw.upper()
+    return up if up in SPECIALS else raw.strip(string.punctuation).lower()
+
+
+def test_tokenizer_on_criterion_10s_raw_corpus_is_unchanged():
+    """A raw report holds no bracket, so its vocabulary and ids are those of
+    the rule that checked for a special token before stripping punctuation."""
+    plan = {label: "vision" for label in LABELS}
+    plan.update({label: "text" for label in LABELS[:5]})
+    corpus = [s.text for s in generate_synthetic(
+        n_patients=500, seed=0, leak_prob=0.9, signal_plan=plan, signal_strength=4.0,
+        prevalence_profile=[0.25] * len(LABELS))]
+    words = {_normalize_before_masks_took_punctuation(raw)
+             for text in corpus for raw in text.split()} - set(SPECIALS) - {""}
+    vocab = {tok: i for i, tok in enumerate([*SPECIALS, *sorted(words)])}
+    tok = Tokenizer.build(corpus)
+    assert tok.vocab == vocab
+    for text in corpus:
+        expected = [vocab["[CLS]"]] + [
+            vocab[t] for t in map(_normalize_before_masks_took_punctuation, text.split())
+            if t]
+        assert tok.encode(text) == expected[:MAX_TEXT_LEN]
 
 
 def test_tokenizer_unknown_maps_to_unk():

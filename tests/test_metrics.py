@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import brute_force_auroc, hand_stepped_auprc
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from petfuse.errors import InputError
 from petfuse.metrics import (UndefinedMetric, auprc_label, auroc_label, ece,
                              evaluate_predictions, macro_auroc, macro_average,
-                             temperature_scale)
+                             sigmoid, temperature_scale)
 
 
 def test_auroc_worked_example():
@@ -203,6 +205,31 @@ def test_temperature_preserves_auroc():
     logits, y = _logits_from_calibrated(500, rng, factor=2.0)
     t, probs = temperature_scale(logits, y, logits)
     assert abs(auroc_label(probs, y) - auroc_label(logits, y)) <= 1e-12
+
+
+def test_sigmoid_keeps_the_textbook_bits_and_its_exp_overflow_is_silent():
+    x = np.random.default_rng(5).normal(0, 8, 1000)
+    assert sigmoid(x).tobytes() == (1.0 / (1.0 + np.exp(-x))).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        extremes = sigmoid(np.array([-1000.0, -np.inf, 0.0, 1000.0]))
+    assert extremes.tolist() == [0.0, 0.0, 0.5, 1.0]
+
+
+def test_temperature_scaled_extremes_give_the_clipped_forms_calibration():
+    """Beyond |z/T| = 500 the unclipped sigmoid and 1/(1+exp(-clip(z/T, ±500)))
+    put a pair on the same side of 0.5 with a confidence of exactly 1, so
+    the ECE of either is the same number."""
+    rng = np.random.default_rng(4)
+    val_logits, y_val = _logits_from_calibrated(400, rng, factor=1.0)
+    apply_logits = np.concatenate([rng.normal(0, 3, 60), [-1e5, -2e3, 2e3, 1e5]])
+    y = (rng.random(apply_logits.size) < 0.5).astype(int)
+    t, probs = temperature_scale(val_logits, y_val, apply_logits)
+    clipped = 1.0 / (1.0 + np.exp(-np.clip(apply_logits / t, -500, 500)))
+    conf = np.maximum(probs, 1.0 - probs)
+    assert conf[-4:].tolist() == [1.0] * 4
+    assert ((probs >= 0.5) == (clipped >= 0.5)).all()
+    assert ece(probs, y).ece == ece(clipped, y).ece
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from petfuse.autodiff import make_rng
 from petfuse.data import LABELS, generate_synthetic
-from petfuse.redaction import (_TOKEN_RE, DEFAULT_NEGATION, Lexicon, _is_word,
+from petfuse.errors import InputError, ParseError
+from petfuse.redaction import (_TOKEN_RE, DEFAULT_LOCATION, Lexicon, _is_word,
                                audit_leakage, redact)
 
 
@@ -27,8 +28,7 @@ def test_counts_reported():
 
 
 def test_longest_phrase_wins():
-    lex = Lexicon(pathology=("pleural effusion", "effusion"),
-                  negation=DEFAULT_NEGATION, location=())
+    lex = Lexicon(pathology=("pleural effusion", "effusion"), location=())
     out = redact("Small pleural effusion noted.", lex)
     assert out.text == "Small [FINDING] noted."
     assert out.counts["FINDING"] == 1
@@ -37,7 +37,7 @@ def test_longest_phrase_wins():
 def test_case_insensitive_whole_word():
     assert redact("PNEUMONIA suspected.").text == "[FINDING] suspected."
     # substrings inside larger words are never masked
-    lex = Lexicon(pathology=("mass",), negation=(), location=())
+    lex = Lexicon(pathology=("mass",), location=())
     assert redact("Massive biomass estimates.", lex).text == \
         "Massive biomass estimates."
 
@@ -100,7 +100,7 @@ _OVERLAPPING = ("a b c", "a b", "B c", "c", "a-b", "x y z", "x")
                 max_size=30))
 def test_phrase_stage_matches_a_scan_of_every_phrase(tokens):
     text = "".join(w + sep for w, sep in tokens)
-    out = redact(text, Lexicon(pathology=list(_OVERLAPPING), negation=[], location=[]))
+    out = redact(text, Lexicon(pathology=list(_OVERLAPPING), location=[]))
     assert (out.text, out.counts["FINDING"]) == _scan_every_phrase(text, _OVERLAPPING)
 
 
@@ -125,11 +125,30 @@ def test_monotone_token_removal():
 
 def test_lexicon_from_dir(tmp_path):
     (tmp_path / "pathology.txt").write_text("# comment\nwidgetitis\n")
-    (tmp_path / "negation.txt").write_text("no\n")
     (tmp_path / "location.txt").write_text("leftish\n")
     lex = Lexicon.from_dir(tmp_path)
     out = redact("No widgetitis in the leftish zone.", lex)
     assert out.text == "No [FINDING] in the [LOC] zone."
+
+
+def test_lexicon_file_the_directory_lacks_keeps_its_default(tmp_path):
+    (tmp_path / "pathology.txt").write_text("widgetitis  # a comment\n")
+    lex = Lexicon.from_dir(tmp_path)
+    assert lex.pathology == ["widgetitis"]
+    assert lex.location == DEFAULT_LOCATION
+
+
+def test_lexicon_path_that_is_not_a_directory_is_refused(tmp_path):
+    (tmp_path / "plain.txt").write_text("effusion\n")
+    for path in (tmp_path / "missing", tmp_path / "plain.txt"):
+        with pytest.raises(InputError, match="not a lexicon directory"):
+            Lexicon.from_dir(path)
+
+
+def test_lexicon_file_that_is_not_utf8_is_named(tmp_path):
+    (tmp_path / "location.txt").write_bytes(b"left\n\xff\xfe\n")
+    with pytest.raises(ParseError, match="location.txt: lexicon file is not UTF-8"):
+        Lexicon.from_dir(tmp_path)
 
 
 def test_audit_on_separable_corpus():
