@@ -3,7 +3,8 @@
 Manifests are JSONL: one object per line with
 {id, patient_id, text, labels:[14 x {0,1}], vision_features:[2048]?}.
 Label order is part of the file contract. In memory a sample's
-vision_features is a read-only float64 array of shape (2048,).
+vision_features is a read-only float64 array of shape (2048,) of finite
+values. A line is written as json.dumps(record, sort_keys=True) writes it.
 """
 
 from __future__ import annotations
@@ -38,13 +39,6 @@ class Sample:
     text: str
     labels: list[int]
     vision_features: np.ndarray | None = None
-
-    def to_record(self) -> dict:
-        rec = {"id": self.id, "patient_id": self.patient_id, "text": self.text,
-               "labels": self.labels}
-        if self.vision_features is not None:
-            rec["vision_features"] = self.vision_features.tolist()
-        return rec
 
 
 def _round6(x: np.ndarray) -> np.ndarray:
@@ -153,8 +147,18 @@ DISTRACTOR_TERMS = ["granuloma", "calcification", "opacity", "scoliosis",
                     "azygos lobe"]
 
 
+_SIDES = ["left", "right", "bilateral"]
+_REGIONS = ["base", "apex", "lobe"]
+
+
+def _pick(options: list[str], rng) -> str:
+    """The option that rng.choice(options) draws, from the same one integer
+    draw, without converting the list to an array on every call."""
+    return options[rng.integers(len(options))]
+
+
 def _mention_sentence(term: str, rng) -> str:
-    loc = f"{rng.choice(['left', 'right', 'bilateral'])} {rng.choice(['base', 'apex', 'lobe'])}"
+    loc = f"{_pick(_SIDES, rng)} {_pick(_REGIONS, rng)}"
     style = rng.integers(0, 3)
     if style == 0:
         return f"There is {term} at the {loc}."
@@ -216,9 +220,9 @@ def generate_synthetic(n_patients: int, prevalence_profile=None, signal_plan=Non
                     if srng.random() < leak_prob:
                         mentions.append(_TERMS[j][1])
             while len(mentions) < pad_findings_to:
-                mentions.append(str(srng.choice(DISTRACTOR_TERMS)))
+                mentions.append(_pick(DISTRACTOR_TERMS, srng))
 
-            sentences = [str(srng.choice(_FILLER_SENTENCES)) for _ in range(2)]
+            sentences = [_pick(_FILLER_SENTENCES, srng) for _ in range(2)]
             sentences += [_mention_sentence(m, srng) for m in mentions]
             samples.append(Sample(
                 id=f"s{pi:05d}_{si}",
@@ -238,22 +242,28 @@ _OPTIONAL = ("vision_features",)
 
 def _vision_floats(feats) -> np.ndarray | None:
     """A manifest's vision_features as a read-only float64 array; None unless
-    it is a list of VISION_DIM JSON numbers (a bool counts as an int)."""
+    it is a list of VISION_DIM finite JSON numbers (a bool counts as an int;
+    json reads NaN, Infinity and numbers beyond the float range as
+    non-finite floats)."""
     try:
         arr = np.array(feats)
     except ValueError:  # a ragged nested list
         return None
     if arr.dtype.kind in "biuf":
-        return _read_only(arr) if arr.shape == (VISION_DIM,) else None
+        if arr.shape != (VISION_DIM,):
+            return None
     # an object or string array, e.g. one holding a None or an int beyond
     # 64 bits: element by element
-    if not isinstance(feats, list) or len(feats) != VISION_DIM or not all(
+    elif not isinstance(feats, list) or len(feats) != VISION_DIM or not all(
             isinstance(v, (int, float)) for v in feats):
         return None
-    try:
-        return _read_only([float(v) for v in feats])
-    except OverflowError:  # an int beyond the float range
-        return None
+    else:
+        try:
+            arr = np.array([float(v) for v in feats])
+        except OverflowError:  # an int beyond the float range
+            return None
+    arr = _read_only(arr)
+    return arr if np.isfinite(arr).all() else None
 
 
 def load_manifest(path) -> list[Sample]:
@@ -295,7 +305,8 @@ def load_manifest(path) -> list[Sample]:
                 feats = _vision_floats(feats)
                 if feats is None:
                     raise ParseError(
-                        f"{path}:{lineno}: vision_features must be {VISION_DIM} numbers")
+                        f"{path}:{lineno}: vision_features must be {VISION_DIM} "
+                        "finite numbers")
             sid = str(rec["id"])
             if sid in id_line:
                 raise ParseError(f"{path}:{lineno}: duplicate sample id {sid!r} "
@@ -307,10 +318,65 @@ def load_manifest(path) -> list[Sample]:
     return samples
 
 
+def _six_decimal_json(x: np.ndarray) -> str | None:
+    """json.dumps(x.tolist()) of a float64 row whose every value is a
+    6-decimal number k/1e6 with 1e-4 <= |x| < 1e9, or zero; None otherwise.
+
+    Such a value's repr is its decimal: it has at most 15 significant
+    digits, so no shorter string maps to the same double, and repr writes
+    the exponent form only below 1e-4. Each value is laid out in one column
+    of a character grid: the sign, the integer digits, the point and six
+    fraction digits, then ", ". Dropping the sign of a non-negative value,
+    leading zeros and trailing fraction zeros (one digit stays each side of
+    the point) and reading the grid value by value gives the text.
+    """
+    if x.dtype != np.float64 or not x.size:
+        return None
+    ax = np.abs(x)  # NaN and infinities fail the range test
+    if not ((ax < 1e9) & ((ax >= 1e-4) | (x == 0))).all():
+        return None
+    k = np.rint(x * 1e6)
+    if not (k / 1e6 == x).all():
+        return None
+    whole, frac = np.divmod(np.abs(k).astype(np.int64), 1_000_000)
+    w = len(str(whole.max()))
+    chars = np.empty((w + 10, len(x)), np.uint8)
+    keep = np.ones(chars.shape, bool)
+    chars[0] = ord("-")
+    keep[0] = np.signbit(x)  # -0.0 keeps its sign
+    for j in range(w, 0, -1):
+        keep[j] = whole > 0
+        whole, digit = np.divmod(whole, 10)
+        chars[j] = digit + ord("0")
+    keep[w] = True
+    chars[w + 1] = ord(".")
+    nonzero_after = np.zeros(len(x), bool)
+    for j in range(w + 7, w + 1, -1):
+        frac, digit = np.divmod(frac, 10)
+        chars[j] = digit + ord("0")
+        nonzero_after |= digit != 0
+        keep[j] = nonzero_after
+    keep[w + 2] = True
+    chars[w + 8] = ord(",")
+    chars[w + 9] = ord(" ")
+    keep[w + 8:, -1] = False
+    return "[" + chars.T[keep.T].tobytes().decode("ascii") + "]"
+
+
 def save_manifest(path, samples):
+    """Write samples as JSONL, each line the bytes of json.dumps(record,
+    sort_keys=True): vision_features, when present, sorts last and is
+    appended to the other fields' JSON."""
     with open(path, "w", encoding="utf-8") as f:
         for s in samples:
-            f.write(json.dumps(s.to_record(), sort_keys=True) + "\n")
+            head = json.dumps({"id": s.id, "labels": s.labels,
+                               "patient_id": s.patient_id, "text": s.text},
+                              sort_keys=True)
+            x = s.vision_features
+            if x is not None:
+                feats = _six_decimal_json(x) or json.dumps(x.tolist())
+                head = f'{head[:-1]}, "vision_features": {feats}}}'
+            f.write(head + "\n")
 
 
 def label_matrix(samples) -> np.ndarray:

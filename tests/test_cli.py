@@ -421,6 +421,22 @@ def _without_vision(command):
     return make_argv
 
 
+def _non_finite_feature(command, value):
+    """The fixture's manifest with one vision feature of its third row set to
+    `value`, which json writes as NaN, Infinity or -Infinity."""
+    def make_argv(tmp_path, data, run_dir):
+        lines = data.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[2])
+        rec["vision_features"][7] = value
+        lines[2] = json.dumps(rec) + "\n"
+        manifest = tmp_path / "nonfinite.jsonl"
+        manifest.write_text("".join(lines))
+        if command == "train":
+            return ["train", "--data", manifest, "--out", tmp_path / "run"]
+        return [command, "--checkpoint", run_dir / "checkpoint.bin", "--data", manifest]
+    return make_argv
+
+
 def _lexicon_dir(command, make_dir):
     """`command` on the fixture's manifest with --lexicon-dir naming what
     `make_dir(tmp_path)` made."""
@@ -538,6 +554,10 @@ def _trailing_bytes(tmp_path, data, run_dir):
     _truncated_checkpoint, _checkpoint_cut_in_header, _duplicate_id, _four_patients,
     pytest.param(_without_vision("train"), id="train_without_vision"),
     pytest.param(_without_vision("attribute"), id="attribute_without_vision"),
+    pytest.param(_non_finite_feature("train", float("nan")), id="train_nan_feature"),
+    pytest.param(_non_finite_feature("eval", float("inf")), id="eval_inf_feature"),
+    pytest.param(_non_finite_feature("calibrate", -float("inf")),
+                 id="calibrate_minus_inf_feature"),
     # --lexicon-dir must name a directory whose lexicon files are UTF-8
     pytest.param(_lexicon_dir("redact", _missing_dir), id="redact_lexicon_missing"),
     pytest.param(_lexicon_dir("audit-leakage", _missing_dir), id="audit_lexicon_missing"),
@@ -685,6 +705,18 @@ def test_malformed_input_is_one_line_runtime_error(make_argv, trained, capsys,
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_non_finite_feature_is_named_by_its_line(trained, capsys, tmp_path):
+    """A NaN feature used to train to a NaN validation AUROC every epoch and
+    exit 0; the manifest row is refused instead."""
+    _, data, _, run_dir = trained
+    argv = _non_finite_feature("train", float("nan"))(tmp_path, data, run_dir)
+    capsys.readouterr()
+    code, _, err = run(capsys, *[str(a) for a in argv])
+    assert code == 2
+    assert err == (f"error: {tmp_path / 'nonfinite.jsonl'}:3: "
+                   "vision_features must be 2048 finite numbers\n")
 
 
 def test_out_of_memory_is_one_line_runtime_error(trained, capsys, tmp_path, monkeypatch):
@@ -835,7 +867,7 @@ def _malformed_row(record):
         _JSON.filter(lambda v: not isinstance(v, list)).map(lambda v: with_value("labels", v)),
         st.lists(st.integers(0, 1), max_size=20).filter(lambda v: len(v) != len(LABELS))
         .map(lambda v: with_value("labels", v)),
-        st.sampled_from([None, "0", [0.0]])
+        st.sampled_from([None, "0", [0.0], float("nan"), float("inf"), -float("inf")])
         .map(lambda bad: with_value("vision_features", [0.5] * 2047 + [bad])),
         st.integers(0, 2049).filter(lambda n: n != 2048)
         .map(lambda n: with_value("vision_features", [0.5] * n)),

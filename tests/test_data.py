@@ -1,6 +1,8 @@
 """Synthetic corpus generation, patient-level splitting, and manifest IO."""
 
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 
 from petfuse.cli import main
 from petfuse.data import (DEFAULT_PREVALENCE, LABELS, Sample, SplitSpec,
-                          _round6, generate_synthetic, label_matrix, load_manifest,
-                          save_manifest, split_patients)
+                          _round6, _six_decimal_json, generate_synthetic,
+                          label_matrix, load_manifest, save_manifest, split_patients)
 from petfuse.errors import ConfigError, ParseError
 
 
@@ -23,6 +25,12 @@ def _mk_samples(n_patients, per_patient=1):
                               labels=[0] * len(LABELS),
                               vision_features=[0.0] * 2048))
     return out
+
+
+def _fields(s):
+    """Everything a sample holds, its features as their float64 bytes."""
+    feats = None if s.vision_features is None else s.vision_features.tobytes()
+    return (s.id, s.patient_id, s.text, s.labels, feats)
 
 
 # ------------------------------------------------------------------- split
@@ -96,14 +104,13 @@ def test_generate_deterministic_bytes():
     a = generate_synthetic(n_patients=25, seed=42)
     b = generate_synthetic(n_patients=25, seed=42)
     assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert x.to_record() == y.to_record()
+    assert [_fields(x) for x in a] == [_fields(y) for y in b]
 
 
 def test_generate_seed_sensitivity():
     a = generate_synthetic(n_patients=25, seed=1)
     b = generate_synthetic(n_patients=25, seed=2)
-    assert any(x.to_record() != y.to_record() for x, y in zip(a, b))
+    assert any(_fields(x) != _fields(y) for x, y in zip(a, b))
 
 
 def test_generate_prevalence_within_3_sigma():
@@ -184,7 +191,7 @@ def test_manifest_roundtrip(tmp_path):
     path = tmp_path / "data.jsonl"
     save_manifest(path, samples)
     loaded = load_manifest(path)
-    assert [s.to_record() for s in loaded] == [s.to_record() for s in samples]
+    assert [_fields(s) for s in loaded] == [_fields(s) for s in samples]
 
 
 def test_manifest_parse_error_reports_line(tmp_path):
@@ -266,14 +273,16 @@ def test_manifest_rejects_wrong_feature_length(tmp_path):
 
 def _per_element_features(feats):
     """The element-by-element vision_features rule: a list of 2048 ints,
-    floats or bools, each converted with float(); None when rejected."""
+    floats or bools, each converted with float() to a finite float; None
+    when rejected."""
     if not isinstance(feats, list) or len(feats) != 2048 or not all(
             isinstance(v, (int, float)) for v in feats):
         return None
     try:
-        return [float(v) for v in feats]
+        floats = [float(v) for v in feats]
     except OverflowError:
         return None
+    return floats if all(math.isfinite(v) for v in floats) else None
 
 
 def _load_features(path, feats):
@@ -283,7 +292,7 @@ def _load_features(path, feats):
     try:
         return load_manifest(path)[0].vision_features
     except ParseError as e:
-        assert str(e) == f"{path}:1: vision_features must be 2048 numbers"
+        assert str(e) == f"{path}:1: vision_features must be 2048 finite numbers"
         return None
 
 
@@ -318,6 +327,9 @@ def test_vision_features_accepted_and_converted_as_element_by_element(
     [[0.0] * 1024, [0.0] * 1023],     # ragged nesting: numpy raises ValueError
     [0.0] * 2047 + [None],            # an object row
     [0.0] * 2047 + [10**400],         # an int beyond the float range
+    [0.0] * 2047 + [float("nan")],    # json reads NaN, Infinity and 1e400
+    [float("inf")] + [0.0] * 2047,
+    [0.0] * 2047 + [-float("inf")],
     "0" * 2048, {"0": 0.0}, 3.5,
 ])
 def test_manifest_rejects_malformed_features_with_one_message(tmp_path, feats):
@@ -390,3 +402,118 @@ def test_round6_equals_round_on_every_element():
                         [0.0, -0.0, -1e-9, 5e-7, -5e-7, 2.5e-6, 1e20, -3e15]])
     expected = np.array([round(float(v), 6) for v in x])
     assert _round6(x).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-1e999"])
+def test_manifest_refuses_non_finite_features(tmp_path, token):
+    """json reads these as NaN or infinite floats; training on one would
+    print a NaN AUROC every epoch and exit 0."""
+    path = tmp_path / "m.jsonl"
+    head = json.dumps({"id": "a", "labels": [0] * len(LABELS), "patient_id": "p",
+                       "text": "t"})
+    path.write_text(head[:-1] + ', "vision_features": [' + ", ".join(
+        ["0.5"] * 100 + [token] + ["0.5"] * 1947) + "]}\n")
+    with pytest.raises(ParseError) as exc:
+        load_manifest(path)
+    assert str(exc.value) == f"{path}:1: vision_features must be 2048 finite numbers"
+
+
+# ------------------------------------------------------------------ writer
+
+
+def _oracle_manifest(samples) -> bytes:
+    """The manifest as json.dumps writes each record with sorted keys."""
+    lines = []
+    for s in samples:
+        rec = {"id": s.id, "patient_id": s.patient_id, "text": s.text,
+               "labels": s.labels}
+        if s.vision_features is not None:
+            rec["vision_features"] = s.vision_features.tolist()
+        lines.append(json.dumps(rec, sort_keys=True) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+# 6-decimal values on both sides of every edge of the array formatter:
+# zero and its sign, 1e-4 (below it repr writes an exponent), 1e9, and the
+# carries of the last fraction digit
+_EDGE_VALUES = [0.0, -0.0, 1e-4, -1e-4, 5e-05, -5e-05, 1e-06, 9.9e-05, 0.000101,
+                999.999999, -999.999999, 999999999.999999, 1e9, -1e9, 1e9 + 0.5,
+                123456789.123456, 0.5, -7.0, 10.0, 100.000001, 0.100001]
+_SIX_DECIMALS = st.integers(0, 15).flatmap(
+    lambda p: st.integers(-10**p, 10**p)).map(lambda k: k / 1e6)
+_OTHER_FLOATS = st.one_of(
+    st.sampled_from([0.1 + 0.2, 1 / 3, math.nan, math.inf, -math.inf, 5e-324,
+                     1e300, -2.5e-7, np.nextafter(1e-4, 1.0)]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _feature_rows(draw):
+    row = draw(st.lists(st.one_of(st.sampled_from(_EDGE_VALUES), _SIX_DECIMALS),
+                        min_size=1, max_size=40))
+    for _ in range(draw(st.integers(0, 2))):
+        row.insert(draw(st.integers(0, len(row))), draw(_OTHER_FLOATS))
+    return np.array(row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.one_of(st.none(), _feature_rows()), min_size=1, max_size=5),
+       text=st.text(max_size=12))
+def test_save_manifest_writes_the_json_dumps_bytes(tmp_path_factory, rows, text):
+    samples = [Sample(id=f"s{i}", patient_id=f"p{i}", text=text,
+                      labels=[i % 2] * len(LABELS), vision_features=row)
+               for i, row in enumerate(rows)]
+    path = tmp_path_factory.mktemp("writer") / "m.jsonl"
+    save_manifest(path, samples)
+    assert path.read_bytes() == _oracle_manifest(samples)
+
+
+@pytest.mark.parametrize("row, fast", [
+    ([0.0, -0.0, 1e-4, -1e-4, 999.999999, 999999999.999999, -12.5], True),
+    ([0.5, 5e-05], False),                 # repr writes 5e-05
+    ([0.5, 1e9], False),                   # at or beyond 1e9
+    ([0.5, 0.1 + 0.2], False),             # not a 6-decimal number
+    ([0.5, math.nan], False), ([math.inf], False), ([-math.inf, 0.5], False),
+])
+def test_six_decimal_rows_take_the_array_path(row, fast):
+    x = np.array(row)
+    got = _six_decimal_json(x)
+    assert (got is not None) == fast
+    if fast:
+        assert got == json.dumps(row)
+
+
+def test_generated_rows_take_the_array_path():
+    """Most generated rows are formatted from their integers; a row goes to
+    json.dumps only when a value lies below 1e-4."""
+    samples = generate_synthetic(n_patients=40, seed=8)
+    fast = [_six_decimal_json(s.vision_features) for s in samples]
+    for s, text in zip(samples, fast):
+        small = np.abs(s.vision_features) < 1e-4
+        assert (text is None) == bool((small & (s.vision_features != 0)).any())
+        if text is not None:
+            assert text == json.dumps(s.vision_features.tolist())
+    assert sum(text is not None for text in fast) > len(samples) // 2
+
+
+# Digests of manifests written by the generator and writer before either was
+# vectorized; a change to the draws or to the number format moves them.
+GEN_DATA_12_SEED_9_SHA256 = \
+    "754853d47d7d3e8fe52819c7400a2f6da8b5cf8e1f7cc875a77836df82d14a59"
+PLANNED_60_SEED_5_SHA256 = \
+    "73a64da70966b5fe9571f0178876c495ac913f882c056984fcd25810040014e7"
+
+
+def test_gen_data_manifest_keeps_its_digest(tmp_path):
+    path = tmp_path / "gen.jsonl"
+    assert main(["gen-data", "--patients", "12", "--seed", "9", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GEN_DATA_12_SEED_9_SHA256
+
+
+def test_planned_leaky_manifest_keeps_its_digest(tmp_path):
+    plan = {"Cardiomegaly": "vision", "Effusion": "text", "Edema": "both",
+            "Hernia": "none"}
+    path = tmp_path / "planned.jsonl"
+    save_manifest(path, generate_synthetic(60, seed=5, leak_prob=0.9,
+                                           pad_findings_to=12, signal_plan=plan))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PLANNED_60_SEED_5_SHA256
