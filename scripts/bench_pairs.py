@@ -22,7 +22,9 @@ The output holds, per workload and end-to-end metric, every run, each
 side's median and quartiles (`statistics.quantiles(n=4,
 method='inclusive')`), the change's wins (ties count for neither), the
 parent's interquartile range, and whether the change's median is within the
-metric's bound in BENCHMARK.json. A gain is claimable when the change wins
+metric's bound in BENCHMARK.json; and per workload, each side's share of
+failed operations over all its runs and whether the change's is no larger.
+A gain is claimable when the change wins
 at least nine tenths of the pairs and the medians differ, in its favour, by
 more than the parent's interquartile range.
 """
@@ -95,6 +97,19 @@ def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
             "within_bound": worse_by <= spec["bound"]}
 
 
+def failure_shares(parent: list[dict], change: list[dict]) -> dict:
+    """Each side's share of failed operations over all its runs (failed over
+    attempted), and whether the change's share is no larger than the
+    parent's."""
+    def share(runs):
+        attempted = sum(r["attempted"] for r in runs)
+        return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
+
+    p, c = share(parent), share(change)
+    return {"failed_share_parent": p, "failed_share_change": c,
+            "failed_share_no_larger": c <= p}
+
+
 def run_pairs(sides: dict, workloads: list, first_seed: int, pairs: int,
               seconds: float) -> dict:
     """workload -> side -> the runs of every pair, alternating which side
@@ -160,6 +175,7 @@ def main(argv=None) -> int:
         for side in sides:
             entry[f"failed_ops_{side}"] = [[r["failed"], r["attempted"]]
                                            for r in runs[w][side]]
+        entry.update(failure_shares(runs[w]["parent"], runs[w]["change"]))
         doc["workloads"][w] = entry
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     for w in workloads:
@@ -169,6 +185,10 @@ def main(argv=None) -> int:
                   f"change {c['change']['median']:<10.4g} wins {c['change_wins']}/"
                   f"{c['pairs']} iqr {c['parent_iqr']:.3g} "
                   f"claimable {c['gain_claimable']} within_bound {c['within_bound']}")
+        e = doc["workloads"][w]
+        print(f"{w:<20} {'failed_share':<20} parent {e['failed_share_parent']:<10.4g} "
+              f"change {e['failed_share_change']:<10.4g} "
+              f"no_larger {e['failed_share_no_larger']}")
     return 0
 
 

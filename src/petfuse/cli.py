@@ -198,9 +198,22 @@ def _cmd_train(args):
                                   "best_val_auroc": result.best_val_auroc},
                     state={"vocab": tokenizer.tokens(),
                            "normalizers": {name: norm.state() for name, norm
-                                           in model.normalizers.items()}})
+                                           in model.normalizers.items()},
+                           "frozen_sha256": _frozen_sha256(tokenizer, model.graph)})
     print(f"best epoch {result.best_epoch}, val AUROC {result.best_val_auroc:.4f}")
     return 0
+
+
+def _frozen_sha256(tokenizer, graph) -> str:
+    """SHA-256 over the vocabulary and over each non-trainable array of
+    `graph` (address, shape, bytes, in graph order): what a checkpoint
+    rebuilds from its seed instead of storing."""
+    h = hashlib.sha256(json.dumps(tokenizer.tokens()).encode())
+    for p in graph.params.values():
+        if not p.trainable:
+            h.update(json.dumps([p.name, p.data.shape]).encode())
+            h.update(p.data.tobytes())
+    return h.hexdigest()
 
 
 def _header_config(path, extra) -> dict:
@@ -244,14 +257,19 @@ def _restore_model(checkpoint, manifest):
     header, arrays = load_checkpoint(checkpoint)
     cfg = _header_config(checkpoint, header.get("extra"))
     state = header.get("state")
-    if not isinstance(state, dict) or set(state) != {"vocab", "normalizers"}:
+    if (not isinstance(state, dict) or set(state) != {"vocab", "normalizers", "frozen_sha256"}
+            or not isinstance(state["frozen_sha256"], str)):
         raise InputError(f"{checkpoint}: checkpoint state must be an object "
-                         f"with vocab and normalizers")
+                         f"with vocab, normalizers and a frozen_sha256 string")
     params = {k[len("param/"):]: v for k, v in arrays.items() if k.startswith("param/")}
     _check_claimed_sizes(checkpoint, cfg, params)
     samples = data_mod.load_manifest(manifest)
     _, val_set, test_set = data_mod.split_patients(samples, SplitSpec(seed=cfg["seed"]))
-    _, model = _load_arm_model(cfg, Tokenizer.from_tokens(state["vocab"]), cfg["seed"])
+    tokenizer = Tokenizer.from_tokens(state["vocab"])
+    _, model = _load_arm_model(cfg, tokenizer, cfg["seed"])
+    if _frozen_sha256(tokenizer, model.graph) != state["frozen_sha256"]:
+        raise InputError(f"{checkpoint}: the vocabulary and frozen weights rebuilt "
+                         f"from the checkpoint do not match its frozen_sha256")
     stats = state["normalizers"]
     if not isinstance(stats, dict) or set(stats) != set(model.normalizers):
         raise InputError(f"{checkpoint}: checkpoint normalizers must be "

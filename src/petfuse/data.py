@@ -182,6 +182,10 @@ def generate_synthetic(n_patients: int, prevalence_profile=None, signal_plan=Non
     are padded with label-neutral pathology mentions to a constant count so
     masking them leaves no residual count signal.
     """
+    if n_patients < 1:
+        raise ConfigError(f"need at least 1 patient, got {n_patients}")
+    if not 0.0 <= leak_prob <= 1.0:  # NaN fails the comparison too
+        raise ConfigError(f"leak probability must lie in [0, 1], got {leak_prob}")
     prev = list(DEFAULT_PREVALENCE if prevalence_profile is None else prevalence_profile)
     if len(prev) != NUM_LABELS:
         raise ConfigError(f"prevalence profile must have {NUM_LABELS} entries")

@@ -371,7 +371,7 @@ def test_criterion_09_early_stopping():
 # ------------------------------------------------------------- criterion 10
 
 
-def test_criterion_10_attribution():
+def test_criterion_10_attribution(tmp_path):
     t0 = time.perf_counter()
     plan_map = {label: "vision" for label in LABELS}
     for label in LABELS[:5]:
@@ -383,8 +383,7 @@ def test_criterion_10_attribution():
             build_arm("full_pet", {"seeds": [0, 1, 2]})]
     train = TrainConfig(batch=16, accumulation=1, max_epochs=12, patience=4,
                         lr=3e-3, weight_decay=1e-6, clip_norm=10.0)
-    result = run_plan(ExperimentPlan(arms=arms, train=train), samples,
-                      "/tmp/petfuse_acceptance_attribution")
+    result = run_plan(ExperimentPlan(arms=arms, train=train), samples, tmp_path)
     assert not result.failures, result.failures
     delta = result.arm_means["full_pet"] - result.arm_means["vision_only"]
     elapsed = time.perf_counter() - t0

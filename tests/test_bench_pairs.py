@@ -1,6 +1,7 @@
-"""scripts/bench_pairs: `compare` on hand-made runs (when a gain is
-claimable and when a metric stays within its bound), and the fresh copy
-each side runs from."""
+"""scripts/bench_pairs: `compare` and `failure_shares` on hand-made runs
+(when a gain is claimable, when a metric stays within its bound, when the
+change's share of failed operations is no larger), and the fresh copy each
+side runs from."""
 
 import importlib.util
 import subprocess
@@ -58,6 +59,34 @@ def test_ties_count_for_neither_side():
 def test_within_bound_is_the_relative_loss_against_the_bound(spec, factor, within):
     c = bench_pairs.compare(spec, PARENT, [p * factor for p in PARENT])
     assert c["within_bound"] is within
+
+
+def _runs(*counts):
+    """Hand-made runs, one (failed, attempted) pair each."""
+    return [{"failed": f, "attempted": a} for f, a in counts]
+
+
+def test_failure_shares_pool_each_sides_runs():
+    s = bench_pairs.failure_shares(_runs((0, 10), (1, 10)), _runs((0, 5), (1, 15)))
+    assert s["failed_share_parent"] == pytest.approx(0.05)
+    assert s["failed_share_change"] == pytest.approx(0.05)
+    assert s["failed_share_no_larger"]  # an equal share is no larger
+
+
+@pytest.mark.parametrize("change, no_larger", [
+    (_runs((0, 10), (0, 10)), True),
+    (_runs((2, 10), (0, 10)), False),
+    (_runs((1, 40), (0, 40)), True),   # one failure in 80 beats one in 20
+])
+def test_failure_shares_compare_the_change_with_the_parent(change, no_larger):
+    s = bench_pairs.failure_shares(_runs((1, 10), (0, 10)), change)
+    assert s["failed_share_no_larger"] is no_larger
+
+
+def test_no_attempted_operation_is_no_failure():
+    s = bench_pairs.failure_shares(_runs((0, 0)), _runs((0, 0)))
+    assert s["failed_share_parent"] == s["failed_share_change"] == 0.0
+    assert s["failed_share_no_larger"]
 
 
 def _checkout(root: Path) -> Path:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from petfuse import harness
 from petfuse.cli import main
 from petfuse.data import LABELS, SplitSpec, load_manifest, split_patients
+from petfuse.encoders import SPECIALS
 from petfuse.fusion import FusionPathway
 from petfuse.training import load_checkpoint
 
@@ -371,6 +372,13 @@ def _malformed_signal_plan(tmp_path, data, run_dir):
             "--out", tmp_path / "d.jsonl"]
 
 
+def _gen_data(*flags):
+    """gen-data with the given corpus flags."""
+    def make_argv(tmp_path, data, run_dir):
+        return ["gen-data", "--patients", "4", *flags, "--out", tmp_path / "d.jsonl"]
+    return make_argv
+
+
 def _lora_rank_zero(tmp_path, data, run_dir):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"arm": "full_pet", "policy": "lora",
@@ -525,6 +533,12 @@ def _set(doc, key, value):
     doc[key] = value
 
 
+def _swap_tokens(state):
+    """Swap the first two tokens after the specials."""
+    vocab, i = state["vocab"], len(SPECIALS)
+    vocab[i], vocab[i + 1] = vocab[i + 1], vocab[i]
+
+
 def _vision_stat(key, value):
     def edit(state):
         state["normalizers"]["vision"][key] = value
@@ -551,6 +565,12 @@ def _trailing_bytes(tmp_path, data, run_dir):
 
 @pytest.mark.parametrize("make_argv", [
     _arm_without_kind, _malformed_plan, _malformed_signal_plan, _lora_rank_zero,
+    # gen-data refuses a corpus no patient or probability can make
+    pytest.param(_gen_data("--patients", "0"), id="gen_data_zero_patients"),
+    pytest.param(_gen_data("--patients", "-3"), id="gen_data_negative_patients"),
+    pytest.param(_gen_data("--leak-prob", "1.5"), id="gen_data_leak_prob_above_1"),
+    pytest.param(_gen_data("--leak-prob", "nan"), id="gen_data_leak_prob_nan"),
+    pytest.param(_gen_data("--leak-prob", "-1"), id="gen_data_leak_prob_negative"),
     _truncated_checkpoint, _checkpoint_cut_in_header, _duplicate_id, _four_patients,
     pytest.param(_without_vision("train"), id="train_without_vision"),
     pytest.param(_without_vision("attribute"), id="attribute_without_vision"),
@@ -678,6 +698,14 @@ def _trailing_bytes(tmp_path, data, run_dir):
                  id="vocab_without_specials"),
     pytest.param(_checkpoint_state("eval", lambda st: st["vocab"].append(7)),
                  id="vocab_not_strings"),
+    # a vocabulary that still parses, but rebuilds other frozen weights
+    pytest.param(_checkpoint_state("eval", lambda st: st["vocab"].extend(
+        f"added{i}" for i in range(50))), id="vocab_50_tokens_appended"),
+    pytest.param(_checkpoint_state("calibrate", _swap_tokens), id="vocab_tokens_swapped"),
+    pytest.param(_checkpoint_state("eval", lambda st: st.pop("frozen_sha256")),
+                 id="frozen_sha256_missing"),
+    pytest.param(_checkpoint_state("calibrate", lambda st: _set(st, "frozen_sha256", 0)),
+                 id="frozen_sha256_not_str"),
     pytest.param(_checkpoint_state("eval", lambda st: st["normalizers"].pop("text")),
                  id="normalizer_missing"),
     pytest.param(_checkpoint_state("eval", _vision_stat("mu", [0.0] * 2047)),
