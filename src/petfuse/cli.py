@@ -16,6 +16,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import data as data_mod
 from . import harness, metrics, redaction
@@ -212,7 +214,7 @@ def _frozen_sha256(tokenizer, graph) -> str:
     for p in graph.params.values():
         if not p.trainable:
             h.update(json.dumps([p.name, p.data.shape]).encode())
-            h.update(p.data.tobytes())
+            h.update(np.ascontiguousarray(p.data))
     return h.hexdigest()
 
 
