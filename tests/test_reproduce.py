@@ -76,3 +76,10 @@ def test_the_audit_probe_loses_its_signal_to_redaction(reproduced):
     _, doc = reproduced
     (audit,) = doc["leakage"].values()
     assert audit["auroc_raw"] - audit["auroc_redacted"] >= 0.08, audit
+
+
+def test_a_failing_command_stops_the_script_naming_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(reproduce, "PATIENTS", 2)  # too few patients to split
+    with pytest.raises(SystemExit, match=r"^reproduce: petfuse attribute .* exited 2$"):
+        reproduce.main(["--out", str(tmp_path)])
+    assert not (tmp_path / "reproduction.json").exists()
