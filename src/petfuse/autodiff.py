@@ -3,8 +3,8 @@
 Covers exactly the ops the fusion pathway, the mini text encoder, tuning
 injections and the training loss need: matmul, broadcast add (also as
 `+`) and mul, relu, non-affine layer norm, dropout, row gathers and
-concatenation, sums, attention over a batch of padded sequences with a key
-mask, and binary cross-entropy on logits. Tensors are float64 throughout;
+concatenation, attention over a batch of padded sequences with a key mask,
+and binary cross-entropy on logits. Tensors are float64 throughout;
 the graph is a dynamic tape, backward visits each node once.
 
 Only what a gradient can flow through is recorded: a node that requires no
@@ -225,21 +225,6 @@ def matmul(a, b) -> Tensor:
     return Tensor(a.data @ b.data, _parents=(a, b), _backward=bw)
 
 
-# -- reductions -------------------------------------------------------------
-
-
-def tsum(x, axis=None) -> Tensor:
-    x = as_tensor(x)
-
-    def bw(g):
-        if axis is None:
-            _accum(x, np.broadcast_to(g, x.data.shape).copy())
-        else:
-            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
-
-    return Tensor(x.data.sum(axis=axis), _parents=(x,), _backward=bw)
-
-
 # -- indexing ---------------------------------------------------------------
 
 
@@ -372,15 +357,12 @@ def bce_with_logits(logits, targets) -> Tensor:
     if y.shape != logits.data.shape:
         raise ShapeError(f"targets shape {y.shape} != logits shape {logits.data.shape}")
     z = logits.data
-    loss = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+    e = np.exp(-np.abs(z))  # in (0, 1]: exp(-z) where z >= 0, exp(z) below
+    loss = np.maximum(z, 0.0) - z * y + np.log1p(e)
     n = z.size
 
     def bw(g):
-        p = np.empty_like(z)
-        pos = z >= 0
-        p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        p[~pos] = ez / (1.0 + ez)
+        p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))  # sigmoid(z)
         _accum(logits, g * (p - y) / n)
 
     return Tensor(loss.mean(), _parents=(logits,), _backward=bw)

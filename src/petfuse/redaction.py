@@ -4,12 +4,15 @@ Stage 1 masks pathology-lexicon phrases (longest match first,
 case-insensitive, whole tokens) with [FINDING]; stage 2 masks numeric
 tokens with [NUM] and location-lexicon tokens with [LOC]. The default
 lexicons hold no negation word, so "no", "without" and the like stay. The
-audit trains bag-of-tokens linear classifiers on raw vs redacted corpora
-and compares test macro AUROC.
+phrase index and the location set are built once per lexicon content and
+reused by every report redacted with it; editing a Lexicon's lists takes
+effect on the next call. The audit trains bag-of-tokens linear classifiers
+on raw vs redacted corpora and compares test macro AUROC.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,57 +78,54 @@ _MASK_RE = r"\[(?:FINDING|NUM|LOC)\]"
 _NUM_RE = r"\d+(?:\.\d+)?(?:[a-zA-Z%]+)?"
 _WORD_RE = r"[A-Za-z]+(?:['\-][A-Za-z]+)*"
 _TOKEN_RE = re.compile(f"({_MASK_RE}|{_NUM_RE}|{_WORD_RE})")
-_PURE_NUM_RE = re.compile(rf"^{_NUM_RE}$")
 
 
-def _is_word(tok: str) -> bool:
-    return bool(_TOKEN_RE.fullmatch(tok)) and not tok.startswith("[")
+@functools.lru_cache(maxsize=8)
+def _index(pathology: tuple[str, ...], location: tuple[str, ...]):
+    """Pathology phrases (word lists) by first word, longest first, and the
+    set of location terms; all lowercased."""
+    phrases: dict[str, list[list[str]]] = {}
+    for phrase in sorted({tuple(t.lower().split()) for t in pathology},
+                         key=len, reverse=True):
+        if phrase:
+            phrases.setdefault(phrase[0], []).append(list(phrase))
+    return phrases, frozenset(t.lower() for t in location)
 
 
 def redact(text: str, lexicon: Lexicon | None = None) -> RedactedReport:
     """Mask pathology phrases, numbers, and location tokens; keep the rest."""
     lexicon = lexicon or Lexicon()
-    parts = [p for p in _TOKEN_RE.split(text) if p != ""]
+    phrases, location = _index(tuple(lexicon.pathology), tuple(lexicon.location))
+    # the split puts each token at an odd index, the text between at even ones;
+    # every token but a mask is a word: a number or a letter word
+    parts = _TOKEN_RE.split(text)
+    word_idx = [i for i in range(1, len(parts), 2) if parts[i][0] != "["]
+    words = [parts[i].lower() for i in word_idx]
     counts = {m: 0 for m in MASKS}
 
-    # candidate phrases by first word, longest first
-    phrases: dict[str, list[tuple[str, ...]]] = {}
-    for phrase in sorted({tuple(t.lower().split()) for t in lexicon.pathology},
-                         key=len, reverse=True):
-        if phrase:
-            phrases.setdefault(phrase[0], []).append(phrase)
-    word_idx = [i for i, p in enumerate(parts) if _is_word(p)]
-
-    # stage 1: pathology phrases, longest first over consecutive word tokens
+    # left to right over the words: the longest pathology phrase starting at
+    # a word wins; a word no phrase starts at is final, so stage 2 masks it
+    # there, a number before a location term
     pos = 0
-    while pos < len(word_idx):
-        matched = None
-        for phrase in phrases.get(parts[word_idx[pos]].lower(), ()):
-            span = word_idx[pos:pos + len(phrase)]
-            if len(span) == len(phrase) and all(
-                    parts[k].lower() == w for k, w in zip(span[1:], phrase[1:])):
-                matched = span
+    while pos < len(words):
+        word = words[pos]
+        for phrase in phrases.get(word, ()):
+            if words[pos:pos + len(phrase)] == phrase:
+                # the phrase's later words and the separators between them go
+                first, last = word_idx[pos], word_idx[pos + len(phrase) - 1]
+                parts[first] = "[FINDING]"
+                parts[first + 1:last + 1] = [""] * (last - first)
+                counts["FINDING"] += 1
+                pos += len(phrase)
                 break
-        if matched:
-            # the phrase's later words and the separators between them go
-            parts[matched[0]] = "[FINDING]"
-            parts[matched[0] + 1:matched[-1] + 1] = [""] * (matched[-1] - matched[0])
-            counts["FINDING"] += 1
-            pos += len(matched)
         else:
+            if word[0].isdigit():
+                parts[word_idx[pos]] = "[NUM]"
+                counts["NUM"] += 1
+            elif word in location:
+                parts[word_idx[pos]] = "[LOC]"
+                counts["LOC"] += 1
             pos += 1
-
-    # stage 2: numeric and location tokens
-    location = {t.lower() for t in lexicon.location}
-    for i, tok in enumerate(parts):
-        if not tok or not _is_word(tok):
-            continue
-        if _PURE_NUM_RE.fullmatch(tok) and any(c.isdigit() for c in tok):
-            parts[i] = "[NUM]"
-            counts["NUM"] += 1
-        elif tok.lower() in location:
-            parts[i] = "[LOC]"
-            counts["LOC"] += 1
 
     return RedactedReport("".join(parts), counts)
 
@@ -141,12 +141,11 @@ def _tokenize_lower(text: str):
 
 
 def _count_features(texts, vocab):
+    """Bag-of-tokens counts, one row per text; a token outside vocab is dropped."""
     x = np.zeros((len(texts), len(vocab)))
     for i, t in enumerate(texts):
-        for tok in _tokenize_lower(t):
-            j = vocab.get(tok)
-            if j is not None:
-                x[i, j] += 1.0
+        ids = [j for j in map(vocab.get, _tokenize_lower(t)) if j is not None]
+        x[i] = np.bincount(np.array(ids, dtype=np.intp), minlength=len(vocab))
     return x
 
 
@@ -191,6 +190,10 @@ def audit_leakage(raw_corpus, redacted_corpus, labels, train_idx, test_idx,
     """
     if len(raw_corpus) != len(redacted_corpus) or len(raw_corpus) != len(labels):
         raise InputError("raw corpus, redacted corpus, and labels must align 1:1")
+    for name, idx in (("train", train_idx), ("test", test_idx)):
+        if len(idx) == 0:
+            raise InputError(f"the {name} split is empty: too few patients for a "
+                             f"leakage audit")
     y = np.asarray(labels)
     train_idx = np.asarray(train_idx)
     test_idx = np.asarray(test_idx)

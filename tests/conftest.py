@@ -1,11 +1,17 @@
 """Shared independent oracles: finite differences, brute-force ranking
-metrics, and attention over one sequence composed from per-op tape nodes,
-which masked_attention and the batched text encoder are checked against."""
+metrics, attention over one sequence composed from per-op tape nodes, which
+masked_attention and the batched text encoder are checked against, the
+piecewise sigmoid of bce_with_logits' backward, and the redaction and audit
+counting that redact and _count_features are checked against."""
+
+import re
 
 import numpy as np
 
 from petfuse.autodiff import Tensor, _accum, as_tensor, matmul, mul
 from petfuse.errors import NumericError, ShapeError
+from petfuse.redaction import (_NUM_RE, _TOKEN_RE, MASKS, Lexicon, RedactedReport,
+                               _tokenize_lower)
 
 
 def grad_check(fn, tensors, step=1e-5):
@@ -80,6 +86,20 @@ def transpose(x) -> Tensor:
     return Tensor(x.data.T, _parents=(x,), _backward=bw)
 
 
+def tsum(x, axis=None) -> Tensor:
+    """Sum over `axis` (all axes when None); the scalar most gradient checks
+    differentiate."""
+    x = as_tensor(x)
+
+    def bw(g):
+        if axis is None:
+            _accum(x, np.broadcast_to(g, x.data.shape).copy())
+        else:
+            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
+
+    return Tensor(x.data.sum(axis=axis), _parents=(x,), _backward=bw)
+
+
 def softmax_rows(x) -> Tensor:
     x = as_tensor(x)
     z = x.data - x.data.max(axis=-1, keepdims=True)
@@ -104,3 +124,82 @@ def softmax_attention(q, k, v, scale: float) -> Tensor:
         raise ShapeError(f"k/v sequence lengths disagree: {k.data.shape} vs {v.data.shape}")
     scores = mul(matmul(q, transpose(k)), scale)
     return matmul(softmax_rows(scores), v)
+
+
+def bce_grad_piecewise(z, y):
+    """Gradient of mean BCE on logits z, its sigmoid formed piecewise on the
+    masked halves: 1 / (1 + exp(-z)) where z >= 0, exp(z) / (1 + exp(z))
+    below."""
+    p = np.empty_like(z)
+    pos = z >= 0
+    p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    p[~pos] = ez / (1.0 + ez)
+    return (p - y) / z.size
+
+
+def count_tokens_one_at_a_time(texts, vocab):
+    """The audit's count matrix, each in-vocabulary token added on its own."""
+    x = np.zeros((len(texts), len(vocab)))
+    for i, t in enumerate(texts):
+        for tok in _tokenize_lower(t):
+            j = vocab.get(tok)
+            if j is not None:
+                x[i, j] += 1.0
+    return x
+
+
+_PURE_NUM_RE = re.compile(rf"^{_NUM_RE}$")
+
+
+def _is_word(tok: str) -> bool:
+    return bool(_TOKEN_RE.fullmatch(tok)) and not tok.startswith("[")
+
+
+def reference_redact(text: str, lexicon: Lexicon | None = None) -> RedactedReport:
+    """redact as two stages over the non-empty split parts, each part
+    re-matched against the token pattern and the phrase index rebuilt per
+    call."""
+    lexicon = lexicon or Lexicon()
+    parts = [p for p in _TOKEN_RE.split(text) if p != ""]
+    counts = {m: 0 for m in MASKS}
+
+    # candidate phrases by first word, longest first
+    phrases: dict[str, list[tuple[str, ...]]] = {}
+    for phrase in sorted({tuple(t.lower().split()) for t in lexicon.pathology},
+                         key=len, reverse=True):
+        if phrase:
+            phrases.setdefault(phrase[0], []).append(phrase)
+    word_idx = [i for i, p in enumerate(parts) if _is_word(p)]
+
+    # stage 1: pathology phrases, longest first over consecutive word tokens
+    pos = 0
+    while pos < len(word_idx):
+        matched = None
+        for phrase in phrases.get(parts[word_idx[pos]].lower(), ()):
+            span = word_idx[pos:pos + len(phrase)]
+            if len(span) == len(phrase) and all(
+                    parts[k].lower() == w for k, w in zip(span[1:], phrase[1:])):
+                matched = span
+                break
+        if matched:
+            parts[matched[0]] = "[FINDING]"
+            parts[matched[0] + 1:matched[-1] + 1] = [""] * (matched[-1] - matched[0])
+            counts["FINDING"] += 1
+            pos += len(matched)
+        else:
+            pos += 1
+
+    # stage 2: numeric and location tokens
+    location = {t.lower() for t in lexicon.location}
+    for i, tok in enumerate(parts):
+        if not tok or not _is_word(tok):
+            continue
+        if _PURE_NUM_RE.fullmatch(tok) and any(c.isdigit() for c in tok):
+            parts[i] = "[NUM]"
+            counts["NUM"] += 1
+        elif tok.lower() in location:
+            parts[i] = "[LOC]"
+            counts["LOC"] += 1
+
+    return RedactedReport("".join(parts), counts)

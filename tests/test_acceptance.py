@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 from conftest import (brute_force_auroc, grad_check, hand_stepped_auprc,
-                      softmax_attention, softmax_rows)
+                      softmax_attention, softmax_rows, tsum)
 
 import petfuse.autodiff as ad
 from petfuse.cli import main
@@ -89,19 +89,19 @@ def test_criterion_03_gradient_correctness():
     for _ in range(4):
         a = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = ad.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        run(lambda: ad.tsum(ad.matmul(a, b)), a, b)
+        run(lambda: tsum(ad.matmul(a, b)), a, b)
         x = ad.Tensor(rng.normal(size=(2, 5)), requires_grad=True)
-        run(lambda: ad.tsum(ad.relu(x)), x)
+        run(lambda: tsum(ad.relu(x)), x)
         # weight the rows so the scalar objective is not constant in x
         w = ad.Tensor(rng.normal(size=(2, 5)))
-        run(lambda: ad.tsum(ad.mul(ad.layer_norm(x), w)), x)
-        run(lambda: ad.tsum(ad.mul(softmax_rows(x), w)), x)
+        run(lambda: tsum(ad.mul(ad.layer_norm(x), w)), x)
+        run(lambda: tsum(ad.mul(softmax_rows(x), w)), x)
         y = (rng.random((2, 5)) < 0.5).astype(float)
         run(lambda: ad.bce_with_logits(x, y), x)
         q = ad.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
         k = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         v = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        run(lambda: ad.tsum(softmax_attention(q, k, v, 0.5)), q, k, v)
+        run(lambda: tsum(softmax_attention(q, k, v, 0.5)), q, k, v)
         # two padded sequences of 3 keys, the second CLS only; a full block
         # (3 queries per sequence) and one query per sequence
         mask = np.array([[True, True, False], [True, False, False]])
@@ -110,7 +110,7 @@ def test_criterion_03_gradient_correctness():
         for tq in (3, 1):
             qm = ad.Tensor(rng.normal(size=(2 * tq, 4)), requires_grad=True)
             wm = ad.Tensor(rng.normal(size=(2 * tq, 4)))
-            run(lambda: ad.tsum(ad.mul(ad.masked_attention(qm, km, vm, mask, 0.5), wm)),
+            run(lambda: tsum(ad.mul(ad.masked_attention(qm, km, vm, mask, 0.5), wm)),
                 qm, km, vm)
 
     # full fusion forward: perturb every fusion parameter tensor
@@ -347,7 +347,7 @@ def test_criterion_09_early_stopping():
         def loss_batch(self, samples, training, epoch, seed):
             binding = self.graph.bind(training)
             w = binding["w"]
-            return ad.tsum(ad.mul(w, w)), binding
+            return tsum(ad.mul(w, w)), binding
 
         def validation_auroc(self, val):
             score = self.scores[self.calls]

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from conftest import grad_check, softmax_attention, softmax_rows, transpose
+from conftest import (bce_grad_piecewise, grad_check, softmax_attention, softmax_rows,
+                      transpose, tsum)
 
 from petfuse import autodiff as ad
-from petfuse.errors import ConfigError, NumericError, ShapeError
+from petfuse.errors import ConfigError, NumericError, ShapeError, numeric_guard
 
 
 def test_matmul_identity():
@@ -28,7 +29,7 @@ def test_matmul_gradient_vs_finite_differences():
     a = ad.Tensor(rng.normal(0, 1, (4, 5)), requires_grad=True)
     b = ad.Tensor(rng.normal(0, 1, (5, 3)), requires_grad=True)
     w = rng.normal(0, 1, (4, 3))
-    err = grad_check(lambda: ad.tsum(ad.mul(ad.matmul(a, b), w)), [a, b])
+    err = grad_check(lambda: tsum(ad.mul(ad.matmul(a, b), w)), [a, b])
     assert err < 1e-6
 
 
@@ -70,7 +71,7 @@ def test_attention_gradient():
     k = ad.Tensor(rng.normal(0, 1, (2, 4)), requires_grad=True)
     v = ad.Tensor(rng.normal(0, 1, (2, 4)), requires_grad=True)
     w = rng.normal(0, 1, (2, 4))
-    err = grad_check(lambda: ad.tsum(ad.mul(softmax_attention(q, k, v, 0.5), w)),
+    err = grad_check(lambda: tsum(ad.mul(softmax_attention(q, k, v, 0.5), w)),
                      [q, k, v])
     assert err < 1e-6
 
@@ -92,7 +93,7 @@ def _masked_inputs(tq, seed=12):
 def test_masked_attention_gradient(tq):
     q, k, v = _masked_inputs(tq)
     w = np.random.default_rng(13).normal(0, 1, q.data.shape)
-    err = grad_check(lambda: ad.tsum(ad.mul(ad.masked_attention(q, k, v, MASK, 0.5), w)),
+    err = grad_check(lambda: tsum(ad.mul(ad.masked_attention(q, k, v, MASK, 0.5), w)),
                      [q, k, v])
     assert err < 1e-6
 
@@ -121,7 +122,7 @@ def test_padded_keys_get_exactly_zero_weight_and_gradient(tq):
     k2[padded] = 1e3
     v2[padded] = -7.0
     assert ad.masked_attention(q.data, k2, v2, MASK, 0.5).data.tobytes() == out.data.tobytes()
-    ad.tsum(ad.mul(out, np.random.default_rng(2).normal(0, 1, out.data.shape))).backward()
+    tsum(ad.mul(out, np.random.default_rng(2).normal(0, 1, out.data.shape))).backward()
     for t in (k, v):
         assert not t.grad[padded].any()
         assert t.grad[~padded].any()
@@ -155,7 +156,7 @@ def test_backward_keeps_only_the_leaves_gradients():
     a = ad.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     b = ad.Tensor(np.array([[0.5], [3.0]]), requires_grad=True)
     h = ad.relu(ad.matmul(a, b))
-    y = ad.tsum(ad.mul(h, 2.0))
+    y = tsum(ad.mul(h, 2.0))
     y.backward()
     assert h.grad is None and y.grad is None
     assert a.grad is not None and b.grad is not None
@@ -182,7 +183,7 @@ def test_layer_norm_gradient():
     rng = np.random.default_rng(13)
     x = ad.Tensor(rng.normal(0, 1, (3, 6)), requires_grad=True)
     w = rng.normal(0, 1, (3, 6))
-    assert grad_check(lambda: ad.tsum(ad.mul(ad.layer_norm(x), w)), [x]) < 1e-6
+    assert grad_check(lambda: tsum(ad.mul(ad.layer_norm(x), w)), [x]) < 1e-6
 
 
 def test_dropout_p_zero_identity():
@@ -239,6 +240,27 @@ def test_bce_gradient():
     assert grad_check(lambda: ad.bce_with_logits(z, y), [z]) < 1e-6
 
 
+def test_bce_backward_is_the_piecewise_sigmoid_bit_for_bit():
+    """The backward's sigmoid, formed from the forward's exp(-|z|), gives the
+    same bits as the piecewise form at signed zeros, at logits whose
+    exponential is subnormal or zero, and on random logits, with no
+    floating-point error under numeric_guard."""
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 37.0, -37.0, 745.0, -745.0,
+                      1e300, -1e300])
+    rng = np.random.default_rng(29)
+    cases = [(np.tile(edges, (3, 1)), np.array([[0.0], [1.0], [0.5]]) * np.ones(10))]
+    for scale in (1.0, 10.0, 1000.0):
+        z = rng.normal(0, scale, (310, 14))
+        z.flat[rng.choice(z.size, 20, replace=False)] = [0.0, -0.0] * 10
+        cases.append((z, (rng.random(z.shape) < 0.5).astype(float)))
+    for z, y in cases:
+        logits = ad.Tensor(z.copy(), requires_grad=True)
+        with numeric_guard("bce"):
+            ad.bce_with_logits(logits, y).backward()
+            want = bce_grad_piecewise(z, y)
+        assert logits.grad.tobytes() == want.tobytes()
+
+
 def test_forward_bit_reproducible():
     def run():
         rng = ad.make_rng(42, "forward")
@@ -284,7 +306,7 @@ def test_gather_and_slice_gradients():
 
     def fn():
         rows = ad.gather_rows(table, ids)
-        return ad.tsum(ad.mul(ad.gather_rows(rows, [1]), w))  # the slice rows[1:2]
+        return tsum(ad.mul(ad.gather_rows(rows, [1]), w))  # the slice rows[1:2]
 
     assert grad_check(fn, [table]) < 1e-6
 
@@ -311,7 +333,7 @@ def test_trainable_operand_gradient_does_not_depend_on_the_other(op, a_shape, b_
     def grads(a_trains, b_trains):
         a = ad.Tensor(a_data, requires_grad=a_trains)
         b = ad.Tensor(b_data, requires_grad=b_trains)
-        ad.tsum(ad.mul(op(a, b), w)).backward()
+        tsum(ad.mul(op(a, b), w)).backward()
         return a.grad, b.grad
 
     both = grads(True, True)

@@ -413,6 +413,14 @@ def _four_patients(tmp_path, data, run_dir):
     return ["train", "--data", manifest, "--out", tmp_path / "run"]
 
 
+def _audit_three_patients(tmp_path, data, run_dir):
+    """A valid manifest whose default 0.70/0.15/0.15 split leaves the test
+    split empty, so no probe can be scored."""
+    manifest = tmp_path / "three.jsonl"
+    assert main(["gen-data", "--patients", "3", "--out", str(manifest)]) == 0
+    return ["audit-leakage", "--data", manifest]
+
+
 def _without_vision(command):
     """The fixture's manifest with one sample's optional vision_features dropped."""
     def make_argv(tmp_path, data, run_dir):
@@ -572,6 +580,7 @@ def _trailing_bytes(tmp_path, data, run_dir):
     pytest.param(_gen_data("--leak-prob", "nan"), id="gen_data_leak_prob_nan"),
     pytest.param(_gen_data("--leak-prob", "-1"), id="gen_data_leak_prob_negative"),
     _truncated_checkpoint, _checkpoint_cut_in_header, _duplicate_id, _four_patients,
+    _audit_three_patients,
     pytest.param(_without_vision("train"), id="train_without_vision"),
     pytest.param(_without_vision("attribute"), id="attribute_without_vision"),
     pytest.param(_non_finite_feature("train", float("nan")), id="train_nan_feature"),

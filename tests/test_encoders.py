@@ -2,7 +2,7 @@ import string
 
 import numpy as np
 import pytest
-from conftest import softmax_attention
+from conftest import softmax_attention, tsum
 
 from petfuse import autodiff as ad
 from petfuse.data import LABELS, generate_synthetic
@@ -143,10 +143,10 @@ def test_batched_encode_matches_one_report_at_a_time(policy):
 
     batched = graph.bind(training=True)
     out = enc.encode(batched, texts)
-    ad.tsum(ad.mul(out, weights)).backward()
+    tsum(ad.mul(out, weights)).backward()
     alone = graph.bind(training=True)
     ref = ad.concat_rows([_encode_one_by_one(enc, alone, t) for t in texts])
-    ad.tsum(ad.mul(ref, weights)).backward()
+    tsum(ad.mul(ref, weights)).backward()
 
     assert out.data.shape == (len(texts), 768)
     assert np.max(np.abs(out.data - ref.data)) <= 1e-12

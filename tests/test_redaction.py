@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
+from conftest import _is_word, count_tokens_one_at_a_time, reference_redact
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petfuse.autodiff import make_rng
 from petfuse.data import LABELS, generate_synthetic
 from petfuse.errors import InputError, ParseError
-from petfuse.redaction import (_TOKEN_RE, DEFAULT_LOCATION, Lexicon, _is_word,
-                               audit_leakage, redact)
+from petfuse.redaction import (_TOKEN_RE, DEFAULT_LOCATION, Lexicon, _count_features,
+                               _tokenize_lower, audit_leakage, redact)
 
 
 def test_worked_negation_example_is_byte_exact():
@@ -102,6 +103,74 @@ def test_phrase_stage_matches_a_scan_of_every_phrase(tokens):
     text = "".join(w + sep for w, sep in tokens)
     out = redact(text, Lexicon(pathology=list(_OVERLAPPING), location=[]))
     assert (out.text, out.counts["FINDING"]) == _scan_every_phrase(text, _OVERLAPPING)
+
+
+# Words with ' and -, decimals with unit suffixes, non-ASCII digits (\d is
+# Unicode), masks in any case and next to punctuation.
+_SOUP = ["effusion", "Effusion", "PLEURAL", "pleural", "left", "Left", "BASE", "base",
+         "x-ray", "X-Ray", "don't", "o'clock", "well-defined", "a", "B", "no", "2", "2.5",
+         "2.5cm", "10%", "3mm", "1.2.3", "07", "\u0663", "\u0663.\u0665cm", "\uff11\uff12",
+         "[FINDING]", "[finding]", "[Num]", "[LOC]", "[NUM].", "([LOC])", "[FINDING]s"]
+_SEPARATORS = st.text(alphabet=" \n\t,.;:-'()[]%", max_size=3)
+_TOKEN_SOUP = st.lists(
+    st.tuples(st.one_of(st.sampled_from(_SOUP),
+                        st.text(alphabet="aAbB'-.0\u0663%[]LOCNUM", max_size=5)),
+              _SEPARATORS), max_size=25)
+# Case variants, multi-word phrases, whitespace-only terms, numbers.
+_TERMS_DRAWN = st.one_of(
+    st.sampled_from(["effusion", "Effusion", "pleural effusion", "PLEURAL  Effusion",
+                     "left", "LEFT", "base", "x-ray", "don't", "2", "2.5cm", "a", "a b",
+                     "a\tb B", "   ", "", "well-defined", "\u0663"]),
+    st.lists(st.sampled_from(["a", "B", "left", "base", "effusion", "2"]),
+             min_size=1, max_size=3).map(" ".join))
+
+
+@st.composite
+def _lexicons(draw):
+    """Random lexicons with a duplicated term and a term in both lists."""
+    pathology = draw(st.lists(_TERMS_DRAWN, max_size=8))
+    location = draw(st.lists(_TERMS_DRAWN, max_size=6))
+    shared = draw(_TERMS_DRAWN)
+    pathology = pathology + [shared, shared]
+    location = location + [shared]
+    if draw(st.booleans()):
+        pathology, location = tuple(pathology), tuple(location)
+    return Lexicon(pathology=pathology, location=location)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TOKEN_SOUP, st.one_of(st.none(), _lexicons()))
+def test_redact_matches_the_reference(tokens, lexicon):
+    """None stands for the default lexicon."""
+    text = "".join(w + sep for w, sep in tokens)
+    got, want = redact(text, lexicon), reference_redact(text, lexicon)
+    assert (got.text, got.counts) == (want.text, want.counts)
+
+
+def test_editing_a_lexicon_in_place_takes_effect():
+    lex = Lexicon(pathology=["effusion"], location=["left"])
+    text = "Left effusion, small."
+    assert redact(text, lex).text == "[LOC] [FINDING], small."
+    lex.pathology.append("small")
+    assert redact(text, lex).text == "[LOC] [FINDING], [FINDING]."
+    lex.pathology[0] = "left effusion"
+    lex.location.clear()
+    assert redact(text, lex).text == "[FINDING], [FINDING]."
+
+
+def test_count_features_matches_adding_one_token_at_a_time():
+    train = [s.text for s in generate_synthetic(n_patients=6, seed=4)]
+    vocab = {}
+    for t in train:
+        for tok in _tokenize_lower(t):
+            vocab.setdefault(tok, len(vocab))
+    texts = [redact(t).text for t in train] + [
+        "", "zebra quokka 12 unseen", "Effusion EFFUSION effusion [LOC] [loc] zebra"]
+    got = _count_features(texts, vocab)
+    assert got.shape == (len(texts), len(vocab))
+    assert got.tobytes() == count_tokens_one_at_a_time(texts, vocab).tobytes()
+    assert not got[len(train)].any()  # the empty text
+    assert _count_features(["", "zebra"], {}).shape == (2, 0)
 
 
 def test_redact_corpus_order_preserving():

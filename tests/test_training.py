@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import tsum
 
 import petfuse.autodiff as ad
 import petfuse.training as training
@@ -371,7 +372,7 @@ class _StubModel:
     def loss_batch(self, samples, training, epoch, seed):
         binding = self.graph.bind(training)
         w = binding["w"]
-        loss = ad.tsum(ad.mul(w, w))
+        loss = tsum(ad.mul(w, w))
         return loss, binding
 
     def validation_auroc(self, val):
@@ -538,7 +539,7 @@ class _ExtraEveryOtherCall:
         self.calls += 1
         if self.calls % 2:
             w = binding["extra/w"]
-            loss = loss + ad.tsum(ad.mul(w, w))
+            loss = loss + tsum(ad.mul(w, w))
         return loss, binding
 
 
