@@ -357,7 +357,7 @@ def bce_with_logits(logits, targets) -> Tensor:
     if y.shape != logits.data.shape:
         raise ShapeError(f"targets shape {y.shape} != logits shape {logits.data.shape}")
     z = logits.data
-    e = np.exp(-np.abs(z))  # in (0, 1]: exp(-z) where z >= 0, exp(z) below
+    e = np.exp(-np.abs(z))  # in [0, 1]: exp(-z) where z >= 0, exp(z) below
     loss = np.maximum(z, 0.0) - z * y + np.log1p(e)
     n = z.size
 
