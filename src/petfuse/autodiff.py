@@ -15,16 +15,19 @@ read them. Backward forms only the gradients that are needed: it visits
 only nodes that require a gradient, and matmul, mul, add and
 masked_attention form each operand's product only when that operand
 requires one. A frozen weight, or a constant input such as precomputed
-features, costs no backward GEMM. An inner node's gradient is dropped once
-backward has passed it on; leaves keep theirs.
+features, costs no backward GEMM. Once backward has passed an inner node's
+gradient on, the node drops that gradient, its inputs and its backward
+closure; leaves keep their gradients. So a tape is single-use, and by the
+time its backward returns nothing holds its activations.
 
 A leaf may carry a GradSink, a preallocated array such as its view of an
 optimizer's flat gradient. The first gradient to reach an unwritten sink is
 formed in it (a matmul writes there with `out=`) and later ones in the same
 backward are added to it in place; a leaf whose sink was already written
-sums its gradient over the backward first and adds the sum at its end. A
-sink thus accumulates over several backward passes in the order that
-adding each pass's gradient into a zeroed array would, bit for bit.
+sums its gradient over the backward first and adds the sum once it is
+complete. A sink thus accumulates over several backward passes in the
+order that adding each pass's gradient into a zeroed array would, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -84,10 +87,14 @@ class Tensor:
     # -- graph traversal -------------------------------------------------
 
     def backward(self):
-        """Backpropagate from this scalar output, whose gradient is 1."""
+        """Backpropagate from this scalar output, whose gradient is 1.
+
+        The tape is single-use: each inner node drops its inputs and its
+        backward closure once it has passed its gradient on, so the tape's
+        activations are freed as the pass goes and none outlives it. A second
+        backward through any of its nodes raises RuntimeError."""
         if self.data.size != 1:
             raise ShapeError("backward() needs a scalar output")
-        self.grad = np.ones_like(self.data)
 
         topo, seen = [], set()
         stack = [(self, False)]
@@ -95,6 +102,9 @@ class Tensor:
             node, expanded = stack.pop()
             if id(node) in seen:
                 continue
+            if node._backward is _spent:
+                raise RuntimeError("backward() through a tape an earlier backward() "
+                                   "consumed; run the forward pass again")
             if expanded:
                 seen.add(id(node))
                 topo.append(node)
@@ -104,19 +114,29 @@ class Tensor:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
 
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                node.grad = None  # passed on to the parents; only leaves keep theirs
-        for node in topo:  # a sink written before this pass takes its sum now
-            if node.sink is not None and node.grad is not None \
+        self.grad = np.ones_like(self.data)
+        # every consumer of a node comes after it in topo, so popping visits a
+        # node once its gradient is complete, and drops the list's reference
+        while topo:
+            node = topo.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                    node.grad = None  # passed on to the parents
+                node._parents, node._backward = (), _spent
+            elif node.sink is not None and node.grad is not None \
                     and node.grad is not node.sink.out:
+                # a leaf whose sink was written before this pass adds its sum
                 np.add(node.sink.out, node.grad, out=node.sink.out)
 
     # -- operator sugar ---------------------------------------------------
 
     def __add__(self, other):
         return add(self, other)
+
+
+def _spent(g):
+    """The backward of a node whose tape a backward pass consumed."""
 
 
 def as_tensor(x) -> Tensor:

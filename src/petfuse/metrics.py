@@ -13,8 +13,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.stats import rankdata
 
 from .errors import InputError, NumericError, PetfuseError
 
@@ -31,8 +29,25 @@ def auroc_label(scores, labels) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetric("auroc needs at least one positive and one negative")
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     return (ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of the 1-D array x, each tie given its group's mean
+    rank; all NaN when x holds a NaN. Bit for bit scipy.stats.rankdata(x)
+    under its defaults, whose tie formula this is: every rank is an integer
+    or a half-integer, so each sum is exact."""
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="mergesort")
+    s = x[order]
+    first = np.concatenate(([True], s[1:] != s[:-1]))  # a tie group starts here
+    dense = np.cumsum(first)  # 1-based tie group of each sorted element
+    count = np.concatenate((np.nonzero(first)[0], [x.size]))  # group bounds
+    ranks = np.empty(x.shape)
+    ranks[order] = 0.5 * (count[dense] + count[dense - 1] + 1)
+    return ranks
 
 
 def auprc_label(scores, labels) -> float:
@@ -115,6 +130,98 @@ def sigmoid(logits: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-logits))
 
 
+def _minimize_bounded(func, x1, x2, xatol):
+    """Brent's bounded scalar minimization of func on [x1, x2]: golden-section
+    steps with parabolic interpolation. Returns (x, func(x)).
+
+    A line-for-line port of `_minimize_scalar_bounded` from scipy.optimize
+    (scipy 1.17; BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and
+    2003-2024 SciPy Developers) at its default of 500 evaluations, without
+    its reporting. It evaluates func at the same points in the same order, so
+    it returns the x and fun of minimize_scalar(func, bounds=(x1, x2),
+    method="bounded", options={"xatol": xatol}), bit for bit.
+    """
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # check for a parabolic fit
+        if np.abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+
+            # check the parabola is acceptable
+            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf))
+                    and (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:  # a golden-section step
+                golden = 1
+
+        if golden:  # a golden-section step
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= 500:
+            break
+    return xf, fx
+
+
 def temperature_scale(logits_val, labels_val, logits_apply=None):
     """Fit T > 0 minimizing validation BCE of sigmoid(logit / T).
 
@@ -132,9 +239,8 @@ def temperature_scale(logits_val, labels_val, logits_apply=None):
         zt = z / math.exp(log_t)
         return float((np.maximum(zt, 0) - zt * y + np.log1p(np.exp(-np.abs(zt)))).mean())
 
-    res = minimize_scalar(nll, bounds=(math.log(1e-2), math.log(1e2)), method="bounded",
-                          options={"xatol": 1e-10})
-    t = math.exp(res.x)
+    log_t, _ = _minimize_bounded(nll, math.log(1e-2), math.log(1e2), xatol=1e-10)
+    t = math.exp(log_t)
     target = z if logits_apply is None else np.asarray(logits_apply, dtype=np.float64)
     return t, sigmoid(target / t)
 

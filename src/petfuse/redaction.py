@@ -13,6 +13,7 @@ on raw vs redacted corpora and compares test macro AUROC.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -140,11 +141,12 @@ def _tokenize_lower(text: str):
                                    .replace("[num]", "[NUM]").replace("[loc]", "[LOC]"))
 
 
-def _count_features(texts, vocab):
-    """Bag-of-tokens counts, one row per text; a token outside vocab is dropped."""
-    x = np.zeros((len(texts), len(vocab)))
-    for i, t in enumerate(texts):
-        ids = [j for j in map(vocab.get, _tokenize_lower(t)) if j is not None]
+def _count_features(token_lists, vocab):
+    """Bag-of-tokens counts, one row per token list; a token outside vocab is
+    dropped."""
+    x = np.zeros((len(token_lists), len(vocab)))
+    for i, tokens in enumerate(token_lists):
+        ids = [j for j in map(vocab.get, tokens) if j is not None]
         x[i] = np.bincount(np.array(ids, dtype=np.intp), minlength=len(vocab))
     return x
 
@@ -170,13 +172,12 @@ def _fit_linear_probe(x_train, y_train, seed, steps=300, lr=0.05):
 
 
 def _probe_macro_auroc(texts_train, texts_test, y_train, y_test, seed):
-    vocab = {}
-    for t in texts_train:
-        for tok in _tokenize_lower(t):
-            if tok not in vocab:
-                vocab[tok] = len(vocab)
-    x_train = _count_features(texts_train, vocab)
-    x_test = _count_features(texts_test, vocab)
+    tokens_train = [_tokenize_lower(t) for t in texts_train]
+    # the training tokens in order of first appearance
+    vocab = {tok: j for j, tok in enumerate(dict.fromkeys(
+        itertools.chain.from_iterable(tokens_train)))}
+    x_train = _count_features(tokens_train, vocab)
+    x_test = _count_features([_tokenize_lower(t) for t in texts_test], vocab)
     w, b = _fit_linear_probe(x_train, y_train, seed)
     return macro_auroc(x_test @ w + b, y_test)
 

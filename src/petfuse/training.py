@@ -258,7 +258,8 @@ def train_loop(model, train_samples, val_samples, cfg: TrainConfig) -> TrainResu
     (loss Tensor, binding), and .validation_auroc(samples). Only
     `loss_batch(training=True)` records a tape: each micro-batch's backward
     lands its gradients straight in the optimizer's flat gradient, which is
-    settled, clipped and stepped once per accumulation group. A float64
+    settled, clipped and stepped once per accumulation group, and frees the
+    tape, so no activation of it is alive during the next forward. A float64
     overflow or invalid operation anywhere in the run is a NumericError.
     """
     cfg.validate()

@@ -1,8 +1,9 @@
 """Shared independent oracles: finite differences, brute-force ranking
 metrics, attention over one sequence composed from per-op tape nodes, which
 masked_attention and the batched text encoder are checked against, the
-piecewise sigmoid of bce_with_logits' backward, and the redaction and audit
-counting that redact and _count_features are checked against."""
+piecewise sigmoid of bce_with_logits' backward, and the redaction, audit
+counting and audit probe that redact, _count_features and
+_probe_macro_auroc are checked against."""
 
 import re
 
@@ -10,8 +11,9 @@ import numpy as np
 
 from petfuse.autodiff import Tensor, _accum, as_tensor, matmul, mul
 from petfuse.errors import NumericError, ShapeError
+from petfuse.metrics import macro_auroc
 from petfuse.redaction import (_NUM_RE, _TOKEN_RE, MASKS, Lexicon, RedactedReport,
-                               _tokenize_lower)
+                               _fit_linear_probe, _tokenize_lower)
 
 
 def grad_check(fn, tensors, step=1e-5):
@@ -147,6 +149,20 @@ def count_tokens_one_at_a_time(texts, vocab):
             if j is not None:
                 x[i, j] += 1.0
     return x
+
+
+def two_pass_probe_macro_auroc(texts_train, texts_test, y_train, y_test, seed):
+    """The audit probe's test macro AUROC, each training report tokenized
+    twice: once to build the vocabulary, once to count its tokens."""
+    vocab = {}
+    for t in texts_train:
+        for tok in _tokenize_lower(t):
+            if tok not in vocab:
+                vocab[tok] = len(vocab)
+    x_train = count_tokens_one_at_a_time(texts_train, vocab)
+    x_test = count_tokens_one_at_a_time(texts_test, vocab)
+    w, b = _fit_linear_probe(x_train, y_train, seed)
+    return macro_auroc(x_test @ w + b, y_test)
 
 
 _PURE_NUM_RE = re.compile(rf"^{_NUM_RE}$")

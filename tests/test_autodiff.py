@@ -162,6 +162,25 @@ def test_backward_keeps_only_the_leaves_gradients():
     assert a.grad is not None and b.grad is not None
 
 
+def test_a_tape_is_single_use():
+    """backward frees the tape it runs on: a second backward from the same
+    output, or from a new output over one of its nodes, raises and leaves
+    the leaves' gradients as they were."""
+    a = ad.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    b = ad.Tensor(np.array([[0.5], [3.0]]), requires_grad=True)
+    h = ad.relu(ad.matmul(a, b))
+    y = tsum(ad.mul(h, 2.0))
+    y.backward()
+    assert h._parents == () and y._parents == ()
+    ga, gb = a.grad.copy(), b.grad.copy()
+    for out in (y, tsum(h)):
+        with pytest.raises(RuntimeError, match="earlier backward"):
+            out.backward()
+    assert a.grad.tobytes() == ga.tobytes() and b.grad.tobytes() == gb.tobytes()
+    tsum(ad.mul(ad.relu(ad.matmul(a, b)), 2.0)).backward()  # a fresh pass runs
+    assert a.grad.tobytes() == (2 * ga).tobytes()
+
+
 def test_layer_norm_constant_row_is_zero():
     out = ad.layer_norm(ad.Tensor([[5.0, 5.0, 5.0]]))
     assert np.allclose(out.data, 0.0)

@@ -1,13 +1,18 @@
 """End-to-end CLI behaviour: exit codes, artifacts, determinism."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import petfuse
 from petfuse import harness
 from petfuse.cli import main
 from petfuse.data import LABELS, SplitSpec, load_manifest, split_patients
@@ -20,6 +25,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """scipy is the tests' oracle only: importing the CLI, and through it
+    every module of the program, leaves it out of sys.modules."""
+    src = Path(petfuse.__file__).resolve().parents[1]
+    code = ("import sys, petfuse.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
 
 
 # ---------------------------------------------------------------- exit codes

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 from conftest import brute_force_auroc, hand_stepped_auprc
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
+from scipy.stats import rankdata
 
 from petfuse.errors import InputError
-from petfuse.metrics import (UndefinedMetric, auprc_label, auroc_label, ece,
-                             evaluate_predictions, macro_auroc, macro_average,
-                             sigmoid, temperature_scale)
+from petfuse.metrics import (UndefinedMetric, _average_ranks, _minimize_bounded,
+                             auprc_label, auroc_label, ece, evaluate_predictions,
+                             macro_auroc, macro_average, sigmoid, temperature_scale)
 
 
 def test_auroc_worked_example():
@@ -251,3 +254,65 @@ def test_evaluate_predictions_skips_single_class_labels():
     assert rep.skipped_labels == ["b"]
     assert "a" in rep.per_label
     assert rep.efficiency_pct == pytest.approx(10.0)
+
+
+# -------------------------------------------------- parity with scipy's forms
+
+
+def _rank_cases():
+    rng = np.random.default_rng(17)
+    cases = [np.array([0.3]), np.array([-0.0, 0.0, 0.0]), np.array([np.inf, -np.inf, 1.0]),
+             np.array([np.nan]), np.array([0.2, np.nan, 0.1, np.nan])]
+    for i in range(300):
+        n = int(rng.integers(1, 80))
+        if i % 3 == 0:
+            x = rng.normal(size=n)
+        else:  # heavy ties: a few distinct values
+            x = rng.integers(0, int(rng.integers(1, 6)), n) * 0.25
+        if i % 10 == 9:
+            x[rng.integers(0, n)] = np.nan
+        cases.append(x)
+    return cases
+
+
+def test_average_ranks_are_rankdata_bit_for_bit():
+    for x in _rank_cases():
+        assert _average_ranks(x).tobytes() == rankdata(x).tobytes(), x
+
+
+def test_auroc_with_a_nan_score_is_nan():
+    assert math.isnan(auroc_label([0.1, np.nan, 0.3, 0.4], [0, 0, 1, 1]))
+
+
+def _nll(z, y):
+    """temperature_scale's objective, written out as it is there."""
+    def nll(log_t):
+        zt = z / math.exp(log_t)
+        return float((np.maximum(zt, 0) - zt * y + np.log1p(np.exp(-np.abs(zt)))).mean())
+    return nll
+
+
+def _temperature_problems():
+    rng = np.random.default_rng(29)
+    for i in range(100):
+        n = int(rng.integers(1, 120))
+        z = rng.normal(0.0, rng.uniform(0.05, 25.0), n)
+        y = (rng.random(n) < rng.uniform(0.0, 1.0)).astype(float)
+        if i % 10 == 0:
+            z = np.zeros(n)
+        elif i % 10 == 1:
+            y = np.full(n, float(i % 20 == 1))  # a single class
+        yield z, y
+
+
+def test_bounded_brent_port_is_minimize_scalar_bit_for_bit():
+    lo, hi = math.log(1e-2), math.log(1e2)
+    for z, y in _temperature_problems():
+        nll = _nll(z, y)
+        want = minimize_scalar(nll, bounds=(lo, hi), method="bounded",
+                               options={"xatol": 1e-10})
+        x, fun = _minimize_bounded(nll, lo, hi, xatol=1e-10)
+        assert (x, fun) == (want.x, want.fun), (z, y)
+        t, probs = temperature_scale(z, y)
+        assert t == math.exp(want.x)
+        assert probs.tobytes() == sigmoid(z / t).tobytes()

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from conftest import _is_word, count_tokens_one_at_a_time, reference_redact
+from conftest import (_is_word, count_tokens_one_at_a_time, reference_redact,
+                      two_pass_probe_macro_auroc)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -166,11 +167,11 @@ def test_count_features_matches_adding_one_token_at_a_time():
             vocab.setdefault(tok, len(vocab))
     texts = [redact(t).text for t in train] + [
         "", "zebra quokka 12 unseen", "Effusion EFFUSION effusion [LOC] [loc] zebra"]
-    got = _count_features(texts, vocab)
+    got = _count_features([_tokenize_lower(t) for t in texts], vocab)
     assert got.shape == (len(texts), len(vocab))
     assert got.tobytes() == count_tokens_one_at_a_time(texts, vocab).tobytes()
     assert not got[len(train)].any()  # the empty text
-    assert _count_features(["", "zebra"], {}).shape == (2, 0)
+    assert _count_features([[], ["zebra"]], {}).shape == (2, 0)
 
 
 def test_redact_corpus_order_preserving():
@@ -245,6 +246,23 @@ def test_audit_on_separable_corpus():
     assert report["auroc_redacted"] <= 0.60
     assert report["delta"] == pytest.approx(
         report["auroc_raw"] - report["auroc_redacted"], abs=1e-12)
+
+
+def test_audit_equals_the_two_pass_probe_bit_for_bit():
+    """Each report tokenized once gives the audit the vocabulary and the
+    counts that tokenizing the training reports twice gives."""
+    samples = generate_synthetic(n_patients=60, seed=11, leak_prob=0.5)
+    raw = [s.text for s in samples]
+    red = [redact(t).text for t in raw]
+    labels = np.array([s.labels for s in samples])
+    train_idx, test_idx = np.arange(45), np.arange(45, len(samples))
+    got = audit_leakage(raw, red, labels, train_idx, test_idx, seed=2)
+    want = [two_pass_probe_macro_auroc([c[i] for i in train_idx],
+                                       [c[i] for i in test_idx],
+                                       labels[train_idx], labels[test_idx], 2)
+            for c in (raw, red)]
+    assert (got["auroc_raw"], got["auroc_redacted"]) == tuple(want)
+    assert got["delta"] == want[0] - want[1]
 
 
 def test_audit_deterministic():

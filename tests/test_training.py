@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -566,6 +567,38 @@ def test_a_view_no_gradient_reached_reads_zero_when_clipped(policy, monkeypatch)
             assert g.tobytes() == np.zeros(3).tobytes(), step
         else:
             assert (g != 0).all(), step
+
+
+class _TapeWatcher:
+    """A model whose loss_batch records, on entry, whether an inner
+    activation of the previous micro-batch's tape is still alive."""
+
+    def __init__(self, model):
+        self.inner, self.graph = model, model.graph
+        self.logits, self.alive = None, []
+
+    def fit_normalizer(self, samples):
+        self.inner.fit_normalizer(samples)
+
+    def validation_auroc(self, samples):
+        return self.inner.validation_auroc(samples)
+
+    def loss_batch(self, samples, training, epoch, seed):
+        if self.logits is not None:
+            self.alive.append(self.logits() is not None)
+        loss, binding = self.inner.loss_batch(samples, training, epoch, seed)
+        self.logits = weakref.ref(loss._parents[0].data)
+        return loss, binding
+
+
+@pytest.mark.parametrize("policy", ["frozen", "lora"])
+def test_train_loop_frees_each_tape_before_the_next_forward(policy):
+    samples = generate_synthetic(n_patients=24, seed=33)
+    train, val, _ = split_patients(samples, SplitSpec())
+    model = _TapeWatcher(_policy_model(policy, train))
+    cfg = TrainConfig(batch=4, accumulation=2, max_epochs=2, patience=2, lr=1e-3)
+    train_loop(model, train, val, cfg)
+    assert len(model.alive) >= 4 and not any(model.alive)
 
 
 # ---------------------------------------------------------------- checkpoint
