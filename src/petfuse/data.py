@@ -65,24 +65,20 @@ def _read_only(values) -> np.ndarray:
     return arr
 
 
+SPLIT_FRACTIONS = (0.70, 0.15, 0.15)  # train, val, test
+
+
 @dataclass
 class SplitSpec:
-    train: float = 0.70
-    val: float = 0.15
-    test: float = 0.15
     seed: int = 0
-
-    def validate(self):
-        if abs(self.train + self.val + self.test - 1.0) > 1e-9:
-            raise ConfigError("split fractions must sum to 1")
 
 
 def split_patients(samples, spec: SplitSpec):
-    """Patient-disjoint train/val/test partition, largest-remainder rounding.
+    """Patient-disjoint train/val/test partition in SPLIT_FRACTIONS, shuffled
+    by `spec.seed`, with largest-remainder rounding.
 
     Remainder ties go to the earlier split (train, then val, then test).
     """
-    spec.validate()
     by_patient: dict[str, list] = {}
     for s in samples:
         if not s.patient_id:
@@ -93,8 +89,7 @@ def split_patients(samples, spec: SplitSpec):
         raise InputError(f"need at least 3 patients to split, got {len(patients)}")
 
     n = len(patients)
-    fractions = (spec.train, spec.val, spec.test)
-    quotas = [f * n for f in fractions]
+    quotas = [f * n for f in SPLIT_FRACTIONS]
     counts = [int(q) for q in quotas]
     seats = n - sum(counts)
     order = sorted(range(3), key=lambda i: (-(quotas[i] - counts[i]), i))

@@ -253,7 +253,6 @@ class ArmSpec:
     kind: str
     policy: str = "frozen"
     fusion: FusionConfig = field(default_factory=FusionConfig)
-    budget_target: int | None = None
     seeds: list[int] = field(default_factory=lambda: [0])
 
 
@@ -272,6 +271,8 @@ class ExperimentPlan:
         for a in self.arms:
             if not a.seeds:
                 raise InputError(f"arm {a.name!r} has no seeds")
+            if len(set(a.seeds)) != len(a.seeds):
+                raise InputError(f"arm {a.name!r} repeats a seed: {a.seeds}")
             if a.kind not in ARM_KINDS:
                 raise InputError(f"unknown arm kind {a.kind!r}")
 
@@ -293,23 +294,20 @@ def build_arm(kind: str, overrides: dict | None = None) -> ArmSpec:
     if kind == "vision_only" and "fusion" in overrides:
         raise InputError("arm kind 'vision_only' has no fusion pathway to override")
     if kind == "vision_only":
-        arm = ArmSpec("vision_only", kind, policy="frozen",
-                      budget_target=VISION_ONLY_PARAMS, seeds=seeds)
+        arm = ArmSpec("vision_only", kind, policy="frozen", seeds=seeds)
     elif kind == "budget_matched":
-        d, h, count = search_shared_dim(VISION_ONLY_PARAMS)
+        d, h, _ = search_shared_dim(VISION_ONLY_PARAMS)
         arm = ArmSpec("budget_matched", kind, policy="frozen",
-                      fusion=FusionConfig(shared_dim=d, head_hidden=h),
-                      budget_target=count, seeds=seeds)
+                      fusion=FusionConfig(shared_dim=d, head_hidden=h), seeds=seeds)
     else:
-        arm = ArmSpec("full_pet", kind, policy=policy,
-                      budget_target=FusionConfig().param_count(), seeds=seeds)
+        arm = ArmSpec("full_pet", kind, policy=policy, seeds=seeds)
     for key, value in overrides.items():
         if key == "fusion":
             build_section("fusion", FusionConfig, value)  # rejects bad keys and types
             arm.fusion = replace(arm.fusion, **value)
-        elif key in ("name", "budget_target"):
-            check_type(f"arm {kind!r} {key}", value, "" if key == "name" else None)
-            setattr(arm, key, value)
+        elif key == "name":
+            check_type(f"arm {kind!r} name", value, "")
+            arm.name = value
         else:
             raise InputError(f"unknown arm override {key!r}")
     return arm

@@ -2,14 +2,15 @@
 
 AUROC is the Mann-Whitney statistic (ties credited 0.5), AUPRC is step-wise
 average precision, and multi-label ECE pools (sample, label) pairs into
-equal-width confidence bins on [0.5, 1].
+equal-width confidence bins on [0.5, 1]. The calibration temperature
+is fitted by bisecting 1/T on the sign of the validation BCE's slope; the
+BCE is convex in 1/T, so that sign changes at most once.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -130,103 +131,13 @@ def sigmoid(logits: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-logits))
 
 
-def _minimize_bounded(func, x1, x2, xatol):
-    """Brent's bounded scalar minimization of func on [x1, x2]: golden-section
-    steps with parabolic interpolation. Returns (x, func(x)).
-
-    A line-for-line port of `_minimize_scalar_bounded` from scipy.optimize
-    (scipy 1.17; BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and
-    2003-2024 SciPy Developers) at its default of 500 evaluations, without
-    its reporting. It evaluates func at the same points in the same order, so
-    it returns the x and fun of minimize_scalar(func, bounds=(x1, x2),
-    method="bounded", options={"xatol": xatol}), bit for bit.
-    """
-    sqrt_eps = np.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = 1
-        # check for a parabolic fit
-        if np.abs(e) > tol1:
-            golden = 0
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-
-            # check the parabola is acceptable
-            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf))
-                    and (p < q * (b - xf))):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:  # a golden-section step
-                golden = 1
-
-        if golden:  # a golden-section step
-            if xf >= xm:
-                e = a - xf
-            else:
-                e = b - xf
-            rat = golden_mean * e
-
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= 500:
-            break
-    return xf, fx
-
-
 def temperature_scale(logits_val, labels_val, logits_apply=None):
-    """Fit T > 0 minimizing validation BCE of sigmoid(logit / T).
+    """Fit T in [1e-2, 1e2] minimizing validation BCE of sigmoid(logit / T).
 
-    Returns (T, recalibrated probabilities for logits_apply or the
-    validation logits).
+    The BCE is convex in b = 1/T, so its slope mean(z * (sigmoid(b z) - y))
+    does not decrease as b rises; bisecting b on the slope's sign until the
+    midpoint equals an endpoint finds the bounded minimizer. Returns (T,
+    recalibrated probabilities for logits_apply or the validation logits).
     """
     z = np.asarray(logits_val, dtype=np.float64)
     y = np.asarray(labels_val, dtype=np.float64)
@@ -235,12 +146,15 @@ def temperature_scale(logits_val, labels_val, logits_apply=None):
     if not np.isfinite(z).all():
         raise NumericError("non-finite logits")
 
-    def nll(log_t):
-        zt = z / math.exp(log_t)
-        return float((np.maximum(zt, 0) - zt * y + np.log1p(np.exp(-np.abs(zt)))).mean())
-
-    log_t, _ = _minimize_bounded(nll, math.log(1e-2), math.log(1e2), xatol=1e-10)
-    t = math.exp(log_t)
+    lo, hi = 1e-2, 1e2
+    while (b := 0.5 * (lo + hi)) not in (lo, hi):
+        bz = b * z
+        # sigmoid(bz) - y, written so that a saturated sigmoid keeps its sign
+        if (z * ((1 - y) * sigmoid(bz) - y * sigmoid(-bz))).mean() >= 0:
+            hi = b
+        else:
+            lo = b
+    t = 1.0 / b
     target = z if logits_apply is None else np.asarray(logits_apply, dtype=np.float64)
     return t, sigmoid(target / t)
 

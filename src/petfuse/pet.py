@@ -8,15 +8,14 @@ address under ENCODER_PREFIX; what lora and adapter attach lives under the
 address it extends (<proj>/lora_a, <block>/adapter/down_w), and the
 encoder's forward pass applies it through lora_linear and adapter_residual.
 All four keep the fusion pathway trainable; count_params counts every
-addition exactly (enforce_budget, which would arbitrate a budget, has no
-caller yet).
+addition exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,21 +172,3 @@ def count_params(graph: ModelGraph) -> BudgetReport:
             key = "/".join(addr.split("/")[:-1][:2]) or addr
             components[key] = components.get(key, 0) + n
     return BudgetReport(dict(sorted(components.items())), total_trainable, total_params)
-
-
-@dataclass
-class BudgetCheck:
-    passed: bool
-    trainable: int
-    target: int
-    diff_fraction: float
-    largest_components: list = field(default_factory=list)
-
-
-def enforce_budget(report: BudgetReport, target: int,
-                   tolerance: float = 0.01) -> BudgetCheck:
-    if target <= 0:
-        raise PolicyError("budget target must be positive")
-    diff = abs(report.total_trainable - target) / target
-    largest = sorted(report.components.items(), key=lambda kv: -kv[1])[:5]
-    return BudgetCheck(diff <= tolerance, report.total_trainable, target, diff, largest)

@@ -293,8 +293,10 @@ def train_loop(model, train_samples, val_samples, cfg: TrainConfig) -> TrainResu
             micros = range(group_start, min(group_start + cfg.accumulation, micro_per_epoch))
             for mb in micros:
                 batch = shuffled[mb * cfg.batch:(mb + 1) * cfg.batch]
-                loss, _ = model.loss_batch(batch, training=True, epoch=epoch,
-                                           seed=cfg.seed)
+                # the binding is dropped here: held, its leaf gradients would
+                # stay alive through the next micro-batch's forward
+                loss = model.loss_batch(batch, training=True, epoch=epoch,
+                                        seed=cfg.seed)[0]
                 epoch_losses.append(float(loss.data))
                 scaled = ad.mul(loss, 1.0 / len(micros))
                 scaled.backward()

@@ -623,6 +623,8 @@ def _trailing_bytes(tmp_path, data, run_dir):
     pytest.param(_plan({"arms": [{"kind": "vision_only", "seeds": ["0"]}]}),
                  id="seeds_str"),
     pytest.param(_plan({"arms": [{"kind": "vision_only", "seeds": []}]}), id="seeds_empty"),
+    pytest.param(_plan({"arms": [{"kind": "vision_only", "seeds": [0, 0]}]}),
+                 id="seeds_duplicate"),
     pytest.param(_plan({"arms": [{"kind": "vision_only", "name": ["a"]}]}),
                  id="arm_name_list"),
     pytest.param(_plan({"arms": [{"kind": "vision_only", "budget_target": "1000"}]}),

@@ -38,7 +38,7 @@ def _fields(s):
 
 def test_split_ten_patients_is_7_2_1():
     samples = _mk_samples(10)
-    train, val, test = split_patients(samples, SplitSpec(0.70, 0.15, 0.15))
+    train, val, test = split_patients(samples, SplitSpec())
     patients = lambda part: {s.patient_id for s in part}
     assert (len(patients(train)), len(patients(val)), len(patients(test))) \
         == (7, 2, 1)
@@ -64,7 +64,7 @@ def test_split_fraction_targets_at_scale():
     """Patient-level fractions stay within a percent of the targets, the
     same regime as a realistic 2695/577/579 sample split."""
     samples = _mk_samples(2000)
-    train, val, test = split_patients(samples, SplitSpec(0.70, 0.15, 0.15))
+    train, val, test = split_patients(samples, SplitSpec())
     assert len(train) == 1400 and len(val) == 300 and len(test) == 300
 
 
@@ -77,11 +77,6 @@ def test_split_deterministic_per_seed():
     c = split_patients(samples, SplitSpec(seed=10))
     assert [[s.id for s in part] for part in a] \
         != [[s.id for s in part] for part in c]
-
-
-def test_split_rejects_bad_fractions():
-    with pytest.raises(ConfigError):
-        split_patients(_mk_samples(5), SplitSpec(0.5, 0.2, 0.2))
 
 
 @settings(max_examples=40, deadline=None)

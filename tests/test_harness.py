@@ -54,12 +54,6 @@ def test_budget_search_unreachable_target():
     assert "nearest" in str(exc.value)
 
 
-def test_build_arm_canonical_counts():
-    assert build_arm("vision_only").budget_target == 1_055_744
-    assert build_arm("budget_matched").budget_target == 1_061_312
-    assert build_arm("full_pet").budget_target == 2_362_880
-
-
 def test_build_arm_overrides_and_rejects_unknown():
     arm = build_arm("full_pet", {"seeds": [1, 2], "policy": "lora"})
     assert arm.seeds == [1, 2]
@@ -73,7 +67,10 @@ def test_build_arm_overrides_and_rejects_unknown():
     # the kind is the argument, not an override
     with pytest.raises(InputError):
         build_arm("full_pet", {"kind": "vision_only"})
-    assert build_arm("full_pet", {"name": "b", "budget_target": None}).name == "b"
+    assert build_arm("full_pet", {"name": "b"}).name == "b"
+    # no program reads a budget target, so an arm does not take one
+    with pytest.raises(InputError, match="budget_target"):
+        build_arm("vision_only", {"budget_target": 1_055_744})
 
 
 @pytest.mark.parametrize("kind, overrides", [
@@ -250,6 +247,8 @@ def test_plan_validation():
     bad = build_arm("full_pet", {"seeds": []})
     with pytest.raises(InputError):
         ExperimentPlan(arms=[bad]).validate()
+    with pytest.raises(InputError, match="repeats a seed"):
+        ExperimentPlan(arms=[build_arm("full_pet", {"seeds": [1, 2, 1]})]).validate()
     with pytest.raises(InputError):
         ExperimentPlan(arms=[ArmSpec("x", "mystery")]).validate()
 

@@ -6,8 +6,7 @@ from petfuse.encoders import EncoderSpec, MiniTextEncoder, Tokenizer
 from petfuse.errors import PolicyError
 from petfuse.fusion import FusionConfig, FusionPathway
 from petfuse.model import ModelGraph
-from petfuse.pet import (AdapterConfig, BudgetReport, LoRAConfig, apply_policy,
-                         count_params, enforce_budget)
+from petfuse.pet import AdapterConfig, LoRAConfig, apply_policy, count_params
 
 TEXT = "left base effusion noted with stable heart size"
 
@@ -166,22 +165,3 @@ def test_budget_report_json_uses_integers():
     doc = report.to_json(94_300_000)
     assert '"total_trainable": 2362880' in doc
     assert '"efficiency_pct": 2.51' in doc
-
-
-def test_enforce_budget_exact():
-    r = BudgetReport({"fusion": 2_362_880}, 2_362_880, 2_362_880)
-    assert enforce_budget(r, 2_362_880, tolerance=0.0).passed
-
-
-def test_enforce_budget_within_one_percent():
-    r = BudgetReport({}, 1_061_312, 1_061_312)
-    check = enforce_budget(r, 1_055_744, tolerance=0.01)
-    assert check.passed
-    assert check.diff_fraction == pytest.approx(0.00527, abs=1e-4)
-
-
-def test_enforce_budget_gross_mismatch():
-    r = BudgetReport({"fusion": 2_362_880}, 2_362_880, 2_362_880)
-    check = enforce_budget(r, 1_055_744, tolerance=0.01)
-    assert not check.passed
-    assert check.largest_components[0][0] == "fusion"

@@ -601,6 +601,36 @@ def test_train_loop_frees_each_tape_before_the_next_forward(policy):
     assert len(model.alive) >= 4 and not any(model.alive)
 
 
+class _Binding(dict):
+    """A binding a weakref can watch."""
+
+
+class _BindingWatcher(_TapeWatcher):
+    """A model whose loss_batch records, on entry, whether the binding it
+    returned for the previous micro-batch is still alive."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.binding = None
+
+    def loss_batch(self, samples, training, epoch, seed):
+        if self.binding is not None:
+            self.alive.append(self.binding() is not None)
+        loss, binding = self.inner.loss_batch(samples, training, epoch, seed)
+        binding = _Binding(binding)
+        self.binding = weakref.ref(binding)
+        return loss, binding
+
+
+def test_train_loop_drops_each_binding_before_the_next_forward():
+    samples = generate_synthetic(n_patients=24, seed=33)
+    train, val, _ = split_patients(samples, SplitSpec())
+    model = _BindingWatcher(_policy_model("frozen", train))
+    cfg = TrainConfig(batch=4, accumulation=2, max_epochs=2, patience=2, lr=1e-3)
+    train_loop(model, train, val, cfg)
+    assert len(model.alive) == 9 and not any(model.alive)
+
+
 # ---------------------------------------------------------------- checkpoint
 
 
