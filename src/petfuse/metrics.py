@@ -2,9 +2,8 @@
 
 AUROC is the Mann-Whitney statistic (ties credited 0.5), AUPRC is step-wise
 average precision, and multi-label ECE pools (sample, label) pairs into
-equal-width confidence bins on [0.5, 1]. The calibration temperature
-is fitted by bisecting 1/T on the sign of the validation BCE's slope; the
-BCE is convex in 1/T, so that sign changes at most once.
+equal-width confidence bins on [0.5, 1]. The calibration temperature is
+fitted by bisection on the sign of the validation BCE's slope.
 """
 
 from __future__ import annotations

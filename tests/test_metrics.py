@@ -210,6 +210,16 @@ def test_temperature_preserves_auroc():
     assert abs(auroc_label(probs, y) - auroc_label(logits, y)) <= 1e-12
 
 
+def test_temperature_of_separable_logits_is_the_lower_bound():
+    """Every logit on its label's side: the BCE falls as T does, so the fit
+    ends at T = 1e-2. With every label 1, the residual sigmoid(z/T) - 1
+    rounds to 0 once the sigmoid saturates, which would stop the fit near
+    T = 0.055 here; the fit's form keeps its sign."""
+    z = np.random.default_rng(3).uniform(2.0, 6.0, 50)
+    assert temperature_scale(z, np.ones(50))[0] == pytest.approx(1e-2, rel=1e-12)
+    assert temperature_scale(-z, np.zeros(50))[0] == pytest.approx(1e-2, rel=1e-12)
+
+
 def test_sigmoid_keeps_the_textbook_bits_and_its_exp_overflow_is_silent():
     x = np.random.default_rng(5).normal(0, 8, 1000)
     assert sigmoid(x).tobytes() == (1.0 / (1.0 + np.exp(-x))).tobytes()
