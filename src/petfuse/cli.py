@@ -294,11 +294,10 @@ def _cmd_calibrate(args):
     val_logits = harness.predict_logits(model, val_set)
     test_logits = harness.predict_logits(model, test_set)
     y_test = label_matrix(test_set)
-    t, probs_after = metrics.temperature_scale(val_logits, label_matrix(val_set),
-                                               test_logits)
-    _emit({"temperature": t,
+    t, at_bound = metrics.fit_temperature(val_logits, label_matrix(val_set))
+    _emit({"temperature": t, "temperature_at_bound": at_bound,
            "ece_before": metrics.ece(metrics.sigmoid(test_logits), y_test).ece,
-           "ece_after": metrics.ece(probs_after, y_test).ece}, args.out)
+           "ece_after": metrics.ece(metrics.sigmoid(test_logits / t), y_test).ece}, args.out)
     return 0
 
 

@@ -28,7 +28,7 @@ _TOP_LEVEL_SCALARS = {
 # JSON types a value may have, keyed by the type of the field's default; a
 # float field takes an int that float() can represent, and no numeric field
 # takes a bool
-_ACCEPTED = {float: (float, int), int: (int,), str: (str,), type(None): (int, type(None))}
+_ACCEPTED = {float: (float, int), int: (int,), str: (str,)}
 
 
 def check_type(name: str, value, default):
@@ -53,7 +53,7 @@ def build_section(name: str, cls, values):
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     unknown = set(values) - set(defaults)
     if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
     for key, value in values.items():
         check_type(f"{name}.{key}", value, defaults[key])
     return cls(**values)

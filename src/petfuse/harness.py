@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import build_section, check_type
 from .data import LABELS, NUM_LABELS, VISION_DIM, SplitSpec, label_matrix, split_patients
-from .encoders import MiniTextEncoder, Tokenizer
+from .encoders import TEXT_DIM, MiniTextEncoder, Tokenizer
 from .errors import InputError, PetfuseError, SearchError, numeric_guard
 from .fusion import FusionConfig, FusionPathway
 from .metrics import (EvalReport, evaluate_predictions, macro_auroc, sigmoid,
@@ -81,12 +81,13 @@ class _Standardizer:
     Frozen-encoder features carry a large constant component that swamps the
     informative variation unless removed, so both arms standardize their
     inputs with training-set statistics (a fixed, deterministic transform).
+    Until fitted or loaded it is the identity: mu 0 and sd 1.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.mu = None
-        self.sd = None
+        self.mu = np.zeros(dim)
+        self.sd = np.ones(dim)
 
     def fit(self, features: np.ndarray):
         self.mu = features.mean(axis=0)
@@ -113,8 +114,6 @@ class _Standardizer:
         self.mu, self.sd = stats["mu"], stats["sd"]
 
     def apply(self, features: np.ndarray) -> np.ndarray:
-        if self.mu is None:
-            return features
         return (features - self.mu) / self.sd
 
 
@@ -177,7 +176,6 @@ class MultimodalModel:
         self.graph = ModelGraph()
         self.text = MiniTextEncoder(self.graph, tokenizer, seed=seed)
         self.fusion = FusionPathway(self.graph, fusion_cfg, seed=seed)
-        self.cfg = fusion_cfg
         apply_policy(self.graph, policy, lora_cfg=lora_cfg,
                      adapter_cfg=adapter_cfg, seed=seed)
         # every parameter a policy injects is trainable and sits under the
@@ -186,8 +184,8 @@ class MultimodalModel:
         if not any(self.graph.params[a].trainable
                    for a in self.graph.addresses(ENCODER_PREFIX)):
             self._text_store = {} if text_store is None else text_store
-        self.vision_norm = _Standardizer(fusion_cfg.vision_in)
-        self.text_norm = _Standardizer(fusion_cfg.text_in)
+        self.vision_norm = _Standardizer(VISION_DIM)
+        self.text_norm = _Standardizer(TEXT_DIM)
         self.normalizers = {"vision": self.vision_norm, "text": self.text_norm}
 
     def fit_normalizer(self, train_samples):
@@ -211,8 +209,6 @@ class MultimodalModel:
         return ad.Tensor(np.stack([store[s.id] for s in samples]))
 
     def _standardize_text(self, t):
-        if self.text_norm.mu is None:
-            return t
         # affine transform expressed through the graph so gradients still
         # reach the encoder when it holds trainable parameters
         shift = ad.Tensor(-self.text_norm.mu)
@@ -224,11 +220,11 @@ class MultimodalModel:
         v = ad.Tensor(self.vision_norm.apply(vision_matrix(samples)))
         t = self._standardize_text(self._text_features(binding, samples))
         uniform = None
-        if training and self.cfg.dropout_p > 0:
+        if training and self.fusion.cfg.dropout_p > 0:
             # one draw row per sample, keyed by (seed, epoch, sample id) so the
             # trajectory is invariant to micro-batch boundaries
             uniform = np.asarray([ad.make_rng(seed, "dropout", epoch, s.id)
-                                  .random(self.cfg.shared_dim) for s in samples])
+                                  .random(self.fusion.cfg.shared_dim) for s in samples])
         return self.fusion.forward(binding, v, t, training=training,
                                    dropout_uniform=uniform), binding
 
@@ -291,8 +287,9 @@ def build_arm(kind: str, overrides: dict | None = None) -> ArmSpec:
     if kind != "full_pet" and policy != "frozen":
         raise InputError(f"arm kind {kind!r} is always frozen; "
                          f"policy {policy!r} does not apply to it")
-    if kind == "vision_only" and "fusion" in overrides:
-        raise InputError("arm kind 'vision_only' has no fusion pathway to override")
+    if kind != "full_pet" and "fusion" in overrides:
+        raise InputError(f"arm kind {kind!r} takes no fusion override; "
+                         "only full_pet does")
     if kind == "vision_only":
         arm = ArmSpec("vision_only", kind, policy="frozen", seeds=seeds)
     elif kind == "budget_matched":
@@ -303,8 +300,7 @@ def build_arm(kind: str, overrides: dict | None = None) -> ArmSpec:
         arm = ArmSpec("full_pet", kind, policy=policy, seeds=seeds)
     for key, value in overrides.items():
         if key == "fusion":
-            build_section("fusion", FusionConfig, value)  # rejects bad keys and types
-            arm.fusion = replace(arm.fusion, **value)
+            arm.fusion = build_section("fusion", FusionConfig, value)
         elif key == "name":
             check_type(f"arm {kind!r} name", value, "")
             arm.name = value

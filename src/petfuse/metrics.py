@@ -130,13 +130,14 @@ def sigmoid(logits: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-logits))
 
 
-def temperature_scale(logits_val, labels_val, logits_apply=None):
+def fit_temperature(logits_val, labels_val) -> tuple[float, bool]:
     """Fit T in [1e-2, 1e2] minimizing validation BCE of sigmoid(logit / T).
 
     The BCE is convex in b = 1/T, so its slope mean(z * (sigmoid(b z) - y))
     does not decrease as b rises; bisecting b on the slope's sign until the
     midpoint equals an endpoint finds the bounded minimizer. Returns (T,
-    recalibrated probabilities for logits_apply or the validation logits).
+    at_bound): at_bound is true when the bisection never moved off one end of
+    the range, so the unbounded minimizer lies at or beyond that end.
     """
     z = np.asarray(logits_val, dtype=np.float64)
     y = np.asarray(labels_val, dtype=np.float64)
@@ -153,9 +154,15 @@ def temperature_scale(logits_val, labels_val, logits_apply=None):
             hi = b
         else:
             lo = b
-    t = 1.0 / b
-    target = z if logits_apply is None else np.asarray(logits_apply, dtype=np.float64)
-    return t, sigmoid(target / t)
+    return 1.0 / b, lo == 1e-2 or hi == 1e2
+
+
+def temperature_scale(logits_val, labels_val, logits_apply=None):
+    """(T from `fit_temperature`, recalibrated probabilities for logits_apply
+    or the validation logits)."""
+    t, _ = fit_temperature(logits_val, labels_val)
+    target = logits_val if logits_apply is None else logits_apply
+    return t, sigmoid(np.asarray(target, dtype=np.float64) / t)
 
 
 # -- aggregate reports --------------------------------------------------------

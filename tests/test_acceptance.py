@@ -114,12 +114,11 @@ def test_criterion_03_gradient_correctness():
                 qm, km, vm)
 
     # full fusion forward: perturb every fusion parameter tensor
-    cfg = FusionConfig(vision_in=6, text_in=5, shared_dim=4, head_hidden=3,
-                       num_labels=2, dropout_p=0.0)
+    cfg = FusionConfig(shared_dim=4, head_hidden=3, dropout_p=0.0)
     pathway = FusionPathway(ModelGraph(), cfg, seed=1)
-    vin = rng.normal(size=(3, 6))
-    tin = rng.normal(size=(3, 5))
-    targets = (rng.random((3, 2)) < 0.5).astype(float)
+    vin = rng.normal(size=(3, 2048))
+    tin = rng.normal(size=(3, 768))
+    targets = (rng.random((3, 14)) < 0.5).astype(float)
     for addr in pathway.graph.addresses("fusion"):
         p = pathway.graph.params[addr]
 

@@ -293,8 +293,21 @@ def test_calibrate_outputs(trained, capsys):
     assert code == 0
     doc = json.loads(stdout)
     assert doc["temperature"] > 0
+    assert isinstance(doc["temperature_at_bound"], bool)
     assert 0.0 <= doc["ece_before"] <= 1.0
     assert 0.0 <= doc["ece_after"] <= 1.0
+
+
+def test_calibrate_of_a_trained_lora_checkpoint_is_off_its_bounds(trained, lora_trained,
+                                                                  capsys):
+    _, data, _, _ = trained
+    capsys.readouterr()
+    code, stdout, _ = run(capsys, "calibrate", "--checkpoint",
+                          str(lora_trained / "checkpoint.bin"), "--data", str(data))
+    assert code == 0
+    doc = json.loads(stdout)
+    assert doc["temperature_at_bound"] is False
+    assert 1e-2 < doc["temperature"] < 1e2
 
 
 def test_train_retrain_checkpoint_bit_identical(trained, tmp_path, capsys):
@@ -506,6 +519,12 @@ def _plan(doc):
     return make_argv
 
 
+def _says(text, make_argv):
+    """`make_argv`, whose error line must contain `text`."""
+    make_argv.says = text
+    return make_argv
+
+
 def _config(doc, command="train"):
     def make_argv(tmp_path, data, run_dir):
         cfg = tmp_path / "cfg.json"
@@ -612,7 +631,8 @@ def _trailing_bytes(tmp_path, data, run_dir):
     pytest.param(_lexicon_dir("audit-leakage", _location_not_utf8),
                  id="audit_lexicon_not_utf8"),
     # plan sections go through the config checks
-    pytest.param(_plan({"split": {"bogus": 1}}), id="plan_split_unknown_key"),
+    pytest.param(_says("unknown split keys: ['bogus']", _plan({"split": {"bogus": 1}})),
+                 id="plan_split_unknown_key"),
     pytest.param(_plan({"split": [0.7, 0.15, 0.15]}), id="plan_split_not_object"),
     pytest.param(_plan({"train": "ab"}), id="plan_train_not_object"),
     # plan arms and their fields are type-checked
@@ -662,8 +682,11 @@ def _trailing_bytes(tmp_path, data, run_dir):
                  id="budget_matched_policy"),
     pytest.param(_plan({"arms": [{"kind": "vision_only", "fusion": {"shared_dim": 8}}]}),
                  id="vision_only_fusion"),
-    pytest.param(_plan({"arms": [{"kind": "full_pet", "fusion": {"bogus": 1}}]}),
+    pytest.param(_says("unknown fusion keys: ['bogus']",
+                       _plan({"arms": [{"kind": "full_pet", "fusion": {"bogus": 1}}]})),
                  id="arm_fusion_unknown_key"),
+    pytest.param(_plan({"arms": [{"kind": "budget_matched", "fusion": {"shared_dim": 32}}]}),
+                 id="budget_matched_fusion"),
     pytest.param(_config({"arm": "vision_only", "policy": "lora"}),
                  id="train_vision_only_policy"),
     # a config section the arm or policy would ignore
@@ -680,6 +703,10 @@ def _trailing_bytes(tmp_path, data, run_dir):
                  id="count_params_frozen_lora"),
     pytest.param(_config({"arm": "vision_only", "fusion": {"dropout_p": 0.0}},
                          "count-params"), id="count_params_vision_only_fusion"),
+    # the fusion pathway's input and output widths are the data contract's
+    pytest.param(_config({"fusion": {"vision_in": 10}}, "count-params"),
+                 id="count_params_fusion_vision_in"),
+    pytest.param(_config({"fusion": {"num_labels": 5}}), id="train_fusion_num_labels"),
     # a checkpoint that does not fit its own header
     pytest.param(_checkpoint_header("eval", policy="lora"), id="eval_missing_lora"),
     pytest.param(_checkpoint_header("calibrate", policy="bitfit"),
@@ -760,6 +787,7 @@ def test_malformed_input_is_one_line_runtime_error(make_argv, trained, capsys,
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert getattr(make_argv, "says", "") in err
 
 
 def test_non_finite_feature_is_named_by_its_line(trained, capsys, tmp_path):
@@ -844,8 +872,12 @@ def _lora_header(command, **lora):
     pytest.param(_checkpoint_header("eval", fusion={"shared_dim": 1024}), id="shared_dim"),
     pytest.param(_checkpoint_header("calibrate", fusion={"head_hidden": 4096}),
                  id="head_hidden"),
-    pytest.param(_checkpoint_header("eval", fusion={"text_in": 10**6}), id="text_in"),
-    pytest.param(_checkpoint_header("eval", fusion={"num_labels": 10**6}), id="num_labels"),
+    # the widths the data contract fixes are no fusion keys
+    pytest.param(_says("checkpoint header: unknown fusion keys: ['text_in']",
+                       _checkpoint_header("eval", fusion={"text_in": 10**6})), id="text_in"),
+    pytest.param(_says("checkpoint header: unknown fusion keys: ['num_labels']",
+                       _checkpoint_header("eval", fusion={"num_labels": 10**6})),
+                 id="num_labels"),
     pytest.param(_lora_header("eval", rank=64), id="lora_rank"),
     # a policy whose injected parameters the checkpoint does not hold
     pytest.param(_checkpoint_header("eval", policy="lora", lora={"rank": 64}),
@@ -872,6 +904,7 @@ def test_header_sizes_are_checked_before_a_model_is_built(make_argv, trained, lo
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert getattr(make_argv, "says", "") in err
 
 
 @pytest.mark.parametrize("command", ["eval", "calibrate"])
@@ -1003,9 +1036,7 @@ def test_attribute_and_report(capsys, tmp_path):
     plan.write_text(json.dumps({
         "arms": [
             {"kind": "vision_only", "seeds": [0]},
-            {"kind": "budget_matched", "seeds": [0],
-             "fusion": {"shared_dim": 32, "head_hidden": 16,
-                        "dropout_p": 0.0}},
+            {"kind": "budget_matched", "seeds": [0]},
         ],
         "train": {"batch": 16, "accumulation": 1, "max_epochs": 1,
                   "patience": 5, "lr": 1e-3},

@@ -10,8 +10,7 @@ from petfuse.pet import count_params
 
 
 def small_cfg(**kw):
-    base = dict(vision_in=12, text_in=7, shared_dim=6, head_hidden=4,
-                num_labels=3, dropout_p=0.0)
+    base = dict(shared_dim=6, head_hidden=4, dropout_p=0.0)
     base.update(kw)
     return FusionConfig(**base)
 
@@ -28,8 +27,8 @@ def test_default_counts_match_reference_breakdown():
 
 
 def test_unit_config_closed_form_count():
-    cfg = FusionConfig(shared_dim=1, head_hidden=1, num_labels=1)
-    assert cfg.param_count() == 2048 + 768 + 3 + 1 + 1 == 2821
+    cfg = FusionConfig(shared_dim=1, head_hidden=1)
+    assert cfg.param_count() == 2048 + 768 + 3 + 1 + 14 == 2834
 
 
 def test_head_count_closed_form():
@@ -44,14 +43,14 @@ def test_efficiency_vs_declared_total():
 def test_zero_inputs_give_zero_logits():
     fp = FusionPathway(ModelGraph(), small_cfg())
     binding = fp.graph.bind()
-    out = fp.forward(binding, ad.Tensor(np.zeros((2, 12))), ad.Tensor(np.zeros((2, 7))))
+    out = fp.forward(binding, ad.Tensor(np.zeros((2, 2048))), ad.Tensor(np.zeros((2, 768))))
     assert np.allclose(out.data, 0.0, atol=1e-12)
 
 
 def test_eval_mode_deterministic():
     fp = FusionPathway(ModelGraph(), small_cfg(dropout_p=0.1))
     rng = np.random.default_rng(0)
-    v, t = rng.normal(0, 1, (3, 12)), rng.normal(0, 1, (3, 7))
+    v, t = rng.normal(0, 1, (3, 2048)), rng.normal(0, 1, (3, 768))
     a = fp.forward(fp.graph.bind(), ad.Tensor(v), ad.Tensor(t), training=False).data
     b = fp.forward(fp.graph.bind(), ad.Tensor(v), ad.Tensor(t), training=False).data
     assert np.array_equal(a, b)
@@ -61,13 +60,13 @@ def test_length_mismatch_raises():
     fp = FusionPathway(ModelGraph(), small_cfg())
     with pytest.raises(ShapeError):
         fp.forward(fp.graph.bind(), ad.Tensor(np.zeros((1, 5))),
-                   ad.Tensor(np.zeros((1, 7))))
+                   ad.Tensor(np.zeros((1, 768))))
 
 
 def test_sensitivity_to_both_modalities():
     fp = FusionPathway(ModelGraph(), small_cfg())
     rng = np.random.default_rng(1)
-    v, t = rng.normal(0, 1, (1, 12)), rng.normal(0, 1, (1, 7))
+    v, t = rng.normal(0, 1, (1, 2048)), rng.normal(0, 1, (1, 768))
     base = fp.forward(fp.graph.bind(), ad.Tensor(v), ad.Tensor(t)).data
     bumped_v = fp.forward(fp.graph.bind(), ad.Tensor(v + 0.5), ad.Tensor(t)).data
     bumped_t = fp.forward(fp.graph.bind(), ad.Tensor(v), ad.Tensor(t + 0.5)).data
@@ -79,9 +78,9 @@ def test_fusion_gradients_match_finite_differences():
     fp = FusionPathway(ModelGraph(), small_cfg())
     binding_holder = {}
     rng = np.random.default_rng(3)
-    v = rng.normal(0, 1, (1, 12))
-    t = rng.normal(0, 1, (1, 7))
-    y = (rng.random((1, 3)) < 0.5).astype(float)
+    v = rng.normal(0, 1, (1, 2048))
+    t = rng.normal(0, 1, (1, 768))
+    y = (rng.random((1, 14)) < 0.5).astype(float)
 
     def fn():
         binding = fp.graph.bind(training=True)

@@ -77,6 +77,7 @@ def test_build_arm_overrides_and_rejects_unknown():
     ("vision_only", {"policy": "lora"}),
     ("budget_matched", {"policy": "bitfit"}),
     ("vision_only", {"fusion": {"shared_dim": 32}}),
+    ("budget_matched", {"fusion": {"shared_dim": 32}}),
 ])
 def test_build_arm_rejects_overrides_its_kind_ignores(kind, overrides):
     with pytest.raises(InputError):
@@ -209,7 +210,7 @@ def test_plan_shares_one_frozen_text_store_per_seed(monkeypatch, tmp_path):
     plan = ExperimentPlan(
         arms=[build_arm("full_pet", {"name": "full_pet_lora", "policy": "lora",
                                      "fusion": fusion}),
-              build_arm("budget_matched", {"fusion": fusion}),
+              ArmSpec("budget_matched", "budget_matched", fusion=FusionConfig(**fusion)),
               build_arm("full_pet", {"fusion": fusion})],
         train=TrainConfig(batch=8, accumulation=1, max_epochs=1, patience=5, lr=1e-3))
     samples = generate_synthetic(n_patients=24, seed=29)
@@ -289,10 +290,7 @@ def _tiny_plan(seeds=(0,)):
     fusion = FusionConfig(shared_dim=32, head_hidden=16, dropout_p=0.0)
     arms = [
         build_arm("vision_only", {"seeds": list(seeds)}),
-        build_arm("budget_matched", {"seeds": list(seeds),
-                                     "fusion": {"shared_dim": 32,
-                                                "head_hidden": 16,
-                                                "dropout_p": 0.0}}),
+        ArmSpec("budget_matched", "budget_matched", fusion=fusion, seeds=list(seeds)),
         build_arm("full_pet", {"seeds": list(seeds),
                                "fusion": {"shared_dim": 32,
                                           "head_hidden": 16,

@@ -11,8 +11,8 @@ from scipy.stats import rankdata
 
 from petfuse.errors import InputError
 from petfuse.metrics import (UndefinedMetric, _average_ranks, auprc_label, auroc_label, ece,
-                             evaluate_predictions, macro_auroc, macro_average, sigmoid,
-                             temperature_scale)
+                             evaluate_predictions, fit_temperature, macro_auroc,
+                             macro_average, sigmoid, temperature_scale)
 
 
 def test_auroc_worked_example():
@@ -193,6 +193,7 @@ def test_temperature_recovers_doubling():
     t, _ = temperature_scale(logits, y)
     assert abs(t - 2.0) < 0.1
     assert abs(t - _grid_search_t(logits, y)) < 0.02
+    assert fit_temperature(logits, y) == (t, False)
 
 
 def test_temperature_applies_to_held_out_logits():
@@ -218,6 +219,18 @@ def test_temperature_of_separable_logits_is_the_lower_bound():
     z = np.random.default_rng(3).uniform(2.0, 6.0, 50)
     assert temperature_scale(z, np.ones(50))[0] == pytest.approx(1e-2, rel=1e-12)
     assert temperature_scale(-z, np.zeros(50))[0] == pytest.approx(1e-2, rel=1e-12)
+    for logits, labels in ((z, np.ones(50)), (-z, np.zeros(50))):
+        t, at_bound = fit_temperature(logits, labels)
+        assert t == pytest.approx(1e-2, rel=1e-12) and at_bound
+
+
+def test_temperature_of_anti_correlated_logits_is_the_upper_bound():
+    """Every logit on the wrong side of its label: the BCE falls as T grows,
+    so the fit is pinned at T = 1e2 and says so."""
+    z = np.random.default_rng(3).uniform(2.0, 6.0, 50)
+    for logits, labels in ((z, np.zeros(50)), (-z, np.ones(50))):
+        t, at_bound = fit_temperature(logits, labels)
+        assert t == pytest.approx(1e2, rel=1e-12) and at_bound
 
 
 def test_sigmoid_keeps_the_textbook_bits_and_its_exp_overflow_is_silent():

@@ -17,8 +17,7 @@ def tiny_model(policy="frozen", seed=0, **policy_kw):
     graph = ModelGraph()
     tok = Tokenizer.build([TEXT])
     enc = MiniTextEncoder(graph, tok, spec=EncoderSpec(depth=1, width=8), seed=seed)
-    cfg = FusionConfig(vision_in=10, text_in=768, shared_dim=6, head_hidden=4,
-                       num_labels=3, dropout_p=0.0)
+    cfg = FusionConfig(shared_dim=6, head_hidden=4, dropout_p=0.0)
     fp = FusionPathway(graph, cfg, seed=seed)
     apply_policy(graph, policy, seed=seed, **policy_kw)
     return graph, enc, fp
@@ -27,7 +26,7 @@ def tiny_model(policy="frozen", seed=0, **policy_kw):
 def forward(graph, enc, fp, text=TEXT, v=None):
     binding = graph.bind(training=True)
     if v is None:
-        v = np.arange(10.0).reshape(1, 10) / 10
+        v = np.arange(2048.0).reshape(1, 2048) / 2048
     t = enc.encode(binding, [text])
     return fp.forward(binding, ad.Tensor(v), t), binding
 
@@ -121,7 +120,7 @@ def test_bitfit_only_biases_trainable_in_encoder():
 def test_frozen_policy_zero_encoder_gradients():
     graph, enc, fp = tiny_model("frozen")
     logits, binding = forward(graph, enc, fp)
-    ad.bce_with_logits(logits, np.array([[1.0, 0.0, 1.0]])).backward()
+    ad.bce_with_logits(logits, np.tile([[1.0, 0.0]], 7)).backward()
     for addr in graph.addresses("text_encoder"):
         assert binding[addr].grad is None  # exactly zero, never touched
 
