@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +21,13 @@ import numpy as np
 from . import __version__
 from . import data as data_mod
 from . import harness, metrics, redaction
-from .config import build_section, check_type, echo_config, load_config, read_json_object
+from .config import RunConfig, build_section, echo_config, load_config, read_json_object
 from .data import SplitSpec, label_matrix
 from .encoders import SPECIALS, Tokenizer
 from .errors import ConfigError, InputError, PetfuseError
 from .fusion import FusionConfig
 from .pet import AdapterConfig, LoRAConfig, count_params
-from .training import TrainConfig, load_checkpoint, save_checkpoint, train_loop
+from .training import load_checkpoint, save_checkpoint, train_loop
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,29 +153,41 @@ def _cmd_audit(args):
     return 0
 
 
-# The model sections of a config, each with whether the config's arm and
-# policy read it: only full_pet takes a fusion config, and only the lora and
-# adapter policies read theirs.
-_SECTIONS = {"fusion": (FusionConfig, lambda cfg: cfg["arm"] == "full_pet"),
-             "lora": (LoRAConfig, lambda cfg: cfg["policy"] == "lora"),
-             "adapter": (AdapterConfig, lambda cfg: cfg["policy"] == "adapter")}
+# The model sections of a config or a checkpoint header, each with whether
+# its arm and policy read it: only full_pet takes a fusion config, and only
+# the lora and adapter policies read theirs.
+_SECTIONS = {"fusion": lambda cfg: cfg.arm == "full_pet",
+             "lora": lambda cfg: cfg.policy == "lora",
+             "adapter": lambda cfg: cfg.policy == "adapter"}
 
 
-def _refuse_ignored_sections(cfg):
+@dataclass
+class CheckpointExtra:
+    """A checkpoint header's `extra`: the run `train` saved."""
+    arm: str
+    policy: str
+    seed: int
+    fusion: FusionConfig
+    lora: LoRAConfig
+    adapter: AdapterConfig
+    best_epoch: int
+    best_val_auroc: float
+
+
+def _refuse_ignored_sections(cfg: RunConfig):
     """ConfigError when a config sets a section its arm and policy ignore."""
-    for name, (cls, reads) in _SECTIONS.items():
-        if not reads(cfg) and cfg[name] != cls():
-            raise ConfigError(f"arm {cfg['arm']!r} with policy {cfg['policy']!r} "
+    for name, reads in _SECTIONS.items():
+        if not reads(cfg) and getattr(cfg, name) != getattr(RunConfig(), name):
+            raise ConfigError(f"arm {cfg.arm!r} with policy {cfg.policy!r} "
                               f"would ignore config section {name!r}")
 
 
 def _load_arm_model(cfg, tokenizer, seed):
-    arm = harness.build_arm(cfg["arm"], {"policy": cfg["policy"],
-                                         "seeds": [seed]})
-    if cfg["arm"] == "full_pet":
-        arm.fusion = cfg["fusion"]
-    return arm, harness._build_model(arm, tokenizer, seed, lora_cfg=cfg["lora"],
-                                     adapter_cfg=cfg["adapter"])
+    arm = harness.build_arm(cfg.arm, {"policy": cfg.policy})
+    if cfg.arm == "full_pet":
+        arm.fusion = cfg.fusion
+    return arm, harness._build_model(arm, tokenizer, seed, lora_cfg=cfg.lora,
+                                     adapter_cfg=cfg.adapter)
 
 
 def _cmd_train(args):
@@ -185,19 +197,14 @@ def _cmd_train(args):
     out.mkdir(parents=True, exist_ok=True)
     echo_config(cfg, out)
     samples = data_mod.load_manifest(args.data)
-    train_set, val_set, _ = data_mod.split_patients(samples, SplitSpec(seed=cfg["train"].seed))
+    train_set, val_set, _ = data_mod.split_patients(samples, SplitSpec(seed=cfg.train.seed))
     tokenizer = Tokenizer.build([s.text for s in train_set])
-    arm, model = _load_arm_model(cfg, tokenizer, cfg["train"].seed)
-    result = train_loop(model, train_set, val_set, cfg["train"])
+    arm, model = _load_arm_model(cfg, tokenizer, cfg.train.seed)
+    result = train_loop(model, train_set, val_set, cfg.train)
     result.write_history_csv(out / "history.csv")
-    save_checkpoint(out / "checkpoint.bin", model.graph,
-                    header_extra={"arm": arm.kind, "policy": arm.policy,
-                                  "seed": cfg["train"].seed,
-                                  "fusion": arm.fusion.__dict__,
-                                  "lora": asdict(cfg["lora"]),
-                                  "adapter": asdict(cfg["adapter"]),
-                                  "best_epoch": result.best_epoch,
-                                  "best_val_auroc": result.best_val_auroc},
+    extra = CheckpointExtra(arm.kind, arm.policy, cfg.train.seed, arm.fusion, cfg.lora,
+                            cfg.adapter, result.best_epoch, result.best_val_auroc)
+    save_checkpoint(out / "checkpoint.bin", model.graph, header_extra=asdict(extra),
                     state={"vocab": tokenizer.tokens(),
                            "normalizers": {name: norm.state() for name, norm
                                            in model.normalizers.items()},
@@ -218,22 +225,6 @@ def _frozen_sha256(tokenizer, graph) -> str:
     return h.hexdigest()
 
 
-def _header_config(path, extra) -> dict:
-    """The arm, policy, seed and section configs a checkpoint header records."""
-    keys = ["arm", "policy", "seed", *_SECTIONS]
-    try:
-        if not isinstance(extra, dict) or not set(keys) <= set(extra):
-            raise ConfigError(f"extra must be an object with {', '.join(keys)}")
-        cfg = {key: extra[key] for key in ("arm", "policy", "seed")}
-        for key, default in (("arm", ""), ("policy", ""), ("seed", 0)):
-            check_type(key, cfg[key], default)
-        for key, (cls, _) in _SECTIONS.items():
-            cfg[key] = build_section(key, cls, extra[key])
-    except ConfigError as e:
-        raise InputError(f"{path}: checkpoint header: {e}") from e
-    return cfg
-
-
 def _check_claimed_sizes(path, cfg, params):
     """InputError unless each size the header claims for a section the model
     reads is that of the stored arrays, so that no model is built larger
@@ -242,10 +233,10 @@ def _check_claimed_sizes(path, cfg, params):
         return {a.shape[1:] for name, a in params.items() if name.endswith(suffix)}
 
     fusion_count = sum(a.size for name, a in params.items() if name.startswith("fusion/"))
-    claims = {"fusion": ("parameter count", cfg["fusion"].param_count(), {(fusion_count,)}),
-              "lora": ("rank", cfg["lora"].rank, held("/lora_a")),
-              "adapter": ("bottleneck", cfg["adapter"].bottleneck, held("/adapter/down_w"))}
-    for name, (_, reads) in _SECTIONS.items():
+    claims = {"fusion": ("parameter count", cfg.fusion.param_count(), {(fusion_count,)}),
+              "lora": ("rank", cfg.lora.rank, held("/lora_a")),
+              "adapter": ("bottleneck", cfg.adapter.bottleneck, held("/adapter/down_w"))}
+    for name, reads in _SECTIONS.items():
         what, claimed, stored = claims[name]
         if reads(cfg) and stored != {(claimed,)}:
             raise InputError(f"{path}: checkpoint header claims a {name} {what} of "
@@ -257,7 +248,10 @@ def _restore_model(checkpoint, manifest):
     normalizers, and the validation and test splits of `manifest` under the
     checkpoint's seed."""
     header, arrays = load_checkpoint(checkpoint)
-    cfg = _header_config(checkpoint, header.get("extra"))
+    try:
+        cfg = build_section("extra", CheckpointExtra, header.get("extra"))
+    except ConfigError as e:
+        raise InputError(f"{checkpoint}: checkpoint header: {e}") from e
     state = header.get("state")
     if (not isinstance(state, dict) or set(state) != {"vocab", "normalizers", "frozen_sha256"}
             or not isinstance(state["frozen_sha256"], str)):
@@ -266,9 +260,9 @@ def _restore_model(checkpoint, manifest):
     params = {k[len("param/"):]: v for k, v in arrays.items() if k.startswith("param/")}
     _check_claimed_sizes(checkpoint, cfg, params)
     samples = data_mod.load_manifest(manifest)
-    _, val_set, test_set = data_mod.split_patients(samples, SplitSpec(seed=cfg["seed"]))
+    _, val_set, test_set = data_mod.split_patients(samples, SplitSpec(seed=cfg.seed))
     tokenizer = Tokenizer.from_tokens(state["vocab"])
-    _, model = _load_arm_model(cfg, tokenizer, cfg["seed"])
+    _, model = _load_arm_model(cfg, tokenizer, cfg.seed)
     if _frozen_sha256(tokenizer, model.graph) != state["frozen_sha256"]:
         raise InputError(f"{checkpoint}: the vocabulary and frozen weights rebuilt "
                          f"from the checkpoint do not match its frozen_sha256")
@@ -284,7 +278,7 @@ def _restore_model(checkpoint, manifest):
 
 def _cmd_eval(args):
     model, cfg, _, test_set = _restore_model(args.checkpoint, args.data)
-    _emit(harness.evaluate_model(model, cfg["arm"], cfg["seed"], test_set).to_json(),
+    _emit(harness.evaluate_model(model, cfg.arm, cfg.seed, test_set).to_json(),
           args.out)
     return 0
 
@@ -311,7 +305,7 @@ def _cmd_count_params(args):
     cfg = load_config(args.config)
     _refuse_ignored_sections(cfg)
     _, model = _load_arm_model(cfg, Tokenizer.from_tokens(list(SPECIALS)),
-                               cfg["train"].seed)
+                               cfg.train.seed)
     report = count_params(model.graph)
     if args.json:
         print(report.to_json(DECLARED_TOTAL_PARAMS))
@@ -330,19 +324,7 @@ def _cmd_count_params(args):
 
 
 def _cmd_attribute(args):
-    doc = read_json_object(args.plan, "plan")
-    arm_docs = doc.get("arms", [])
-    if not isinstance(arm_docs, list):
-        raise InputError(f"{args.plan}: arms must be a list of arm objects")
-    arms = []
-    for i, a in enumerate(arm_docs):
-        if not isinstance(a, dict) or "kind" not in a:
-            raise InputError(f"{args.plan}: arms[{i}] needs a \"kind\", one of "
-                             f"{', '.join(harness.ARM_KINDS)}")
-        arms.append(harness.build_arm(a.pop("kind"), a))
-    plan = harness.ExperimentPlan(
-        arms, build_section("split", SplitSpec, doc.get("split", {})),
-        build_section("train", TrainConfig, doc.get("train", {})))
+    plan = harness.read_plan(read_json_object(args.plan, "plan"))
     result = harness.run_plan(plan, data_mod.load_manifest(args.data), args.out)
     print(Path(args.out, "attribution.json").read_text())
     if result.failures:

@@ -1,11 +1,14 @@
-"""JSON config loading with typo and type protection; the file overrides the
-defaults. The effective config is echoed into output directories.
+"""The one reader of petfuse's JSON documents (configs, attribution plans,
+checkpoint headers): each is a dataclass, read with typo and type
+protection. The effective config is echoed into output directories.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
@@ -13,50 +16,59 @@ from .fusion import FusionConfig
 from .pet import AdapterConfig, LoRAConfig
 from .training import TrainConfig
 
-_SECTION_TYPES = {
-    "fusion": FusionConfig,
-    "train": TrainConfig,
-    "lora": LoRAConfig,
-    "adapter": AdapterConfig,
-}
 
-_TOP_LEVEL_SCALARS = {
-    "policy": "frozen",
-    "arm": "full_pet",
-}
-
-# JSON types a value may have, keyed by the type of the field's default; a
-# float field takes an int that float() can represent, and no numeric field
-# takes a bool
-_ACCEPTED = {float: (float, int), int: (int,), str: (str,)}
-
-
-def check_type(name: str, value, default):
-    """Raise ConfigError unless `value` may stand where `default` does."""
-    accepted = _ACCEPTED[type(default)]
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigError(f"config value {name} must be {accepted[0].__name__}, "
-                          f"got {value!r}")
-    if isinstance(default, float):
-        try:
-            float(value)
-        except OverflowError:
-            raise ConfigError(f"config value {name} is an int beyond the float "
-                              f"range") from None
+@dataclass
+class RunConfig:
+    """What `train` and `count-params` read; the file overrides the defaults."""
+    arm: str = "full_pet"
+    policy: str = "frozen"
+    fusion: FusionConfig = field(default_factory=FusionConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    lora: LoRAConfig = field(default_factory=LoRAConfig)
+    adapter: AdapterConfig = field(default_factory=AdapterConfig)
 
 
 def build_section(name: str, cls, values):
-    """`cls` built from a JSON object; unknown keys and values whose type does
-    not match the field default are rejected."""
+    """`cls` read from the JSON object `values`, each field by its annotation:
+    a dataclass as a section named after its key, a `list[X]` element by
+    element, a str, int or float as itself, where a float field also takes an
+    int that float() can represent and no number field takes a bool. A field
+    without a default is required. An unknown key, a missing one or a value
+    of another type is a ConfigError."""
     if not isinstance(values, dict):
         raise ConfigError(f"config section {name!r} must be an object")
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    unknown = set(values) - set(defaults)
+    fields = dataclasses.fields(cls)
+    unknown = set(values) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-    for key, value in values.items():
-        check_type(f"{name}.{key}", value, defaults[key])
-    return cls(**values)
+    missing = [f.name for f in fields if f.name not in values
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"missing {name} keys: {missing}")
+    types = typing.get_type_hints(cls)
+    return cls(**{key: _read_value(name, key, types[key], value)
+                  for key, value in values.items()})
+
+
+def _read_value(section: str, key: str, tp, value):
+    if dataclasses.is_dataclass(tp):
+        return build_section(key, tp, value)
+    if typing.get_origin(tp) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"config value {section}.{key} must be a list, got {value!r}")
+        (item,) = typing.get_args(tp)
+        return [_read_value(section, f"{key}[{i}]", item, v) for i, v in enumerate(value)]
+    if isinstance(value, bool) or not isinstance(value, (float, int) if tp is float else tp):
+        raise ConfigError(f"config value {section}.{key} must be {tp.__name__}, "
+                          f"got {value!r}")
+    if tp is float:
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(f"config value {section}.{key} is an int beyond the "
+                              f"float range") from None
+    return value
 
 
 def read_json_object(path, what: str) -> dict:
@@ -71,27 +83,14 @@ def read_json_object(path, what: str) -> dict:
     return doc
 
 
-def load_config(path=None) -> dict:
-    """Effective config dict: dataclass sections and top-level scalars from
-    the JSON file, defaults for whatever it leaves out."""
-    doc = {} if path is None else read_json_object(path, "config")
-    unknown = set(doc) - set(_SECTION_TYPES) - set(_TOP_LEVEL_SCALARS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    cfg = {name: build_section(name, cls, doc.get(name, {}))
-           for name, cls in _SECTION_TYPES.items()}
-    for name, default in _TOP_LEVEL_SCALARS.items():
-        cfg[name] = doc.get(name, default)
-        check_type(name, cfg[name], default)
-    return cfg
+def load_config(path=None) -> RunConfig:
+    """The config in the JSON file at `path`; the defaults without one."""
+    return build_section("config", RunConfig,
+                         {} if path is None else read_json_object(path, "config"))
 
 
-def echo_config(cfg: dict, out_dir):
-    doc = {}
-    for key, value in cfg.items():
-        doc[key] = dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
+def echo_config(cfg: RunConfig, out_dir):
     path = Path(out_dir) / "config.echo.json"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=list) + "\n",
+    path.write_text(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")

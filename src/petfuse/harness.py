@@ -7,13 +7,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .config import build_section, check_type
+from .config import build_section
 from .data import LABELS, NUM_LABELS, VISION_DIM, SplitSpec, label_matrix, split_patients
 from .encoders import TEXT_DIM, MiniTextEncoder, Tokenizer
 from .errors import InputError, PetfuseError, SearchError, numeric_guard
@@ -21,7 +22,7 @@ from .fusion import FusionConfig, FusionPathway
 from .metrics import (EvalReport, evaluate_predictions, macro_auroc, sigmoid,
                       write_per_label_csv, write_reports_csv)
 from .model import ModelGraph
-from .pet import (ENCODER_PREFIX, AdapterConfig, LoRAConfig, apply_policy,
+from .pet import (ENCODER_PREFIX, POLICIES, AdapterConfig, LoRAConfig, apply_policy,
                   count_params)
 from .training import TrainConfig, train_loop
 
@@ -243,10 +244,14 @@ class MultimodalModel:
 # -- plans ---------------------------------------------------------------------
 
 
+# An arm's name names its CSV files: arm_<name>.csv and arm_<name>_per_label.csv.
+_ARM_NAME = re.compile(r"[A-Za-z0-9_-]+")
+
+
 @dataclass
 class ArmSpec:
-    name: str
     kind: str
+    name: str = ""  # empty: the kind's own name
     policy: str = "frozen"
     fusion: FusionConfig = field(default_factory=FusionConfig)
     seeds: list[int] = field(default_factory=lambda: [0])
@@ -261,10 +266,16 @@ class ExperimentPlan:
     def validate(self):
         if not self.arms:
             raise InputError("plan has no arms")
+        if self.train.seed != TrainConfig.seed:
+            raise InputError("a plan takes no train.seed: each arm's seeds seed its "
+                             "models, and split.seed seeds the split")
         names = [a.name for a in self.arms]
         if len(set(names)) != len(names):
             raise InputError("arm names must be unique")
         for a in self.arms:
+            if not _ARM_NAME.fullmatch(a.name) or a.name.endswith("_per_label"):
+                raise InputError(f"arm name {a.name!r} must match {_ARM_NAME.pattern} "
+                                 f"and not end in _per_label")
             if not a.seeds:
                 raise InputError(f"arm {a.name!r} has no seeds")
             if len(set(a.seeds)) != len(a.seeds):
@@ -273,40 +284,43 @@ class ExperimentPlan:
                 raise InputError(f"unknown arm kind {a.kind!r}")
 
 
-def build_arm(kind: str, overrides: dict | None = None) -> ArmSpec:
-    """Canonical arm configs for the attribution triad."""
-    if kind not in ARM_KINDS:
-        raise InputError(f"unknown arm kind {kind!r}")
-    overrides = dict(overrides or {})
-    seeds = overrides.pop("seeds", [0])
-    # an empty list is left to ExperimentPlan.validate
-    if not isinstance(seeds, list) or any(isinstance(s, bool) or not isinstance(s, int)
-                                          for s in seeds):
-        raise InputError(f"arm {kind!r}: seeds must be a list of ints, got {seeds!r}")
-    policy = overrides.pop("policy", "frozen")
-    if kind != "full_pet" and policy != "frozen":
-        raise InputError(f"arm kind {kind!r} is always frozen; "
-                         f"policy {policy!r} does not apply to it")
-    if kind != "full_pet" and "fusion" in overrides:
-        raise InputError(f"arm kind {kind!r} takes no fusion override; "
+def _apply_kind_rules(arm: ArmSpec) -> ArmSpec:
+    """`arm` as its kind trains it, named after its kind unless named. An
+    InputError for an unknown kind or policy, or for a policy or fusion that
+    the kind ignores and that differs from its default; a budget_matched arm
+    is sized to vision_only's count."""
+    if arm.kind not in ARM_KINDS:
+        raise InputError(f"unknown arm kind {arm.kind!r}; expected one of "
+                         f"{', '.join(ARM_KINDS)}")
+    arm.name = arm.name or arm.kind
+    policies = POLICIES if arm.kind == "full_pet" else ("frozen",)
+    if arm.policy not in policies:
+        raise InputError(f"arm {arm.name!r}: policy {arm.policy!r} is not one of "
+                         f"{', '.join(policies)}, the policies of kind {arm.kind!r}")
+    if arm.kind != "full_pet" and arm.fusion != FusionConfig():
+        raise InputError(f"arm kind {arm.kind!r} takes no fusion override; "
                          "only full_pet does")
-    if kind == "vision_only":
-        arm = ArmSpec("vision_only", kind, policy="frozen", seeds=seeds)
-    elif kind == "budget_matched":
+    if arm.kind == "budget_matched":
         d, h, _ = search_shared_dim(VISION_ONLY_PARAMS)
-        arm = ArmSpec("budget_matched", kind, policy="frozen",
-                      fusion=FusionConfig(shared_dim=d, head_hidden=h), seeds=seeds)
-    else:
-        arm = ArmSpec("full_pet", kind, policy=policy, seeds=seeds)
-    for key, value in overrides.items():
-        if key == "fusion":
-            arm.fusion = build_section("fusion", FusionConfig, value)
-        elif key == "name":
-            check_type(f"arm {kind!r} name", value, "")
-            arm.name = value
-        else:
-            raise InputError(f"unknown arm override {key!r}")
+        arm.fusion = FusionConfig(shared_dim=d, head_hidden=h)
     return arm
+
+
+def build_arm(kind: str, overrides: dict | None = None) -> ArmSpec:
+    """The arm of `kind` that a plan arm with the other keys `overrides`
+    describes."""
+    overrides = overrides or {}
+    if "kind" in overrides:
+        raise InputError("an arm's kind is build_arm's argument, not an override")
+    return _apply_kind_rules(build_section("arm", ArmSpec, {"kind": kind, **overrides}))
+
+
+def read_plan(doc) -> ExperimentPlan:
+    """The plan a JSON object describes, each arm under its kind's rules."""
+    plan = build_section("plan", ExperimentPlan, doc)
+    for arm in plan.arms:
+        _apply_kind_rules(arm)
+    return plan
 
 
 def _build_model(arm: ArmSpec, tokenizer, seed: int,

@@ -649,6 +649,22 @@ def _trailing_bytes(tmp_path, data, run_dir):
                  id="arm_name_list"),
     pytest.param(_plan({"arms": [{"kind": "vision_only", "budget_target": "1000"}]}),
                  id="budget_target_str"),
+    # a plan is refused before any arm trains: an unknown key or policy, a
+    # train.seed that each arm's seeds replace, a name that no CSV file can take
+    pytest.param(_says("unknown plan keys: ['trian']", _plan({"trian": {"max_epochs": 1}})),
+                 id="plan_unknown_key"),
+    pytest.param(_says("policy 'lroa' is not one of",
+                       _plan({"arms": [{"kind": "vision_only"},
+                                       {"kind": "full_pet", "policy": "lroa"}]})),
+                 id="arm_policy_typo"),
+    pytest.param(_says("train.seed", _plan({"train": {"seed": 7}})), id="plan_train_seed"),
+    pytest.param(_says("arm name 'a/b'", _plan({"arms": [{"kind": "vision_only",
+                                                          "name": "a/b"}]})),
+                 id="arm_name_slash"),
+    pytest.param(_says("arm name 'vo_per_label'",
+                       _plan({"arms": [{"kind": "vision_only", "name": "vo_per_label"},
+                                       {"kind": "vision_only", "name": "vo"}]})),
+                 id="arm_name_per_label"),
     # config values are type-checked, and a section must be an object
     pytest.param(_config({"lora": {"rank": "4"}, "policy": "lora"}), id="lora_rank_str"),
     pytest.param(_config({"fusion": {"shared_dim": 1.5}}), id="shared_dim_float"),
@@ -729,6 +745,13 @@ def _trailing_bytes(tmp_path, data, run_dir):
                  id="header_without_lora"),
     pytest.param(_rewritten_checkpoint("eval", lambda h: h["extra"].pop("adapter")),
                  id="header_without_adapter"),
+    pytest.param(_says("checkpoint header: unknown extra keys: ['bogus']",
+                       _rewritten_checkpoint("eval", lambda h: _set(h["extra"], "bogus", 1))),
+                 id="header_unknown_extra_key"),
+    pytest.param(_says("checkpoint header: missing extra keys: ['best_epoch']",
+                       _rewritten_checkpoint("calibrate",
+                                             lambda h: h["extra"].pop("best_epoch"))),
+                 id="header_without_best_epoch"),
     _trailing_bytes,
     # the container's version: only 2 is read
     pytest.param(_rewritten_checkpoint("eval", _version_1), id="version_1"),
@@ -788,6 +811,7 @@ def test_malformed_input_is_one_line_runtime_error(make_argv, trained, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert getattr(make_argv, "says", "") in err
+    assert not list(tmp_path.rglob("arm_*.csv"))
 
 
 def test_non_finite_feature_is_named_by_its_line(trained, capsys, tmp_path):

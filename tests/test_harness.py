@@ -58,7 +58,7 @@ def test_build_arm_overrides_and_rejects_unknown():
     arm = build_arm("full_pet", {"seeds": [1, 2], "policy": "lora"})
     assert arm.seeds == [1, 2]
     assert arm.policy == "lora"
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigError):
         build_arm("full_pet", {"nope": 1})
     with pytest.raises(InputError):
         build_arm("mystery_arm")
@@ -69,7 +69,7 @@ def test_build_arm_overrides_and_rejects_unknown():
         build_arm("full_pet", {"kind": "vision_only"})
     assert build_arm("full_pet", {"name": "b"}).name == "b"
     # no program reads a budget target, so an arm does not take one
-    with pytest.raises(InputError, match="budget_target"):
+    with pytest.raises(ConfigError, match="budget_target"):
         build_arm("vision_only", {"budget_target": 1_055_744})
 
 
@@ -210,7 +210,8 @@ def test_plan_shares_one_frozen_text_store_per_seed(monkeypatch, tmp_path):
     plan = ExperimentPlan(
         arms=[build_arm("full_pet", {"name": "full_pet_lora", "policy": "lora",
                                      "fusion": fusion}),
-              ArmSpec("budget_matched", "budget_matched", fusion=FusionConfig(**fusion)),
+              ArmSpec(name="budget_matched", kind="budget_matched",
+                      fusion=FusionConfig(**fusion)),
               build_arm("full_pet", {"fusion": fusion})],
         train=TrainConfig(batch=8, accumulation=1, max_epochs=1, patience=5, lr=1e-3))
     samples = generate_synthetic(n_patients=24, seed=29)
@@ -251,7 +252,7 @@ def test_plan_validation():
     with pytest.raises(InputError, match="repeats a seed"):
         ExperimentPlan(arms=[build_arm("full_pet", {"seeds": [1, 2, 1]})]).validate()
     with pytest.raises(InputError):
-        ExperimentPlan(arms=[ArmSpec("x", "mystery")]).validate()
+        ExperimentPlan(arms=[ArmSpec(name="x", kind="mystery")]).validate()
 
 
 def test_compute_deltas():
@@ -290,7 +291,8 @@ def _tiny_plan(seeds=(0,)):
     fusion = FusionConfig(shared_dim=32, head_hidden=16, dropout_p=0.0)
     arms = [
         build_arm("vision_only", {"seeds": list(seeds)}),
-        ArmSpec("budget_matched", "budget_matched", fusion=fusion, seeds=list(seeds)),
+        ArmSpec(name="budget_matched", kind="budget_matched", fusion=fusion,
+                seeds=list(seeds)),
         build_arm("full_pet", {"seeds": list(seeds),
                                "fusion": {"shared_dim": 32,
                                           "head_hidden": 16,
@@ -343,7 +345,7 @@ def test_run_plan_seed_isolation(tmp_path):
 
 def test_run_plan_records_failures(tmp_path):
     samples = generate_synthetic(n_patients=20, seed=23)
-    bad = ArmSpec("boom", "full_pet", policy="not_a_policy", seeds=[0])
+    bad = ArmSpec(name="boom", kind="full_pet", policy="not_a_policy", seeds=[0])
     plan = ExperimentPlan(
         arms=[bad, build_arm("vision_only")],
         train=TrainConfig(batch=8, accumulation=1, max_epochs=1, patience=5))
