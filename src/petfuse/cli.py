@@ -336,8 +336,10 @@ def _cmd_attribute(args):
 
 
 def _cmd_report(args):
-    _emit(harness.recompute_from_artifacts(args.results),
-          Path(args.results, "attribution_recomputed.json"))
+    result = harness.summarize(args.results)
+    if not result.arm_means:
+        raise InputError(f"{args.results}: predictions.json holds no arm run to report")
+    _emit(result.summary(), Path(args.results, "attribution_recomputed.json"))
     return 0
 
 

@@ -8,16 +8,16 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .config import build_section
+from .config import build_section, read_json_object
 from .data import LABELS, NUM_LABELS, VISION_DIM, SplitSpec, label_matrix, split_patients
 from .encoders import TEXT_DIM, MiniTextEncoder, Tokenizer
-from .errors import InputError, PetfuseError, SearchError, numeric_guard
+from .errors import ConfigError, InputError, PetfuseError, SearchError, numeric_guard
 from .fusion import FusionConfig, FusionPathway
 from .metrics import (EvalReport, evaluate_predictions, macro_auroc, sigmoid,
                       write_per_label_csv, write_reports_csv)
@@ -248,6 +248,12 @@ class MultimodalModel:
 _ARM_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
+def _check_arm_name(name: str):
+    if not _ARM_NAME.fullmatch(name) or name.endswith("_per_label"):
+        raise InputError(f"arm name {name!r} must match {_ARM_NAME.pattern} "
+                         f"and not end in _per_label")
+
+
 @dataclass
 class ArmSpec:
     kind: str
@@ -273,9 +279,7 @@ class ExperimentPlan:
         if len(set(names)) != len(names):
             raise InputError("arm names must be unique")
         for a in self.arms:
-            if not _ARM_NAME.fullmatch(a.name) or a.name.endswith("_per_label"):
-                raise InputError(f"arm name {a.name!r} must match {_ARM_NAME.pattern} "
-                                 f"and not end in _per_label")
+            _check_arm_name(a.name)
             if not a.seeds:
                 raise InputError(f"arm {a.name!r} has no seeds")
             if len(set(a.seeds)) != len(a.seeds):
@@ -356,6 +360,11 @@ class AttributionResult:
     scaling_effect: float | None
     failures: dict[str, str] = field(default_factory=dict)
 
+    def summary(self) -> dict:
+        """The arm means and deltas, as `report` prints them."""
+        return {"arm_mean_auroc": self.arm_means, "fusion_effect": self.fusion_effect,
+                "scaling_effect": self.scaling_effect}
+
 
 def compute_deltas(arm_means: dict[str, float]):
     """Fusion effect: budget-matched minus vision-only; scaling effect:
@@ -368,48 +377,55 @@ def compute_deltas(arm_means: dict[str, float]):
     return fusion_effect, scaling_effect
 
 
-def run_plan(plan: ExperimentPlan, samples, out_dir) -> AttributionResult:
-    """Train every arm x seed, evaluate on the test split, persist artifacts."""
-    plan.validate()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    train_set, val_set, test_set = split_patients(samples, plan.split)
-    tokenizer = Tokenizer.build([s.text for s in train_set])
-    # Frozen text features, one store per seed keyed by sample id. Arms may
-    # share a store because a frozen MiniTextEncoder is a function of
-    # (tokenizer, seed) alone: its weights are drawn from the seed at sizes
-    # the tokenizer fixes, whatever the fusion config; sample ids are unique.
-    text_stores: dict[int, dict[str, np.ndarray]] = {}
+@dataclass
+class ArmRun:
+    """One arm x seed: its model's sizes and its logits on the test split."""
+    arm: str
+    seed: int
+    trainable_params: int
+    total_params: int
+    sample_ids: list[str]
+    logits: list[list[float]]
+    labels: list[list[int]]
 
+
+@dataclass
+class Predictions:
+    runs: list[ArmRun]
+
+
+def summarize(out_dir) -> AttributionResult:
+    """Evaluate each run in `out_dir`'s predictions.json, where an (arm, seed)
+    appears once, and write the arm, per-label, summary and efficiency tables
+    from that file alone."""
+    out = Path(out_dir)
+    path = out / "predictions.json"
+    doc = read_json_object(path, "predictions")
+    try:
+        runs = build_section("predictions", Predictions, doc).runs
+    except ConfigError as e:
+        raise InputError(f"{path}: {e}") from e
+    if len({(run.arm, run.seed) for run in runs}) != len(runs):
+        raise InputError(f"{path}: an arm and seed appear in more than one run")
     per_arm: dict[str, list[EvalReport]] = {}
-    failures: dict[str, str] = {}
-    all_reports = []
-    for arm in plan.arms:
-        reports = []
-        for seed in arm.seeds:
-            try:
-                model = _build_model(arm, tokenizer, seed,
-                                     text_store=text_stores.setdefault(seed, {}))
-                train_loop(model, train_set, val_set, replace(plan.train, seed=seed))
-                reports.append(evaluate_model(model, arm.name, seed, test_set))
-            except PetfuseError as e:  # record and continue with other arms
-                failures[f"{arm.name}/seed{seed}"] = f"{type(e).__name__}: {e}"
-        if reports:
-            per_arm[arm.name] = reports
-            write_reports_csv(out / f"arm_{arm.name}.csv", reports)
-            write_per_label_csv(out / f"arm_{arm.name}_per_label.csv", reports, LABELS)
-            all_reports.extend(reports)
+    for run in runs:
+        _check_arm_name(run.arm)
+        if not (0 < len(run.sample_ids) == len(run.logits) == len(run.labels)) or any(
+                len(row) != NUM_LABELS for row in run.logits + run.labels) or not all(
+                math.isfinite(v) for row in run.logits for v in row) or any(
+                v not in (0, 1) for row in run.labels for v in row):
+            raise InputError(f"{path}: run {run.arm}/seed{run.seed} must hold samples, "
+                             f"each with {NUM_LABELS} finite logits and 0/1 labels")
+        per_arm.setdefault(run.arm, []).append(evaluate_predictions(
+            run.arm, run.seed, sigmoid(np.asarray(run.logits, dtype=np.float64)),
+            np.asarray(run.labels), LABELS, run.trainable_params, run.total_params))
+    for name, reports in per_arm.items():
+        write_reports_csv(out / f"arm_{name}.csv", reports)
+        write_per_label_csv(out / f"arm_{name}_per_label.csv", reports, LABELS)
+    write_reports_csv(out / "summary.csv", [r for reps in per_arm.values() for r in reps])
 
     arm_means = {name: float(np.mean([r.auroc_macro for r in reps]))
                  for name, reps in per_arm.items()}
-    fusion_effect, scaling_effect = compute_deltas(arm_means)
-
-    write_reports_csv(out / "summary.csv", all_reports)
-    with open(out / "attribution.json", "w") as f:
-        json.dump({"arm_mean_auroc": arm_means,
-                   "fusion_effect": fusion_effect,
-                   "scaling_effect": scaling_effect,
-                   "failures": failures}, f, indent=2, sort_keys=True)
     with open(out / "efficiency.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["method", "auroc", "trainable_params",
@@ -422,8 +438,44 @@ def run_plan(plan: ExperimentPlan, samples, out_dir) -> AttributionResult:
             w.writerow([row["method"], f"{row['auroc']:.6f}",
                         row["trainable_params"], row["auroc_per_million"],
                         row["efficiency_ratio"]])
-    return AttributionResult(per_arm, arm_means, fusion_effect, scaling_effect,
-                             failures)
+    return AttributionResult(per_arm, arm_means, *compute_deltas(arm_means))
+
+
+def run_plan(plan: ExperimentPlan, samples, out_dir) -> AttributionResult:
+    """Train every arm x seed, keep its test logits in predictions.json and
+    summarize that file; attribution.json adds the failed runs."""
+    plan.validate()
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    train_set, val_set, test_set = split_patients(samples, plan.split)
+    tokenizer = Tokenizer.build([s.text for s in train_set])
+    # Frozen text features, one store per seed keyed by sample id. Arms may
+    # share a store because a frozen MiniTextEncoder is a function of
+    # (tokenizer, seed) alone: its weights are drawn from the seed at sizes
+    # the tokenizer fixes, whatever the fusion config; sample ids are unique.
+    text_stores: dict[int, dict[str, np.ndarray]] = {}
+
+    ids, labels = [s.id for s in test_set], label_matrix(test_set).tolist()
+    runs: list[ArmRun] = []
+    failures: dict[str, str] = {}
+    for arm in plan.arms:
+        for seed in arm.seeds:
+            try:
+                model = _build_model(arm, tokenizer, seed,
+                                     text_store=text_stores.setdefault(seed, {}))
+                train_loop(model, train_set, val_set, replace(plan.train, seed=seed))
+                budget = count_params(model.graph)
+                runs.append(ArmRun(arm.name, seed, budget.total_trainable, budget.total_params,
+                                   ids, predict_logits(model, test_set).tolist(), labels))
+            except PetfuseError as e:  # record and continue with other arms
+                failures[f"{arm.name}/seed{seed}"] = f"{type(e).__name__}: {e}"
+
+    (out / "predictions.json").write_text(json.dumps(asdict(Predictions(runs))))
+    result = summarize(out)
+    result.failures = failures
+    with open(out / "attribution.json", "w") as f:
+        json.dump({**result.summary(), "failures": failures}, f, indent=2, sort_keys=True)
+    return result
 
 
 def efficiency_table(results):
@@ -447,23 +499,3 @@ def efficiency_table(results):
         apm = row["auroc_per_million"]
         row["efficiency_ratio"] = (f"{apm / ref:.2f}x" if ref else "undefined")
     return rows
-
-
-def recompute_from_artifacts(out_dir):
-    """Re-derive attribution deltas purely from the stored per-arm CSVs;
-    InputError when there is no arm result to read."""
-    out = Path(out_dir)
-    arm_means = {}
-    for path in sorted(out.glob("arm_*.csv")):
-        if path.name.endswith("_per_label.csv"):
-            continue
-        with open(path) as f:
-            rows = list(csv.DictReader(f))
-        if rows:
-            arm_means[rows[0]["method"]] = float(
-                np.mean([float(r["auroc_macro"]) for r in rows]))
-    if not arm_means:
-        raise InputError(f"{out}: no arm results (arm_*.csv) to report")
-    fusion_effect, scaling_effect = compute_deltas(arm_means)
-    return {"arm_mean_auroc": arm_means, "fusion_effect": fusion_effect,
-            "scaling_effect": scaling_effect}

@@ -463,3 +463,28 @@ def test_criterion_12_cli_determinism(tmp_path, capsys):
     assert outs[0] == outs[1]
     _report(12, "gen-data, train, and eval artifacts byte-identical across "
                 "repeated seeded runs (timing fields excluded)")
+
+
+def test_criterion_12_attribute_determinism(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    assert main(["gen-data", "--patients", "24", "--seed", "9", "--out", str(data)]) == 0
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "arms": [{"kind": "vision_only", "seeds": [0, 1]},
+                 {"kind": "full_pet", "seeds": [0, 1],
+                  "fusion": {"shared_dim": 32, "head_hidden": 16, "dropout_p": 0.1}}],
+        "train": {"batch": 8, "accumulation": 2, "max_epochs": 2,
+                  "patience": 5, "lr": 1e-3},
+    }))
+    capsys.readouterr()
+    runs = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        assert main(["attribute", "--plan", str(plan), "--data", str(data),
+                     "--out", str(out)]) == 0
+        runs.append((capsys.readouterr().out,
+                     {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert runs[0] == runs[1]
+    assert {"predictions.json", "attribution.json", "arm_full_pet.csv"} <= set(runs[0][1])
+    _report(12, "attribute's stdout and every artifact, predictions.json included, "
+                "byte-identical across repeated seeded runs")

@@ -864,15 +864,49 @@ def test_a_failed_write_prints_nothing(trained, capsys, tmp_path, command):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("results", ["missing", "empty", "per_label_only"])
-def test_report_without_arm_results_is_one_error_line(capsys, tmp_path, results):
+def _predictions(**changes):
+    """The text of a predictions.json holding one valid two-sample run, with
+    `changes` made to that run."""
+    run_doc = {"arm": "x", "seed": 0, "trainable_params": 10, "total_params": 20,
+               "sample_ids": ["s0", "s1"], "logits": [[0.5] * 14, [-0.5] * 14],
+               "labels": [[1] * 14, [0] * 14]}
+    return json.dumps({"runs": [dict(run_doc, **changes)]})
+
+
+# (results directory, text of its predictions.json or None for no file)
+_UNREPORTABLE = [
+    ("missing", None),
+    ("empty", None),
+    ("per_label_only", None),
+    ("not_json", "{\"runs\": ["),
+    ("runs_not_list", json.dumps({"runs": {}})),
+    ("unknown_key", _predictions(split="test")),
+    ("string_logit", _predictions(logits=[["0.5"] * 14, [-0.5] * 14])),
+    ("short_logit_row", _predictions(logits=[[0.5] * 14, [-0.5] * 13])),
+    ("nan_logit", _predictions(logits=[[0.5] * 13 + [float("nan")], [-0.5] * 14])),
+    ("label_2", _predictions(labels=[[1] * 13 + [2], [0] * 14])),
+    ("repeated_run", json.dumps({"runs": 2 * json.loads(_predictions())["runs"]})),
+    ("no_runs", json.dumps({"runs": []})),
+]
+
+
+@pytest.mark.parametrize("results,predictions", _UNREPORTABLE,
+                         ids=[results for results, _ in _UNREPORTABLE])
+def test_report_without_arm_results_is_one_error_line(capsys, tmp_path, results,
+                                                      predictions):
+    """report reads only predictions.json: without one, or with one that is
+    malformed or holds no run, it exits 2 with one line and writes no
+    attribution_recomputed.json."""
     (tmp_path / "empty").mkdir()
     (tmp_path / "per_label_only").mkdir()
     (tmp_path / "per_label_only" / "arm_x_per_label.csv").write_text("label,x\n")
+    if predictions is not None:
+        (tmp_path / results).mkdir()
+        (tmp_path / results / "predictions.json").write_text(predictions)
     code, out, err = run(capsys, "report", "--results", str(tmp_path / results))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "arm_*.csv" in err
+    assert "predictions.json" in err
     assert not list(tmp_path.rglob("attribution_recomputed.json"))
 
 
@@ -1071,9 +1105,14 @@ def test_attribute_and_report(capsys, tmp_path):
     assert code == 0
     doc = json.loads(stdout)
     assert doc["fusion_effect"] is not None
+    # report rewrites every table from predictions.json alone, byte for byte
+    tables = {path.name: path.read_bytes() for path in results.glob("*.csv")}
+    assert len(tables) == 6
+    for path in results.glob("*.csv"):
+        path.unlink()
     code, stdout, _ = run(capsys, "report", "--results", str(results))
     assert code == 0
-    recomputed = json.loads(stdout)
-    assert recomputed["fusion_effect"] == pytest.approx(doc["fusion_effect"],
-                                                        abs=1e-6)
-    assert (results / "attribution_recomputed.json").exists()
+    assert {path.name: path.read_bytes() for path in results.glob("*.csv")} == tables
+    del doc["failures"]
+    assert json.loads(stdout) == doc
+    assert json.loads((results / "attribution_recomputed.json").read_text()) == doc

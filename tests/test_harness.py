@@ -8,15 +8,15 @@ import pytest
 
 from petfuse import autodiff as ad
 from petfuse import harness
-from petfuse.data import SplitSpec, generate_synthetic, split_patients
+from petfuse.cli import main
+from petfuse.data import SplitSpec, generate_synthetic, save_manifest, split_patients
 from petfuse.encoders import MiniTextEncoder, Tokenizer
 from petfuse.errors import ConfigError, InputError, SearchError
 from petfuse.fusion import FusionConfig, FusionPathway
 from petfuse.harness import (VISION_ONLY_PARAMS, ArmSpec, ExperimentPlan,
                              MultimodalModel, VisionOnlyModel, build_arm,
-                             compute_deltas, efficiency_table,
-                             recompute_from_artifacts, run_plan,
-                             search_shared_dim, vision_matrix)
+                             compute_deltas, efficiency_table, run_plan,
+                             search_shared_dim, summarize, vision_matrix)
 from petfuse.pet import count_params
 from petfuse.training import TrainConfig, train_loop
 
@@ -303,7 +303,7 @@ def _tiny_plan(seeds=(0,)):
     return ExperimentPlan(arms=arms, train=train), fusion
 
 
-def test_run_plan_artifacts_and_recompute(tmp_path):
+def test_run_plan_artifacts_and_summarize(tmp_path):
     plan, _ = _tiny_plan()
     samples = generate_synthetic(n_patients=40, seed=17)
     result = run_plan(plan, samples, tmp_path)
@@ -312,14 +312,12 @@ def test_run_plan_artifacts_and_recompute(tmp_path):
         assert (tmp_path / f"arm_{name}.csv").exists()
         assert (tmp_path / f"arm_{name}_per_label.csv").exists()
     attribution = json.loads((tmp_path / "attribution.json").read_text())
-    assert attribution["fusion_effect"] == pytest.approx(
-        result.fusion_effect)
-    # recomputation from CSV artifacts alone reproduces the deltas
-    recomputed = recompute_from_artifacts(tmp_path)
-    assert recomputed["fusion_effect"] == pytest.approx(
-        result.fusion_effect, abs=1e-6)
-    assert recomputed["scaling_effect"] == pytest.approx(
-        result.scaling_effect, abs=1e-6)
+    assert attribution == {**result.summary(), "failures": {}}
+    # the predictions file alone gives the same numbers, bit for bit
+    runs = json.loads((tmp_path / "predictions.json").read_text())["runs"]
+    assert [(r["arm"], r["seed"]) for r in runs] == [
+        ("vision_only", 0), ("budget_matched", 0), ("full_pet", 0)]
+    assert summarize(tmp_path).summary() == result.summary()
     assert (tmp_path / "efficiency.csv").exists()
     assert (tmp_path / "summary.csv").exists()
 
@@ -343,15 +341,33 @@ def test_run_plan_seed_isolation(tmp_path):
     assert paired == singles
 
 
-def test_run_plan_records_failures(tmp_path):
+def test_run_plan_records_failures(tmp_path, capsys, monkeypatch):
     samples = generate_synthetic(n_patients=20, seed=23)
     bad = ArmSpec(name="boom", kind="full_pet", policy="not_a_policy", seeds=[0])
-    plan = ExperimentPlan(
-        arms=[bad, build_arm("vision_only")],
-        train=TrainConfig(batch=8, accumulation=1, max_epochs=1, patience=5))
+    train = TrainConfig(batch=8, accumulation=1, max_epochs=1, patience=5)
+    plan = ExperimentPlan(arms=[bad, build_arm("vision_only")], train=train)
     result = run_plan(plan, samples, tmp_path)
     assert "boom/seed0" in result.failures
     assert "vision_only" in result.per_arm
+
+    # every run fails: a plan reader that let the bad arm through
+    monkeypatch.setattr(harness, "read_plan",
+                        lambda doc: ExperimentPlan(arms=[bad], train=train))
+    data, plan_file, out = tmp_path / "data.jsonl", tmp_path / "plan.json", tmp_path / "all"
+    save_manifest(data, samples)
+    plan_file.write_text("{}")
+    code = main(["attribute", "--plan", str(plan_file), "--data", str(data),
+                 "--out", str(out)])
+    stdout, stderr = capsys.readouterr()
+    assert code == 2
+    assert stderr.startswith("error: 1 arm run(s) failed; first boom/seed0: PolicyError")
+    assert json.loads(stdout) == json.loads((out / "attribution.json").read_text()) == {
+        "arm_mean_auroc": {}, "fusion_effect": None, "scaling_effect": None,
+        "failures": {"boom/seed0": result.failures["boom/seed0"]}}
+    assert json.loads((out / "predictions.json").read_text()) == {"runs": []}
+    assert sorted(p.name for p in out.glob("*.csv")) == ["efficiency.csv", "summary.csv"]
+    assert (out / "summary.csv").read_text().count("\n") == 1
+    assert (out / "efficiency.csv").read_text().count("\n") == 1
 
 
 def test_vision_matrix_names_the_first_sample_without_features():
