@@ -21,10 +21,10 @@ import numpy as np
 from . import __version__
 from . import data as data_mod
 from . import harness, metrics, redaction
-from .config import RunConfig, build_section, echo_config, load_config, read_json_object
+from .config import _SECTIONS, build_section, echo_config, load_config, read_json_object
 from .data import SplitSpec, label_matrix
 from .encoders import SPECIALS, Tokenizer
-from .errors import ConfigError, InputError, PetfuseError
+from .errors import ConfigError, InputError, PetfuseError, PolicyError
 from .fusion import FusionConfig
 from .pet import AdapterConfig, LoRAConfig, count_params
 from .training import load_checkpoint, save_checkpoint, train_loop
@@ -153,14 +153,6 @@ def _cmd_audit(args):
     return 0
 
 
-# The model sections of a config or a checkpoint header, each with whether
-# its arm and policy read it: only full_pet takes a fusion config, and only
-# the lora and adapter policies read theirs.
-_SECTIONS = {"fusion": lambda cfg: cfg.arm == "full_pet",
-             "lora": lambda cfg: cfg.policy == "lora",
-             "adapter": lambda cfg: cfg.policy == "adapter"}
-
-
 @dataclass
 class CheckpointExtra:
     """A checkpoint header's `extra`: the run `train` saved."""
@@ -174,14 +166,6 @@ class CheckpointExtra:
     best_val_auroc: float
 
 
-def _refuse_ignored_sections(cfg: RunConfig):
-    """ConfigError when a config sets a section its arm and policy ignore."""
-    for name, reads in _SECTIONS.items():
-        if not reads(cfg) and getattr(cfg, name) != getattr(RunConfig(), name):
-            raise ConfigError(f"arm {cfg.arm!r} with policy {cfg.policy!r} "
-                              f"would ignore config section {name!r}")
-
-
 def _load_arm_model(cfg, tokenizer, seed):
     arm = harness.build_arm(cfg.arm, {"policy": cfg.policy})
     if cfg.arm == "full_pet":
@@ -192,14 +176,12 @@ def _load_arm_model(cfg, tokenizer, seed):
 
 def _cmd_train(args):
     cfg = load_config(args.config)
-    _refuse_ignored_sections(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    echo_config(cfg, out)
     samples = data_mod.load_manifest(args.data)
     train_set, val_set, _ = data_mod.split_patients(samples, SplitSpec(seed=cfg.train.seed))
     tokenizer = Tokenizer.build([s.text for s in train_set])
     arm, model = _load_arm_model(cfg, tokenizer, cfg.train.seed)
+    out = Path(args.out)
+    echo_config(cfg, out)
     result = train_loop(model, train_set, val_set, cfg.train)
     result.write_history_csv(out / "history.csv")
     extra = CheckpointExtra(arm.kind, arm.policy, cfg.train.seed, arm.fusion, cfg.lora,
@@ -250,7 +232,7 @@ def _restore_model(checkpoint, manifest):
     header, arrays = load_checkpoint(checkpoint)
     try:
         cfg = build_section("extra", CheckpointExtra, header.get("extra"))
-    except ConfigError as e:
+    except (ConfigError, PolicyError) as e:
         raise InputError(f"{checkpoint}: checkpoint header: {e}") from e
     state = header.get("state")
     if (not isinstance(state, dict) or set(state) != {"vocab", "normalizers", "frozen_sha256"}
@@ -303,7 +285,6 @@ def _cmd_count_params(args):
     """The counts of the model `train` builds for the config. No policy trains
     the token embedding, so the special tokens alone stand for the vocabulary."""
     cfg = load_config(args.config)
-    _refuse_ignored_sections(cfg)
     _, model = _load_arm_model(cfg, Tokenizer.from_tokens(list(SPECIALS)),
                                cfg.train.seed)
     report = count_params(model.graph)

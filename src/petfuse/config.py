@@ -1,6 +1,7 @@
 """The one reader of petfuse's JSON documents (configs, attribution plans,
 checkpoint headers): each is a dataclass, read with typo and type
-protection. The effective config is echoed into output directories.
+protection, that checks its own values when it is built. The effective
+config is echoed into output directories.
 """
 
 from __future__ import annotations
@@ -17,15 +18,31 @@ from .pet import AdapterConfig, LoRAConfig
 from .training import TrainConfig
 
 
+# The model sections of a config or a checkpoint header, each with whether
+# its arm and policy read it: only full_pet takes a fusion config, and only
+# the lora and adapter policies read theirs.
+_SECTIONS = {"fusion": lambda cfg: cfg.arm == "full_pet",
+             "lora": lambda cfg: cfg.policy == "lora",
+             "adapter": lambda cfg: cfg.policy == "adapter"}
+
+
 @dataclass
 class RunConfig:
-    """What `train` and `count-params` read; the file overrides the defaults."""
+    """What `train` and `count-params` read; the file overrides the defaults.
+    A ConfigError when it sets a section its arm and policy ignore."""
     arm: str = "full_pet"
     policy: str = "frozen"
     fusion: FusionConfig = field(default_factory=FusionConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     lora: LoRAConfig = field(default_factory=LoRAConfig)
     adapter: AdapterConfig = field(default_factory=AdapterConfig)
+
+    def __post_init__(self):
+        for name, reads in _SECTIONS.items():
+            section = getattr(self, name)
+            if not reads(self) and section != type(section)():
+                raise ConfigError(f"arm {self.arm!r} with policy {self.policy!r} "
+                                  f"would ignore config section {name!r}")
 
 
 def build_section(name: str, cls, values):

@@ -30,7 +30,7 @@ class FusionConfig:
     head_hidden: int = 256
     dropout_p: float = 0.1
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("shared_dim", "head_hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
@@ -46,7 +46,6 @@ class FusionPathway:
     """Owns the fusion parameters inside a (possibly larger) model graph."""
 
     def __init__(self, graph: ModelGraph, cfg: FusionConfig, seed: int = 0):
-        cfg.validate()
         self.cfg = cfg
         self.graph = graph
         rng = ad.make_rng(seed, "init", "fusion")

@@ -19,8 +19,8 @@ from .data import LABELS, NUM_LABELS, VISION_DIM, SplitSpec, label_matrix, split
 from .encoders import TEXT_DIM, MiniTextEncoder, Tokenizer
 from .errors import ConfigError, InputError, PetfuseError, SearchError, numeric_guard
 from .fusion import FusionConfig, FusionPathway
-from .metrics import (EvalReport, evaluate_predictions, macro_auroc, sigmoid,
-                      write_per_label_csv, write_reports_csv)
+from .metrics import (EvalReport, UndefinedMetric, evaluate_predictions, macro_auroc,
+                      sigmoid, write_per_label_csv, write_reports_csv)
 from .model import ModelGraph
 from .pet import (ENCODER_PREFIX, POLICIES, AdapterConfig, LoRAConfig, apply_policy,
                   count_params)
@@ -256,11 +256,31 @@ def _check_arm_name(name: str):
 
 @dataclass
 class ArmSpec:
+    """An arm as its kind trains it, named after its kind unless named. An
+    InputError for an unknown kind or policy, or for a policy or fusion that
+    the kind ignores and that differs from its default; a budget_matched arm
+    is sized to vision_only's count."""
     kind: str
     name: str = ""  # empty: the kind's own name
     policy: str = "frozen"
     fusion: FusionConfig = field(default_factory=FusionConfig)
     seeds: list[int] = field(default_factory=lambda: [0])
+
+    def __post_init__(self):
+        if self.kind not in ARM_KINDS:
+            raise InputError(f"unknown arm kind {self.kind!r}; expected one of "
+                             f"{', '.join(ARM_KINDS)}")
+        self.name = self.name or self.kind
+        policies = POLICIES if self.kind == "full_pet" else ("frozen",)
+        if self.policy not in policies:
+            raise InputError(f"arm {self.name!r}: policy {self.policy!r} is not one of "
+                             f"{', '.join(policies)}, the policies of kind {self.kind!r}")
+        if self.kind != "full_pet" and self.fusion != FusionConfig():
+            raise InputError(f"arm kind {self.kind!r} takes no fusion override; "
+                             "only full_pet does")
+        if self.kind == "budget_matched":
+            d, h, _ = search_shared_dim(VISION_ONLY_PARAMS)
+            self.fusion = FusionConfig(shared_dim=d, head_hidden=h)
 
 
 @dataclass
@@ -269,7 +289,7 @@ class ExperimentPlan:
     split: SplitSpec = field(default_factory=SplitSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
 
-    def validate(self):
+    def __post_init__(self):
         if not self.arms:
             raise InputError("plan has no arms")
         if self.train.seed != TrainConfig.seed:
@@ -284,30 +304,6 @@ class ExperimentPlan:
                 raise InputError(f"arm {a.name!r} has no seeds")
             if len(set(a.seeds)) != len(a.seeds):
                 raise InputError(f"arm {a.name!r} repeats a seed: {a.seeds}")
-            if a.kind not in ARM_KINDS:
-                raise InputError(f"unknown arm kind {a.kind!r}")
-
-
-def _apply_kind_rules(arm: ArmSpec) -> ArmSpec:
-    """`arm` as its kind trains it, named after its kind unless named. An
-    InputError for an unknown kind or policy, or for a policy or fusion that
-    the kind ignores and that differs from its default; a budget_matched arm
-    is sized to vision_only's count."""
-    if arm.kind not in ARM_KINDS:
-        raise InputError(f"unknown arm kind {arm.kind!r}; expected one of "
-                         f"{', '.join(ARM_KINDS)}")
-    arm.name = arm.name or arm.kind
-    policies = POLICIES if arm.kind == "full_pet" else ("frozen",)
-    if arm.policy not in policies:
-        raise InputError(f"arm {arm.name!r}: policy {arm.policy!r} is not one of "
-                         f"{', '.join(policies)}, the policies of kind {arm.kind!r}")
-    if arm.kind != "full_pet" and arm.fusion != FusionConfig():
-        raise InputError(f"arm kind {arm.kind!r} takes no fusion override; "
-                         "only full_pet does")
-    if arm.kind == "budget_matched":
-        d, h, _ = search_shared_dim(VISION_ONLY_PARAMS)
-        arm.fusion = FusionConfig(shared_dim=d, head_hidden=h)
-    return arm
 
 
 def build_arm(kind: str, overrides: dict | None = None) -> ArmSpec:
@@ -316,15 +312,12 @@ def build_arm(kind: str, overrides: dict | None = None) -> ArmSpec:
     overrides = overrides or {}
     if "kind" in overrides:
         raise InputError("an arm's kind is build_arm's argument, not an override")
-    return _apply_kind_rules(build_section("arm", ArmSpec, {"kind": kind, **overrides}))
+    return build_section("arm", ArmSpec, {"kind": kind, **overrides})
 
 
 def read_plan(doc) -> ExperimentPlan:
     """The plan a JSON object describes, each arm under its kind's rules."""
-    plan = build_section("plan", ExperimentPlan, doc)
-    for arm in plan.arms:
-        _apply_kind_rules(arm)
-    return plan
+    return build_section("plan", ExperimentPlan, doc)
 
 
 def _build_model(arm: ArmSpec, tokenizer, seed: int,
@@ -416,9 +409,13 @@ def summarize(out_dir) -> AttributionResult:
                 v not in (0, 1) for row in run.labels for v in row):
             raise InputError(f"{path}: run {run.arm}/seed{run.seed} must hold samples, "
                              f"each with {NUM_LABELS} finite logits and 0/1 labels")
-        per_arm.setdefault(run.arm, []).append(evaluate_predictions(
-            run.arm, run.seed, sigmoid(np.asarray(run.logits, dtype=np.float64)),
-            np.asarray(run.labels), LABELS, run.trainable_params, run.total_params))
+        try:
+            report = evaluate_predictions(
+                run.arm, run.seed, sigmoid(np.asarray(run.logits, dtype=np.float64)),
+                np.asarray(run.labels), LABELS, run.trainable_params, run.total_params)
+        except UndefinedMetric as e:  # no label of the run holds both classes
+            raise InputError(f"{path}: run {run.arm}/seed{run.seed}: {e}") from e
+        per_arm.setdefault(run.arm, []).append(report)
     for name, reports in per_arm.items():
         write_reports_csv(out / f"arm_{name}.csv", reports)
         write_per_label_csv(out / f"arm_{name}_per_label.csv", reports, LABELS)
@@ -444,7 +441,6 @@ def summarize(out_dir) -> AttributionResult:
 def run_plan(plan: ExperimentPlan, samples, out_dir) -> AttributionResult:
     """Train every arm x seed, keep its test logits in predictions.json and
     summarize that file; attribution.json adds the failed runs."""
-    plan.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_set, val_set, test_set = split_patients(samples, plan.split)

@@ -157,14 +157,6 @@ def fit_temperature(logits_val, labels_val) -> tuple[float, bool]:
     return 1.0 / b, lo == 1e-2 or hi == 1e2
 
 
-def temperature_scale(logits_val, labels_val, logits_apply=None):
-    """(T from `fit_temperature`, recalibrated probabilities for logits_apply
-    or the validation logits)."""
-    t, _ = fit_temperature(logits_val, labels_val)
-    target = logits_val if logits_apply is None else logits_apply
-    return t, sigmoid(np.asarray(target, dtype=np.float64) / t)
-
-
 # -- aggregate reports --------------------------------------------------------
 
 CSV_COLUMNS = ["method", "seed", "auroc_macro", "auprc_macro", "ece",

@@ -33,10 +33,14 @@ class LoRAConfig:
     rank: int = 8
     alpha: float = 32.0
 
-    @property
-    def scale(self) -> float:
+    def __post_init__(self):
         if self.rank < 1:
             raise PolicyError("lora rank must be >= 1")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise PolicyError("lora alpha must be finite and positive")
+
+    @property
+    def scale(self) -> float:
         return self.alpha / self.rank
 
 
@@ -44,7 +48,7 @@ class LoRAConfig:
 class AdapterConfig:
     bottleneck: int = 64
 
-    def validate(self):
+    def __post_init__(self):
         if self.bottleneck < 1:
             raise PolicyError("adapter bottleneck must be >= 1")
 
@@ -107,7 +111,7 @@ def apply_policy(graph: ModelGraph, policy: str,
         width = min(min(graph.params[a].data.shape) for a in targets)
         if cfg.rank > width:
             raise PolicyError(f"lora rank {cfg.rank} exceeds the projection width {width}")
-        graph.lora_scale = cfg.scale  # rejects rank < 1 before it reaches sqrt or shapes
+        graph.lora_scale = cfg.scale
         for addr in targets:
             n_in, n_out = graph.params[addr].data.shape
             limit = 1.0 / math.sqrt(cfg.rank)
@@ -117,7 +121,6 @@ def apply_policy(graph: ModelGraph, policy: str,
         return graph
 
     cfg = adapter_cfg or AdapterConfig()
-    cfg.validate()
     # one slot per block, as wide as the block's query projection
     blocks = [a for a in encoder if a.endswith("/attn/wq")]
     if not blocks:

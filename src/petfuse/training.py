@@ -42,9 +42,10 @@ class TrainConfig:
     warmup_fraction: float = 0.1
     seed: int = 0
 
-    def validate(self):
-        if min(self.lr, self.weight_decay, self.clip_norm) <= 0:
-            raise ConfigError("lr, weight_decay and clip_norm must be positive")
+    def __post_init__(self):
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.lr, self.weight_decay, self.clip_norm)):
+            raise ConfigError("lr, weight_decay and clip_norm must be finite and positive")
         if min(self.batch, self.max_epochs, self.patience) < 1 or self.accumulation < 1:
             raise ConfigError("batch, accumulation, max_epochs, patience must be >= 1")
         if not 0.0 <= self.warmup_fraction < 1.0:
@@ -262,7 +263,6 @@ def train_loop(model, train_samples, val_samples, cfg: TrainConfig) -> TrainResu
     tape, so no activation of it is alive during the next forward. A float64
     overflow or invalid operation anywhere in the run is a NumericError.
     """
-    cfg.validate()
     if not train_samples or not val_samples:
         raise InputError("train and validation splits must be non-empty")
     model.fit_normalizer(train_samples)

@@ -21,7 +21,7 @@ from petfuse.fusion import FusionConfig, FusionPathway
 from petfuse.harness import (VISION_ONLY_PARAMS, ExperimentPlan,
                              MultimodalModel, VisionOnlyModel, build_arm,
                              run_plan, search_shared_dim)
-from petfuse.metrics import auprc_label, auroc_label, ece, temperature_scale
+from petfuse.metrics import auprc_label, auroc_label, ece, fit_temperature, sigmoid
 from petfuse.model import ModelGraph
 from petfuse.pet import ENCODER_PREFIX, LoRAConfig, apply_policy, count_params
 from petfuse.redaction import audit_leakage, redact
@@ -402,7 +402,8 @@ def test_criterion_11_calibration():
     true_logits = np.log(p / (1 - p))
     labels = (rng.random(p.size) < p).astype(int)
     over = 2.0 * true_logits  # overconfident by a factor of two
-    t, probs_after = temperature_scale(over, labels, over)
+    t, _ = fit_temperature(over, labels)
+    probs_after = sigmoid(over / t)
     assert abs(t - 2.0) <= 0.1
     probs_before = 1 / (1 + np.exp(-over))
     e_before = ece(probs_before, labels).ece

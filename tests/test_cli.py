@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import petfuse
 from petfuse import harness
 from petfuse.cli import main
-from petfuse.data import LABELS, SplitSpec, load_manifest, split_patients
+from petfuse.data import (LABELS, SplitSpec, generate_synthetic, load_manifest,
+                          save_manifest, split_patients)
 from petfuse.encoders import SPECIALS
 from petfuse.fusion import FusionPathway
 from petfuse.training import load_checkpoint
@@ -525,6 +526,12 @@ def _says(text, make_argv):
     return make_argv
 
 
+def _writes_nothing(make_argv):
+    """`make_argv`, refused before its --out directory is made."""
+    make_argv.writes_nothing = True
+    return make_argv
+
+
 def _config(doc, command="train"):
     def make_argv(tmp_path, data, run_dir):
         cfg = tmp_path / "cfg.json"
@@ -671,6 +678,23 @@ def _trailing_bytes(tmp_path, data, run_dir):
     pytest.param(_config({"train": {"batch": True}}), id="batch_bool"),
     pytest.param(_config({"lora": [1]}), id="lora_not_object"),
     pytest.param(_config({"train": "ab"}), id="train_not_object"),
+    # config values out of range are refused before anything is written
+    pytest.param(_says("batch, accumulation, max_epochs, patience must be >= 1",
+                       _writes_nothing(_config({"train": {"batch": 0}}))),
+                 id="train_batch_zero"),
+    pytest.param(_says("lr, weight_decay and clip_norm must be finite and positive",
+                       _writes_nothing(_config({"train": {"lr": float("nan")}}))),
+                 id="train_lr_nan"),
+    pytest.param(_says("lr, weight_decay and clip_norm must be finite and positive",
+                       _writes_nothing(_config({"train": {"clip_norm": float("nan")}}))),
+                 id="train_clip_norm_nan"),
+    pytest.param(_says("lora alpha must be finite and positive", _writes_nothing(
+        _config({"policy": "lora", "lora": {"alpha": 0.0}}))), id="train_lora_alpha_zero"),
+    pytest.param(_says("policy 'lroa' is not one of", _writes_nothing(
+        _config({"policy": "lroa"}))), id="train_policy_typo"),
+    pytest.param(_says("lr, weight_decay and clip_norm must be finite and positive",
+                       _config({"train": {"lr": -1}}, "count-params")),
+                 id="count_params_train_lr_negative"),
     # the declared total is the paper's constant, not a config key
     pytest.param(_config({"total_params_declared": "x"}, "count-params"),
                  id="declared_total_str"),
@@ -703,6 +727,20 @@ def _trailing_bytes(tmp_path, data, run_dir):
                  id="arm_fusion_unknown_key"),
     pytest.param(_plan({"arms": [{"kind": "budget_matched", "fusion": {"shared_dim": 32}}]}),
                  id="budget_matched_fusion"),
+    # a plan whose values are out of range is refused before any arm trains
+    pytest.param(_says("error: dropout_p must be in [0, 1)", _writes_nothing(_plan(
+        {"arms": [{"kind": "vision_only"}, {"kind": "budget_matched"},
+                  {"kind": "full_pet", "fusion": {"dropout_p": 1.5}}]}))),
+                 id="plan_third_arm_dropout"),
+    pytest.param(_says("lr, weight_decay and clip_norm must be finite and positive",
+                       _writes_nothing(_plan({"train": {"lr": -1}}))),
+                 id="plan_train_lr_negative"),
+    pytest.param(_says("shared_dim must be positive", _writes_nothing(
+        _plan({"arms": [{"kind": "full_pet", "fusion": {"shared_dim": 0}}]}))),
+                 id="plan_fusion_shared_dim_zero"),
+    pytest.param(_says("lr, weight_decay and clip_norm must be finite and positive",
+                       _writes_nothing(_plan({"train": {"clip_norm": float("nan")}}))),
+                 id="plan_train_clip_norm_nan"),
     pytest.param(_config({"arm": "vision_only", "policy": "lora"}),
                  id="train_vision_only_policy"),
     # a config section the arm or policy would ignore
@@ -735,6 +773,15 @@ def _trailing_bytes(tmp_path, data, run_dir):
     pytest.param(_checkpoint_header("eval", seed="0"), id="eval_seed_str"),
     pytest.param(_checkpoint_header("eval", lora={"alpha": 10**400}),
                  id="header_lora_alpha_int_beyond_float"),
+    pytest.param(_says("checkpoint header: lora rank must be >= 1",
+                       _checkpoint_header("eval", lora={"rank": 0})),
+                 id="header_lora_rank_zero"),
+    pytest.param(_says("checkpoint header: adapter bottleneck must be >= 1",
+                       _checkpoint_header("calibrate", adapter={"bottleneck": 0})),
+                 id="header_adapter_bottleneck_zero"),
+    pytest.param(_says("checkpoint header: lora alpha must be finite and positive",
+                       _checkpoint_header("eval", lora={"alpha": float("nan")})),
+                 id="header_lora_alpha_nan"),
     pytest.param(_checkpoint_header("calibrate", fusion={"dropout_p": 10**400}),
                  id="header_dropout_int_beyond_float"),
     pytest.param(_rewritten_checkpoint("eval", lambda h: h.pop("extra")),
@@ -812,6 +859,8 @@ def test_malformed_input_is_one_line_runtime_error(make_argv, trained, capsys,
     assert "Traceback" not in err
     assert getattr(make_argv, "says", "") in err
     assert not list(tmp_path.rglob("arm_*.csv"))
+    if getattr(make_argv, "writes_nothing", False):
+        assert not (tmp_path / "res").exists() and not (tmp_path / "run").exists()
 
 
 def test_non_finite_feature_is_named_by_its_line(trained, capsys, tmp_path):
@@ -887,6 +936,7 @@ _UNREPORTABLE = [
     ("label_2", _predictions(labels=[[1] * 13 + [2], [0] * 14])),
     ("repeated_run", json.dumps({"runs": 2 * json.loads(_predictions())["runs"]})),
     ("no_runs", json.dumps({"runs": []})),
+    ("one_class_labels", _predictions(labels=[[0] * 14, [0] * 14])),
 ]
 
 
@@ -1084,6 +1134,26 @@ def test_audit_leakage_cli(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert set(doc) >= {"auroc_raw", "auroc_redacted", "delta"}
+
+
+def test_a_test_split_without_both_classes_names_the_run(capsys, tmp_path):
+    """With every test label 0 no test AUROC is defined: attribute and report
+    each exit 2 with one line naming predictions.json and the run."""
+    data, plan, results = tmp_path / "data.jsonl", tmp_path / "plan.json", tmp_path / "res"
+    samples = generate_synthetic(n_patients=40, seed=1)
+    _, _, test = split_patients(samples, SplitSpec())
+    for s in test:
+        s.labels = [0] * len(LABELS)
+    save_manifest(data, samples)
+    plan.write_text(json.dumps({"arms": [{"kind": "vision_only"}],
+                                "train": {"accumulation": 1, "max_epochs": 1}}))
+    want = (f"error: {results / 'predictions.json'}: run vision_only/seed0: "
+            "macro average over zero valid labels\n")
+    code, out, err = run(capsys, "attribute", "--plan", str(plan), "--data", str(data),
+                         "--out", str(results))
+    assert (code, out, err) == (2, "", want)
+    code, out, err = run(capsys, "report", "--results", str(results))
+    assert (code, out, err) == (2, "", want)
 
 
 def test_attribute_and_report(capsys, tmp_path):

@@ -11,7 +11,7 @@ from petfuse import harness
 from petfuse.cli import main
 from petfuse.data import SplitSpec, generate_synthetic, save_manifest, split_patients
 from petfuse.encoders import MiniTextEncoder, Tokenizer
-from petfuse.errors import ConfigError, InputError, SearchError
+from petfuse.errors import ConfigError, InputError, PolicyError, SearchError
 from petfuse.fusion import FusionConfig, FusionPathway
 from petfuse.harness import (VISION_ONLY_PARAMS, ArmSpec, ExperimentPlan,
                              MultimodalModel, VisionOnlyModel, build_arm,
@@ -210,8 +210,7 @@ def test_plan_shares_one_frozen_text_store_per_seed(monkeypatch, tmp_path):
     plan = ExperimentPlan(
         arms=[build_arm("full_pet", {"name": "full_pet_lora", "policy": "lora",
                                      "fusion": fusion}),
-              ArmSpec(name="budget_matched", kind="budget_matched",
-                      fusion=FusionConfig(**fusion)),
+              build_arm("full_pet", {"name": "budget_matched", "fusion": fusion}),
               build_arm("full_pet", {"fusion": fusion})],
         train=TrainConfig(batch=8, accumulation=1, max_epochs=1, patience=5, lr=1e-3))
     samples = generate_synthetic(n_patients=24, seed=29)
@@ -242,17 +241,16 @@ def test_plan_shares_one_frozen_text_store_per_seed(monkeypatch, tmp_path):
 
 def test_plan_validation():
     with pytest.raises(InputError):
-        ExperimentPlan(arms=[]).validate()
+        ExperimentPlan(arms=[])
     with pytest.raises(InputError):
-        ExperimentPlan(arms=[build_arm("full_pet"),
-                             build_arm("full_pet")]).validate()
+        ExperimentPlan(arms=[build_arm("full_pet"), build_arm("full_pet")])
     bad = build_arm("full_pet", {"seeds": []})
     with pytest.raises(InputError):
-        ExperimentPlan(arms=[bad]).validate()
+        ExperimentPlan(arms=[bad])
     with pytest.raises(InputError, match="repeats a seed"):
-        ExperimentPlan(arms=[build_arm("full_pet", {"seeds": [1, 2, 1]})]).validate()
-    with pytest.raises(InputError):
-        ExperimentPlan(arms=[ArmSpec(name="x", kind="mystery")]).validate()
+        ExperimentPlan(arms=[build_arm("full_pet", {"seeds": [1, 2, 1]})])
+    with pytest.raises(InputError, match="unknown arm kind 'mystery'"):
+        ArmSpec(name="x", kind="mystery")
 
 
 def test_compute_deltas():
@@ -288,23 +286,20 @@ def test_efficiency_table_zero_param_guard():
 
 
 def _tiny_plan(seeds=(0,)):
-    fusion = FusionConfig(shared_dim=32, head_hidden=16, dropout_p=0.0)
+    fusion = {"shared_dim": 32, "head_hidden": 16, "dropout_p": 0.0}
     arms = [
         build_arm("vision_only", {"seeds": list(seeds)}),
-        ArmSpec(name="budget_matched", kind="budget_matched", fusion=fusion,
-                seeds=list(seeds)),
-        build_arm("full_pet", {"seeds": list(seeds),
-                               "fusion": {"shared_dim": 32,
-                                          "head_hidden": 16,
-                                          "dropout_p": 0.0}}),
+        build_arm("full_pet", {"name": "budget_matched", "fusion": fusion,
+                               "seeds": list(seeds)}),
+        build_arm("full_pet", {"seeds": list(seeds), "fusion": fusion}),
     ]
     train = TrainConfig(batch=16, accumulation=1, max_epochs=2, patience=5,
                         lr=1e-3)
-    return ExperimentPlan(arms=arms, train=train), fusion
+    return ExperimentPlan(arms=arms, train=train)
 
 
 def test_run_plan_artifacts_and_summarize(tmp_path):
-    plan, _ = _tiny_plan()
+    plan = _tiny_plan()
     samples = generate_synthetic(n_patients=40, seed=17)
     result = run_plan(plan, samples, tmp_path)
     assert not result.failures
@@ -343,19 +338,25 @@ def test_run_plan_seed_isolation(tmp_path):
 
 def test_run_plan_records_failures(tmp_path, capsys, monkeypatch):
     samples = generate_synthetic(n_patients=20, seed=23)
-    bad = ArmSpec(name="boom", kind="full_pet", policy="not_a_policy", seeds=[0])
+    build = harness._build_model
+
+    def boom(arm, *args, **kwargs):
+        if arm.name == "boom":
+            raise PolicyError("boom finds no encoder tensor")
+        return build(arm, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "_build_model", boom)
+    bad = build_arm("full_pet", {"name": "boom"})
     train = TrainConfig(batch=8, accumulation=1, max_epochs=1, patience=5)
     plan = ExperimentPlan(arms=[bad, build_arm("vision_only")], train=train)
     result = run_plan(plan, samples, tmp_path)
     assert "boom/seed0" in result.failures
     assert "vision_only" in result.per_arm
 
-    # every run fails: a plan reader that let the bad arm through
-    monkeypatch.setattr(harness, "read_plan",
-                        lambda doc: ExperimentPlan(arms=[bad], train=train))
+    # every run fails
     data, plan_file, out = tmp_path / "data.jsonl", tmp_path / "plan.json", tmp_path / "all"
     save_manifest(data, samples)
-    plan_file.write_text("{}")
+    plan_file.write_text(json.dumps({"arms": [{"kind": "full_pet", "name": "boom"}]}))
     code = main(["attribute", "--plan", str(plan_file), "--data", str(data),
                  "--out", str(out)])
     stdout, stderr = capsys.readouterr()

@@ -12,7 +12,7 @@ from scipy.stats import rankdata
 from petfuse.errors import InputError
 from petfuse.metrics import (UndefinedMetric, _average_ranks, auprc_label, auroc_label, ece,
                              evaluate_predictions, fit_temperature, macro_auroc,
-                             macro_average, sigmoid, temperature_scale)
+                             macro_average, sigmoid)
 
 
 def test_auroc_worked_example():
@@ -182,7 +182,7 @@ def _grid_search_t(logits, y):
 def test_temperature_identity_when_calibrated():
     rng = np.random.default_rng(6)
     logits, y = _logits_from_calibrated(20_000, rng)
-    t, _ = temperature_scale(logits, y)
+    t, _ = fit_temperature(logits, y)
     assert abs(t - 1.0) < 0.05
     assert abs(t - _grid_search_t(logits, y)) < 0.02
 
@@ -190,24 +190,26 @@ def test_temperature_identity_when_calibrated():
 def test_temperature_recovers_doubling():
     rng = np.random.default_rng(7)
     logits, y = _logits_from_calibrated(20_000, rng, factor=2.0)
-    t, _ = temperature_scale(logits, y)
+    t, at_bound = fit_temperature(logits, y)
     assert abs(t - 2.0) < 0.1
     assert abs(t - _grid_search_t(logits, y)) < 0.02
-    assert fit_temperature(logits, y) == (t, False)
+    assert not at_bound
 
 
 def test_temperature_applies_to_held_out_logits():
     rng = np.random.default_rng(9)
     val_logits, y = _logits_from_calibrated(5_000, rng, factor=2.0)
     apply_logits = np.array([-2.0, 0.0, 3.0])
-    t, applied = temperature_scale(val_logits, y, apply_logits)
+    t, _ = fit_temperature(val_logits, y)
+    applied = sigmoid(apply_logits / t)
     assert np.allclose(1 / (1 + np.exp(-apply_logits / t)), applied, atol=1e-12)
 
 
 def test_temperature_preserves_auroc():
     rng = np.random.default_rng(8)
     logits, y = _logits_from_calibrated(500, rng, factor=2.0)
-    t, probs = temperature_scale(logits, y, logits)
+    t, _ = fit_temperature(logits, y)
+    probs = sigmoid(logits / t)
     assert abs(auroc_label(probs, y) - auroc_label(logits, y)) <= 1e-12
 
 
@@ -218,8 +220,8 @@ def test_temperature_of_separable_logits_is_the_lower_bound():
     T = 0.055 here; the fit's form keeps its sign."""
     z = np.random.default_rng(3).uniform(2.0, 6.0, 50)
     for logits, labels in ((z, np.ones(50)), (-z, np.zeros(50))):
-        assert temperature_scale(logits, labels)[0] == pytest.approx(1e-2, rel=1e-12)
-        assert fit_temperature(logits, labels)[1]  # pinned, and says so
+        t, at_bound = fit_temperature(logits, labels)
+        assert t == pytest.approx(1e-2, rel=1e-12) and at_bound  # pinned, and says so
 
 
 def test_temperature_of_anti_correlated_logits_is_the_upper_bound():
@@ -248,7 +250,8 @@ def test_temperature_scaled_extremes_give_the_clipped_forms_calibration():
     val_logits, y_val = _logits_from_calibrated(400, rng, factor=1.0)
     apply_logits = np.concatenate([rng.normal(0, 3, 60), [-1e5, -2e3, 2e3, 1e5]])
     y = (rng.random(apply_logits.size) < 0.5).astype(int)
-    t, probs = temperature_scale(val_logits, y_val, apply_logits)
+    t, _ = fit_temperature(val_logits, y_val)
+    probs = sigmoid(apply_logits / t)
     clipped = 1.0 / (1.0 + np.exp(-np.clip(apply_logits / t, -500, 500)))
     conf = np.maximum(probs, 1.0 - probs)
     assert conf[-4:].tolist() == [1.0] * 4
@@ -327,15 +330,13 @@ def _temperature_problems():
 
 
 def test_temperature_fit_reaches_minimize_scalars_minimum():
-    """The bisected T stays in its bounds, its validation BCE is no higher
-    than scipy's bounded Brent minimum over log T, and the probabilities
-    returned are sigmoid(z / T)."""
+    """The bisected T stays in its bounds, and its validation BCE is no
+    higher than scipy's bounded Brent minimum over log T."""
     lo, hi = math.log(1e-2), math.log(1e2)
     for z, y in _temperature_problems():
         nll = _nll(z, y)
         want = minimize_scalar(nll, bounds=(lo, hi), method="bounded",
                                options={"xatol": 1e-10})
-        t, probs = temperature_scale(z, y)
+        t, _ = fit_temperature(z, y)
         assert 1e-2 <= t <= 1e2, (z, y)
         assert nll(math.log(t)) <= want.fun + 1e-15, (z, y)
-        assert probs.tobytes() == sigmoid(z / t).tobytes()

@@ -41,6 +41,20 @@ def test_lora_scaling_constant():
     assert LoRAConfig().scale == 32 / 8 == 4.0
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"rank": 0}, "lora rank must be >= 1"),
+    ({"alpha": 0.0}, "lora alpha must be finite and positive"),
+    ({"alpha": -4.0}, "lora alpha must be finite and positive"),
+    ({"alpha": float("nan")}, "lora alpha must be finite and positive"),
+    ({"alpha": float("inf")}, "lora alpha must be finite and positive"),
+], ids=["rank_0", "alpha_0", "alpha_negative", "alpha_nan", "alpha_inf"])
+def test_lora_config_refuses_a_scale_that_is_not_finite_and_positive(kwargs, message):
+    """At alpha 0 the factors' product is scaled to 0, so no LoRA factor
+    would ever receive gradient."""
+    with pytest.raises(PolicyError, match=message):
+        LoRAConfig(**kwargs)
+
+
 def test_lora_injected_param_count():
     graph = ModelGraph()
     graph.add_param("text_encoder/block0/attn/wq", np.zeros((128, 128)))

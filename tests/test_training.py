@@ -347,12 +347,21 @@ def test_adamw_zero_lr_is_noop():
 
 def test_train_config_validation():
     with pytest.raises(ConfigError):
-        TrainConfig(lr=-1.0).validate()
+        TrainConfig(lr=-1.0)
     with pytest.raises(ConfigError):
-        TrainConfig(batch=0).validate()
+        TrainConfig(batch=0)
     with pytest.raises(ConfigError):
-        TrainConfig(warmup_fraction=1.5).validate()
-    TrainConfig().validate()
+        TrainConfig(warmup_fraction=1.5)
+    TrainConfig()
+
+
+@pytest.mark.parametrize("field", ["lr", "weight_decay", "clip_norm"])
+@pytest.mark.parametrize("value", [0.0, float("nan"), float("inf")])
+def test_train_config_refuses_a_step_size_that_is_not_finite_and_positive(field, value):
+    """A NaN clip_norm never clipped (norm > nan is false), and a NaN lr
+    failed only mid-training, in the loss."""
+    with pytest.raises(ConfigError, match="must be finite and positive"):
+        TrainConfig(**{field: value})
 
 
 # ---------------------------------------------------------------- loop
