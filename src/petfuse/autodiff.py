@@ -7,18 +7,28 @@ concatenation, attention over a batch of padded sequences with a key mask,
 and binary cross-entropy on logits. Tensors are float64 throughout;
 the graph is a dynamic tape, backward visits each node once.
 
-Only what a gradient can flow through is recorded: a node that requires no
-gradient keeps neither its inputs nor its backward closure, so a forward
-pass over constants (a frozen encoder, or any pass but a training one)
-holds no tape and its intermediates are freed as soon as the next op has
-read them. Backward forms only the gradients that are needed: it visits
-only nodes that require a gradient, and matmul, mul, add and
-masked_attention form each operand's product only when that operand
-requires one. A frozen weight, or a constant input such as precomputed
-features, costs no backward GEMM. Once backward has passed an inner node's
-gradient on, the node drops that gradient, its inputs and its backward
-closure; leaves keep their gradients. So a tape is single-use, and by the
-time its backward returns nothing holds its activations.
+A Tensor is its value, `data`, plus a tape record when it requires a
+gradient. The record says where gradients go (its gradient so far, a leaf's
+sink, the records of the inputs that need one, and a backward closure); it
+never holds a forward value. Each op's backward captures only the arrays it
+reads: matmul and mul keep an operand's value only when the other operand
+requires a gradient, add keeps only shapes, relu and dropout their masks,
+layer_norm its output and inverse deviation, masked_attention its weights
+and only the q, k and v rows that a needed gradient reads, gather_rows its
+ids, and bce_with_logits its logits, exponential and targets. So an
+activation that no backward reads is freed as soon as the forward pass drops
+it, and a tape keeps about a quarter of the activations a forward pass makes.
+
+A constant carries no record: a forward pass over constants (a frozen
+encoder, or any pass but a training one) holds no tape and its
+intermediates are freed as soon as the next op has read them. Backward
+forms only the gradients that are needed: it visits only records, and
+matmul, mul, add and masked_attention form each operand's product only when
+that operand requires one. A frozen weight, or a constant input such as
+precomputed features, costs no backward GEMM. Once backward has passed an
+inner record's gradient on, the record drops that gradient, its parents and
+its backward closure; leaves keep their gradients. So a tape is single-use,
+and by the time its backward returns nothing holds its activations.
 
 A leaf may carry a GradSink, a preallocated array such as its view of an
 optimizer's flat gradient. The first gradient to reach an unwritten sink is
@@ -62,24 +72,59 @@ class GradSink:
         self.written = False
 
 
-class Tensor:
-    """Immutable value node in the computation tape; a node that requires no
-    gradient is a constant and records no tape."""
+class _Record:
+    """A Tensor's place on the tape: its gradient so far, a leaf's sink, the
+    records of the inputs that require a gradient, and the backward that
+    passes a gradient on to them from the arrays it captured."""
 
-    __slots__ = ("data", "grad", "requires_grad", "sink", "_parents", "_backward")
+    __slots__ = ("grad", "sink", "parents", "backward", "__weakref__")
+
+    def __init__(self, parents=(), backward=None, sink: GradSink | None = None):
+        self.grad = None
+        self.sink = sink
+        self.parents = parents
+        self.backward = backward
+
+
+class Tensor:
+    """Immutable value with a tape record when it requires a gradient; a
+    constant carries none."""
+
+    __slots__ = ("data", "_record")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None,
                  sink: GradSink | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
-        self.grad = None
-        self.sink = sink if self.requires_grad else None
-        self._parents = _parents if self.requires_grad else ()
-        self._backward = _backward if self.requires_grad else None
+        parents = tuple(p._record for p in _parents if p._record is not None)
+        self._record = (_Record(parents, _backward, sink)
+                        if requires_grad or parents else None)
 
     @property
     def shape(self):
         return self.data.shape
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._record is not None
+
+    @property
+    def grad(self):
+        return None if self._record is None else self._record.grad
+
+    @grad.setter
+    def grad(self, g):
+        if self._record is not None:
+            self._record.grad = g
+        elif g is not None:
+            raise ValueError("a constant takes no gradient")
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._record is None else self._record.parents
+
+    @property
+    def _backward(self):
+        return None if self._record is None else self._record.backward
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -89,20 +134,23 @@ class Tensor:
     def backward(self):
         """Backpropagate from this scalar output, whose gradient is 1.
 
-        The tape is single-use: each inner node drops its inputs and its
+        The tape is single-use: each inner record drops its parents and its
         backward closure once it has passed its gradient on, so the tape's
         activations are freed as the pass goes and none outlives it. A second
-        backward through any of its nodes raises RuntimeError."""
+        backward through any of its records raises RuntimeError."""
         if self.data.size != 1:
             raise ShapeError("backward() needs a scalar output")
+        root = self._record
+        if root is None:
+            return  # a constant: no gradient reaches anything
 
         topo, seen = [], set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if id(node) in seen:
                 continue
-            if node._backward is _spent:
+            if node.backward is _spent:
                 raise RuntimeError("backward() through a tape an earlier backward() "
                                    "consumed; run the forward pass again")
             if expanded:
@@ -110,20 +158,20 @@ class Tensor:
                 topo.append(node)
                 continue
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
+            for p in node.parents:
+                if id(p) not in seen:
                     stack.append((p, False))
 
-        self.grad = np.ones_like(self.data)
-        # every consumer of a node comes after it in topo, so popping visits a
-        # node once its gradient is complete, and drops the list's reference
+        root.grad = np.ones(self.data.shape)
+        # every consumer of a record comes after it in topo, so popping visits
+        # a record once its gradient is complete, and drops the list's reference
         while topo:
             node = topo.pop()
-            if node._backward is not None:
+            if node.backward is not None:
                 if node.grad is not None:
-                    node._backward(node.grad)
+                    node.backward(node.grad)
                     node.grad = None  # passed on to the parents
-                node._parents, node._backward = (), _spent
+                node.parents, node.backward = (), _spent
             elif node.sink is not None and node.grad is not None \
                     and node.grad is not node.sink.out:
                 # a leaf whose sink was written before this pass adds its sum
@@ -136,44 +184,59 @@ class Tensor:
 
 
 def _spent(g):
-    """The backward of a node whose tape a backward pass consumed."""
+    """The backward of a record whose tape a backward pass consumed."""
 
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _fresh_sink(t: Tensor) -> np.ndarray | None:
-    """t's sink array, now also t.grad, when the gradient about to reach t is
+def _result(data, parents, backward) -> Tensor:
+    """An op's output: `data`, recorded with `backward` when any of the
+    input records `parents` (None for a constant input) exists."""
+    out = Tensor(data)
+    live = tuple(r for r in parents if r is not None)
+    if live:
+        out._record = _Record(live, backward)
+    return out
+
+
+def _fresh_sink(r: _Record) -> np.ndarray | None:
+    """r's sink array, now also r.grad, when the gradient about to reach r is
     the first to reach its unwritten sink; None otherwise."""
-    s = t.sink
-    if s is None or s.written or t.grad is not None:
+    s = r.sink
+    if s is None or s.written or r.grad is not None:
         return None
     s.written = True
-    t.grad = s.out
+    r.grad = s.out
     return s.out
 
 
-def _accum(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        out = _fresh_sink(t)
+def _add_grad(r: _Record, g: np.ndarray):
+    if r.grad is None:
+        out = _fresh_sink(r)
         if out is None:
-            t.grad = g
+            r.grad = g
         else:
             np.copyto(out, g)
-    elif t.sink is not None and t.grad is t.sink.out:
-        np.add(t.grad, g, out=t.grad)
+    elif r.sink is not None and r.grad is r.sink.out:
+        np.add(r.grad, g, out=r.grad)
     else:
-        t.grad = t.grad + g
+        r.grad = r.grad + g
 
 
-def _accum_matmul(t: Tensor, x: np.ndarray, y: np.ndarray):
-    """_accum(t, x @ y), with the product formed in t's sink on its first write."""
-    out = _fresh_sink(t)
+def _accum(t: Tensor, g: np.ndarray):
+    """Add g to t's gradient; a constant takes none."""
+    if t._record is not None:
+        _add_grad(t._record, g)
+
+
+def _add_matmul(r: _Record, x: np.ndarray, y: np.ndarray):
+    """_add_grad(r, x @ y), with the product formed in r's sink on its first
+    write."""
+    out = _fresh_sink(r)
     if out is None:
-        _accum(t, x @ y)
+        _add_grad(r, x @ y)
     else:
         np.matmul(x, y, out=out)
 
@@ -192,38 +255,44 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data + b.data
+    ra, rb = a._record, b._record
+    sa, sb = a.data.shape, b.data.shape
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
+        if ra is not None:
+            _add_grad(ra, _unbroadcast(g, sa))
+        if rb is not None:
+            _add_grad(rb, _unbroadcast(g, sb))
 
-    return Tensor(out_data, _parents=(a, b), _backward=bw)
+    return _result(a.data + b.data, (ra, rb), bw)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data * b.data
+    ra, rb = a._record, b._record
+    sa, sb = a.data.shape, b.data.shape
+    # each operand's value is kept only for the other operand's gradient
+    da = a.data if rb is not None else None
+    db = b.data if ra is not None else None
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if ra is not None:
+            _add_grad(ra, _unbroadcast(g * db, sa))
+        if rb is not None:
+            _add_grad(rb, _unbroadcast(g * da, sb))
 
-    return Tensor(out_data, _parents=(a, b), _backward=bw)
+    return _result(a.data * b.data, (ra, rb), bw)
 
 
 def relu(x) -> Tensor:
     x = as_tensor(x)
+    rx = x._record
     mask = x.data > 0
 
     def bw(g):
-        _accum(x, g * mask)
+        _add_grad(rx, g * mask)
 
-    return Tensor(x.data * mask, _parents=(x,), _backward=bw)
+    return _result(x.data * mask, (rx,), bw)
 
 
 # -- linear algebra ---------------------------------------------------------
@@ -235,14 +304,18 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
+    ra, rb = a._record, b._record
+    # each operand's value is kept only for the other operand's gradient
+    da = a.data if rb is not None else None
+    db = b.data if ra is not None else None
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum_matmul(b, a.data.T, g)
+        if ra is not None:
+            _add_grad(ra, g @ db.T)
+        if rb is not None:
+            _add_matmul(rb, da.T, g)
 
-    return Tensor(a.data @ b.data, _parents=(a, b), _backward=bw)
+    return _result(a.data @ b.data, (ra, rb), bw)
 
 
 # -- indexing ---------------------------------------------------------------
@@ -251,28 +324,29 @@ def matmul(a, b) -> Tensor:
 def gather_rows(table, ids) -> Tensor:
     """Row lookup (embedding): out[i] = table[ids[i]]."""
     table = as_tensor(table)
+    rt = table._record
+    shape = table.data.shape
     ids = np.asarray(ids, dtype=np.int64)
 
     def bw(g):
-        if table.requires_grad:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids, g)
-            _accum(table, gt)
+        gt = np.zeros(shape)
+        np.add.at(gt, ids, g)
+        _add_grad(rt, gt)
 
-    return Tensor(table.data[ids], _parents=(table,), _backward=bw)
+    return _result(table.data[ids], (rt,), bw)
 
 
 def concat_rows(parts) -> Tensor:
     parts = [as_tensor(p) for p in parts]
-    sizes = [p.data.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    records = tuple(p._record for p in parts)
+    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
 
     def bw(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[lo:hi])
+        for r, lo, hi in zip(records, offsets[:-1], offsets[1:]):
+            if r is not None:
+                _add_grad(r, g[lo:hi])
 
-    return Tensor(np.concatenate([p.data for p in parts], axis=0),
-                  _parents=tuple(parts), _backward=bw)
+    return _result(np.concatenate([p.data for p in parts], axis=0), records, bw)
 
 
 # -- normalization / attention ----------------------------------------------
@@ -283,6 +357,7 @@ def layer_norm(x, eps: float = 1e-5) -> Tensor:
     x = as_tensor(x)
     if x.data.shape[-1] < 2:
         raise ShapeError("layer_norm needs last-axis length >= 2")
+    rx = x._record
     mu = x.data.mean(axis=-1, keepdims=True)
     var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
@@ -291,14 +366,14 @@ def layer_norm(x, eps: float = 1e-5) -> Tensor:
     def bw(g):
         gm = g.mean(axis=-1, keepdims=True)
         gy = (g * y).mean(axis=-1, keepdims=True)
-        _accum(x, inv * (g - gm - y * gy))
+        _add_grad(rx, inv * (g - gm - y * gy))
 
-    return Tensor(y, _parents=(x,), _backward=bw)
+    return _result(y, (rx,), bw)
 
 
 def masked_attention(q, k, v, key_mask, scale: float) -> Tensor:
     """softmax(q k^T * scale) v within each of B padded sequences, over its
-    real keys only; one tape node.
+    real keys only; one tape record.
 
     k and v hold the (B*T, d) rows of B sequences padded to length T;
     key_mask is (B, T) bool, True at a real key, and each sequence needs at
@@ -321,7 +396,9 @@ def masked_attention(q, k, v, key_mask, scale: float) -> Tensor:
             or q.data.shape[0] % b):
         raise ShapeError(f"masked attention over {b} sequences of {t} keys got "
                          f"q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
-    tq = q.data.shape[0] // b
+    rq, rk, rv = q._record, k._record, v._record
+    sq, sk, sv = q.data.shape, k.data.shape, v.data.shape
+    tq = sq[0] // b
     qb = q.data.reshape(b, tq, -1)
     kb = k.data.reshape(b, t, -1)
     vb = v.data.reshape(b, t, -1)
@@ -329,20 +406,29 @@ def masked_attention(q, k, v, key_mask, scale: float) -> Tensor:
                       -np.inf)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))  # exp(-inf) is 0
     p = e / e.sum(axis=-1, keepdims=True)
+    out = np.matmul(p, vb).reshape(b * tq, -1)
+    # the backward keeps p, plus only the rows a needed gradient reads:
+    # v's for q's and k's, k's for q's, q's for k's
+    if rq is None and rk is None:
+        vb = None
+    if rq is None:
+        kb = None
+    if rk is None:
+        qb = None
 
     def bw(g):
         g = g.reshape(b, tq, -1)
-        if v.requires_grad:
-            _accum(v, np.matmul(p.transpose(0, 2, 1), g).reshape(v.data.shape))
-        if q.requires_grad or k.requires_grad:
+        if rv is not None:
+            _add_grad(rv, np.matmul(p.transpose(0, 2, 1), g).reshape(sv))
+        if rq is not None or rk is not None:
             gp = np.matmul(g, vb.transpose(0, 2, 1))
             gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
-            if q.requires_grad:
-                _accum(q, np.matmul(gs, kb).reshape(q.data.shape))
-            if k.requires_grad:
-                _accum(k, np.matmul(gs.transpose(0, 2, 1), qb).reshape(k.data.shape))
+            if rq is not None:
+                _add_grad(rq, np.matmul(gs, kb).reshape(sq))
+            if rk is not None:
+                _add_grad(rk, np.matmul(gs.transpose(0, 2, 1), qb).reshape(sk))
 
-    return Tensor(np.matmul(p, vb).reshape(b * tq, -1), _parents=(q, k, v), _backward=bw)
+    return _result(out, (rq, rk, rv), bw)
 
 
 def dropout(x, p: float, training: bool, uniform=None) -> Tensor:
@@ -360,12 +446,13 @@ def dropout(x, p: float, training: bool, uniform=None) -> Tensor:
     if got != x.data.shape:
         raise ShapeError(f"training-mode dropout needs uniform draws of shape "
                          f"{x.data.shape}, got {got}")
+    rx = x._record
     mask = (np.asarray(uniform) >= p) / (1.0 - p)
 
     def bw(g):
-        _accum(x, g * mask)
+        _add_grad(rx, g * mask)
 
-    return Tensor(x.data * mask, _parents=(x,), _backward=bw)
+    return _result(x.data * mask, (rx,), bw)
 
 
 def bce_with_logits(logits, targets) -> Tensor:
@@ -376,6 +463,7 @@ def bce_with_logits(logits, targets) -> Tensor:
     y = np.asarray(targets, dtype=np.float64)
     if y.shape != logits.data.shape:
         raise ShapeError(f"targets shape {y.shape} != logits shape {logits.data.shape}")
+    rl = logits._record
     z = logits.data
     e = np.exp(-np.abs(z))  # in [0, 1]: exp(-z) where z >= 0, exp(z) below
     loss = np.maximum(z, 0.0) - z * y + np.log1p(e)
@@ -383,6 +471,6 @@ def bce_with_logits(logits, targets) -> Tensor:
 
     def bw(g):
         p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))  # sigmoid(z)
-        _accum(logits, g * (p - y) / n)
+        _add_grad(rl, g * (p - y) / n)
 
-    return Tensor(loss.mean(), _parents=(logits,), _backward=bw)
+    return _result(loss.mean(), (rl,), bw)

@@ -317,22 +317,32 @@ def load_manifest(path) -> list[Sample]:
     return samples
 
 
+# repr(k / 1e6) for 1 <= k < 100, which repr writes with an exponent: one
+# column per k of its characters, padded to 7, and of which of them to keep
+_EXPONENT_FORMS = [f"{k}e-06" if k < 10 else f"{k // 10}e-05" if k % 10 == 0
+                   else f"{k // 10}.{k % 10}e-05" for k in range(100)]
+_EXPONENT_CHARS = np.array([list(f.ljust(7).encode()) for f in _EXPONENT_FORMS],
+                           np.uint8).T
+_EXPONENT_KEEP = _EXPONENT_CHARS != ord(" ")
+
+
 def _six_decimal_json(x: np.ndarray) -> str | None:
     """json.dumps(x.tolist()) of a float64 row whose every value is a
-    6-decimal number k/1e6 with 1e-4 <= |x| < 1e9, or zero; None otherwise.
+    6-decimal number k/1e6 with 1e-6 <= |x| < 1e9, or zero; None otherwise.
 
     Such a value's repr is its decimal: it has at most 15 significant
-    digits, so no shorter string maps to the same double, and repr writes
-    the exponent form only below 1e-4. Each value is laid out in one column
-    of a character grid: the sign, the integer digits, the point and six
-    fraction digits, then ", ". Dropping the sign of a non-negative value,
-    leading zeros and trailing fraction zeros (one digit stays each side of
-    the point) and reading the grid value by value gives the text.
+    digits, so no shorter string maps to the same double. Each value is laid
+    out in one column of a character grid: the sign, the integer digits, the
+    point and six fraction digits, then ", ". Dropping the sign of a
+    non-negative value, leading zeros and trailing fraction zeros (one digit
+    stays each side of the point) and reading the grid value by value gives
+    the text. Below 1e-4, where |k| < 100, repr writes an exponent instead
+    (5e-06, 1e-05, 1.5e-05): such a column holds the sign and that form.
     """
     if x.dtype != np.float64 or not x.size:
         return None
     ax = np.abs(x)  # NaN and infinities fail the range test
-    if not ((ax < 1e9) & ((ax >= 1e-4) | (x == 0))).all():
+    if not ((ax < 1e9) & ((ax >= 1e-6) | (x == 0))).all():
         return None
     k = np.rint(x * 1e6)
     if not (k / 1e6 == x).all():
@@ -359,6 +369,12 @@ def _six_decimal_json(x: np.ndarray) -> str | None:
     chars[w + 8] = ord(",")
     chars[w + 9] = ord(" ")
     keep[w + 8:, -1] = False
+    small = (ax < 1e-4) & (x != 0)
+    if small.any():
+        kk = np.abs(k[small]).astype(np.int64)
+        keep[1:w + 8, small] = False
+        chars[1:8, small] = _EXPONENT_CHARS[:, kk]
+        keep[1:8, small] = _EXPONENT_KEEP[:, kk]
     return "[" + chars.T[keep.T].tobytes().decode("ascii") + "]"
 
 

@@ -259,7 +259,8 @@ class ArmSpec:
     """An arm as its kind trains it, named after its kind unless named. An
     InputError for an unknown kind or policy, or for a policy or fusion that
     the kind ignores and that differs from its default; a budget_matched arm
-    is sized to vision_only's count."""
+    is sized to vision_only's count, and also takes the fusion that sizing
+    sets, so that a copy of it builds."""
     kind: str
     name: str = ""  # empty: the kind's own name
     policy: str = "frozen"
@@ -275,12 +276,14 @@ class ArmSpec:
         if self.policy not in policies:
             raise InputError(f"arm {self.name!r}: policy {self.policy!r} is not one of "
                              f"{', '.join(policies)}, the policies of kind {self.kind!r}")
-        if self.kind != "full_pet" and self.fusion != FusionConfig():
-            raise InputError(f"arm kind {self.kind!r} takes no fusion override; "
-                             "only full_pet does")
+        sized = None
         if self.kind == "budget_matched":
             d, h, _ = search_shared_dim(VISION_ONLY_PARAMS)
-            self.fusion = FusionConfig(shared_dim=d, head_hidden=h)
+            sized = FusionConfig(shared_dim=d, head_hidden=h)
+        if self.kind != "full_pet" and self.fusion not in (FusionConfig(), sized):
+            raise InputError(f"arm kind {self.kind!r} takes no fusion override; "
+                             "only full_pet does")
+        self.fusion = sized or self.fusion
 
 
 @dataclass

@@ -90,7 +90,9 @@ class AdamW:
     dict over it. Construction also gives each parameter a GradSink over its
     view, so a training pass writes its gradient straight into the arena:
     the first backward of a step writes a view, later ones add to it, and
-    `settle_grads` zeroes any view that no backward reached.
+    `settle_grads` zeroes any view that no backward reached. The moment and
+    gradient arenas start as untouched zero pages, and a view that no
+    gradient ever reaches is never written.
 
     `step` updates the arena in place, block by block. It keeps the moments
     as m = (textbook m)/(1-b1) and v = (textbook v)/(1-b2), so with
@@ -99,6 +101,10 @@ class AdamW:
         p *= 1 - lr*wd;   m = b1*m + g;   v = b2*v + g*g
         p -= (alpha_t*m) / (sqrt(v) + eps_t)
         alpha_t = lr*(1-b1)/(1-b1**t)*c_t,   eps_t = eps*c_t
+
+    While a parameter's gradient and moments are all exactly +0.0, its m and
+    v stay 0 and its update is 0/(sqrt(0)+eps_t) = 0, so the step applies
+    only the decay to it. Once it takes the full update it keeps taking it.
     """
 
     def __init__(self, params, weight_decay: float = 1e-2):
@@ -107,9 +113,11 @@ class AdamW:
         self.step_count = 0
         self._bounds = np.cumsum([0] + [p.data.size for p in self.params])
         self.flat = np.empty(self._bounds[-1])
-        self.flat_m = np.zeros_like(self.flat)
-        self.flat_v = np.zeros_like(self.flat)
-        self.flat_grad = np.zeros_like(self.flat)
+        # np.zeros maps zero pages; np.zeros_like would write every one
+        self.flat_m = np.zeros(self.flat.size)
+        self.flat_v = np.zeros(self.flat.size)
+        self.flat_grad = np.zeros(self.flat.size)
+        self._full = [False] * len(self.params)  # took the full update
         views = self.views(self.flat)
         for p in self.params:
             views[p.name][...] = p.data
@@ -127,9 +135,10 @@ class AdamW:
     def settle_grads(self):
         """Zero each gradient view that no backward wrote since the last
         settle, then mark every view unwritten, so that the next backward
-        writes its gradient afresh. Call it once per step, before clipping."""
+        writes its gradient afresh. Call it once per step, before clipping.
+        A view that is already +0.0 throughout is left untouched."""
         for p in self.params:
-            if not p.sink.written:
+            if not p.sink.written and not _is_clear(p.sink.out):
                 p.sink.out.fill(0.0)
             p.sink.written = False
 
@@ -141,8 +150,20 @@ class AdamW:
         alpha = lr_t * (1 - ADAM_BETA1) / (1 - ADAM_BETA1 ** t) * c_t
         eps = ADAM_EPS * c_t
         shrink = 1 - lr_t * self.weight_decay
-        for a in range(0, self.flat.size, ADAM_BLOCK):
-            p, m, v, g = (buf[a:a + ADAM_BLOCK] for buf in
+        lo = 0  # start of the run of parameters that take the full update
+        for i, (a, b) in enumerate(zip(self._bounds, self._bounds[1:])):
+            self._full[i] = self._full[i] or not all(
+                _is_clear(buf[a:b]) for buf in (self.flat_grad, self.flat_m, self.flat_v))
+            if not self._full[i]:
+                self._update(lo, a, alpha, eps, shrink)
+                np.multiply(self.flat[a:b], shrink, out=self.flat[a:b])
+                lo = b
+        self._update(lo, self.flat.size, alpha, eps, shrink)
+
+    def _update(self, lo: int, hi: int, alpha: float, eps: float, shrink: float):
+        """The full update of flat[lo:hi], ADAM_BLOCK elements per pass."""
+        for a in range(lo, hi, ADAM_BLOCK):
+            p, m, v, g = (buf[a:min(a + ADAM_BLOCK, hi)] for buf in
                           (self.flat, self.flat_m, self.flat_v, self.flat_grad))
             s1, s2 = self._scratch[:, :p.size]
             np.multiply(p, shrink, out=p)           # p *= 1 - lr*wd
@@ -156,6 +177,11 @@ class AdamW:
             np.multiply(m, alpha, out=s1)
             np.divide(s1, s2, out=s1)
             np.subtract(p, s1, out=p)
+
+
+def _is_clear(x: np.ndarray) -> bool:
+    """Whether every element of x is +0.0 (a -0.0 has its sign bit set)."""
+    return not x.view(np.uint64).any()
 
 
 # -- checkpoint container -------------------------------------------------
@@ -179,7 +205,7 @@ def save_checkpoint(path, graph: ModelGraph, header_extra: dict, state: dict):
         f.write(len(hbytes).to_bytes(8, "little"))
         f.write(hbytes)
         for v in arrays.values():
-            f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(v, dtype="<f8"))
 
 
 def _array_sizes(header) -> list[int] | None:
@@ -195,9 +221,10 @@ def _array_sizes(header) -> list[int] | None:
 
 
 def load_checkpoint(path):
-    """Returns (header dict, {name: array}). InputError unless the file is a
-    checkpoint of CHECKPOINT_VERSION whose arrays fill it exactly and hold
-    only finite values."""
+    """Returns (header dict, {name: array}), each array read straight into
+    its own writeable array. InputError unless the file is a checkpoint of
+    CHECKPOINT_VERSION whose arrays fill it exactly and hold only finite
+    values."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         if f.read(8) != CHECKPOINT_MAGIC:
@@ -223,11 +250,12 @@ def load_checkpoint(path):
                              f"{have} follow the header" if have < need else
                              f"{path} has {have - need} bytes after its last array")
         arrays = {}
-        for meta, n in zip(header["arrays"], sizes):
-            arr = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(meta["shape"])
+        for meta in header["arrays"]:
+            arr = np.empty(meta["shape"], dtype="<f8")
+            f.readinto(arr)
             if not np.isfinite(arr).all():
                 raise InputError(f"{path}: checkpoint array {meta['name']!r} is not finite")
-            arrays[meta["name"]] = arr.copy()
+            arrays[meta["name"]] = arr
     return header, arrays
 
 

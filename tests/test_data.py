@@ -464,10 +464,11 @@ def test_save_manifest_writes_the_json_dumps_bytes(tmp_path_factory, rows, text)
 
 @pytest.mark.parametrize("row, fast", [
     ([0.0, -0.0, 1e-4, -1e-4, 999.999999, 999999999.999999, -12.5], True),
-    ([0.5, 5e-05], False),                 # repr writes 5e-05
+    ([0.5, 5e-07], False),                 # below 1e-6
     ([0.5, 1e9], False),                   # at or beyond 1e9
     ([0.5, 0.1 + 0.2], False),             # not a 6-decimal number
     ([0.5, math.nan], False), ([math.inf], False), ([-math.inf, 0.5], False),
+    ([0.5, 5e-05, -1.5e-05, 1e-06], True),  # repr writes exponents
 ])
 def test_six_decimal_rows_take_the_array_path(row, fast):
     x = np.array(row)
@@ -478,16 +479,27 @@ def test_six_decimal_rows_take_the_array_path(row, fast):
 
 
 def test_generated_rows_take_the_array_path():
-    """Most generated rows are formatted from their integers; a row goes to
-    json.dumps only when a value lies below 1e-4."""
+    """Every generated row is formatted from its integers, the rows with a
+    value below 1e-4 too."""
     samples = generate_synthetic(n_patients=40, seed=8)
-    fast = [_six_decimal_json(s.vision_features) for s in samples]
-    for s, text in zip(samples, fast):
-        small = np.abs(s.vision_features) < 1e-4
-        assert (text is None) == bool((small & (s.vision_features != 0)).any())
-        if text is not None:
-            assert text == json.dumps(s.vision_features.tolist())
-    assert sum(text is not None for text in fast) > len(samples) // 2
+    assert any(((np.abs(s.vision_features) < 1e-4) & (s.vision_features != 0)).any()
+               for s in samples)
+    for s in samples:
+        assert _six_decimal_json(s.vision_features) == json.dumps(s.vision_features.tolist())
+
+
+def test_every_exponent_form_matches_json_dumps():
+    """Each k/1e6 with 1 <= |k| < 100, where repr writes an exponent, mixed
+    into rows of ordinary 6-decimal values, reads as json.dumps writes it."""
+    rng = np.random.default_rng(41)
+    small = np.array([k / 1e6 for k in range(-99, 100) if k])
+    for width in (1, 3, 9):
+        ordinary = rng.integers(-10 ** width, 10 ** width, small.size) / 1e6
+        for row in (small, np.stack([ordinary, small], axis=1).ravel(),
+                    np.concatenate([small[::-1], ordinary, [0.0, -0.0]])):
+            assert _six_decimal_json(row) == json.dumps(row.tolist())
+        for x in small:
+            assert _six_decimal_json(np.array([x])) == json.dumps([x])
 
 
 # Digests of manifests written by the generator and writer before either was

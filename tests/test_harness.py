@@ -1,5 +1,6 @@
 """Arm construction, budget search, attribution plans, efficiency tables."""
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -84,6 +85,21 @@ def test_build_arm_rejects_overrides_its_kind_ignores(kind, overrides):
         build_arm(kind, overrides)
     # frozen is what these kinds train anyway, so saying so is accepted
     assert build_arm(kind, {"policy": "frozen"}).policy == "frozen"
+
+
+def test_a_copy_of_a_budget_matched_arm_builds():
+    """A budget_matched arm takes the fusion its own sizing sets, so a copy
+    of it builds; any other fusion on that kind, or that fusion on
+    vision_only, is still refused."""
+    arm = build_arm("budget_matched")
+    copy = dataclasses.replace(arm, seeds=[1])
+    assert (copy.fusion, copy.seeds) == (arm.fusion, [1])
+    assert (copy.fusion.shared_dim, copy.fusion.head_hidden) == search_shared_dim(
+        VISION_ONLY_PARAMS)[:2]
+    with pytest.raises(InputError, match="takes no fusion override"):
+        dataclasses.replace(arm, fusion=FusionConfig(shared_dim=32))
+    with pytest.raises(InputError, match="takes no fusion override"):
+        ArmSpec(kind="vision_only", fusion=arm.fusion)
 
 
 def _count_encodes(monkeypatch, policy):
