@@ -117,7 +117,8 @@ class AdamW:
         self.flat_m = np.zeros(self.flat.size)
         self.flat_v = np.zeros(self.flat.size)
         self.flat_grad = np.zeros(self.flat.size)
-        self._full = [False] * len(self.params)  # took the full update
+        # parameters that have only ever decayed, in arena order
+        self._decay_only = list(range(len(self.params)))
         views = self.views(self.flat)
         for p in self.params:
             views[p.name][...] = p.data
@@ -151,13 +152,15 @@ class AdamW:
         eps = ADAM_EPS * c_t
         shrink = 1 - lr_t * self.weight_decay
         lo = 0  # start of the run of parameters that take the full update
-        for i, (a, b) in enumerate(zip(self._bounds, self._bounds[1:])):
-            self._full[i] = self._full[i] or not all(
-                _is_clear(buf[a:b]) for buf in (self.flat_grad, self.flat_m, self.flat_v))
-            if not self._full[i]:
-                self._update(lo, a, alpha, eps, shrink)
-                np.multiply(self.flat[a:b], shrink, out=self.flat[a:b])
-                lo = b
+        for i in tuple(self._decay_only):
+            a, b = self._bounds[i], self._bounds[i + 1]
+            if not all(_is_clear(buf[a:b]) for buf in
+                       (self.flat_grad, self.flat_m, self.flat_v)):
+                self._decay_only.remove(i)
+                continue
+            self._update(lo, a, alpha, eps, shrink)
+            np.multiply(self.flat[a:b], shrink, out=self.flat[a:b])
+            lo = b
         self._update(lo, self.flat.size, alpha, eps, shrink)
 
     def _update(self, lo: int, hi: int, alpha: float, eps: float, shrink: float):
