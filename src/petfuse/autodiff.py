@@ -95,7 +95,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None,
                  sink: GradSink | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        parents = tuple(p._record for p in _parents if p._record is not None)
+        parents = tuple(filter(None, (p._record for p in _parents))) if _parents else ()
         self._record = (_Record(parents, _backward, sink)
                         if requires_grad or parents else None)
 
@@ -194,10 +194,10 @@ def as_tensor(x) -> Tensor:
 def _result(data, parents, backward) -> Tensor:
     """An op's output: `data`, recorded with `backward` when any of the
     input records `parents` (None for a constant input) exists."""
-    out = Tensor(data)
-    live = tuple(r for r in parents if r is not None)
-    if live:
-        out._record = _Record(live, backward)
+    out = Tensor.__new__(Tensor)
+    out.data = np.asarray(data, dtype=np.float64)
+    live = tuple(filter(None, parents))  # a record is always true
+    out._record = _Record(live, backward) if live else None
     return out
 
 
