@@ -17,7 +17,8 @@ layer_norm its output and inverse deviation, masked_attention its weights
 and only the q, k and v rows that a needed gradient reads, gather_rows its
 ids, and bce_with_logits its logits, exponential and targets. So an
 activation that no backward reads is freed as soon as the forward pass drops
-it, and a tape keeps about a quarter of the activations a forward pass makes.
+it: a LoRA training micro-batch's tape holds about a quarter of the bytes it
+would if each record kept its inputs' values.
 
 A constant carries no record: a forward pass over constants (a frozen
 encoder, or any pass but a training one) holds no tape and its
@@ -79,7 +80,7 @@ class _Record:
 
     __slots__ = ("grad", "sink", "parents", "backward", "__weakref__")
 
-    def __init__(self, parents=(), backward=None, sink: GradSink | None = None):
+    def __init__(self, parents, backward, sink: GradSink | None = None):
         self.grad = None
         self.sink = sink
         self.parents = parents

@@ -664,7 +664,8 @@ def _tape_bytes(loss, params) -> int:
             continue
         seen.add(id(r))
         stack.extend(r.parents)
-        for cell in r.backward.__closure__ or () if r.backward else ():
+        closure = r.backward.__closure__ if r.backward is not None else None
+        for cell in closure or ():
             value = cell.cell_contents
             if isinstance(value, np.ndarray) and id(base(value)) not in skip:
                 held[id(base(value))] = base(value).nbytes
