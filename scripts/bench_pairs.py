@@ -14,8 +14,9 @@ run from directories made the same way (a git clone and a plain copy of the
 same sources have been measured 5% apart). Each run is a fresh process with
 its copy as working directory, so it benchmarks that checkout's sources with
 that checkout's benchmark. The script reads each run's last stdout line and
-its `.perfbench_work/<workload>.result.json` (for the environment stamp);
-it never imports or edits the benchmark. Each side's commit is read from
+its `.perfbench_work/<workload>.result.json` (for the environment stamp and
+the phase floors that sum to `run_s`); it never imports or edits the
+benchmark. Each side's commit is read from
 the checkout itself, since the copy has no `.git`.
 
 The output holds, per workload and end-to-end metric, every run, each
@@ -23,7 +24,9 @@ side's median and quartiles (`statistics.quantiles(n=4,
 method='inclusive')`), the change's wins (ties count for neither), the
 parent's interquartile range, and whether the change's median is within the
 metric's bound in BENCHMARK.json; and per workload, each side's share of
-failed operations over all its runs and whether the change's is no larger.
+failed operations over all its runs and whether the change's is no larger,
+and each side's median and quartiles of every phase's floor (`phases`), so
+that a change in `run_s` can be placed in the phase it comes from.
 A gain is claimable when the change wins
 at least nine tenths of the pairs and the medians differ, in its favour, by
 more than the parent's interquartile range.
@@ -73,6 +76,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                         .read_text())
     return {"seed": seed, "correct": doc["correct"], "attempted": doc["attempted"],
             "failed": doc["failed"], "environment": result["environment"],
+            "phases": result["phase_floor_s"],
             "metrics": {k: v["value"] for k, v in doc["metrics"].items()}}
 
 
@@ -108,6 +112,16 @@ def failure_shares(parent: list[dict], change: list[dict]) -> dict:
     p, c = share(parent), share(change)
     return {"failed_share_parent": p, "failed_share_change": c,
             "failed_share_no_larger": c <= p}
+
+
+def phase_summaries(parent: list[dict], change: list[dict]) -> dict:
+    """phase -> side -> `summary` of that phase's floor over the side's runs,
+    for each phase that every run of both sides reports."""
+    runs = parent + change
+    phases = [k for k in runs[0]["phases"] if all(k in r["phases"] for r in runs)]
+    return {k: {side: summary([r["phases"][k] for r in side_runs])
+                for side, side_runs in (("parent", parent), ("change", change))}
+            for k in phases}
 
 
 def run_pairs(sides: dict, workloads: list, first_seed: int, pairs: int,
@@ -176,6 +190,7 @@ def main(argv=None) -> int:
             entry[f"failed_ops_{side}"] = [[r["failed"], r["attempted"]]
                                            for r in runs[w][side]]
         entry.update(failure_shares(runs[w]["parent"], runs[w]["change"]))
+        entry["phases"] = phase_summaries(runs[w]["parent"], runs[w]["change"])
         doc["workloads"][w] = entry
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     for w in workloads:
@@ -186,6 +201,10 @@ def main(argv=None) -> int:
                   f"{c['pairs']} iqr {c['parent_iqr']:.3g} "
                   f"claimable {c['gain_claimable']} within_bound {c['within_bound']}")
         e = doc["workloads"][w]
+        for phase, by_side in e["phases"].items():
+            print(f"{w:<20} {'phase ' + phase:<20} parent "
+                  f"{by_side['parent']['median']:<10.4g} change "
+                  f"{by_side['change']['median']:<10.4g}")
         print(f"{w:<20} {'failed_share':<20} parent {e['failed_share_parent']:<10.4g} "
               f"change {e['failed_share_change']:<10.4g} "
               f"no_larger {e['failed_share_no_larger']}")

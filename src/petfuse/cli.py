@@ -166,12 +166,12 @@ class CheckpointExtra:
     best_val_auroc: float
 
 
-def _load_arm_model(cfg, tokenizer, seed):
+def _load_arm_model(cfg, tokenizer, seed, stored=None):
     arm = harness.build_arm(cfg.arm, {"policy": cfg.policy})
     if cfg.arm == "full_pet":
         arm.fusion = cfg.fusion
     return arm, harness._build_model(arm, tokenizer, seed, lora_cfg=cfg.lora,
-                                     adapter_cfg=cfg.adapter)
+                                     adapter_cfg=cfg.adapter, stored=stored)
 
 
 def _cmd_train(args):
@@ -226,9 +226,9 @@ def _check_claimed_sizes(path, cfg, params):
 
 
 def _restore_model(checkpoint, manifest):
-    """The model a checkpoint holds, with its stored vocabulary and
-    normalizers, and the validation and test splits of `manifest` under the
-    checkpoint's seed."""
+    """The model a checkpoint holds, built from its stored arrays, with its
+    stored vocabulary and normalizers, and the validation and test splits of
+    `manifest` under the checkpoint's seed."""
     header, arrays = load_checkpoint(checkpoint)
     try:
         cfg = build_section("extra", CheckpointExtra, header.get("extra"))
@@ -244,7 +244,9 @@ def _restore_model(checkpoint, manifest):
     samples = data_mod.load_manifest(manifest)
     _, val_set, test_set = data_mod.split_patients(samples, SplitSpec(seed=cfg.seed))
     tokenizer = Tokenizer.from_tokens(state["vocab"])
-    _, model = _load_arm_model(cfg, tokenizer, cfg.seed)
+    # the trainable weights come from the stored arrays, never drawn; the
+    # frozen ones are drawn from the seed and checked against the digest
+    _, model = _load_arm_model(cfg, tokenizer, cfg.seed, stored=params)
     if _frozen_sha256(tokenizer, model.graph) != state["frozen_sha256"]:
         raise InputError(f"{checkpoint}: the vocabulary and frozen weights rebuilt "
                          f"from the checkpoint do not match its frozen_sha256")
@@ -260,8 +262,11 @@ def _restore_model(checkpoint, manifest):
 
 def _cmd_eval(args):
     model, cfg, _, test_set = _restore_model(args.checkpoint, args.data)
-    _emit(harness.evaluate_model(model, cfg.arm, cfg.seed, test_set).to_json(),
-          args.out)
+    try:
+        report = harness.evaluate_model(model, cfg.arm, cfg.seed, test_set)
+    except metrics.UndefinedMetric as e:  # no label of the split holds both classes
+        raise metrics.UndefinedMetric(f"test split: {e}") from e
+    _emit(report.to_json(), args.out)
     return 0
 
 

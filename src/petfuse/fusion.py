@@ -54,13 +54,12 @@ class FusionPathway:
         def init(shape):
             return rng.normal(0.0, 1.0 / np.sqrt(shape[0]), shape)
 
-        graph.add_param("fusion/vision_proj/w", init((VISION_DIM, d)), trainable=True)
-        graph.add_param("fusion/text_proj/w", init((TEXT_DIM, d)), trainable=True)
+        graph.add_drawn("fusion/vision_proj/w", (VISION_DIM, d), init)
+        graph.add_drawn("fusion/text_proj/w", (TEXT_DIM, d), init)
         for name in ("wq", "wk", "wv"):
-            graph.add_param(f"fusion/attention/{name}", init((d, d)), trainable=True)
-        graph.add_param("fusion/head/w1", init((d, cfg.head_hidden)), trainable=True)
-        graph.add_param("fusion/head/w2", init((cfg.head_hidden, NUM_LABELS)),
-                        trainable=True)
+            graph.add_drawn(f"fusion/attention/{name}", (d, d), init)
+        graph.add_drawn("fusion/head/w1", (d, cfg.head_hidden), init)
+        graph.add_drawn("fusion/head/w2", (cfg.head_hidden, NUM_LABELS), init)
 
     def forward(self, binding, v: ad.Tensor, t: ad.Tensor, training: bool = False,
                 dropout_uniform=None) -> ad.Tensor:

@@ -127,15 +127,16 @@ def vision_matrix(samples) -> np.ndarray:
 
 
 class VisionOnlyModel:
-    """Frozen vision features into a trainable bias-free two-layer ReLU head."""
+    """Frozen vision features into a trainable bias-free two-layer ReLU head,
+    drawn from `seed` unless `stored` (address -> array) holds it."""
 
-    def __init__(self, seed: int = 0):
-        self.graph = ModelGraph()
+    def __init__(self, seed: int = 0, stored: dict[str, np.ndarray] | None = None):
+        self.graph = ModelGraph(stored=stored or {})
         rng = ad.make_rng(seed, "init", "vision_only")
         for name, n_in, n_out in (("head/w1", VISION_DIM, VISION_HIDDEN),
                                   ("head/w2", VISION_HIDDEN, NUM_LABELS)):
-            self.graph.add_param(name, rng.normal(0, 1 / np.sqrt(n_in), (n_in, n_out)),
-                                 trainable=True)
+            self.graph.add_drawn(name, (n_in, n_out),
+                                 lambda shape: rng.normal(0, 1 / np.sqrt(shape[0]), shape))
         self.vision_norm = _Standardizer(VISION_DIM)
         self.normalizers = {"vision": self.vision_norm}
 
@@ -166,15 +167,18 @@ class MultimodalModel:
     A frozen encoder's features are read from and written to `text_store`
     (sample id -> (768,) row); models whose frozen encoders are equal may
     share one. Without a store a frozen model keeps a private one, and a
-    trainable encoder never touches it.
+    trainable encoder never touches it. `stored` (address -> array, from a
+    checkpoint) supplies the trainable weights construction would otherwise
+    draw; the encoder's frozen weights are drawn from `seed` either way.
     """
 
     def __init__(self, fusion_cfg: FusionConfig, tokenizer: Tokenizer,
                  seed: int = 0, policy: str = "frozen",
                  lora_cfg: LoRAConfig | None = None,
                  adapter_cfg: AdapterConfig | None = None,
-                 text_store: dict[str, np.ndarray] | None = None):
-        self.graph = ModelGraph()
+                 text_store: dict[str, np.ndarray] | None = None,
+                 stored: dict[str, np.ndarray] | None = None):
+        self.graph = ModelGraph(stored=stored or {})
         self.text = MiniTextEncoder(self.graph, tokenizer, seed=seed)
         self.fusion = FusionPathway(self.graph, fusion_cfg, seed=seed)
         apply_policy(self.graph, policy, lora_cfg=lora_cfg,
@@ -326,12 +330,13 @@ def read_plan(doc) -> ExperimentPlan:
 def _build_model(arm: ArmSpec, tokenizer, seed: int,
                  lora_cfg: LoRAConfig | None = None,
                  adapter_cfg: AdapterConfig | None = None,
-                 text_store: dict[str, np.ndarray] | None = None):
+                 text_store: dict[str, np.ndarray] | None = None,
+                 stored: dict[str, np.ndarray] | None = None):
     if arm.kind == "vision_only":
-        return VisionOnlyModel(seed=seed)
+        return VisionOnlyModel(seed=seed, stored=stored)
     return MultimodalModel(arm.fusion, tokenizer, seed=seed, policy=arm.policy,
                            lora_cfg=lora_cfg, adapter_cfg=adapter_cfg,
-                           text_store=text_store)
+                           text_store=text_store, stored=stored)
 
 
 def predict_logits(model, samples) -> np.ndarray:

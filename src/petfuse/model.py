@@ -4,6 +4,10 @@ Every weight lives at a slash-separated address ("fusion/attention/wq").
 Tuning policies (pet.py) pick their targets by address and attach new
 parameters under the addresses they extend. Binding a graph produces fresh
 Tensors for one forward pass; only a training pass records a tape.
+
+A graph built to restore a checkpoint holds the stored arrays in `stored`;
+each trainable parameter that construction would draw at random is then
+taken from its stored array instead (`add_drawn`).
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ class ModelGraph:
     params: dict[str, Param] = field(default_factory=dict)
     # alpha / rank of the attached LoRA factors, set by pet.apply_policy
     lora_scale: float = 0.0
+    # address -> array that add_drawn takes in place of a draw
+    stored: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def add_param(self, name: str, data: np.ndarray, trainable: bool = False) -> Param:
         if name in self.params:
@@ -37,6 +43,21 @@ class ModelGraph:
         p = Param(name, np.asarray(data, dtype=np.float64), trainable)
         self.params[name] = p
         return p
+
+    def add_drawn(self, name: str, shape: tuple[int, ...], draw) -> Param:
+        """Add a trainable parameter of `shape` at `name`: the array stored
+        there, if any, else `draw(shape)`. A stored array is used as it is,
+        never drawn, so a stream whose every draw is stored draws nothing;
+        one that had only some stored would draw the rest at other offsets
+        than `train` did, but `load_state` refuses a state missing any.
+        InputError, naming the address, for a stored array of another shape."""
+        arr = self.stored.get(name)
+        if arr is None:
+            return self.add_param(name, draw(shape), trainable=True)
+        if arr.shape != shape:
+            raise InputError(f"stored array {name} has shape {arr.shape}, "
+                             f"the model's is {shape}")
+        return self.add_param(name, arr, trainable=True)
 
     def trainable(self) -> list[Param]:
         return [p for p in self.params.values() if p.trainable]
@@ -55,9 +76,10 @@ class ModelGraph:
 
     def load_state(self, state: dict[str, np.ndarray]):
         """Overwrite every trainable parameter in place, so a parameter that
-        is a view into an optimizer's arena stays one. `state` must name
-        exactly the trainable parameters, each in its own shape; nothing is
-        loaded otherwise."""
+        is a view into an optimizer's arena stays one; a parameter that is
+        its state array already (`add_drawn`) is left as it is. `state` must
+        name exactly the trainable parameters, each in its own shape; nothing
+        is loaded otherwise."""
         trainable = {p.name for p in self.trainable()}
         unknown, missing = sorted(set(state) - trainable), sorted(trainable - set(state))
         if unknown or missing:
@@ -68,4 +90,5 @@ class ModelGraph:
                 raise InputError(f"state shape {np.shape(arr)} for {n} does not fit "
                                  f"{self.params[n].data.shape}")
         for n, arr in state.items():
-            self.params[n].data[...] = arr
+            if self.params[n].data is not arr:
+                self.params[n].data[...] = arr

@@ -112,11 +112,11 @@ def apply_policy(graph: ModelGraph, policy: str,
         if cfg.rank > width:
             raise PolicyError(f"lora rank {cfg.rank} exceeds the projection width {width}")
         graph.lora_scale = cfg.scale
+        limit = 1.0 / math.sqrt(cfg.rank)
         for addr in targets:
             n_in, n_out = graph.params[addr].data.shape
-            limit = 1.0 / math.sqrt(cfg.rank)
-            graph.add_param(f"{addr}/lora_a",
-                            rng.uniform(-limit, limit, (n_in, cfg.rank)), trainable=True)
+            graph.add_drawn(f"{addr}/lora_a", (n_in, cfg.rank),
+                            lambda shape: rng.uniform(-limit, limit, shape))
             graph.add_param(f"{addr}/lora_b", np.zeros((cfg.rank, n_out)), trainable=True)
         return graph
 
@@ -133,8 +133,8 @@ def apply_policy(graph: ModelGraph, policy: str,
         slot = wq[:-len("/attn/wq")] + "/adapter"
         width = graph.params[wq].data.shape[0]
         k = cfg.bottleneck
-        graph.add_param(f"{slot}/down_w", rng.normal(0, 1.0 / math.sqrt(width), (width, k)),
-                        trainable=True)
+        graph.add_drawn(f"{slot}/down_w", (width, k),
+                        lambda shape: rng.normal(0, 1.0 / math.sqrt(shape[0]), shape))
         graph.add_param(f"{slot}/down_b", np.zeros(k), trainable=True)
         graph.add_param(f"{slot}/up_w", np.zeros((k, width)), trainable=True)
         graph.add_param(f"{slot}/up_b", np.zeros(width), trainable=True)

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, InputError, numeric_guard
+from .metrics import UndefinedMetric
 from .model import ModelGraph
 
 CHECKPOINT_MAGIC = b"PFCKPT01"
@@ -337,7 +338,10 @@ def train_loop(model, train_samples, val_samples, cfg: TrainConfig) -> TrainResu
             opt.step(lr_t)
             step += 1
 
-        val_auroc = float(model.validation_auroc(val_samples))
+        try:
+            val_auroc = float(model.validation_auroc(val_samples))
+        except UndefinedMetric as e:  # no label of the split holds both classes
+            raise UndefinedMetric(f"validation split: {e}") from e
         history.append((epoch, float(np.mean(epoch_losses)), val_auroc,
                         lr_schedule(step - 1, total_steps, warmup_steps, cfg.lr),
                         time.perf_counter() - t0))

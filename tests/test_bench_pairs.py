@@ -1,7 +1,7 @@
-"""scripts/bench_pairs: `compare` and `failure_shares` on hand-made runs
-(when a gain is claimable, when a metric stays within its bound, when the
-change's share of failed operations is no larger), and the fresh copy each
-side runs from."""
+"""scripts/bench_pairs: `compare`, `failure_shares` and `phase_summaries` on
+hand-made runs (when a gain is claimable, when a metric stays within its
+bound, when the change's share of failed operations is no larger, each
+side's quartiles of a phase), and the fresh copy each side runs from."""
 
 import importlib.util
 import subprocess
@@ -120,3 +120,27 @@ def test_each_sides_commit_is_read_from_its_checkout(tmp_path):
                           capture_output=True, text=True, check=True).stdout.strip()
     assert bench_pairs.head_commit(src) == head
     assert bench_pairs.head_commit(bench_pairs.fresh_copy(src, tmp_path / "copy")) is None
+
+
+def _phased(*phases):
+    """Hand-made runs, one {phase: floor seconds} dict each."""
+    return [{"phases": p} for p in phases]
+
+
+def test_phase_summaries_give_each_sides_median_and_quartiles_per_phase():
+    parent = _phased(*({"train": 0.5, "eval": e} for e in (0.20, 0.22, 0.24, 0.26, 0.30)))
+    change = _phased(*({"train": 0.5, "eval": e} for e in (0.14, 0.15, 0.16, 0.17, 0.18)))
+    s = bench_pairs.phase_summaries(parent, change)
+    assert list(s) == ["train", "eval"]
+    assert s["train"]["parent"]["median"] == s["train"]["change"]["median"] == 0.5
+    assert s["eval"]["parent"]["median"] == pytest.approx(0.24)
+    assert (s["eval"]["parent"]["q1"], s["eval"]["parent"]["q3"]) == pytest.approx(
+        (0.22, 0.26))
+    assert s["eval"]["change"]["median"] == pytest.approx(0.16)
+    assert s["eval"]["change"]["runs"] == [0.14, 0.15, 0.16, 0.17, 0.18]
+
+
+def test_a_phase_missing_from_any_run_is_left_out():
+    parent = _phased({"train": 0.5, "eval": 0.2}, {"train": 0.6, "eval": 0.3})
+    change = _phased({"train": 0.5, "eval": 0.2}, {"train": 0.6})
+    assert list(bench_pairs.phase_summaries(parent, change)) == ["train"]

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import petfuse
+from petfuse import autodiff as ad
 from petfuse import harness
 from petfuse.cli import main
 from petfuse.data import (LABELS, SplitSpec, generate_synthetic, load_manifest,
@@ -383,6 +384,59 @@ def test_checkpoint_carries_vocab_and_normalizers(trained, capsys, tmp_path):
         == _eval_and_calibrate(capsys, ckpt, data)
 
 
+class _DrawLog:
+    """Stands in for `autodiff.make_rng`: each generator it makes records
+    its stream's names in `drawn` when asked for a draw."""
+
+    def __init__(self, make_rng):
+        self.make_rng = make_rng
+        self.drawn = set()
+
+    def __call__(self, seed, *stream):
+        return _LoggedRng(self.make_rng(seed, *stream), stream, self.drawn)
+
+
+class _LoggedRng:
+    def __init__(self, rng, stream, drawn):
+        self._rng, self._stream, self._drawn = rng, stream, drawn
+
+    def __getattr__(self, name):
+        self._drawn.add(self._stream)
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("arm, policy, streams", [
+    ("vision_only", "frozen", {("split",)}),
+    ("full_pet", "lora", {("split",), ("init", "text_encoder")}),
+    ("full_pet", "adapter", {("split",), ("init", "text_encoder")}),
+])
+def test_a_restore_draws_nothing_the_checkpoint_holds(arm, policy, streams, trained,
+                                                      capsys, tmp_path, monkeypatch):
+    """eval and calibrate build the model from the stored arrays: no stream
+    draws but the manifest's split and the frozen encoder's weights, which
+    the checkpoint does not store. What they print is what a model drawn
+    from the seed and then overwritten by load_state prints."""
+    _, data, _, _ = trained
+    cfg, out = tmp_path / "cfg.json", tmp_path / "run"
+    cfg.write_text(json.dumps({
+        "arm": arm, "policy": policy,
+        **({"fusion": {"shared_dim": 32, "head_hidden": 16}} if arm == "full_pet" else {}),
+        "train": {"batch": 16, "accumulation": 1, "max_epochs": 1}}))
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    log = _DrawLog(ad.make_rng)
+    with monkeypatch.context() as m:
+        m.setattr(ad, "make_rng", log)
+        restored = _eval_and_calibrate(capsys, out / "checkpoint.bin", data)
+    assert log.drawn == streams
+
+    build = harness._build_model
+    monkeypatch.setattr(harness, "_build_model",
+                        lambda *args, stored=None, **kwargs: build(*args, **kwargs))
+    assert _eval_and_calibrate(capsys, out / "checkpoint.bin", data) == restored
+
+
 def _arm_without_kind(tmp_path, data, run_dir):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"arms": [{"seeds": [0]}]}))
@@ -433,6 +487,26 @@ def _duplicate_id(tmp_path, data, run_dir):
     manifest = tmp_path / "dup.jsonl"
     manifest.write_text("".join(lines) + lines[0])
     return ["train", "--data", manifest, "--out", tmp_path / "run"]
+
+
+def _all_labels_negative(command):
+    """`command` on the fixture's manifest with every label 0, so that no
+    label of any split holds both classes."""
+    def make_argv(tmp_path, data, run_dir):
+        samples = load_manifest(data)
+        for s in samples:
+            s.labels = [0] * len(LABELS)
+        manifest = tmp_path / "negative.jsonl"
+        save_manifest(manifest, samples)
+        if command == "train":
+            return ["train", "--data", manifest, "--out", tmp_path / "run"]
+        if command == "attribute":
+            plan = tmp_path / "plan.json"
+            plan.write_text(json.dumps({"arms": [{"kind": "vision_only"}]}))
+            return ["attribute", "--plan", plan, "--data", manifest,
+                    "--out", tmp_path / "res"]
+        return [command, "--checkpoint", run_dir / "checkpoint.bin", "--data", manifest]
+    return make_argv
 
 
 def _four_patients(tmp_path, data, run_dir):
@@ -583,6 +657,15 @@ def _set(doc, key, value):
     doc[key] = value
 
 
+def _transposed(name):
+    """Swap the dims a checkpoint header lists for the array at `name`, so its
+    element count, and the file's size, stay those of the stored array."""
+    def edit(header):
+        meta = next(m for m in header["arrays"] if m["name"] == f"param/{name}")
+        meta["shape"].reverse()
+    return edit
+
+
 def _swap_tokens(state):
     """Swap the first two tokens after the specials."""
     vocab, i = state["vocab"], len(SPECIALS)
@@ -621,8 +704,18 @@ def _trailing_bytes(tmp_path, data, run_dir):
     pytest.param(_gen_data("--leak-prob", "1.5"), id="gen_data_leak_prob_above_1"),
     pytest.param(_gen_data("--leak-prob", "nan"), id="gen_data_leak_prob_nan"),
     pytest.param(_gen_data("--leak-prob", "-1"), id="gen_data_leak_prob_negative"),
-    _truncated_checkpoint, _checkpoint_cut_in_header, _duplicate_id, _four_patients,
+    _truncated_checkpoint, _checkpoint_cut_in_header, _duplicate_id,
+    _says("validation split: macro average over zero valid labels", _four_patients),
     _audit_three_patients,
+    # no label of the split that is scored holds both classes
+    pytest.param(_says("error: validation split: macro average over zero valid labels",
+                       _all_labels_negative("train")), id="train_labels_all_negative"),
+    pytest.param(_says("first vision_only/seed0: UndefinedMetric: validation split: "
+                       "macro average over zero valid labels",
+                       _all_labels_negative("attribute")),
+                 id="attribute_labels_all_negative"),
+    pytest.param(_says("error: test split: macro average over zero valid labels",
+                       _all_labels_negative("eval")), id="eval_labels_all_negative"),
     pytest.param(_without_vision("train"), id="train_without_vision"),
     pytest.param(_without_vision("attribute"), id="attribute_without_vision"),
     pytest.param(_non_finite_feature("train", float("nan")), id="train_nan_feature"),
@@ -769,6 +862,15 @@ def _trailing_bytes(tmp_path, data, run_dir):
                  id="eval_shape_mismatch"),
     pytest.param(_checkpoint_header("calibrate", fusion={"head_hidden": 8}),
                  id="calibrate_shape_mismatch"),
+    # an array of the size its header claims, but transposed
+    pytest.param(_says("error: stored array fusion/head/w2 has shape (14, 16), the "
+                       "model's is (16, 14)",
+                       _rewritten_checkpoint("eval", _transposed("fusion/head/w2"))),
+                 id="eval_fusion_array_transposed"),
+    pytest.param(_says("stored array fusion/vision_proj/w has shape (32, 2048)",
+                       _rewritten_checkpoint("calibrate",
+                                             _transposed("fusion/vision_proj/w"))),
+                 id="calibrate_fusion_array_transposed"),
     pytest.param(_checkpoint_header("eval", fusion=[32]), id="eval_fusion_not_object"),
     pytest.param(_checkpoint_header("eval", seed="0"), id="eval_seed_str"),
     pytest.param(_checkpoint_header("eval", lora={"alpha": 10**400}),

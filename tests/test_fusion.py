@@ -3,7 +3,7 @@ import pytest
 from conftest import grad_check
 
 from petfuse import autodiff as ad
-from petfuse.errors import ShapeError
+from petfuse.errors import InputError, ShapeError
 from petfuse.fusion import FusionConfig, FusionPathway
 from petfuse.model import ModelGraph
 from petfuse.pet import count_params
@@ -110,3 +110,24 @@ def test_fusion_gradients_match_finite_differences():
             num = (up - down) / 2e-5
             worst = max(worst, abs(num - ana[i]) / max(1.0, abs(num), abs(ana[i])))
     assert worst < 1e-4
+
+
+def test_a_pathway_built_from_stored_arrays_takes_them_as_they_are():
+    """Each stored weight is the parameter itself, not a copy of it; a
+    load_state of the same arrays leaves them alone, so even read-only ones
+    load."""
+    drawn = FusionPathway(ModelGraph(), small_cfg(), seed=3).graph
+    stored = {name: p.data.copy() for name, p in drawn.params.items()}
+    for arr in stored.values():
+        arr.flags.writeable = False
+    graph = FusionPathway(ModelGraph(stored=stored), small_cfg(), seed=99).graph
+    assert all(graph.params[name].data is arr for name, arr in stored.items())
+    graph.load_state(stored)
+    assert all(graph.params[name].data is arr for name, arr in stored.items())
+
+
+def test_a_stored_array_of_another_shape_is_refused_by_address():
+    stored = {"fusion/head/w1": np.zeros((4, 6))}  # small_cfg's head/w1 is (6, 4)
+    with pytest.raises(InputError, match=r"^stored array fusion/head/w1 has shape "
+                                         r"\(4, 6\), the model's is \(6, 4\)$"):
+        FusionPathway(ModelGraph(stored=stored), small_cfg())
