@@ -867,10 +867,6 @@ def _trailing_bytes(tmp_path, data, run_dir):
                        "model's is (16, 14)",
                        _rewritten_checkpoint("eval", _transposed("fusion/head/w2"))),
                  id="eval_fusion_array_transposed"),
-    pytest.param(_says("stored array fusion/vision_proj/w has shape (32, 2048)",
-                       _rewritten_checkpoint("calibrate",
-                                             _transposed("fusion/vision_proj/w"))),
-                 id="calibrate_fusion_array_transposed"),
     pytest.param(_checkpoint_header("eval", fusion=[32]), id="eval_fusion_not_object"),
     pytest.param(_checkpoint_header("eval", seed="0"), id="eval_seed_str"),
     pytest.param(_checkpoint_header("eval", lora={"alpha": 10**400}),
