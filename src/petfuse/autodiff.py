@@ -226,12 +226,6 @@ def _add_grad(r: _Record, g: np.ndarray):
         r.grad = r.grad + g
 
 
-def _accum(t: Tensor, g: np.ndarray):
-    """Add g to t's gradient; a constant takes none."""
-    if t._record is not None:
-        _add_grad(t._record, g)
-
-
 def _add_matmul(r: _Record, x: np.ndarray, y: np.ndarray):
     """_add_grad(r, x @ y), with the product formed in r's sink on its first
     write."""

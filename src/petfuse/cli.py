@@ -155,7 +155,8 @@ def _cmd_audit(args):
 
 @dataclass
 class CheckpointExtra:
-    """A checkpoint header's `extra`: the run `train` saved."""
+    """A checkpoint header's `extra`: the run `train` saved, and the SHA-256
+    of the manifest it trained on."""
     arm: str
     policy: str
     seed: int
@@ -164,6 +165,7 @@ class CheckpointExtra:
     adapter: AdapterConfig
     best_epoch: int
     best_val_auroc: float
+    manifest_sha256: str
 
 
 def _load_arm_model(cfg, tokenizer, seed, stored=None):
@@ -176,7 +178,8 @@ def _load_arm_model(cfg, tokenizer, seed, stored=None):
 
 def _cmd_train(args):
     cfg = load_config(args.config)
-    samples = data_mod.load_manifest(args.data)
+    digest = hashlib.sha256()
+    samples = data_mod.load_manifest(args.data, digest)
     train_set, val_set, _ = data_mod.split_patients(samples, SplitSpec(seed=cfg.train.seed))
     tokenizer = Tokenizer.build([s.text for s in train_set])
     arm, model = _load_arm_model(cfg, tokenizer, cfg.train.seed)
@@ -185,7 +188,8 @@ def _cmd_train(args):
     result = train_loop(model, train_set, val_set, cfg.train)
     result.write_history_csv(out / "history.csv")
     extra = CheckpointExtra(arm.kind, arm.policy, cfg.train.seed, arm.fusion, cfg.lora,
-                            cfg.adapter, result.best_epoch, result.best_val_auroc)
+                            cfg.adapter, result.best_epoch, result.best_val_auroc,
+                            digest.hexdigest())
     save_checkpoint(out / "checkpoint.bin", model.graph, header_extra=asdict(extra),
                     state={"vocab": tokenizer.tokens(),
                            "normalizers": {name: norm.state() for name, norm
@@ -225,10 +229,13 @@ def _check_claimed_sizes(path, cfg, params):
                              f"{claimed}, which its arrays do not hold")
 
 
-def _restore_model(checkpoint, manifest):
+def _restore_model(checkpoint, manifest, scored):
     """The model a checkpoint holds, built from its stored arrays, with its
     stored vocabulary and normalizers, and the validation and test splits of
-    `manifest` under the checkpoint's seed."""
+    `manifest` under the checkpoint's seed. Only the splits indexed in
+    `scored` (1 validation, 2 test) surely carry vision features: when
+    `manifest` is the one the checkpoint trained on, the others' are not
+    read."""
     header, arrays = load_checkpoint(checkpoint)
     try:
         cfg = build_section("extra", CheckpointExtra, header.get("extra"))
@@ -241,8 +248,8 @@ def _restore_model(checkpoint, manifest):
                          f"with vocab, normalizers and a frozen_sha256 string")
     params = {k[len("param/"):]: v for k, v in arrays.items() if k.startswith("param/")}
     _check_claimed_sizes(checkpoint, cfg, params)
-    samples = data_mod.load_manifest(manifest)
-    _, val_set, test_set = data_mod.split_patients(samples, SplitSpec(seed=cfg.seed))
+    _, val_set, test_set = data_mod.load_splits(manifest, SplitSpec(seed=cfg.seed),
+                                                cfg.manifest_sha256, scored)
     tokenizer = Tokenizer.from_tokens(state["vocab"])
     # the trainable weights come from the stored arrays, never drawn; the
     # frozen ones are drawn from the seed and checked against the digest
@@ -261,7 +268,7 @@ def _restore_model(checkpoint, manifest):
 
 
 def _cmd_eval(args):
-    model, cfg, _, test_set = _restore_model(args.checkpoint, args.data)
+    model, cfg, _, test_set = _restore_model(args.checkpoint, args.data, scored=(2,))
     try:
         report = harness.evaluate_model(model, cfg.arm, cfg.seed, test_set)
     except metrics.UndefinedMetric as e:  # no label of the split holds both classes
@@ -271,7 +278,8 @@ def _cmd_eval(args):
 
 
 def _cmd_calibrate(args):
-    model, _, val_set, test_set = _restore_model(args.checkpoint, args.data)
+    model, _, val_set, test_set = _restore_model(args.checkpoint, args.data,
+                                                 scored=(1, 2))
     val_logits = harness.predict_logits(model, val_set)
     test_logits = harness.predict_logits(model, test_set)
     y_test = label_matrix(test_set)

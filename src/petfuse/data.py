@@ -9,6 +9,8 @@ values. A line is written as json.dumps(record, sort_keys=True) writes it.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -265,56 +267,135 @@ def _vision_floats(feats) -> np.ndarray | None:
     return arr if np.isfinite(arr).all() else None
 
 
-def load_manifest(path) -> list[Sample]:
-    """Samples of a JSONL manifest; every line is checked, and sample ids
-    must be unique (models cache frozen text features by id)."""
+def _sample(path, lineno: int, rec) -> Sample:
+    """The sample of the JSON value `rec` read from manifest line `lineno`;
+    ParseError unless it is an object holding exactly the manifest's fields,
+    each valid."""
+    if not isinstance(rec, dict):
+        raise ParseError(f"{path}:{lineno}: a sample must be a JSON object")
+    for key in _REQUIRED:
+        if key not in rec:
+            raise ParseError(f"{path}:{lineno}: missing field {key!r}")
+    unknown = set(rec) - set(_REQUIRED) - set(_OPTIONAL)
+    if unknown:
+        raise ParseError(f"{path}:{lineno}: unknown fields {sorted(unknown)}")
+    labels = rec["labels"]
+    if (not isinstance(labels, list) or len(labels) != NUM_LABELS
+            or any(v not in (0, 1) for v in labels)):
+        raise ParseError(f"{path}:{lineno}: labels must be {NUM_LABELS} binary values")
+    if not isinstance(rec["text"], str):
+        raise ParseError(f"{path}:{lineno}: text must be a string")
+    if not rec["patient_id"]:
+        raise ParseError(f"{path}:{lineno}: empty patient_id")
+    feats = rec.get("vision_features")
+    if feats is not None:
+        feats = _vision_floats(feats)
+        if feats is None:
+            raise ParseError(
+                f"{path}:{lineno}: vision_features must be {VISION_DIM} finite numbers")
+    return Sample(str(rec["id"]), str(rec["patient_id"]), rec["text"],
+                  [int(v) for v in labels], feats)
+
+
+def _parse_line(path, lineno: int, raw: bytes) -> Sample | None:
+    """The sample on manifest line `lineno`, whose bytes are `raw`; None for
+    a blank line."""
+    try:
+        line = raw.decode("utf-8").strip()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}:{lineno}: not UTF-8 ({e.reason})") from e
+    if not line:
+        return None
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+    return _sample(path, lineno, rec)
+
+
+def _samples(path, lines, parse=_parse_line) -> list[Sample]:
+    """The samples of a manifest's lines (bytes, as iterating its file in
+    binary mode yields them), each read by `parse(path, lineno, raw)`;
+    sample ids must be unique (models cache frozen text features by id)."""
     samples = []
     id_line: dict[str, int] = {}
-    with open(path, "rb") as f:
-        for lineno, raw in enumerate(f, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as e:
-                raise ParseError(f"{path}:{lineno}: not UTF-8 ({e.reason})") from e
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
-            if not isinstance(rec, dict):
-                raise ParseError(f"{path}:{lineno}: a sample must be a JSON object")
-            for key in _REQUIRED:
-                if key not in rec:
-                    raise ParseError(f"{path}:{lineno}: missing field {key!r}")
-            unknown = set(rec) - set(_REQUIRED) - set(_OPTIONAL)
-            if unknown:
-                raise ParseError(f"{path}:{lineno}: unknown fields {sorted(unknown)}")
-            labels = rec["labels"]
-            if (not isinstance(labels, list) or len(labels) != NUM_LABELS
-                    or any(v not in (0, 1) for v in labels)):
-                raise ParseError(
-                    f"{path}:{lineno}: labels must be {NUM_LABELS} binary values")
-            if not isinstance(rec["text"], str):
-                raise ParseError(f"{path}:{lineno}: text must be a string")
-            if not rec["patient_id"]:
-                raise ParseError(f"{path}:{lineno}: empty patient_id")
-            feats = rec.get("vision_features")
-            if feats is not None:
-                feats = _vision_floats(feats)
-                if feats is None:
-                    raise ParseError(
-                        f"{path}:{lineno}: vision_features must be {VISION_DIM} "
-                        "finite numbers")
-            sid = str(rec["id"])
-            if sid in id_line:
-                raise ParseError(f"{path}:{lineno}: duplicate sample id {sid!r} "
-                                 f"(first on line {id_line[sid]})")
-            id_line[sid] = lineno
-            samples.append(Sample(sid, str(rec["patient_id"]),
-                                  rec["text"], [int(v) for v in labels],
-                                  feats))
+    for lineno, raw in enumerate(lines, start=1):
+        sample = parse(path, lineno, raw)
+        if sample is None:
+            continue
+        if sample.id in id_line:
+            raise ParseError(f"{path}:{lineno}: duplicate sample id {sample.id!r} "
+                             f"(first on line {id_line[sample.id]})")
+        id_line[sample.id] = lineno
+        samples.append(sample)
     return samples
+
+
+def _hashed(lines, digest):
+    """`lines`, each passed to `digest.update` as it is read."""
+    for raw in lines:
+        digest.update(raw)
+        yield raw
+
+
+def load_manifest(path, digest=None) -> list[Sample]:
+    """Samples of a JSONL manifest; every line is checked, and sample ids
+    must be unique. `digest`, a hashlib object, is updated with every byte
+    of the file."""
+    with open(path, "rb") as f:
+        return _samples(path, f if digest is None else _hashed(f, digest))
+
+
+_FEATURES_KEY = b', "vision_features": ['
+
+
+def _head(raw: bytes) -> dict | None:
+    """A manifest line's JSON object without its vision_features, read from
+    the bytes before `, "vision_features": [`; None unless the line ends in
+    `]}`, no '"' follows that key, and those bytes closed by "}" are an
+    object without vision_features, which makes that key its last one."""
+    line = raw.rstrip()
+    at = line.find(_FEATURES_KEY)
+    if at < 0 or not line.endswith(b"]}") or line.find(b'"', at + len(_FEATURES_KEY)) >= 0:
+        return None
+    try:
+        rec = json.loads(line[:at].decode("utf-8") + "}")
+    except ValueError:  # the key sat inside a nested value, or not UTF-8
+        return None
+    return rec if isinstance(rec, dict) and "vision_features" not in rec else None
+
+
+def load_splits(path, spec: SplitSpec, sha256: str, scored):
+    """split_patients(load_manifest(path), spec), with vision features read
+    only for the splits indexed in `scored` (0 train, 1 validation, 2 test)
+    when the file is the manifest whose SHA-256 is `sha256`.
+
+    That digest is one that load_manifest took of a manifest it read whole
+    and accepted, so on a match each line that has a head (`_head`) is
+    checked from its head alone, and its sample keeps no vision_features
+    unless its split is scored; a scored one is read again from its whole
+    line. Any other line, and every line of a file with another digest, is
+    read as load_manifest reads it.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    if hashlib.sha256(data).hexdigest() != sha256:
+        return split_patients(_samples(path, io.BytesIO(data)), spec)
+    whole = {}  # sample id -> (line number, bytes) of each line read from its head
+
+    def parse(path, lineno, raw):
+        rec = _head(raw)
+        if rec is None:
+            return _parse_line(path, lineno, raw)
+        sample = _sample(path, lineno, rec)
+        whole[sample.id] = (lineno, raw)
+        return sample
+
+    splits = split_patients(_samples(path, io.BytesIO(data), parse), spec)
+    for i in scored:
+        splits[i][:] = [_parse_line(path, *whole[s.id]) if s.id in whole else s
+                        for s in splits[i]]
+    return splits
 
 
 # repr(k / 1e6) for 1 <= k < 100, which repr writes with an exponent: one

@@ -268,6 +268,10 @@ def load_checkpoint(path):
 
 @dataclass
 class TrainResult:
+    """What `train_loop` leaves. `best_state` maps each trainable parameter
+    to its values at the best epoch: a copy when a later epoch ran, a view
+    of the optimizer's live arena when the best epoch was the last one run,
+    and empty when no epoch improved on the start."""
     history: list  # (epoch, train_loss, val_auroc, lr, seconds)
     best_epoch: int
     best_val_auroc: float
@@ -348,17 +352,20 @@ def train_loop(model, train_samples, val_samples, cfg: TrainConfig) -> TrainResu
 
         if val_auroc > best_val:
             best_val, best_epoch, since_improve = val_auroc, epoch, 0
-            if best_flat is None:
-                best_flat = opt.flat.copy()
-            else:
-                np.copyto(best_flat, opt.flat)
+            if epoch < cfg.max_epochs:  # the last epoch's parameters stay live
+                if best_flat is None:
+                    best_flat = opt.flat.copy()
+                else:
+                    np.copyto(best_flat, opt.flat)
         else:
             since_improve += 1
             if since_improve >= cfg.patience:
                 break
 
     best_state = {}
-    if best_flat is not None:
+    if best_epoch == epoch:  # the last epoch run is the best: nothing to restore
+        best_state = opt.views(opt.flat)
+    elif best_flat is not None:
         best_state = opt.views(best_flat)
         graph.load_state(best_state)
     return TrainResult(history, best_epoch, best_val, best_state)

@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 
-from petfuse.autodiff import Tensor, _accum, as_tensor, matmul, mul
+from petfuse.autodiff import Tensor, _add_grad, as_tensor, matmul, mul
 from petfuse.errors import NumericError, ShapeError
 from petfuse.metrics import macro_auroc
 from petfuse.redaction import (_NUM_RE, _TOKEN_RE, MASKS, Lexicon, RedactedReport,
@@ -75,6 +75,12 @@ def hand_stepped_auprc(scores, labels):
         ap += (recall - prev_recall) * precision
         prev_recall = recall
     return ap
+
+
+def _accum(t: Tensor, g: np.ndarray):
+    """Add g to t's gradient; a constant takes none."""
+    if t._record is not None:
+        _add_grad(t._record, g)
 
 
 def transpose(x) -> Tensor:

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: exit codes, artifacts, determinism."""
 
+import hashlib
 import json
 import os
 import struct
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import petfuse
 from petfuse import autodiff as ad
+from petfuse import data as data_mod
 from petfuse import harness
 from petfuse.cli import main
 from petfuse.data import (LABELS, SplitSpec, generate_synthetic, load_manifest,
@@ -254,9 +256,10 @@ def trained(tmp_path_factory):
 
 
 def test_train_artifacts(trained, capsys):
-    _, _, _, out = trained
+    _, data, _, out = trained
     capsys.readouterr()
-    assert (out / "checkpoint.bin").exists()
+    header, _ = load_checkpoint(out / "checkpoint.bin")
+    assert header["extra"]["manifest_sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
     assert (out / "history.csv").exists()
     echoed = json.loads((out / "config.echo.json").read_text())
     assert echoed["fusion"]["shared_dim"] == 32
@@ -435,6 +438,46 @@ def test_a_restore_draws_nothing_the_checkpoint_holds(arm, policy, streams, trai
     monkeypatch.setattr(harness, "_build_model",
                         lambda *args, stored=None, **kwargs: build(*args, **kwargs))
     assert _eval_and_calibrate(capsys, out / "checkpoint.bin", data) == restored
+
+
+class _CountingParser:
+    """Stands in for `data._vision_floats`, the parser of one row's vision
+    features, and counts its calls."""
+
+    def __init__(self, parse):
+        self.parse, self.calls = parse, 0
+
+    def __call__(self, feats):
+        self.calls += 1
+        return self.parse(feats)
+
+
+@pytest.mark.parametrize("command, scored", [("eval", (2,)), ("calibrate", (1, 2))])
+def test_a_restore_parses_features_only_of_the_rows_it_scores(command, scored, trained,
+                                                              capsys, tmp_path, monkeypatch):
+    """On the manifest the checkpoint trained on, eval parses the features of
+    test rows only and calibrate those of validation and test rows. The same
+    manifest with a blank line appended has another digest: every row is
+    parsed, and what the command prints is the same."""
+    _, data, _, run_dir = trained
+    ckpt = run_dir / "checkpoint.bin"
+    header, _ = load_checkpoint(ckpt)
+    splits = split_patients(load_manifest(data), SplitSpec(seed=header["extra"]["seed"]))
+    appended = tmp_path / "appended.jsonl"
+    appended.write_bytes(data.read_bytes() + b"\n")
+    capsys.readouterr()
+    printed = []
+    for manifest, parsed in ((data, sum(len(splits[i]) for i in scored)),
+                             (appended, sum(map(len, splits)))):
+        counter = _CountingParser(data_mod._vision_floats)
+        with monkeypatch.context() as m:
+            m.setattr(data_mod, "_vision_floats", counter)
+            code, out, err = run(capsys, command, "--checkpoint", str(ckpt),
+                                 "--data", str(manifest))
+        assert (code, err) == (0, "")
+        assert counter.calls == parsed
+        printed.append(out)
+    assert printed[0] == printed[1]
 
 
 def _arm_without_kind(tmp_path, data, run_dir):
@@ -897,6 +940,13 @@ def _trailing_bytes(tmp_path, data, run_dir):
                        _rewritten_checkpoint("calibrate",
                                              lambda h: h["extra"].pop("best_epoch"))),
                  id="header_without_best_epoch"),
+    # a header written before train recorded the manifest's digest
+    pytest.param(_says("checkpoint header: missing extra keys: ['manifest_sha256']",
+                       _rewritten_checkpoint("eval",
+                                             lambda h: h["extra"].pop("manifest_sha256"))),
+                 id="header_without_manifest_sha256"),
+    pytest.param(_checkpoint_header("calibrate", manifest_sha256=None),
+                 id="header_manifest_sha256_null"),
     _trailing_bytes,
     # the container's version: only 2 is read
     pytest.param(_rewritten_checkpoint("eval", _version_1), id="version_1"),

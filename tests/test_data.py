@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from petfuse.cli import main
 from petfuse.data import (DEFAULT_PREVALENCE, LABELS, Sample, SplitSpec,
                           _round6, _six_decimal_json, generate_synthetic,
-                          label_matrix, load_manifest, save_manifest, split_patients)
+                          label_matrix, load_manifest, load_splits, save_manifest,
+                          split_patients)
 from petfuse.errors import ConfigError, ParseError
 
 
@@ -369,6 +370,59 @@ def test_loaded_manifest_saves_back_byte_for_byte(tmp_path):
     assert main(["gen-data", "--patients", "12", "--seed", "9", "--out", str(path)]) == 0
     save_manifest(again, load_manifest(path))
     assert again.read_bytes() == path.read_bytes()
+
+
+def _rows_without_a_head():
+    """Manifest lines that load_manifest accepts but whose features no head
+    (the bytes before `, "vision_features": [`) can stand for, each with
+    its own patient."""
+    base = {"labels": [1] + [0] * (len(LABELS) - 1), "text": "Normal study."}
+    feats = [0.25] * 2048
+    sorted_row = json.dumps(dict(base, id="dup", patient_id="q3", vision_features=feats),
+                            sort_keys=True)
+    return [
+        json.dumps(dict(base, id="nofeat", patient_id="q0")),
+        # the features are not the last key
+        json.dumps(dict(base, vision_features=feats, id="early", patient_id="q1")),
+        # the first such key sits in a nested value that ends the line
+        json.dumps(dict(base, patient_id="q2", id=[{"a": 1, "vision_features": [1]}])),
+        # a key given twice: json keeps the last value
+        '{"vision_features": null, ' + sorted_row[1:],
+    ]
+
+
+@pytest.mark.parametrize("scored", [(0, 1, 2), (1, 2), (2,)])
+def test_load_splits_reads_only_the_scored_features_of_a_vouched_manifest(tmp_path,
+                                                                         scored):
+    """With the manifest's digest, load_splits gives split_patients(
+    load_manifest(path)) sample for sample, except that a sample of an
+    unscored split whose line has a head has no features. With another
+    digest it gives exactly that split."""
+    path, spec = tmp_path / "data.jsonl", SplitSpec(seed=3)
+    save_manifest(path, generate_synthetic(n_patients=20, seed=5))
+    with open(path, "a") as f:  # a blank line, and CR and spaces after a head
+        f.write("\n" + "\n".join(_rows_without_a_head()) + "\n")
+    with open(path, "r+b") as f:
+        first = f.readline()
+        rest = f.read()
+        f.seek(0)
+        f.write(first.rstrip(b"\n") + b"  \r\n" + rest)
+    want = split_patients(load_manifest(path), spec)
+    sha = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert [[_fields(s) for s in part] for part in load_splits(path, spec, "0" * 64, scored)] \
+        == [[_fields(s) for s in part] for part in want]
+    got = load_splits(path, spec, sha, scored)
+    unread = set()
+    for w, g in zip(want, got):
+        assert [_fields(s)[:4] for s in g] == [_fields(s)[:4] for s in w]
+        for ws, gs in zip(w, g):
+            if gs.vision_features is None and ws.vision_features is not None:
+                unread.add(gs.id)
+            else:
+                assert _fields(gs) == _fields(ws)
+    # exactly the generated rows (ids s00000_0, ...) of the unscored splits
+    assert unread == {s.id for i in {0, 1, 2} - set(scored) for s in got[i]
+                      if s.id.startswith("s0")}
 
 
 def test_manifest_bytes_deterministic(tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -287,14 +288,18 @@ def _dict_train_loop(model, train_samples, val_samples, cfg):
     return history, best_epoch, clipped
 
 
-def test_train_loop_matches_dict_reference_loop():
+@pytest.mark.parametrize("max_epochs, best_epoch", [(4, 1), (1, 1)])
+def test_train_loop_matches_dict_reference_loop(max_epochs, best_epoch, tmp_path):
     """Accumulation 2 with an odd last group, active clipping, dropout and
     parameters that get no gradient (the attention wq/wk): the arena loop
-    ends on the same bytes as the dict-based loop."""
+    ends on the same bytes as the dict-based loop, which copies every best
+    epoch's parameters and loads them back at the end, and so writes the
+    same checkpoint. When the best epoch is the last, the arena loop keeps
+    no copy of it."""
     samples = generate_synthetic(n_patients=40, seed=9)
     train, val, _ = split_patients(samples, SplitSpec())
     tok = Tokenizer.build([s.text for s in train])
-    cfg = TrainConfig(batch=5, accumulation=2, max_epochs=4, patience=4,
+    cfg = TrainConfig(batch=5, accumulation=2, max_epochs=max_epochs, patience=4,
                       lr=3e-3, clip_norm=0.05, seed=2)
     assert math.ceil(len(train) / cfg.batch) % 2 == 1
 
@@ -303,8 +308,8 @@ def test_train_loop_matches_dict_reference_loop():
                                tok, seed=2)
 
     ref = model()
-    history, best_epoch, clipped = _dict_train_loop(ref, train, val, cfg)
-    assert clipped > 0
+    history, ref_best_epoch, clipped = _dict_train_loop(ref, train, val, cfg)
+    assert clipped > 0 and ref_best_epoch == best_epoch
     got = model()
     result = train_loop(got, train, val, cfg)
     assert [row[:4] for row in result.history] == history
@@ -312,6 +317,11 @@ def test_train_loop_matches_dict_reference_loop():
     for p in ref.graph.trainable():
         assert got.graph.params[p.name].data.tobytes() == p.data.tobytes(), p.name
         assert result.best_state[p.name].tobytes() == p.data.tobytes(), p.name
+        assert np.shares_memory(result.best_state[p.name], got.graph.params[p.name].data) \
+            == (best_epoch == max_epochs)
+    for name, graph in (("ref", ref.graph), ("got", got.graph)):
+        save_checkpoint(tmp_path / name, graph, header_extra={}, state={})
+    assert (tmp_path / "got").read_bytes() == (tmp_path / "ref").read_bytes()
 
 
 def test_adamw_decay_only_shrinks():
@@ -430,6 +440,44 @@ def test_early_stopping_runs_to_max_epochs_when_improving():
     result = train_loop(model, _dummy_samples(4), _dummy_samples(2), cfg)
     assert len(result.history) == 6
     assert result.best_epoch == 6
+
+
+class _WideStubModel(_StubModel):
+    """_StubModel with a wide trainable parameter that no loss reads: the
+    optimizer's arena is wide, and no step makes a temporary of its size."""
+
+    def __init__(self, val_scores, width):
+        super().__init__(val_scores)
+        self.graph.add_param("wide", np.ones(width), trainable=True)
+
+
+@pytest.mark.parametrize("scores, copies, restored", [
+    ([0.6], 0, False),       # one epoch: its parameters stay live
+    ([0.6, 0.5], 1, True),   # epoch 1 is copied and loaded back
+    ([0.5, 0.6], 1, False),  # epoch 1 is copied; the last epoch beats it
+])
+def test_only_a_best_epoch_before_the_last_is_copied(scores, copies, restored):
+    """Traced peak memory is the arena, its two moments and its gradient,
+    plus one arena-sized copy for a best epoch that another epoch follows.
+    best_state is that copy when it was loaded back, else the live arena."""
+    width = 1 << 20
+    model = _WideStubModel(scores, width)
+    arena = 8 * (width + 1)
+    cfg = TrainConfig(max_epochs=len(scores), patience=5, batch=4, accumulation=1,
+                      lr=1e-2, seed=0)
+    train, val = _dummy_samples(4), _dummy_samples(2)
+    tracemalloc.start()
+    try:
+        result = train_loop(model, train, val, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (4 + copies) * arena <= peak < (4.5 + copies) * arena
+    assert result.best_epoch == 1 + scores.index(max(scores))
+    for name in ("w", "wide"):
+        live = model.graph.params[name].data
+        assert np.shares_memory(result.best_state[name], live) != restored
+        assert np.array_equal(result.best_state[name], live)
 
 
 def test_history_rows_complete():
