@@ -368,33 +368,39 @@ def _head(raw: bytes) -> dict | None:
 def load_splits(path, spec: SplitSpec, sha256: str, scored):
     """split_patients(load_manifest(path), spec), with vision features read
     only for the splits indexed in `scored` (0 train, 1 validation, 2 test)
-    when the file is the manifest whose SHA-256 is `sha256`.
+    when the file's SHA-256 is `sha256`.
 
     That digest is one that load_manifest took of a manifest it read whole
-    and accepted, so on a match each line that has a head (`_head`) is
-    checked from its head alone, and its sample keeps no vision_features
-    unless its split is scored; a scored one is read again from its whole
-    line. Any other line, and every line of a file with another digest, is
-    read as load_manifest reads it.
+    and accepted. So on a match each line that has a head (`_head`) is
+    checked from its head alone, and its sample has no vision_features
+    unless its split is scored: a scored one is read again from its whole
+    line. Any other line is read as load_manifest reads it. A file with
+    another digest is read by load_manifest.
     """
     with open(path, "rb") as f:
         data = f.read()
     if hashlib.sha256(data).hexdigest() != sha256:
-        return split_patients(_samples(path, io.BytesIO(data)), spec)
-    whole = {}  # sample id -> (line number, bytes) of each line read from its head
+        del data  # so that it is not held while load_manifest reads the file
+        return split_patients(load_manifest(path), spec)
+    lines = io.BytesIO(data)
+    spans = {}  # sample id -> (line number, start, end) of each line read from its head
 
     def parse(path, lineno, raw):
         rec = _head(raw)
         if rec is None:
             return _parse_line(path, lineno, raw)
         sample = _sample(path, lineno, rec)
-        whole[sample.id] = (lineno, raw)
+        end = lines.tell()
+        spans[sample.id] = (lineno, end - len(raw), end)
         return sample
 
-    splits = split_patients(_samples(path, io.BytesIO(data), parse), spec)
+    def whole(sample):
+        lineno, start, end = spans[sample.id]
+        return _parse_line(path, lineno, data[start:end])
+
+    splits = split_patients(_samples(path, lines, parse), spec)
     for i in scored:
-        splits[i][:] = [_parse_line(path, *whole[s.id]) if s.id in whole else s
-                        for s in splits[i]]
+        splits[i][:] = [whole(s) if s.id in spans else s for s in splits[i]]
     return splits
 
 

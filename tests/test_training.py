@@ -288,40 +288,40 @@ def _dict_train_loop(model, train_samples, val_samples, cfg):
     return history, best_epoch, clipped
 
 
-@pytest.mark.parametrize("max_epochs, best_epoch", [(4, 1), (1, 1)])
-def test_train_loop_matches_dict_reference_loop(max_epochs, best_epoch, tmp_path):
+def test_train_loop_matches_dict_reference_loop(tmp_path):
     """Accumulation 2 with an odd last group, active clipping, dropout and
     parameters that get no gradient (the attention wq/wk): the arena loop
     ends on the same bytes as the dict-based loop, which copies every best
     epoch's parameters and loads them back at the end, and so writes the
-    same checkpoint. When the best epoch is the last, the arena loop keeps
-    no copy of it."""
+    same checkpoint. Over 4 epochs the best is the first; over 1 it is the
+    last, and the arena loop keeps no copy of it."""
     samples = generate_synthetic(n_patients=40, seed=9)
     train, val, _ = split_patients(samples, SplitSpec())
     tok = Tokenizer.build([s.text for s in train])
-    cfg = TrainConfig(batch=5, accumulation=2, max_epochs=max_epochs, patience=4,
-                      lr=3e-3, clip_norm=0.05, seed=2)
-    assert math.ceil(len(train) / cfg.batch) % 2 == 1
 
     def model():
         return MultimodalModel(FusionConfig(shared_dim=32, head_hidden=16, dropout_p=0.1),
                                tok, seed=2)
 
-    ref = model()
-    history, ref_best_epoch, clipped = _dict_train_loop(ref, train, val, cfg)
-    assert clipped > 0 and ref_best_epoch == best_epoch
-    got = model()
-    result = train_loop(got, train, val, cfg)
-    assert [row[:4] for row in result.history] == history
-    assert result.best_epoch == best_epoch
-    for p in ref.graph.trainable():
-        assert got.graph.params[p.name].data.tobytes() == p.data.tobytes(), p.name
-        assert result.best_state[p.name].tobytes() == p.data.tobytes(), p.name
-        assert np.shares_memory(result.best_state[p.name], got.graph.params[p.name].data) \
-            == (best_epoch == max_epochs)
-    for name, graph in (("ref", ref.graph), ("got", got.graph)):
-        save_checkpoint(tmp_path / name, graph, header_extra={}, state={})
-    assert (tmp_path / "got").read_bytes() == (tmp_path / "ref").read_bytes()
+    for max_epochs in (4, 1):
+        cfg = TrainConfig(batch=5, accumulation=2, max_epochs=max_epochs, patience=4,
+                          lr=3e-3, clip_norm=0.05, seed=2)
+        assert math.ceil(len(train) / cfg.batch) % 2 == 1
+        ref = model()
+        history, best_epoch, clipped = _dict_train_loop(ref, train, val, cfg)
+        assert clipped > 0 and best_epoch == 1
+        got = model()
+        result = train_loop(got, train, val, cfg)
+        assert [row[:4] for row in result.history] == history
+        assert result.best_epoch == best_epoch
+        for p in ref.graph.trainable():
+            live = got.graph.params[p.name].data
+            assert live.tobytes() == p.data.tobytes(), p.name
+            assert result.best_state[p.name].tobytes() == p.data.tobytes(), p.name
+            assert np.shares_memory(result.best_state[p.name], live) == (max_epochs == 1)
+        for name, graph in (("ref", ref.graph), ("got", got.graph)):
+            save_checkpoint(tmp_path / name, graph, header_extra={}, state={})
+        assert (tmp_path / "got").read_bytes() == (tmp_path / "ref").read_bytes()
 
 
 def test_adamw_decay_only_shrinks():
