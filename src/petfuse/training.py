@@ -13,6 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+try:
+    from numpy._core.multiarray import _set_madvise_hugepage
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import _set_madvise_hugepage
+
 from . import autodiff as ad
 from .errors import ConfigError, InputError, numeric_guard
 from .metrics import UndefinedMetric
@@ -286,6 +291,20 @@ class TrainResult:
                             f"{secs:.3f}"])
 
 
+def _copy_without_huge_pages(a: np.ndarray) -> np.ndarray:
+    """A copy of `a` that numpy does not advise the kernel to back with
+    transparent huge pages. numpy gives that advice for every array of 4 MB
+    or more, and whether the kernel follows it depends on the host's free
+    memory and timing. On a 2-core x86_64 VM, with the advice, the best-epoch
+    copy left `attribution_frozen`'s peak RSS at 147 or 166 MB from one run
+    of one seed to the next; without it, at 159.2-159.5 MB in 14 of 14 runs."""
+    advised = _set_madvise_hugepage(False)
+    try:
+        return a.copy()
+    finally:
+        _set_madvise_hugepage(advised)
+
+
 @numeric_guard("training")
 def train_loop(model, train_samples, val_samples, cfg: TrainConfig) -> TrainResult:
     """Run up to max_epochs with accumulation, clipping, and early stopping.
@@ -354,7 +373,7 @@ def train_loop(model, train_samples, val_samples, cfg: TrainConfig) -> TrainResu
             best_val, best_epoch, since_improve = val_auroc, epoch, 0
             if epoch < cfg.max_epochs:  # the last epoch's parameters stay live
                 if best_flat is None:
-                    best_flat = opt.flat.copy()
+                    best_flat = _copy_without_huge_pages(opt.flat)
                 else:
                     np.copyto(best_flat, opt.flat)
         else:

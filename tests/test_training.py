@@ -480,6 +480,30 @@ def test_only_a_best_epoch_before_the_last_is_copied(scores, copies, restored):
         assert np.array_equal(result.best_state[name], live)
 
 
+def test_best_epoch_copy_is_made_without_huge_page_advice(monkeypatch):
+    """The copy is allocated with numpy's huge-page advice off, and the
+    process's setting is put back after it."""
+    set_advice = training._set_madvise_hugepage
+    before = set_advice(True)
+    calls = []
+
+    def recording(enabled):
+        calls.append(enabled)
+        return set_advice(enabled)
+
+    monkeypatch.setattr(training, "_set_madvise_hugepage", recording)
+    cfg = TrainConfig(max_epochs=2, patience=5, batch=4, accumulation=1,
+                      lr=1e-2, seed=0)
+    try:
+        result = train_loop(_WideStubModel([0.6, 0.5], 1 << 20),
+                            _dummy_samples(4), _dummy_samples(2), cfg)
+        assert calls == [False, True]
+        assert set_advice(True) is True
+    finally:
+        set_advice(before)
+    assert result.best_epoch == 1
+
+
 def test_history_rows_complete():
     model = _StubModel([0.5, 0.6, 0.55])
     cfg = TrainConfig(max_epochs=3, patience=5, batch=4, accumulation=1,
