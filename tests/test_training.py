@@ -456,10 +456,18 @@ class _WideStubModel(_StubModel):
     ([0.6, 0.5], 1, True),   # epoch 1 is copied and loaded back
     ([0.5, 0.6], 1, False),  # epoch 1 is copied; the last epoch beats it
 ])
-def test_only_a_best_epoch_before_the_last_is_copied(scores, copies, restored):
+def test_only_a_best_epoch_before_the_last_is_copied(scores, copies, restored,
+                                                     monkeypatch):
     """Traced peak memory is the arena, its two moments and its gradient,
     plus one arena-sized copy for a best epoch that another epoch follows.
-    best_state is that copy when it was loaded back, else the live arena."""
+    The copy is made with numpy's huge-page advice off, and the process's
+    setting is put back after it. best_state is that copy when it was loaded
+    back, else the live arena."""
+    set_advice, calls = training._set_madvise_hugepage, []
+    monkeypatch.setattr(training, "_set_madvise_hugepage",
+                        lambda enabled: calls.append(enabled) or set_advice(enabled))
+    advised = set_advice(True)
+    set_advice(advised)
     width = 1 << 20
     model = _WideStubModel(scores, width)
     arena = 8 * (width + 1)
@@ -473,35 +481,12 @@ def test_only_a_best_epoch_before_the_last_is_copied(scores, copies, restored):
     finally:
         tracemalloc.stop()
     assert (4 + copies) * arena <= peak < (4.5 + copies) * arena
+    assert calls == [False, advised] * copies
     assert result.best_epoch == 1 + scores.index(max(scores))
     for name in ("w", "wide"):
         live = model.graph.params[name].data
         assert np.shares_memory(result.best_state[name], live) != restored
         assert np.array_equal(result.best_state[name], live)
-
-
-def test_best_epoch_copy_is_made_without_huge_page_advice(monkeypatch):
-    """The copy is allocated with numpy's huge-page advice off, and the
-    process's setting is put back after it."""
-    set_advice = training._set_madvise_hugepage
-    before = set_advice(True)
-    calls = []
-
-    def recording(enabled):
-        calls.append(enabled)
-        return set_advice(enabled)
-
-    monkeypatch.setattr(training, "_set_madvise_hugepage", recording)
-    cfg = TrainConfig(max_epochs=2, patience=5, batch=4, accumulation=1,
-                      lr=1e-2, seed=0)
-    try:
-        result = train_loop(_WideStubModel([0.6, 0.5], 1 << 20),
-                            _dummy_samples(4), _dummy_samples(2), cfg)
-        assert calls == [False, True]
-        assert set_advice(True) is True
-    finally:
-        set_advice(before)
-    assert result.best_epoch == 1
 
 
 def test_history_rows_complete():
