@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from . import data as data_mod
 from . import harness, metrics, redaction
-from .config import _SECTIONS, build_section, echo_config, load_config, read_json_object
+from .config import build_section, echo_config, load_config, read_json_object
 from .data import SplitSpec, label_matrix
 from .encoders import SPECIALS, Tokenizer
 from .errors import ConfigError, InputError, PetfuseError, PolicyError
@@ -169,9 +169,7 @@ class CheckpointExtra:
 
 
 def _load_arm_model(cfg, tokenizer, seed, stored=None):
-    arm = harness.build_arm(cfg.arm, {"policy": cfg.policy})
-    if cfg.arm == "full_pet":
-        arm.fusion = cfg.fusion
+    arm = harness.ArmSpec(cfg.arm, policy=cfg.policy, fusion=cfg.fusion)
     return arm, harness._build_model(arm, tokenizer, seed, lora_cfg=cfg.lora,
                                      adapter_cfg=cfg.adapter, stored=stored)
 
@@ -211,31 +209,14 @@ def _frozen_sha256(tokenizer, graph) -> str:
     return h.hexdigest()
 
 
-def _check_claimed_sizes(path, cfg, params):
-    """InputError unless each size the header claims for a section the model
-    reads is that of the stored arrays, so that no model is built larger
-    than the checkpoint holds."""
-    def held(suffix):  # the trailing dims of the arrays at addresses ending in suffix
-        return {a.shape[1:] for name, a in params.items() if name.endswith(suffix)}
-
-    fusion_count = sum(a.size for name, a in params.items() if name.startswith("fusion/"))
-    claims = {"fusion": ("parameter count", cfg.fusion.param_count(), {(fusion_count,)}),
-              "lora": ("rank", cfg.lora.rank, held("/lora_a")),
-              "adapter": ("bottleneck", cfg.adapter.bottleneck, held("/adapter/down_w"))}
-    for name, reads in _SECTIONS.items():
-        what, claimed, stored = claims[name]
-        if reads(cfg) and stored != {(claimed,)}:
-            raise InputError(f"{path}: checkpoint header claims a {name} {what} of "
-                             f"{claimed}, which its arrays do not hold")
-
-
 def _restore_model(checkpoint, manifest, scored):
     """The model a checkpoint holds, built from its stored arrays, with its
     stored vocabulary and normalizers, and the validation and test splits of
     `manifest` under the checkpoint's seed. Only the splits indexed in
     `scored` (1 validation, 2 test) surely carry vision features: when
     `manifest` is the one the checkpoint trained on, the others' are not
-    read."""
+    read. InputError for an array outside `param/`, or an empty scored
+    split."""
     header, arrays = load_checkpoint(checkpoint)
     try:
         cfg = build_section("extra", CheckpointExtra, header.get("extra"))
@@ -246,13 +227,22 @@ def _restore_model(checkpoint, manifest, scored):
             or not isinstance(state["frozen_sha256"], str)):
         raise InputError(f"{checkpoint}: checkpoint state must be an object "
                          f"with vocab, normalizers and a frozen_sha256 string")
-    params = {k[len("param/"):]: v for k, v in arrays.items() if k.startswith("param/")}
-    _check_claimed_sizes(checkpoint, cfg, params)
-    _, val_set, test_set = data_mod.load_splits(manifest, SplitSpec(seed=cfg.seed),
-                                                cfg.manifest_sha256, scored)
+    stray = next((k for k in arrays if not k.startswith("param/")), None)
+    if stray is not None:
+        raise InputError(f"{checkpoint}: checkpoint array {stray!r} is not a "
+                         f"parameter (param/<address>)")
+    params = {k[len("param/"):]: v for k, v in arrays.items()}
+    splits = data_mod.load_splits(manifest, SplitSpec(seed=cfg.seed),
+                                  cfg.manifest_sha256, scored)
+    for i in scored:
+        if not splits[i]:
+            raise InputError(f"{manifest}: the {('train', 'validation', 'test')[i]} split is "
+                             f"empty: too few patients to score")
+    _, val_set, test_set = splits
     tokenizer = Tokenizer.from_tokens(state["vocab"])
-    # the trainable weights come from the stored arrays, never drawn; the
-    # frozen ones are drawn from the seed and checked against the digest
+    # each trainable weight is its stored array, checked for its shape before
+    # anything of that shape is allocated; the frozen ones are drawn from the
+    # seed and checked against the digest
     _, model = _load_arm_model(cfg, tokenizer, cfg.seed, stored=params)
     if _frozen_sha256(tokenizer, model.graph) != state["frozen_sha256"]:
         raise InputError(f"{checkpoint}: the vocabulary and frozen weights rebuilt "

@@ -18,9 +18,10 @@ from .pet import AdapterConfig, LoRAConfig
 from .training import TrainConfig
 
 
-# The model sections of a config or a checkpoint header, each with whether
-# its arm and policy read it: only full_pet takes a fusion config, and only
-# the lora and adapter policies read theirs.
+# The model sections of a run config, each with whether its arm and policy
+# read it: only full_pet takes a fusion config, and only the lora and adapter
+# policies read theirs. Only RunConfig reads this; a checkpoint header's
+# sections are checked by building the model from its arrays.
 _SECTIONS = {"fusion": lambda cfg: cfg.arm == "full_pet",
              "lora": lambda cfg: cfg.policy == "lora",
              "adapter": lambda cfg: cfg.policy == "adapter"}

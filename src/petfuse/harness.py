@@ -128,10 +128,10 @@ def vision_matrix(samples) -> np.ndarray:
 
 class VisionOnlyModel:
     """Frozen vision features into a trainable bias-free two-layer ReLU head,
-    drawn from `seed` unless `stored` (address -> array) holds it."""
+    drawn from `seed`, or taken from `stored` (address -> array) if given."""
 
     def __init__(self, seed: int = 0, stored: dict[str, np.ndarray] | None = None):
-        self.graph = ModelGraph(stored=stored or {})
+        self.graph = ModelGraph(stored=stored)
         rng = ad.make_rng(seed, "init", "vision_only")
         for name, n_in, n_out in (("head/w1", VISION_DIM, VISION_HIDDEN),
                                   ("head/w2", VISION_HIDDEN, NUM_LABELS)):
@@ -168,8 +168,9 @@ class MultimodalModel:
     (sample id -> (768,) row); models whose frozen encoders are equal may
     share one. Without a store a frozen model keeps a private one, and a
     trainable encoder never touches it. `stored` (address -> array, from a
-    checkpoint) supplies the trainable weights construction would otherwise
-    draw; the encoder's frozen weights are drawn from `seed` either way.
+    checkpoint), if given, supplies every trainable weight construction
+    would otherwise draw; the encoder's frozen weights are drawn from `seed`
+    either way.
     """
 
     def __init__(self, fusion_cfg: FusionConfig, tokenizer: Tokenizer,
@@ -178,7 +179,7 @@ class MultimodalModel:
                  adapter_cfg: AdapterConfig | None = None,
                  text_store: dict[str, np.ndarray] | None = None,
                  stored: dict[str, np.ndarray] | None = None):
-        self.graph = ModelGraph(stored=stored or {})
+        self.graph = ModelGraph(stored=stored)
         self.text = MiniTextEncoder(self.graph, tokenizer, seed=seed)
         self.fusion = FusionPathway(self.graph, fusion_cfg, seed=seed)
         apply_policy(self.graph, policy, lora_cfg=lora_cfg,
@@ -311,15 +312,6 @@ class ExperimentPlan:
                 raise InputError(f"arm {a.name!r} has no seeds")
             if len(set(a.seeds)) != len(a.seeds):
                 raise InputError(f"arm {a.name!r} repeats a seed: {a.seeds}")
-
-
-def build_arm(kind: str, overrides: dict | None = None) -> ArmSpec:
-    """The arm of `kind` that a plan arm with the other keys `overrides`
-    describes."""
-    overrides = overrides or {}
-    if "kind" in overrides:
-        raise InputError("an arm's kind is build_arm's argument, not an override")
-    return build_section("arm", ArmSpec, {"kind": kind, **overrides})
 
 
 def read_plan(doc) -> ExperimentPlan:

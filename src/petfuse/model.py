@@ -5,9 +5,9 @@ Tuning policies (pet.py) pick their targets by address and attach new
 parameters under the addresses they extend. Binding a graph produces fresh
 Tensors for one forward pass; only a training pass records a tape.
 
-A graph built to restore a checkpoint holds the stored arrays in `stored`;
-each trainable parameter that construction would draw at random is then
-taken from its stored array instead (`add_drawn`).
+A graph built to restore a checkpoint holds the stored arrays in `stored`
+and draws nothing: each trainable parameter that construction would draw at
+random is taken from its stored array instead (`add_drawn`).
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ class ModelGraph:
     params: dict[str, Param] = field(default_factory=dict)
     # alpha / rank of the attached LoRA factors, set by pet.apply_policy
     lora_scale: float = 0.0
-    # address -> array that add_drawn takes in place of a draw
-    stored: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    # address -> array that add_drawn takes in place of every draw; None draws
+    stored: dict[str, np.ndarray] | None = field(default=None, repr=False)
 
     def add_param(self, name: str, data: np.ndarray, trainable: bool = False) -> Param:
         if name in self.params:
@@ -45,15 +45,16 @@ class ModelGraph:
         return p
 
     def add_drawn(self, name: str, shape: tuple[int, ...], draw) -> Param:
-        """Add a trainable parameter of `shape` at `name`: the array stored
-        there, if any, else `draw(shape)`. A stored array is used as it is,
-        never drawn, so a stream whose every draw is stored draws nothing;
-        one that had only some stored would draw the rest at other offsets
-        than `train` did, but `load_state` refuses a state missing any.
-        InputError, naming the address, for a stored array of another shape."""
+        """Add a trainable parameter of `shape` at `name`: `draw(shape)` in a
+        graph that draws, else the array stored there, used as it is.
+        InputError, naming the address, when no array is stored there or it
+        has another shape, so a claimed size is checked before an array of
+        it is allocated."""
+        if self.stored is None:
+            return self.add_param(name, draw(shape), trainable=True)
         arr = self.stored.get(name)
         if arr is None:
-            return self.add_param(name, draw(shape), trainable=True)
+            raise InputError(f"no stored array at {name}")
         if arr.shape != shape:
             raise InputError(f"stored array {name} has shape {arr.shape}, "
                              f"the model's is {shape}")

@@ -18,9 +18,9 @@ from petfuse.data import (LABELS, SplitSpec, generate_synthetic, label_matrix,
                           split_patients)
 from petfuse.encoders import Tokenizer
 from petfuse.fusion import FusionConfig, FusionPathway
-from petfuse.harness import (VISION_ONLY_PARAMS, ExperimentPlan,
-                             MultimodalModel, VisionOnlyModel, build_arm,
-                             run_plan, search_shared_dim)
+from petfuse.harness import (VISION_ONLY_PARAMS, ArmSpec, ExperimentPlan,
+                             MultimodalModel, VisionOnlyModel, run_plan,
+                             search_shared_dim)
 from petfuse.metrics import auprc_label, auroc_label, ece, fit_temperature, sigmoid
 from petfuse.model import ModelGraph
 from petfuse.pet import ENCODER_PREFIX, LoRAConfig, apply_policy, count_params
@@ -378,8 +378,8 @@ def test_criterion_10_attribution(tmp_path):
     samples = generate_synthetic(n_patients=500, seed=0, leak_prob=0.9,
                                  signal_plan=plan_map, signal_strength=4.0,
                                  prevalence_profile=[0.25] * len(LABELS))
-    arms = [build_arm("vision_only", {"seeds": [0, 1, 2]}),
-            build_arm("full_pet", {"seeds": [0, 1, 2]})]
+    arms = [ArmSpec("vision_only", seeds=[0, 1, 2]),
+            ArmSpec("full_pet", seeds=[0, 1, 2])]
     train = TrainConfig(batch=16, accumulation=1, max_epochs=12, patience=4,
                         lr=3e-3, weight_decay=1e-6, clip_norm=10.0)
     result = run_plan(ExperimentPlan(arms=arms, train=train), samples, tmp_path)

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from petfuse.data import (LABELS, SplitSpec, generate_synthetic, load_manifest,
                           save_manifest, split_patients)
 from petfuse.encoders import SPECIALS
 from petfuse.fusion import FusionPathway
+from petfuse.model import ModelGraph
 from petfuse.training import load_checkpoint
 
 
@@ -568,6 +570,16 @@ def _audit_three_patients(tmp_path, data, run_dir):
     return ["audit-leakage", "--data", manifest]
 
 
+def _score_few_patients(command, patients):
+    """`command` on a valid manifest of `patients` patients, whose default
+    split leaves the test split empty, so there is nothing to score."""
+    def make_argv(tmp_path, data, run_dir):
+        manifest = tmp_path / "few.jsonl"
+        assert main(["gen-data", "--patients", str(patients), "--out", str(manifest)]) == 0
+        return [command, "--checkpoint", run_dir / "checkpoint.bin", "--data", manifest]
+    return make_argv
+
+
 def _without_vision(command):
     """The fixture's manifest with one sample's optional vision_features dropped."""
     def make_argv(tmp_path, data, run_dir):
@@ -700,6 +712,15 @@ def _set(doc, key, value):
     doc[key] = value
 
 
+def _junk_array(tmp_path, data, run_dir):
+    """The fixture's checkpoint with a 3-float array outside param/ appended."""
+    header, blobs = _split_checkpoint((run_dir / "checkpoint.bin").read_bytes())
+    header["arrays"].append({"name": "junk", "shape": [3]})
+    ckpt = tmp_path / "checkpoint.bin"
+    ckpt.write_bytes(_join_checkpoint(header, blobs + bytes(3 * 8)))
+    return ["eval", "--checkpoint", ckpt, "--data", data]
+
+
 def _transposed(name):
     """Swap the dims a checkpoint header lists for the array at `name`, so its
     element count, and the file's size, stay those of the stored array."""
@@ -750,6 +771,11 @@ def _trailing_bytes(tmp_path, data, run_dir):
     _truncated_checkpoint, _checkpoint_cut_in_header, _duplicate_id,
     _says("validation split: macro average over zero valid labels", _four_patients),
     _audit_three_patients,
+    # eval and calibrate refuse an empty scored split as the audit does
+    pytest.param(_says("the test split is empty: too few patients to score",
+                       _score_few_patients("eval", 4)), id="eval_four_patients"),
+    pytest.param(_says("the test split is empty: too few patients to score",
+                       _score_few_patients("calibrate", 3)), id="calibrate_three_patients"),
     # no label of the split that is scored holds both classes
     pytest.param(_says("error: validation split: macro average over zero valid labels",
                        _all_labels_negative("train")), id="train_labels_all_negative"),
@@ -910,6 +936,8 @@ def _trailing_bytes(tmp_path, data, run_dir):
                        "model's is (16, 14)",
                        _rewritten_checkpoint("eval", _transposed("fusion/head/w2"))),
                  id="eval_fusion_array_transposed"),
+    pytest.param(_says("checkpoint array 'junk' is not a parameter", _junk_array),
+                 id="eval_array_outside_param"),
     pytest.param(_checkpoint_header("eval", fusion=[32]), id="eval_fusion_not_object"),
     pytest.param(_checkpoint_header("eval", seed="0"), id="eval_seed_str"),
     pytest.param(_checkpoint_header("eval", lora={"alpha": 10**400}),
@@ -1124,8 +1152,41 @@ def _lora_header(command, **lora):
     return make_argv
 
 
+@pytest.fixture(scope="module")
+def vision_trained(trained):
+    """One vision_only training run on the `trained` fixture's manifest."""
+    root, data, _, _ = trained
+    cfg = root / "vision_cfg.json"
+    cfg.write_text(json.dumps({"arm": "vision_only", "train": {
+        "batch": 16, "accumulation": 1, "max_epochs": 1, "patience": 5, "lr": 1e-3}}))
+    out = root / "vision_run"
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out", str(out)]) == 0
+    return out
+
+
+def _vision_header(command, **extra):
+    """The vision_only fixture's checkpoint with its header `extra` changed."""
+    def make_argv(tmp_path, data, run_dir):
+        return _checkpoint_header(command, **extra)(tmp_path, data,
+                                                    run_dir.parent / "vision_run")
+    return make_argv
+
+
+def _allocates_below(nbytes, make_argv):
+    """`make_argv`, whose run must allocate less than `nbytes` at its peak."""
+    make_argv.allocates_below = nbytes
+    return make_argv
+
+
 @pytest.mark.parametrize("make_argv", [
     pytest.param(_checkpoint_header("eval", fusion={"shared_dim": 1024}), id="shared_dim"),
+    # a (2048, 4096) vision projection would take 64 MiB
+    pytest.param(_says("error: stored array fusion/vision_proj/w has shape (2048, 32), "
+                       "the model's is (2048, 4096)",
+                       _allocates_below(2048 * 4096 * 8 // 4, _checkpoint_header(
+                           "eval", fusion={"shared_dim": 4096}))),
+                 id="shared_dim_4096"),
     pytest.param(_checkpoint_header("calibrate", fusion={"head_hidden": 4096}),
                  id="head_hidden"),
     # the widths the data contract fixes are no fusion keys
@@ -1136,31 +1197,47 @@ def _lora_header(command, **lora):
                  id="num_labels"),
     pytest.param(_lora_header("eval", rank=64), id="lora_rank"),
     # a policy whose injected parameters the checkpoint does not hold
-    pytest.param(_checkpoint_header("eval", policy="lora", lora={"rank": 64}),
+    pytest.param(_says("no stored array at text_encoder/block0/attn/wq/lora_a",
+                       _checkpoint_header("eval", policy="lora", lora={"rank": 64})),
                  id="lora_rank_without_factors"),
     pytest.param(_checkpoint_header("calibrate", policy="adapter",
                                     adapter={"bottleneck": 10**5}),
                  id="adapter_without_slots"),
+    # only full_pet takes a fusion, as train's config says
+    pytest.param(_says("arm kind 'vision_only' takes no fusion override; only full_pet does",
+                       _vision_header("eval", fusion={"shared_dim": 1024})),
+                 id="vision_only_fusion"),
 ])
 def test_header_sizes_are_checked_before_a_model_is_built(make_argv, trained, lora_trained,
-                                                          capsys, tmp_path, monkeypatch):
-    """A header that claims a larger model than its arrays hold exits 2
-    before any model is allocated at the claimed size."""
+                                                          vision_trained, capsys, tmp_path,
+                                                          monkeypatch):
+    """A header that claims other sizes than its arrays hold exits 2 with one
+    error line, and no model of the claimed sizes is built: the restore
+    draws no trainable weight, and each stored array's shape is checked
+    before an array of the claimed shape is allocated."""
     _, data, _, run_dir = trained
-    capsys.readouterr()
+    drawn = []
+    add_drawn = ModelGraph.add_drawn
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a model was built")
+    def counting(self, name, shape, draw):
+        return add_drawn(self, name, shape, lambda shape: drawn.append(name) or draw(shape))
 
-    monkeypatch.setattr(harness, "MultimodalModel", refuse)
-    with pytest.raises(AssertionError, match="a model was built"):  # the patch bites
-        main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"), "--data", str(data)])
+    monkeypatch.setattr(ModelGraph, "add_drawn", counting)
+    assert main(["count-params"]) == 0 and drawn  # the patch bites
+    drawn.clear()
     capsys.readouterr()
     argv = [str(a) for a in make_argv(tmp_path, data, run_dir)]
-    code, _, err = run(capsys, *argv)
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert getattr(make_argv, "says", "") in err
+    assert drawn == []
+    assert peak < getattr(make_argv, "allocates_below", float("inf"))
 
 
 @pytest.mark.parametrize("command", ["eval", "calibrate"])

@@ -126,8 +126,31 @@ def test_a_pathway_built_from_stored_arrays_takes_them_as_they_are():
     assert all(graph.params[name].data is arr for name, arr in stored.items())
 
 
+def _stored_fusion(**changed):
+    """Every array of small_cfg's pathway, with each of `changed` (address ->
+    array, or None to leave it out) put in its place."""
+    drawn = FusionPathway(ModelGraph(), small_cfg()).graph
+    stored = {name: p.data for name, p in drawn.params.items()}
+    stored.update(changed)
+    return {name: arr for name, arr in stored.items() if arr is not None}
+
+
 def test_a_stored_array_of_another_shape_is_refused_by_address():
-    stored = {"fusion/head/w1": np.zeros((4, 6))}  # small_cfg's head/w1 is (6, 4)
+    # small_cfg's head/w1 is (6, 4)
+    stored = _stored_fusion(**{"fusion/head/w1": np.zeros((4, 6))})
     with pytest.raises(InputError, match=r"^stored array fusion/head/w1 has shape "
                                          r"\(4, 6\), the model's is \(6, 4\)$"):
         FusionPathway(ModelGraph(stored=stored), small_cfg())
+
+
+def test_a_stored_set_missing_an_array_is_refused_by_address():
+    """A graph built from stored arrays draws nothing: an address they lack
+    is refused by name, and what was added before it is the stored arrays
+    themselves."""
+    stored = _stored_fusion(**{"fusion/attention/wk": None})
+    graph = ModelGraph(stored=stored)
+    with pytest.raises(InputError, match=r"^no stored array at fusion/attention/wk$"):
+        FusionPathway(graph, small_cfg())
+    assert list(graph.params) == ["fusion/vision_proj/w", "fusion/text_proj/w",
+                                  "fusion/attention/wq"]
+    assert all(p.data is stored[name] for name, p in graph.params.items())

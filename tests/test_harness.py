@@ -10,13 +10,13 @@ import pytest
 from petfuse import autodiff as ad
 from petfuse import harness
 from petfuse.cli import main
+from petfuse.config import build_section
 from petfuse.data import SplitSpec, generate_synthetic, save_manifest, split_patients
 from petfuse.encoders import MiniTextEncoder, Tokenizer
 from petfuse.errors import ConfigError, InputError, PolicyError, SearchError
 from petfuse.fusion import FusionConfig, FusionPathway
 from petfuse.harness import (VISION_ONLY_PARAMS, ArmSpec, ExperimentPlan,
-                             MultimodalModel, VisionOnlyModel, build_arm,
-                             compute_deltas, efficiency_table, run_plan,
+                             MultimodalModel, VisionOnlyModel, compute_deltas, efficiency_table, run_plan,
                              search_shared_dim, summarize, vision_matrix)
 from petfuse.pet import count_params
 from petfuse.training import TrainConfig, train_loop
@@ -55,23 +55,26 @@ def test_budget_search_unreachable_target():
     assert "nearest" in str(exc.value)
 
 
+def _read_arm(doc):
+    """The arm a plan's JSON object `doc` describes."""
+    return build_section("arm", ArmSpec, doc)
+
+
 def test_build_arm_overrides_and_rejects_unknown():
-    arm = build_arm("full_pet", {"seeds": [1, 2], "policy": "lora"})
+    """A plan arm is read with its overrides; an unknown key or kind is refused."""
+    arm = _read_arm({"kind": "full_pet", "seeds": [1, 2], "policy": "lora"})
     assert arm.seeds == [1, 2]
     assert arm.policy == "lora"
     with pytest.raises(ConfigError):
-        build_arm("full_pet", {"nope": 1})
+        _read_arm({"kind": "full_pet", "nope": 1})
     with pytest.raises(InputError):
-        build_arm("mystery_arm")
+        _read_arm({"kind": "mystery_arm"})
     with pytest.raises(ConfigError):
-        build_arm("full_pet", {"fusion": {"bogus": 1}})
-    # the kind is the argument, not an override
-    with pytest.raises(InputError):
-        build_arm("full_pet", {"kind": "vision_only"})
-    assert build_arm("full_pet", {"name": "b"}).name == "b"
+        _read_arm({"kind": "full_pet", "fusion": {"bogus": 1}})
+    assert _read_arm({"kind": "full_pet", "name": "b"}).name == "b"
     # no program reads a budget target, so an arm does not take one
     with pytest.raises(ConfigError, match="budget_target"):
-        build_arm("vision_only", {"budget_target": 1_055_744})
+        _read_arm({"kind": "vision_only", "budget_target": 1_055_744})
 
 
 @pytest.mark.parametrize("kind, overrides", [
@@ -82,16 +85,16 @@ def test_build_arm_overrides_and_rejects_unknown():
 ])
 def test_build_arm_rejects_overrides_its_kind_ignores(kind, overrides):
     with pytest.raises(InputError):
-        build_arm(kind, overrides)
+        _read_arm({"kind": kind, **overrides})
     # frozen is what these kinds train anyway, so saying so is accepted
-    assert build_arm(kind, {"policy": "frozen"}).policy == "frozen"
+    assert _read_arm({"kind": kind, "policy": "frozen"}).policy == "frozen"
 
 
 def test_a_copy_of_a_budget_matched_arm_builds():
     """A budget_matched arm takes the fusion its own sizing sets, so a copy
     of it builds; any other fusion on that kind, or that fusion on
     vision_only, is still refused."""
-    arm = build_arm("budget_matched")
+    arm = ArmSpec("budget_matched")
     copy = dataclasses.replace(arm, seeds=[1])
     assert (copy.fusion, copy.seeds) == (arm.fusion, [1])
     assert (copy.fusion.shared_dim, copy.fusion.head_hidden) == search_shared_dim(
@@ -222,12 +225,11 @@ def test_plan_shares_one_frozen_text_store_per_seed(monkeypatch, tmp_path):
         return models[arm.name]
 
     monkeypatch.setattr(harness, "_build_model", recording)
-    fusion = {"shared_dim": 16, "head_hidden": 8, "dropout_p": 0.0}
+    fusion = FusionConfig(shared_dim=16, head_hidden=8, dropout_p=0.0)
     plan = ExperimentPlan(
-        arms=[build_arm("full_pet", {"name": "full_pet_lora", "policy": "lora",
-                                     "fusion": fusion}),
-              build_arm("full_pet", {"name": "budget_matched", "fusion": fusion}),
-              build_arm("full_pet", {"fusion": fusion})],
+        arms=[ArmSpec("full_pet", name="full_pet_lora", policy="lora", fusion=fusion),
+              ArmSpec("full_pet", name="budget_matched", fusion=fusion),
+              ArmSpec("full_pet", fusion=fusion)],
         train=TrainConfig(batch=8, accumulation=1, max_epochs=1, patience=5, lr=1e-3))
     samples = generate_synthetic(n_patients=24, seed=29)
     result = run_plan(plan, samples, tmp_path)
@@ -259,12 +261,12 @@ def test_plan_validation():
     with pytest.raises(InputError):
         ExperimentPlan(arms=[])
     with pytest.raises(InputError):
-        ExperimentPlan(arms=[build_arm("full_pet"), build_arm("full_pet")])
-    bad = build_arm("full_pet", {"seeds": []})
+        ExperimentPlan(arms=[ArmSpec("full_pet"), ArmSpec("full_pet")])
+    bad = ArmSpec("full_pet", seeds=[])
     with pytest.raises(InputError):
         ExperimentPlan(arms=[bad])
     with pytest.raises(InputError, match="repeats a seed"):
-        ExperimentPlan(arms=[build_arm("full_pet", {"seeds": [1, 2, 1]})])
+        ExperimentPlan(arms=[ArmSpec("full_pet", seeds=[1, 2, 1])])
     with pytest.raises(InputError, match="unknown arm kind 'mystery'"):
         ArmSpec(name="x", kind="mystery")
 
@@ -302,12 +304,11 @@ def test_efficiency_table_zero_param_guard():
 
 
 def _tiny_plan(seeds=(0,)):
-    fusion = {"shared_dim": 32, "head_hidden": 16, "dropout_p": 0.0}
+    fusion = FusionConfig(shared_dim=32, head_hidden=16, dropout_p=0.0)
     arms = [
-        build_arm("vision_only", {"seeds": list(seeds)}),
-        build_arm("full_pet", {"name": "budget_matched", "fusion": fusion,
-                               "seeds": list(seeds)}),
-        build_arm("full_pet", {"seeds": list(seeds), "fusion": fusion}),
+        ArmSpec("vision_only", seeds=list(seeds)),
+        ArmSpec("full_pet", name="budget_matched", fusion=fusion, seeds=list(seeds)),
+        ArmSpec("full_pet", seeds=list(seeds), fusion=fusion),
     ]
     train = TrainConfig(batch=16, accumulation=1, max_epochs=2, patience=5,
                         lr=1e-3)
@@ -339,13 +340,13 @@ def test_run_plan_seed_isolation(tmp_path):
     samples = generate_synthetic(n_patients=30, seed=19)
     train = TrainConfig(batch=16, accumulation=1, max_epochs=1, patience=5,
                         lr=1e-3)
-    two = ExperimentPlan(arms=[build_arm("vision_only", {"seeds": [0, 1]})],
+    two = ExperimentPlan(arms=[ArmSpec("vision_only", seeds=[0, 1])],
                          train=train)
     r2 = run_plan(two, samples, tmp_path / "two")
     singles = []
     for seed in (0, 1):
         one = ExperimentPlan(
-            arms=[build_arm("vision_only", {"seeds": [seed]})], train=train)
+            arms=[ArmSpec("vision_only", seeds=[seed])], train=train)
         r1 = run_plan(one, samples, tmp_path / f"one{seed}")
         singles.append(r1.per_arm["vision_only"][0].auroc_macro)
     paired = [r.auroc_macro for r in r2.per_arm["vision_only"]]
@@ -362,9 +363,9 @@ def test_run_plan_records_failures(tmp_path, capsys, monkeypatch):
         return build(arm, *args, **kwargs)
 
     monkeypatch.setattr(harness, "_build_model", boom)
-    bad = build_arm("full_pet", {"name": "boom"})
+    bad = ArmSpec("full_pet", name="boom")
     train = TrainConfig(batch=8, accumulation=1, max_epochs=1, patience=5)
-    plan = ExperimentPlan(arms=[bad, build_arm("vision_only")], train=train)
+    plan = ExperimentPlan(arms=[bad, ArmSpec("vision_only")], train=train)
     result = run_plan(plan, samples, tmp_path)
     assert "boom/seed0" in result.failures
     assert "vision_only" in result.per_arm
@@ -405,7 +406,7 @@ def test_run_plan_lets_programming_errors_propagate(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "train_loop", broken_train_loop)
     samples = generate_synthetic(n_patients=20, seed=23)
-    plan = ExperimentPlan(arms=[build_arm("vision_only")],
+    plan = ExperimentPlan(arms=[ArmSpec("vision_only")],
                           train=TrainConfig(batch=8, accumulation=1, max_epochs=1))
     with pytest.raises(TypeError, match="unsupported operand"):
         run_plan(plan, samples, tmp_path)
