@@ -25,7 +25,9 @@ method='inclusive')`), the change's wins (ties count for neither), the
 parent's interquartile range, and whether the change's median is within the
 metric's bound in BENCHMARK.json; and per workload, each side's share of
 failed operations over all its runs and whether the change's is no larger,
-and each side's median and quartiles of every phase's floor (`phases`), so
+the seed and failure messages of each run that failed an operation
+(`failures_<side>`, so that a benchmark-side check failing on a working
+program can be told from a program fault), and each side's median and quartiles of every phase's floor (`phases`), so
 that a change in `run_s` can be placed in the phase it comes from.
 A gain is claimable when the change wins
 at least nine tenths of the pairs and the medians differ, in its favour, by
@@ -75,7 +77,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads((checkout / ".perfbench_work" / f"{workload}.result.json")
                         .read_text())
     return {"seed": seed, "correct": doc["correct"], "attempted": doc["attempted"],
-            "failed": doc["failed"], "environment": result["environment"],
+            "failed": doc["failed"], "failures": result["failures"],
+            "environment": result["environment"],
             "phases": result["phase_floor_s"],
             "metrics": {k: v["value"] for k, v in doc["metrics"].items()}}
 
@@ -112,6 +115,11 @@ def failure_shares(parent: list[dict], change: list[dict]) -> dict:
     p, c = share(parent), share(change)
     return {"failed_share_parent": p, "failed_share_change": c,
             "failed_share_no_larger": c <= p}
+
+
+def failed_runs(runs: list[dict]) -> list[dict]:
+    """The seed and failure messages of each run that failed an operation."""
+    return [{"seed": r["seed"], "failures": r["failures"]} for r in runs if r["failed"]]
 
 
 def phase_summaries(parent: list[dict], change: list[dict]) -> dict:
@@ -189,6 +197,7 @@ def main(argv=None) -> int:
         for side in sides:
             entry[f"failed_ops_{side}"] = [[r["failed"], r["attempted"]]
                                            for r in runs[w][side]]
+            entry[f"failures_{side}"] = failed_runs(runs[w][side])
         entry.update(failure_shares(runs[w]["parent"], runs[w]["change"]))
         entry["phases"] = phase_summaries(runs[w]["parent"], runs[w]["change"])
         doc["workloads"][w] = entry

@@ -243,7 +243,10 @@ def _restore_model(checkpoint, manifest, scored):
     # each trainable weight is its stored array, checked for its shape before
     # anything of that shape is allocated; the frozen ones are drawn from the
     # seed and checked against the digest
-    _, model = _load_arm_model(cfg, tokenizer, cfg.seed, stored=params)
+    try:
+        _, model = _load_arm_model(cfg, tokenizer, cfg.seed, stored=params)
+    except (InputError, PolicyError, ConfigError) as e:
+        raise InputError(f"{checkpoint}: {e}") from e
     if _frozen_sha256(tokenizer, model.graph) != state["frozen_sha256"]:
         raise InputError(f"{checkpoint}: the vocabulary and frozen weights rebuilt "
                          f"from the checkpoint do not match its frozen_sha256")

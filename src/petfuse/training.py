@@ -108,9 +108,17 @@ class AdamW:
         p -= (alpha_t*m) / (sqrt(v) + eps_t)
         alpha_t = lr*(1-b1)/(1-b1**t)*c_t,   eps_t = eps*c_t
 
-    While a parameter's gradient and moments are all exactly +0.0, its m and
-    v stay 0 and its update is 0/(sqrt(0)+eps_t) = 0, so the step applies
-    only the decay to it. Once it takes the full update it keeps taking it.
+    A parameter whose gradient has been +0.0 throughout at every step only
+    decays: `step` writes moments only through the blocks of the full
+    update, so its m and v are still the zero pages they started as, and its
+    full update would be 0/(sqrt(0)+eps_t) = 0. Once its gradient is not, it
+    takes the full update from then on.
+
+    The first `step` builds the plan of views it updates: each ADAM_BLOCK
+    slice of each run of full-update parameters, and the decay-only
+    parameters between those runs. Each later step only checks the
+    decay-only parameters' gradients, and rebuilds the plan when one of them
+    leaves, so at most once per parameter.
     """
 
     def __init__(self, params, weight_decay: float = 1e-2):
@@ -123,8 +131,9 @@ class AdamW:
         self.flat_m = np.zeros(self.flat.size)
         self.flat_v = np.zeros(self.flat.size)
         self.flat_grad = np.zeros(self.flat.size)
-        # parameters that have only ever decayed, in arena order
-        self._decay_only = list(range(len(self.params)))
+        # arena spans of the parameters that have only ever decayed, in order
+        self._decay_only = list(zip(self._bounds[:-1], self._bounds[1:]))
+        self._plan = None
         views = self.views(self.flat)
         for p in self.params:
             views[p.name][...] = p.data
@@ -149,6 +158,24 @@ class AdamW:
                 p.sink.out.fill(0.0)
             p.sink.written = False
 
+    def _build_plan(self):
+        """Drop from the decay-only spans each one whose gradient is not
+        +0.0 throughout. Returns ((param, grad) views of each decay-only
+        span, (param, m, v, grad, scratch0, scratch1) views of each
+        ADAM_BLOCK slice of each run between them)."""
+        self._decay_only = [(a, b) for a, b in self._decay_only
+                            if _is_clear(self.flat_grad[a:b])]
+        runs = zip([0] + [b for _, b in self._decay_only],
+                   [a for a, _ in self._decay_only] + [self.flat.size])
+        blocks = []
+        for a, b in runs:
+            for lo in range(a, b, ADAM_BLOCK):
+                hi = min(lo + ADAM_BLOCK, b)
+                blocks.append((self.flat[lo:hi], self.flat_m[lo:hi], self.flat_v[lo:hi],
+                               self.flat_grad[lo:hi], *self._scratch[:, :hi - lo]))
+        decaying = [(self.flat[a:b], self.flat_grad[a:b]) for a, b in self._decay_only]
+        return decaying, blocks
+
     def step(self, lr_t: float):
         """One update from the gradient held in `flat_grad`."""
         self.step_count += 1
@@ -157,24 +184,12 @@ class AdamW:
         alpha = lr_t * (1 - ADAM_BETA1) / (1 - ADAM_BETA1 ** t) * c_t
         eps = ADAM_EPS * c_t
         shrink = 1 - lr_t * self.weight_decay
-        lo = 0  # start of the run of parameters that take the full update
-        for i in tuple(self._decay_only):
-            a, b = self._bounds[i], self._bounds[i + 1]
-            if not all(_is_clear(buf[a:b]) for buf in
-                       (self.flat_grad, self.flat_m, self.flat_v)):
-                self._decay_only.remove(i)
-                continue
-            self._update(lo, a, alpha, eps, shrink)
-            np.multiply(self.flat[a:b], shrink, out=self.flat[a:b])
-            lo = b
-        self._update(lo, self.flat.size, alpha, eps, shrink)
-
-    def _update(self, lo: int, hi: int, alpha: float, eps: float, shrink: float):
-        """The full update of flat[lo:hi], ADAM_BLOCK elements per pass."""
-        for a in range(lo, hi, ADAM_BLOCK):
-            p, m, v, g = (buf[a:min(a + ADAM_BLOCK, hi)] for buf in
-                          (self.flat, self.flat_m, self.flat_v, self.flat_grad))
-            s1, s2 = self._scratch[:, :p.size]
+        if self._plan is None or not all(_is_clear(g) for _, g in self._plan[0]):
+            self._plan = self._build_plan()
+        decaying, blocks = self._plan
+        for p, _ in decaying:
+            np.multiply(p, shrink, out=p)
+        for p, m, v, g, s1, s2 in blocks:
             np.multiply(p, shrink, out=p)           # p *= 1 - lr*wd
             np.multiply(m, ADAM_BETA1, out=m)       # m = b1*m + g
             np.add(m, g, out=m)

@@ -1,7 +1,8 @@
-"""scripts/bench_pairs: `compare`, `failure_shares` and `phase_summaries` on
-hand-made runs (when a gain is claimable, when a metric stays within its
-bound, when the change's share of failed operations is no larger, each
-side's quartiles of a phase), and the fresh copy each side runs from."""
+"""scripts/bench_pairs: `compare`, `failure_shares`, `failed_runs` and
+`phase_summaries` on hand-made runs (when a gain is claimable, when a metric
+stays within its bound, when the change's share of failed operations is no
+larger, which runs failed and why, each side's quartiles of a phase), and
+the fresh copy each side runs from."""
 
 import importlib.util
 import subprocess
@@ -71,6 +72,17 @@ def test_failure_shares_pool_each_sides_runs():
     assert s["failed_share_parent"] == pytest.approx(0.05)
     assert s["failed_share_change"] == pytest.approx(0.05)
     assert s["failed_share_no_larger"]  # an equal share is no larger
+
+
+def test_failed_runs_keep_the_seed_and_messages_of_each_failing_run():
+    runs = [{"seed": 7, "failed": 0, "failures": []},
+            {"seed": 8, "failed": 2, "failures": ["arm full_pet failed: boom",
+                                                  "text-label AUROC 0.18 < 0.2"]},
+            {"seed": 9, "failed": 1, "failures": ["exit 1"]}]
+    assert bench_pairs.failed_runs(runs) == [
+        {"seed": 8, "failures": ["arm full_pet failed: boom", "text-label AUROC 0.18 < 0.2"]},
+        {"seed": 9, "failures": ["exit 1"]}]
+    assert bench_pairs.failed_runs(runs[:1]) == []
 
 
 @pytest.mark.parametrize("change, no_larger", [

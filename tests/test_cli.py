@@ -932,7 +932,7 @@ def _trailing_bytes(tmp_path, data, run_dir):
     pytest.param(_checkpoint_header("calibrate", fusion={"head_hidden": 8}),
                  id="calibrate_shape_mismatch"),
     # an array of the size its header claims, but transposed
-    pytest.param(_says("error: stored array fusion/head/w2 has shape (14, 16), the "
+    pytest.param(_says("stored array fusion/head/w2 has shape (14, 16), the "
                        "model's is (16, 14)",
                        _rewritten_checkpoint("eval", _transposed("fusion/head/w2"))),
                  id="eval_fusion_array_transposed"),
@@ -1182,7 +1182,7 @@ def _allocates_below(nbytes, make_argv):
 @pytest.mark.parametrize("make_argv", [
     pytest.param(_checkpoint_header("eval", fusion={"shared_dim": 1024}), id="shared_dim"),
     # a (2048, 4096) vision projection would take 64 MiB
-    pytest.param(_says("error: stored array fusion/vision_proj/w has shape (2048, 32), "
+    pytest.param(_says("stored array fusion/vision_proj/w has shape (2048, 32), "
                        "the model's is (2048, 4096)",
                        _allocates_below(2048 * 4096 * 8 // 4, _checkpoint_header(
                            "eval", fusion={"shared_dim": 4096}))),
@@ -1236,6 +1236,7 @@ def test_header_sizes_are_checked_before_a_model_is_built(make_argv, trained, lo
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert getattr(make_argv, "says", "") in err
+    assert f"{argv[argv.index('--checkpoint') + 1]}: " in err
     assert drawn == []
     assert peak < getattr(make_argv, "allocates_below", float("inf"))
 

@@ -737,23 +737,30 @@ def test_a_batch_16_lora_tape_holds_what_its_backward_reads():
     assert 8e6 < _tape_bytes(loss, model.graph.params.values()) < 12e6
 
 
-def test_a_parameter_first_reached_at_step_3_matches_the_folded_update():
-    """A parameter whose first nonzero gradient comes at step 3 only decays
-    before then, its moments stay +0.0, and after 8 steps it equals the
-    folded recurrence over its gradients (zeros first) bit for bit."""
+@pytest.mark.parametrize("block", [ADAM_BLOCK, 5])
+def test_a_parameter_first_reached_at_step_3_matches_the_folded_update(block, monkeypatch):
+    """A parameter whose first nonzero gradient comes at step 3 ("u"), and
+    one whose first comes at step 5 ("b"), only decay before then, their
+    moments stay +0.0, and after 8 steps every parameter equals the folded
+    recurrence over its gradients (zeros first) bit for bit. Each departure
+    rebuilds the block plan mid-run; a block of 5 elements cuts through
+    every parameter boundary."""
+    monkeypatch.setattr(training, "ADAM_BLOCK", block)
     graph = _arena_graph()
     theta0 = {p.name: p.data.copy() for p in graph.trainable()}
+    first = {"u": 2, "b": 4}  # the index of the step of each one's first gradient
     rng = np.random.default_rng(13)
     steps = [{n: rng.normal(size=t.shape) for n, t in theta0.items()
-              if not (n == "u" and k < 2)} for k in range(8)]
+              if k >= first.get(n, 0)} for k in range(8)]
     opt = AdamW(graph.trainable(), weight_decay=1e-2)
     for k, grads in enumerate(steps):
         for n, g in grads.items():
             opt.grads[n][...] = g
         opt.step(lr_t=1e-2)
-        m, v = opt.views(opt.flat_m)["u"], opt.views(opt.flat_v)["u"]
-        assert (m.tobytes() == bytes(m.nbytes)) == (k < 2), k
-        assert (v.tobytes() == bytes(v.nbytes)) == (k < 2), k
+        for n, k0 in first.items():
+            m, v = opt.views(opt.flat_m)[n], opt.views(opt.flat_v)[n]
+            assert (m.tobytes() == bytes(m.nbytes)) == (k < k0), (n, k)
+            assert (v.tobytes() == bytes(v.nbytes)) == (k < k0), (n, k)
     for n, t in theta0.items():
         gs = [grads.get(n, np.zeros_like(t)) for grads in steps]
         assert np.array_equal(graph.params[n].data,
