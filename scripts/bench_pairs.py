@@ -27,8 +27,9 @@ metric's bound in BENCHMARK.json; and per workload, each side's share of
 failed operations over all its runs and whether the change's is no larger,
 the seed and failure messages of each run that failed an operation
 (`failures_<side>`, so that a benchmark-side check failing on a working
-program can be told from a program fault), and each side's median and quartiles of every phase's floor (`phases`), so
-that a change in `run_s` can be placed in the phase it comes from.
+program can be told from a program fault), and each side's median and
+quartiles of every phase's floor (`phases`), so that a change in `run_s`
+can be placed in the phase it comes from.
 A gain is claimable when the change wins
 at least nine tenths of the pairs and the medians differ, in its favour, by
 more than the parent's interquartile range.
