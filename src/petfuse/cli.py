@@ -169,9 +169,10 @@ class CheckpointExtra:
 
 
 def _load_arm_model(cfg, tokenizer, seed, stored=None):
+    """The arm a RunConfig or a CheckpointExtra describes, and its model."""
     arm = harness.ArmSpec(cfg.arm, policy=cfg.policy, fusion=cfg.fusion)
-    return arm, harness._build_model(arm, tokenizer, seed, lora_cfg=cfg.lora,
-                                     adapter_cfg=cfg.adapter, stored=stored)
+    return arm, arm.build(tokenizer, seed, lora=cfg.lora, adapter=cfg.adapter,
+                          stored=stored)
 
 
 def _cmd_train(args):

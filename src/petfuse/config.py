@@ -18,32 +18,16 @@ from .pet import AdapterConfig, LoRAConfig
 from .training import TrainConfig
 
 
-# The model sections of a run config, each with whether its arm and policy
-# read it: only full_pet takes a fusion config, and only the lora and adapter
-# policies read theirs. Only RunConfig reads this; a checkpoint header's
-# sections are checked by building the model from its arrays.
-_SECTIONS = {"fusion": lambda cfg: cfg.arm == "full_pet",
-             "lora": lambda cfg: cfg.policy == "lora",
-             "adapter": lambda cfg: cfg.policy == "adapter"}
-
-
 @dataclass
 class RunConfig:
     """What `train` and `count-params` read; the file overrides the defaults.
-    A ConfigError when it sets a section its arm and policy ignore."""
+    `harness.ArmSpec` holds its sections to the arm's rules."""
     arm: str = "full_pet"
     policy: str = "frozen"
     fusion: FusionConfig = field(default_factory=FusionConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     lora: LoRAConfig = field(default_factory=LoRAConfig)
     adapter: AdapterConfig = field(default_factory=AdapterConfig)
-
-    def __post_init__(self):
-        for name, reads in _SECTIONS.items():
-            section = getattr(self, name)
-            if not reads(self) and section != type(section)():
-                raise ConfigError(f"arm {self.arm!r} with policy {self.policy!r} "
-                                  f"would ignore config section {name!r}")
 
 
 def build_section(name: str, cls, values):

@@ -261,11 +261,12 @@ def _check_arm_name(name: str):
 
 @dataclass
 class ArmSpec:
-    """An arm as its kind trains it, named after its kind unless named. An
-    InputError for an unknown kind or policy, or for a policy or fusion that
-    the kind ignores and that differs from its default; a budget_matched arm
-    is sized to vision_only's count, and also takes the fusion that sizing
-    sets, so that a copy of it builds."""
+    """An arm as its kind trains it, named after its kind unless named: the
+    one holder of an arm's rules and the one model builder. An InputError
+    for an unknown kind or policy, or for a policy or fusion that the kind
+    ignores and that differs from its default; a budget_matched arm is sized
+    to vision_only's count, and also takes the fusion that sizing sets, so
+    that a copy of it builds."""
     kind: str
     name: str = ""  # empty: the kind's own name
     policy: str = "frozen"
@@ -289,6 +290,24 @@ class ArmSpec:
             raise InputError(f"arm kind {self.kind!r} takes no fusion override; "
                              "only full_pet does")
         self.fusion = sized or self.fusion
+
+    def build(self, tokenizer, seed: int, lora: LoRAConfig | None = None,
+              adapter: AdapterConfig | None = None,
+              text_store: dict[str, np.ndarray] | None = None,
+              stored: dict[str, np.ndarray] | None = None):
+        """The arm's model, its weights drawn from `seed`, or taken from
+        `stored` (address -> array) if given. A ConfigError, before anything
+        is drawn, for a lora or adapter section that differs from its default
+        while the policy does not read it."""
+        for name, section in (("lora", lora), ("adapter", adapter)):
+            if self.policy != name and section not in (None, type(section)()):
+                raise ConfigError(f"arm {self.name!r} with policy {self.policy!r} "
+                                  f"would ignore config section {name!r}")
+        if self.kind == "vision_only":
+            return VisionOnlyModel(seed=seed, stored=stored)
+        return MultimodalModel(self.fusion, tokenizer, seed=seed, policy=self.policy,
+                               lora_cfg=lora, adapter_cfg=adapter,
+                               text_store=text_store, stored=stored)
 
 
 @dataclass
@@ -317,18 +336,6 @@ class ExperimentPlan:
 def read_plan(doc) -> ExperimentPlan:
     """The plan a JSON object describes, each arm under its kind's rules."""
     return build_section("plan", ExperimentPlan, doc)
-
-
-def _build_model(arm: ArmSpec, tokenizer, seed: int,
-                 lora_cfg: LoRAConfig | None = None,
-                 adapter_cfg: AdapterConfig | None = None,
-                 text_store: dict[str, np.ndarray] | None = None,
-                 stored: dict[str, np.ndarray] | None = None):
-    if arm.kind == "vision_only":
-        return VisionOnlyModel(seed=seed, stored=stored)
-    return MultimodalModel(arm.fusion, tokenizer, seed=seed, policy=arm.policy,
-                           lora_cfg=lora_cfg, adapter_cfg=adapter_cfg,
-                           text_store=text_store, stored=stored)
 
 
 def predict_logits(model, samples) -> np.ndarray:
@@ -457,8 +464,8 @@ def run_plan(plan: ExperimentPlan, samples, out_dir) -> AttributionResult:
     for arm in plan.arms:
         for seed in arm.seeds:
             try:
-                model = _build_model(arm, tokenizer, seed,
-                                     text_store=text_stores.setdefault(seed, {}))
+                model = arm.build(tokenizer, seed,
+                                  text_store=text_stores.setdefault(seed, {}))
                 train_loop(model, train_set, val_set, replace(plan.train, seed=seed))
                 budget = count_params(model.graph)
                 runs.append(ArmRun(arm.name, seed, budget.total_trainable, budget.total_params,

@@ -436,8 +436,8 @@ def test_a_restore_draws_nothing_the_checkpoint_holds(arm, policy, streams, trai
         restored = _eval_and_calibrate(capsys, out / "checkpoint.bin", data)
     assert log.drawn == streams
 
-    build = harness._build_model
-    monkeypatch.setattr(harness, "_build_model",
+    build = harness.ArmSpec.build
+    monkeypatch.setattr(harness.ArmSpec, "build",
                         lambda *args, stored=None, **kwargs: build(*args, **kwargs))
     assert _eval_and_calibrate(capsys, out / "checkpoint.bin", data) == restored
 
@@ -1144,11 +1144,11 @@ def test_version_1_checkpoint_error_names_its_version(trained, capsys, tmp_path)
     assert code == 2 and "version 1" in err
 
 
-def _lora_header(command, **lora):
-    """The LoRA fixture's checkpoint with its header's lora section changed."""
+def _lora_header(command, **extra):
+    """The LoRA fixture's checkpoint with its header `extra` changed."""
     def make_argv(tmp_path, data, run_dir):
-        return _checkpoint_header(command, lora=lora)(tmp_path, data,
-                                                      run_dir.parent / "lora_run")
+        return _checkpoint_header(command, **extra)(tmp_path, data,
+                                                    run_dir.parent / "lora_run")
     return make_argv
 
 
@@ -1195,7 +1195,7 @@ def _allocates_below(nbytes, make_argv):
     pytest.param(_says("checkpoint header: unknown fusion keys: ['num_labels']",
                        _checkpoint_header("eval", fusion={"num_labels": 10**6})),
                  id="num_labels"),
-    pytest.param(_lora_header("eval", rank=64), id="lora_rank"),
+    pytest.param(_lora_header("eval", lora={"rank": 64}), id="lora_rank"),
     # a policy whose injected parameters the checkpoint does not hold
     pytest.param(_says("no stored array at text_encoder/block0/attn/wq/lora_a",
                        _checkpoint_header("eval", policy="lora", lora={"rank": 64})),
@@ -1207,6 +1207,17 @@ def _allocates_below(nbytes, make_argv):
     pytest.param(_says("arm kind 'vision_only' takes no fusion override; only full_pet does",
                        _vision_header("eval", fusion={"shared_dim": 1024})),
                  id="vision_only_fusion"),
+    # a section the policy does not read, as train's config says
+    pytest.param(_says("arm 'full_pet' with policy 'frozen' would ignore config "
+                       "section 'lora'", _checkpoint_header("eval", lora={"rank": 4})),
+                 id="frozen_lora_section"),
+    pytest.param(_says("arm 'full_pet' with policy 'lora' would ignore config "
+                       "section 'adapter'",
+                       _lora_header("calibrate", adapter={"bottleneck": 8})),
+                 id="lora_adapter_section"),
+    pytest.param(_says("arm 'vision_only' with policy 'frozen' would ignore config "
+                       "section 'lora'", _vision_header("eval", lora={"rank": 4})),
+                 id="vision_only_lora_section"),
 ])
 def test_header_sizes_are_checked_before_a_model_is_built(make_argv, trained, lora_trained,
                                                           vision_trained, capsys, tmp_path,

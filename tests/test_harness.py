@@ -12,13 +12,14 @@ from petfuse import harness
 from petfuse.cli import main
 from petfuse.config import build_section
 from petfuse.data import SplitSpec, generate_synthetic, save_manifest, split_patients
-from petfuse.encoders import MiniTextEncoder, Tokenizer
+from petfuse.encoders import SPECIALS, MiniTextEncoder, Tokenizer
 from petfuse.errors import ConfigError, InputError, PolicyError, SearchError
 from petfuse.fusion import FusionConfig, FusionPathway
 from petfuse.harness import (VISION_ONLY_PARAMS, ArmSpec, ExperimentPlan,
                              MultimodalModel, VisionOnlyModel, compute_deltas, efficiency_table, run_plan,
                              search_shared_dim, summarize, vision_matrix)
-from petfuse.pet import count_params
+from petfuse.model import ModelGraph
+from petfuse.pet import AdapterConfig, LoRAConfig, count_params
 from petfuse.training import TrainConfig, train_loop
 
 
@@ -103,6 +104,32 @@ def test_a_copy_of_a_budget_matched_arm_builds():
         dataclasses.replace(arm, fusion=FusionConfig(shared_dim=32))
     with pytest.raises(InputError, match="takes no fusion override"):
         ArmSpec(kind="vision_only", fusion=arm.fusion)
+
+
+@pytest.mark.parametrize("kind, policy, name, section", [
+    ("full_pet", "frozen", "lora", LoRAConfig(rank=4)),
+    ("full_pet", "bitfit", "lora", LoRAConfig(alpha=16.0)),
+    ("full_pet", "lora", "adapter", AdapterConfig(bottleneck=8)),
+    ("full_pet", "adapter", "lora", LoRAConfig(rank=4)),
+    ("vision_only", "frozen", "adapter", AdapterConfig(bottleneck=8)),
+])
+def test_build_refuses_a_section_its_policy_ignores(kind, policy, name, section,
+                                                    monkeypatch):
+    """A lora or adapter section that differs from its default, given to an
+    arm whose policy does not read it, is refused before a model graph
+    exists; None or the default builds."""
+    graphs = []
+    monkeypatch.setattr(harness, "ModelGraph",
+                        lambda **kw: graphs.append(kw) or ModelGraph(**kw))
+    arm = ArmSpec(kind, policy=policy)
+    tokenizer = Tokenizer.from_tokens(list(SPECIALS))
+    with pytest.raises(ConfigError, match=f"arm {kind!r} with policy {policy!r} "
+                                          f"would ignore config section {name!r}"):
+        arm.build(tokenizer, 0, **{name: section})
+    assert graphs == []
+    for accepted in (None, type(section)()):
+        assert arm.build(tokenizer, 0, **{name: accepted}).graph.params
+    assert len(graphs) == 2
 
 
 def _count_encodes(monkeypatch, policy):
@@ -218,13 +245,13 @@ def test_plan_shares_one_frozen_text_store_per_seed(monkeypatch, tmp_path):
 
     monkeypatch.setattr(MiniTextEncoder, "encode", counting)
     models = {}
-    build = harness._build_model
+    build = ArmSpec.build
 
     def recording(arm, *args, **kwargs):
         models[arm.name] = build(arm, *args, **kwargs)
         return models[arm.name]
 
-    monkeypatch.setattr(harness, "_build_model", recording)
+    monkeypatch.setattr(ArmSpec, "build", recording)
     fusion = FusionConfig(shared_dim=16, head_hidden=8, dropout_p=0.0)
     plan = ExperimentPlan(
         arms=[ArmSpec("full_pet", name="full_pet_lora", policy="lora", fusion=fusion),
@@ -355,14 +382,14 @@ def test_run_plan_seed_isolation(tmp_path):
 
 def test_run_plan_records_failures(tmp_path, capsys, monkeypatch):
     samples = generate_synthetic(n_patients=20, seed=23)
-    build = harness._build_model
+    build = ArmSpec.build
 
     def boom(arm, *args, **kwargs):
         if arm.name == "boom":
             raise PolicyError("boom finds no encoder tensor")
         return build(arm, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "_build_model", boom)
+    monkeypatch.setattr(ArmSpec, "build", boom)
     bad = ArmSpec("full_pet", name="boom")
     train = TrainConfig(batch=8, accumulation=1, max_epochs=1, patience=5)
     plan = ExperimentPlan(arms=[bad, ArmSpec("vision_only")], train=train)
