@@ -93,12 +93,9 @@ class Tensor:
 
     __slots__ = ("data", "_record")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None,
-                 sink: GradSink | None = None):
+    def __init__(self, data, requires_grad=False, sink: GradSink | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        parents = tuple(filter(None, (p._record for p in _parents))) if _parents else ()
-        self._record = (_Record(parents, _backward, sink)
-                        if requires_grad or parents else None)
+        self._record = _Record((), None, sink) if requires_grad else None
 
     @property
     def shape(self):
@@ -111,21 +108,6 @@ class Tensor:
     @property
     def grad(self):
         return None if self._record is None else self._record.grad
-
-    @grad.setter
-    def grad(self, g):
-        if self._record is not None:
-            self._record.grad = g
-        elif g is not None:
-            raise ValueError("a constant takes no gradient")
-
-    @property
-    def _parents(self) -> tuple:
-        return () if self._record is None else self._record.parents
-
-    @property
-    def _backward(self):
-        return None if self._record is None else self._record.backward
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"

@@ -9,7 +9,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -294,14 +294,10 @@ def load_checkpoint(path):
 
 @dataclass
 class TrainResult:
-    """What `train_loop` leaves. `best_state` maps each trainable parameter
-    to its values at the best epoch: a copy when a later epoch ran, a view
-    of the optimizer's live arena when the best epoch was the last one run,
-    and empty when no epoch improved on the start."""
+    """What `train_loop` leaves; the model holds the best epoch's parameters."""
     history: list  # (epoch, train_loss, val_auroc, lr, seconds)
     best_epoch: int
     best_val_auroc: float
-    best_state: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
 
     def write_history_csv(self, path):
         with open(path, "w", newline="") as f:
@@ -402,10 +398,6 @@ def train_loop(model, train_samples, val_samples, cfg: TrainConfig) -> TrainResu
             if since_improve >= cfg.patience:
                 break
 
-    best_state = {}
-    if best_epoch == epoch:  # the last epoch run is the best: nothing to restore
-        best_state = opt.views(opt.flat)
-    elif best_flat is not None:
-        best_state = opt.views(best_flat)
-        graph.load_state(best_state)
-    return TrainResult(history, best_epoch, best_val, best_state)
+    if best_epoch != epoch and best_flat is not None:
+        np.copyto(opt.flat, best_flat)  # the trainable parameters view opt.flat
+    return TrainResult(history, best_epoch, best_val)

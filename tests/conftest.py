@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 
-from petfuse.autodiff import Tensor, _add_grad, as_tensor, matmul, mul
+from petfuse.autodiff import Tensor, _add_grad, _result, as_tensor, matmul, mul
 from petfuse.errors import NumericError, ShapeError
 from petfuse.metrics import macro_auroc
 from petfuse.redaction import (_NUM_RE, _TOKEN_RE, MASKS, Lexicon, RedactedReport,
@@ -23,7 +23,7 @@ def grad_check(fn, tensors, step=1e-5):
     are the leaves to check. Independent of the backward implementation.
     """
     for t in tensors:
-        t.grad = None
+        t._record.grad = None
     out = fn()
     out.backward()
     worst = 0.0
@@ -91,7 +91,7 @@ def transpose(x) -> Tensor:
     def bw(g):
         _accum(x, g.T)
 
-    return Tensor(x.data.T, _parents=(x,), _backward=bw)
+    return _result(x.data.T, (x._record,), bw)
 
 
 def tsum(x, axis=None) -> Tensor:
@@ -105,7 +105,7 @@ def tsum(x, axis=None) -> Tensor:
         else:
             _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
 
-    return Tensor(x.data.sum(axis=axis), _parents=(x,), _backward=bw)
+    return _result(x.data.sum(axis=axis), (x._record,), bw)
 
 
 def softmax_rows(x) -> Tensor:
@@ -117,7 +117,7 @@ def softmax_rows(x) -> Tensor:
     def bw(g):
         _accum(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
-    return Tensor(y, _parents=(x,), _backward=bw)
+    return _result(y, (x._record,), bw)
 
 
 def softmax_attention(q, k, v, scale: float) -> Tensor:

@@ -339,6 +339,7 @@ def test_criterion_09_early_stopping():
             self.graph.add_param("w", np.array([1.0]), trainable=True)
             self.scores = [0.6, 0.7] + [0.65] * 40
             self.calls = 0
+            self.after = []  # w as each epoch's validation saw it
 
         def fit_normalizer(self, samples):
             pass
@@ -349,6 +350,7 @@ def test_criterion_09_early_stopping():
             return tsum(ad.mul(w, w)), binding
 
         def validation_auroc(self, val):
+            self.after.append(self.graph.params["w"].data.copy())
             score = self.scores[self.calls]
             self.calls += 1
             return score
@@ -361,8 +363,8 @@ def test_criterion_09_early_stopping():
     assert len(result.history) == 7
     assert result.best_epoch == 2
     assert result.best_val_auroc == pytest.approx(0.7)
-    assert np.array_equal(model.graph.params["w"].data,
-                          result.best_state["w"])
+    w = model.graph.params["w"].data
+    assert np.array_equal(w, model.after[1]) and not np.array_equal(w, model.after[-1])
     _report(9, "best at epoch 2 with patience 5 halts after epoch 7 and "
                "restores the epoch-2 weights")
 

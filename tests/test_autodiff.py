@@ -147,10 +147,10 @@ def test_a_node_without_gradient_records_no_tape():
     x = ad.Tensor(np.ones((3, 2)))
     frozen = ad.relu(ad.matmul(x, w))
     assert not frozen.requires_grad
-    assert frozen._parents == () and frozen._backward is None
+    assert frozen._record is None
     live = ad.matmul(frozen, ad.Tensor(np.ones((2, 2)), requires_grad=True))
     # the record lists only the input that requires a gradient
-    assert live.requires_grad and len(live._parents) == 1
+    assert live.requires_grad and len(live._record.parents) == 1
 
 
 def test_backward_keeps_only_the_leaves_gradients():
@@ -172,7 +172,7 @@ def test_a_tape_is_single_use():
     h = ad.relu(ad.matmul(a, b))
     y = tsum(ad.mul(h, 2.0))
     y.backward()
-    assert h._parents == () and y._parents == ()
+    assert h._record.parents == () and y._record.parents == ()
     ga, gb = a.grad.copy(), b.grad.copy()
     for out in (y, tsum(h)):
         with pytest.raises(RuntimeError, match="earlier backward"):

@@ -294,7 +294,7 @@ def test_train_loop_matches_dict_reference_loop(tmp_path):
     ends on the same bytes as the dict-based loop, which copies every best
     epoch's parameters and loads them back at the end, and so writes the
     same checkpoint. Over 4 epochs the best is the first; over 1 it is the
-    last, and the arena loop keeps no copy of it."""
+    last."""
     samples = generate_synthetic(n_patients=40, seed=9)
     train, val, _ = split_patients(samples, SplitSpec())
     tok = Tokenizer.build([s.text for s in train])
@@ -317,8 +317,6 @@ def test_train_loop_matches_dict_reference_loop(tmp_path):
         for p in ref.graph.trainable():
             live = got.graph.params[p.name].data
             assert live.tobytes() == p.data.tobytes(), p.name
-            assert result.best_state[p.name].tobytes() == p.data.tobytes(), p.name
-            assert np.shares_memory(result.best_state[p.name], live) == (max_epochs == 1)
         for name, graph in (("ref", ref.graph), ("got", got.graph)):
             save_checkpoint(tmp_path / name, graph, header_extra={}, state={})
         assert (tmp_path / "got").read_bytes() == (tmp_path / "ref").read_bytes()
@@ -380,13 +378,15 @@ def test_train_config_refuses_a_step_size_that_is_not_finite_and_positive(field,
 
 
 class _StubModel:
-    """Tiny scalar model with scripted validation scores."""
+    """Tiny scalar model with scripted validation scores. `after` holds, for
+    each epoch, each parameter's first value as validation saw it."""
 
     def __init__(self, val_scores):
         self.graph = ModelGraph()
         self.graph.add_param("w", np.array([1.0]), trainable=True)
         self._scores = list(val_scores)
         self.calls = 0
+        self.after = []
 
     def fit_normalizer(self, samples):
         pass
@@ -398,6 +398,7 @@ class _StubModel:
         return loss, binding
 
     def validation_auroc(self, val):
+        self.after.append({n: float(p.data.flat[0]) for n, p in self.graph.params.items()})
         score = self._scores[min(self.calls, len(self._scores) - 1)]
         self.calls += 1
         return score
@@ -409,27 +410,16 @@ def _dummy_samples(n):
 
 def test_early_stopping_trace():
     """Scores 0.6, 0.7 then flat: patience 5 stops after epoch 7 and the
-    restored weights come from the epoch-2 best."""
-    scores = [0.6, 0.7] + [0.65] * 30
-    model = _StubModel(scores)
-    snapshots = []
-
-    orig_loss = model.loss_batch
-
-    def recording_loss(samples, training, epoch, seed):
-        snapshots.append(model.graph.params["w"].data.copy())
-        return orig_loss(samples, training, epoch, seed)
-
-    model.loss_batch = recording_loss
+    restored weights are those epoch 2 left, not those of epoch 7."""
+    model = _StubModel([0.6, 0.7] + [0.65] * 30)
     cfg = TrainConfig(max_epochs=30, patience=5, batch=4, accumulation=1,
                       lr=1e-2, seed=0)
     result = train_loop(model, _dummy_samples(4), _dummy_samples(2), cfg)
     assert result.best_epoch == 2
     assert result.best_val_auroc == pytest.approx(0.7)
-    assert len(result.history) == 7  # 2 improving + 5 patience epochs
-    # best state restored: weights equal their value entering epoch 3
-    assert np.allclose(model.graph.params["w"].data,
-                       result.best_state["w"])
+    assert len(result.history) == len(model.after) == 7  # 2 improving + 5 patience
+    w = model.graph.params["w"].data[0]
+    assert w == model.after[1]["w"] != model.after[-1]["w"]
 
 
 def test_early_stopping_runs_to_max_epochs_when_improving():
@@ -461,8 +451,8 @@ def test_only_a_best_epoch_before_the_last_is_copied(scores, copies, restored,
     """Traced peak memory is the arena, its two moments and its gradient,
     plus one arena-sized copy for a best epoch that another epoch follows.
     The copy is made with numpy's huge-page advice off, and the process's
-    setting is put back after it. best_state is that copy when it was loaded
-    back, else the live arena."""
+    setting is put back after it. The parameters end as the best epoch left
+    them, which differs from the last epoch when the copy is loaded back."""
     set_advice, calls = training._set_madvise_hugepage, []
     monkeypatch.setattr(training, "_set_madvise_hugepage",
                         lambda enabled: calls.append(enabled) or set_advice(enabled))
@@ -483,10 +473,11 @@ def test_only_a_best_epoch_before_the_last_is_copied(scores, copies, restored,
     assert (4 + copies) * arena <= peak < (4.5 + copies) * arena
     assert calls == [False, advised] * copies
     assert result.best_epoch == 1 + scores.index(max(scores))
+    best, last = model.after[result.best_epoch - 1], model.after[-1]
     for name in ("w", "wide"):
         live = model.graph.params[name].data
-        assert np.shares_memory(result.best_state[name], live) != restored
-        assert np.array_equal(result.best_state[name], live)
+        assert (live == best[name]).all()
+        assert (best[name] != last[name]) == restored
 
 
 def test_history_rows_complete():
@@ -657,7 +648,7 @@ class _TapeWatcher:
             self.alive.append(any(ref() is not None for ref in self.watched))
         logits, binding = self.inner.logits_batch(samples, training, epoch, seed)
         loss = ad.bce_with_logits(logits, label_matrix(samples))
-        self.watched = (weakref.ref(logits.data), weakref.ref(loss._parents[0]))
+        self.watched = (weakref.ref(logits.data), weakref.ref(loss._record.parents[0]))
         return loss, binding
 
 
@@ -699,7 +690,7 @@ def test_a_lora_tape_frees_the_activations_no_backward_reads(monkeypatch):
     watch = []
     _, loss, binding = _lora_batch_loss(monkeypatch, watch)
     assert len(watch) == 8  # q, k, v and o projections of two blocks
-    assert loss.requires_grad and loss._backward is not None  # the tape is alive
+    assert loss.requires_grad and loss._record.backward is not None  # the tape is alive
     assert all(ref() is None for ref in watch)
     loss.backward()
     assert binding["text_encoder/block0/attn/wq/lora_a"].grad is not None
