@@ -22,9 +22,13 @@ the checkout itself, since the copy has no `.git`.
 The output holds, per workload and end-to-end metric, every run, each
 side's median and quartiles (`statistics.quantiles(n=4,
 method='inclusive')`), the change's wins (ties count for neither), the
-parent's interquartile range, and whether the change's median is within the
-metric's bound in BENCHMARK.json; and per workload, each side's share of
-failed operations over all its runs and whether the change's is no larger,
+parent's interquartile range, whether the change's median is within the
+metric's bound in BENCHMARK.json, and whether the metric is `unresolved`:
+either side's interquartile range exceeds the bound times the parent's
+median, and not every change run is better than every parent run, so a
+median within the bound does not show the change unchanged; and per
+workload, each side's share of failed operations over all its runs and
+whether the change's is no larger,
 the seed and failure messages of each run that failed an operation
 (`failures_<side>`, so that a benchmark-side check failing on a working
 program can be told from a program fault), and each side's median and
@@ -96,13 +100,19 @@ def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
     iqr = ps["q3"] - ps["q1"]
     gain = sign * (ps["median"] - cs["median"])
     worse_by = -gain / ps["median"] if ps["median"] else 0.0
+    # a spread wider than the bound cannot tell a shift within it from noise,
+    # unless every change run is better than every parent run
+    every_run_better = max(sign * c for c in change) < min(sign * p for p in parent)
+    unresolved = (max(iqr, cs["q3"] - cs["q1"]) > spec["bound"] * abs(ps["median"])
+                  and not every_run_better)
     return {"better": spec["better"], "bound": spec["bound"], "parent": ps,
             "change": cs, "change_wins": wins, "pairs": len(parent),
             "median_ratio_change_over_parent":
                 cs["median"] / ps["median"] if ps["median"] else None,
             "parent_iqr": iqr,
             "gain_claimable": wins >= 0.9 * len(parent) and gain > iqr,
-            "within_bound": worse_by <= spec["bound"]}
+            "within_bound": worse_by <= spec["bound"],
+            "unresolved": unresolved}
 
 
 def failure_shares(parent: list[dict], change: list[dict]) -> dict:
@@ -209,7 +219,8 @@ def main(argv=None) -> int:
             print(f"{w:<20} {name:<20} parent {c['parent']['median']:<10.4g} "
                   f"change {c['change']['median']:<10.4g} wins {c['change_wins']}/"
                   f"{c['pairs']} iqr {c['parent_iqr']:.3g} "
-                  f"claimable {c['gain_claimable']} within_bound {c['within_bound']}")
+                  f"claimable {c['gain_claimable']} within_bound {c['within_bound']}"
+                  f" unresolved {c['unresolved']}")
         e = doc["workloads"][w]
         for phase, by_side in e["phases"].items():
             print(f"{w:<20} {'phase ' + phase:<20} parent "

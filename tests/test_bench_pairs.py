@@ -1,8 +1,9 @@
 """scripts/bench_pairs: `compare`, `failure_shares`, `failed_runs` and
 `phase_summaries` on hand-made runs (when a gain is claimable, when a metric
-stays within its bound, when the change's share of failed operations is no
-larger, which runs failed and why, each side's quartiles of a phase), and
-the fresh copy each side runs from."""
+stays within its bound, when its spread leaves it unresolved, when the
+change's share of failed operations is no larger, which runs failed and
+why, each side's quartiles of a phase), and the fresh copy each side runs
+from."""
 
 import importlib.util
 import subprocess
@@ -60,6 +61,31 @@ def test_ties_count_for_neither_side():
 def test_within_bound_is_the_relative_loss_against_the_bound(spec, factor, within):
     c = bench_pairs.compare(spec, PARENT, [p * factor for p in PARENT])
     assert c["within_bound"] is within
+
+
+# median 100 and an interquartile range of 35, wider than 0.25 of 100
+WIDE = [p * 10 - 900 for p in PARENT]
+
+
+@pytest.mark.parametrize("parent, change, unresolved", [
+    (PARENT, PARENT, False),
+    (WIDE, PARENT, True),                        # the parent's spread is too wide
+    (PARENT, WIDE, True),                        # the change's spread is too wide
+    (WIDE, [w - 50 for w in WIDE], True),        # better in the median only
+    (WIDE, [w / 3 for w in WIDE], False),        # every change run is better
+    (WIDE, [w + 100 for w in WIDE], True),       # every change run is worse
+])
+def test_a_spread_wider_than_the_bound_is_unresolved(parent, change, unresolved):
+    """Unresolved when either side's interquartile range exceeds the bound
+    times the parent's median, unless every change run is better than every
+    parent run."""
+    assert bench_pairs.compare(LOWER, parent, change)["unresolved"] is unresolved
+
+
+def test_every_run_better_reads_the_metrics_direction():
+    higher = [w + 100 for w in WIDE]
+    assert not bench_pairs.compare(HIGHER, WIDE, higher)["unresolved"]
+    assert bench_pairs.compare(LOWER, WIDE, higher)["unresolved"]
 
 
 def _runs(*counts):
