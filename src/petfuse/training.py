@@ -77,13 +77,16 @@ def clip_gradients(grads, max_norm: float = 1.0):
     `grads` is one flat gradient array, such as AdamW.flat_grad, or a
     name -> array dict. The norm takes one dot product per array, so no
     full-size temporary is formed; over a flat array it is a single dot.
+    Only the entries that are not ±0.0 are scaled, which leaves the same
+    bits (±0·factor is ±0) and leaves a gradient page that no backward
+    wrote unwritten, so AdamW's untouched zero pages stay unmapped.
     """
     arrays = list(grads.values()) if isinstance(grads, dict) else [grads]
     norm = math.sqrt(sum(float(g.ravel() @ g.ravel()) for g in arrays))
     if norm > max_norm:
         factor = max_norm / norm
         for g in arrays:
-            g *= factor
+            np.multiply(g, factor, out=g, where=g != 0)
     return grads, norm
 
 

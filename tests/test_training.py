@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -107,6 +110,71 @@ def test_clip_norm_is_the_per_parameter_norm_within_rounding():
     assert opt.flat_grad.tobytes() == before.tobytes()
     _, per_array = clip_gradients(opt.grads, max_norm=2 * reference)
     assert abs(per_array - reference) <= 1e-12 * reference
+
+
+
+def test_an_active_clip_leaves_the_bits_of_a_plain_scaling():
+    """Scaling only the entries that are not ±0.0 writes the bits that
+    `g *= factor` writes, a -0.0 included, for a flat array and for the
+    arrays of a dict, a 0-d one among them."""
+    rng = np.random.default_rng(11)
+    flat = rng.normal(0, 1, 4099)
+    flat[::7], flat[3::11] = 0.0, -0.0
+    flat[-500:] = 0.0
+    grads = {"w": flat[:4000].reshape(40, 100).copy(), "s": np.array(-0.0),
+             "t": np.array(2.5), "b": flat[4000:].copy()}
+    for g in (flat, grads):
+        arrays = list(g.values()) if isinstance(g, dict) else [g]
+        expected = [a.copy() for a in arrays]
+        _, norm = clip_gradients(g, max_norm=0.5)
+        assert norm > 0.5
+        for want, got in zip(expected, arrays):
+            want *= 0.5 / norm
+            assert got.tobytes() == want.tobytes()
+    assert np.signbit(grads["s"]) and np.signbit(flat[3])
+
+
+_CLIP_RSS_PROBE = """
+import numpy as np
+from petfuse.training import clip_gradients
+try:
+    with open("/proc/self/statm") as f:
+        f.read()
+    def resident():
+        with open("/proc/self/statm") as f:
+            return int(f.read().split()[1]) * {page}
+except OSError:
+    import resource
+    def resident():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+clip_gradients(np.ones(8), max_norm=1.0)
+g = np.zeros({size})
+g[:4096] = 1.0
+before = resident()
+clip_gradients(g, max_norm=1.0)
+print(resident() - before, g.nbytes)
+"""
+
+
+def test_an_active_clip_leaves_an_untouched_zero_tail_unmapped():
+    """A flat gradient whose head alone was written, clipped, keeps its
+    zero tail unwritten, as AdamW leaves the views no backward reaches.
+    Measured in a child process by its resident size, where it can read
+    /proc/self/statm, else by its peak, which the clip's mask (one byte
+    per entry) may raise by an eighth of the array."""
+    if not os.path.exists("/proc/self/statm"):
+        try:
+            import resource
+            resource.getrusage(resource.RUSAGE_SELF)
+        except (ImportError, OSError):
+            pytest.skip("neither /proc/self/statm nor getrusage can be read")
+    src = os.path.dirname(os.path.dirname(training.__file__))
+    code = _CLIP_RSS_PROBE.format(page=os.sysconf("SC_PAGE_SIZE"), size=8 * 2**20)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    grown, nbytes = map(int, proc.stdout.split())
+    assert grown < nbytes // 4, (grown, nbytes)
 
 
 # ---------------------------------------------------------------- AdamW
