@@ -1,15 +1,19 @@
 """End-to-end CLI behaviour: exit codes, artifacts, determinism."""
 
+import gc
 import hashlib
 import json
 import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,11 +21,12 @@ from hypothesis import strategies as st
 import petfuse
 from petfuse import autodiff as ad
 from petfuse import data as data_mod
-from petfuse import harness
+from petfuse import cli, harness, training
 from petfuse.cli import main
+from petfuse.config import RunConfig, build_section
 from petfuse.data import (LABELS, SplitSpec, generate_synthetic, load_manifest,
                           save_manifest, split_patients)
-from petfuse.encoders import SPECIALS
+from petfuse.encoders import SPECIALS, Tokenizer
 from petfuse.fusion import FusionPathway
 from petfuse.model import ModelGraph
 from petfuse.training import load_checkpoint
@@ -232,6 +237,103 @@ def test_count_params_counts_the_model_train_builds(arm, policy, trainable, caps
                  "--out", str(tmp_path / "run")]) == 0
     _, arrays = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
     assert sum(a.size for a in arrays.values()) == trainable
+
+
+
+@pytest.mark.parametrize("arm, policy, sections", [
+    ("vision_only", "frozen", {}),
+    ("budget_matched", "frozen", {}),
+    ("full_pet", "frozen", {}),
+    ("full_pet", "frozen", {"fusion": {"shared_dim": 40, "head_hidden": 12,
+                                       "dropout_p": 0.0}}),
+    ("full_pet", "bitfit", {}),
+    ("full_pet", "lora", {}),
+    ("full_pet", "lora", {"lora": {"rank": 4}}),
+    ("full_pet", "adapter", {}),
+    ("full_pet", "adapter", {"adapter": {"bottleneck": 16}}),
+])
+def test_the_trainable_weights_do_not_depend_on_the_vocabulary(arm, policy, sections):
+    """The model over the special tokens alone, whose trainable arrays train
+    draws before the manifest is parsed, and models over two real
+    vocabularies of different sizes hold the same trainable arrays, bit for
+    bit."""
+    cfg = build_section("config", RunConfig,
+                        {"arm": arm, "policy": policy, "train": {"seed": 5}, **sections})
+    tokenizers = [Tokenizer.from_tokens(list(SPECIALS))] + [
+        Tokenizer.build([s.text for s in generate_synthetic(n, seed=n)]) for n in (6, 40)]
+    assert len({len(t) for t in tokenizers}) == 3
+    specials = cli._specials_model(cfg)[1].graph.trainable()
+    assert specials
+    for tokenizer in tokenizers[1:]:
+        real = cli._load_arm_model(cfg, tokenizer, cfg.train.seed)[1].graph.trainable()
+        assert [p.name for p in real] == [p.name for p in specials]
+        for a, b in zip(real, specials):
+            assert a.data.shape == b.data.shape
+            assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64)), a.name
+
+
+def test_train_draws_on_its_thread_while_another_parses(trained, capsys, tmp_path,
+                                                         monkeypatch):
+    """train parses the manifest on a second thread while the calling thread
+    draws the trainable weights; the model over the manifest's vocabulary
+    then takes each of them from the drawn arrays and draws none again."""
+    _, data, cfg, _ = trained
+    parsed_on, drawn, taken = [], [], []
+    load = data_mod.load_manifest
+
+    def recording_load(*args):
+        parsed_on.append(threading.get_ident())
+        return load(*args)
+
+    add_drawn = ModelGraph.add_drawn
+
+    def recording_add_drawn(graph, name, shape, draw):
+        (drawn if graph.stored is None else taken).append((threading.get_ident(), name))
+        return add_drawn(graph, name, shape, draw)
+
+    monkeypatch.setattr(data_mod, "load_manifest", recording_load)
+    monkeypatch.setattr(ModelGraph, "add_drawn", recording_add_drawn)
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 0
+    here = threading.get_ident()
+    assert len(parsed_on) == 1 and parsed_on[0] != here
+    assert drawn and {ident for ident, _ in drawn + taken} == {here}
+    assert [name for _, name in drawn] == [name for _, name in taken]
+
+
+def test_the_drawn_arrays_die_once_the_optimizer_holds_its_copy(trained, capsys,
+                                                                tmp_path, monkeypatch):
+    """Once train_loop has built its optimizer, which copies every trainable
+    array into its arena, no array train drew is alive, and the model's
+    graph holds no stored arrays."""
+    _, data, _, _ = trained
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "arm": "full_pet", "policy": "lora", "lora": {"rank": 4},
+        "fusion": {"shared_dim": 32, "head_hidden": 16},
+        "train": {"batch": 16, "accumulation": 1, "max_epochs": 1}}))
+    seen = {}
+    build = harness.ArmSpec.build
+
+    def recording_build(arm, *args, stored=None, **kwargs):
+        model = build(arm, *args, stored=stored, **kwargs)
+        if stored is not None:
+            seen["drawn"] = [weakref.ref(a) for a in stored.values()]
+            seen["model"] = model
+        return model
+
+    class CheckedAdamW(training.AdamW):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            gc.collect()
+            seen["alive"] = sum(ref() is not None for ref in seen["drawn"])
+            seen["stored"] = seen["model"].graph.stored
+
+    monkeypatch.setattr(harness.ArmSpec, "build", recording_build)
+    monkeypatch.setattr(training, "AdamW", CheckedAdamW)
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert seen["drawn"] and seen["alive"] == 0 and seen["stored"] is None
 
 
 # ---------------------------------------------------------------- train + eval
@@ -671,6 +773,30 @@ def _config(doc, command="train"):
     return make_argv
 
 
+def _ignoring_lora(make_manifest):
+    """train, on the manifest `make_manifest(tmp_path, data)` writes, of a
+    frozen arm with a lora section it would ignore."""
+    def make_argv(tmp_path, data, run_dir):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"policy": "frozen", "lora": {"rank": 3}}))
+        return ["train", "--config", cfg, "--data", make_manifest(tmp_path, data),
+                "--out", tmp_path / "run"]
+    return make_argv
+
+
+def _line_3_malformed(tmp_path, data):
+    lines = data.read_text().splitlines(keepends=True)
+    lines[2] = '{"id": "broken", \n'
+    manifest = tmp_path / "malformed.jsonl"
+    manifest.write_text("".join(lines))
+    return manifest
+
+
+def _two_patients(tmp_path, data):
+    manifest = tmp_path / "two.jsonl"
+    assert main(["gen-data", "--patients", "2", "--out", str(manifest)]) == 0
+    return manifest
+
 def _split_checkpoint(raw):
     """(header dict, array bytes) of a checkpoint file's contents."""
     hlen = int.from_bytes(raw[8:16], "little")
@@ -905,6 +1031,13 @@ def _trailing_bytes(tmp_path, data, run_dir):
                  id="plan_train_clip_norm_nan"),
     pytest.param(_config({"arm": "vision_only", "policy": "lora"}),
                  id="train_vision_only_policy"),
+    # two faults: the manifest's, or the split's, is reported before the arm's
+    pytest.param(_says("malformed.jsonl:3: invalid JSON",
+                       _writes_nothing(_ignoring_lora(_line_3_malformed))),
+                 id="train_malformed_line_and_ignored_lora"),
+    pytest.param(_says("need at least 3 patients to split, got 2",
+                       _writes_nothing(_ignoring_lora(_two_patients))),
+                 id="train_two_patients_and_ignored_lora"),
     # a config section the arm or policy would ignore
     pytest.param(_config({"arm": "budget_matched", "fusion": {"shared_dim": 64},
                           "lora": {"rank": 3}}), id="train_budget_matched_fusion_lora"),
@@ -1029,7 +1162,9 @@ def test_malformed_input_is_one_line_runtime_error(make_argv, trained, capsys,
     _, data, _, run_dir = trained
     capsys.readouterr()
     argv = [str(a) for a in make_argv(tmp_path, data, run_dir)]
+    threads = threading.active_count()
     code, _, err = run(capsys, *argv)
+    assert threading.active_count() == threads
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
