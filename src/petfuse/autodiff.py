@@ -1,10 +1,11 @@
 """Minimal reverse-mode autodiff on numpy arrays.
 
 Covers exactly the ops the fusion pathway, the mini text encoder, tuning
-injections and the training loss need: matmul, broadcast add (also as
-`+`) and mul, relu, non-affine layer norm, dropout, row gathers and
-concatenation, attention over a batch of padded sequences with a key mask,
-and binary cross-entropy on logits. Tensors are float64 throughout;
+injections and the training loss need: matmul, a LoRA projection as one
+merged-weight matmul, broadcast add (also as `+`) and mul, relu,
+non-affine layer norm, dropout, row gathers and concatenation, attention
+over a batch of padded sequences with a key mask, and binary cross-entropy
+on logits. Tensors are float64 throughout;
 the graph is a dynamic tape, backward visits each node once.
 
 A Tensor is its value, `data`, plus a tape record when it requires a
@@ -12,8 +13,10 @@ gradient. The record says where gradients go (its gradient so far, a leaf's
 sink, the records of the inputs that need one, and a backward closure); it
 never holds a forward value. Each op's backward captures only the arrays it
 reads: matmul and mul keep an operand's value only when the other operand
-requires a gradient, add keeps only shapes, relu and dropout their masks,
-layer_norm its output and inverse deviation, masked_attention its weights
+requires a gradient, lora_matmul its merged weight only for x's
+gradient, x only for w's, a's or b's, and each factor only for the
+other's, add keeps only shapes, relu and dropout their masks, layer_norm
+its output and inverse deviation, masked_attention its weights
 and only the q, k and v rows that a needed gradient reads, gather_rows its
 ids, and bce_with_logits its logits, exponential and targets. So an
 activation that no backward reads is freed as soon as the forward pass drops
@@ -24,8 +27,8 @@ A constant carries no record: a forward pass over constants (a frozen
 encoder, or any pass but a training one) holds no tape and its
 intermediates are freed as soon as the next op has read them. Backward
 forms only the gradients that are needed: it visits only records, and
-matmul, mul, add and masked_attention form each operand's product only when
-that operand requires one. A frozen weight, or a constant input such as
+matmul, lora_matmul, mul, add and masked_attention form each operand's
+product only when that operand requires one. A frozen weight, or a constant input such as
 precomputed features, costs no backward GEMM. Once backward has passed an
 inner record's gradient on, the record drops that gradient, its parents and
 its backward closure; leaves keep their gradients. So a tape is single-use,
@@ -293,6 +296,47 @@ def matmul(a, b) -> Tensor:
             _add_matmul(rb, da.T, g)
 
     return _result(a.data @ b.data, (ra, rb), bw)
+
+
+def lora_matmul(x, w, a, b, scale: float) -> Tensor:
+    """x @ (w + scale * (a @ b)): a LoRA projection as one GEMM against the
+    merged weight (Hu et al., 2022, sec. 4.1), w (i, o) with rank-r factors
+    a (i, r) and b (r, o); one tape record."""
+    x, w, a, b = as_tensor(x), as_tensor(w), as_tensor(a), as_tensor(b)
+    if any(t.data.ndim != 2 for t in (x, w, a, b)):
+        raise ShapeError(f"lora_matmul expects 2-D operands, got x {x.data.shape}, "
+                         f"w {w.data.shape}, a {a.data.shape}, b {b.data.shape}")
+    (n_in, n_out), r = w.data.shape, a.data.shape[1]
+    if (x.data.shape[1] != n_in or a.data.shape[0] != n_in
+            or b.data.shape != (r, n_out)):
+        raise ShapeError(f"lora_matmul shapes disagree: x {x.data.shape}, "
+                         f"w {w.data.shape}, a {a.data.shape}, b {b.data.shape}")
+    rx, rw, ra, rb = x._record, w._record, a._record, b._record
+    merged = a.data @ b.data
+    merged *= scale
+    merged += w.data
+    # the merged weight is kept for x's gradient, x for w's, a's and b's,
+    # and each factor for the other's
+    dm = merged if rx is not None else None
+    dx = x.data if any(r is not None for r in (rw, ra, rb)) else None
+    da = a.data if rb is not None else None
+    db = b.data if ra is not None else None
+
+    def bw(g):
+        if rx is not None:
+            _add_grad(rx, g @ dm.T)
+        if rw is not None:
+            _add_matmul(rw, dx.T, g)
+        if rb is not None:
+            xa = dx @ da
+            xa *= scale
+            _add_matmul(rb, xa.T, g)
+        if ra is not None:
+            gb = g @ db.T
+            gb *= scale
+            _add_matmul(ra, dx.T, gb)
+
+    return _result(x.data @ merged, (rx, rw, ra, rb), bw)
 
 
 # -- indexing ---------------------------------------------------------------

@@ -7,6 +7,9 @@ adapter adds a residual bottleneck after each block. Targets are found by
 address under ENCODER_PREFIX; what lora and adapter attach lives under the
 address it extends (<proj>/lora_a, <block>/adapter/down_w), and the
 encoder's forward pass applies it through lora_linear and adapter_residual.
+lora_linear runs a projection with factors as one GEMM against the merged
+weight W + (alpha/r) A B (autodiff.lora_matmul) in every pass, training or
+not, so a LoRA encoder at init is the frozen one bit for bit.
 All four keep the fusion pathway trainable; count_params counts every
 addition exactly.
 """
@@ -142,13 +145,13 @@ def apply_policy(graph: ModelGraph, policy: str,
 
 
 def lora_linear(graph: ModelGraph, binding, x: ad.Tensor, addr: str) -> ad.Tensor:
-    """x @ W at `addr`, plus (alpha/r) x A B when LoRA factors sit there."""
-    y = ad.matmul(x, binding[addr])
+    """x @ W at `addr`; where LoRA factors sit there, x @ (W + (alpha/r) A B)
+    as one GEMM against the merged weight, in training and inference alike."""
     a = binding.get(f"{addr}/lora_a")
-    if a is not None:
-        y = y + ad.mul(ad.matmul(ad.matmul(x, a), binding[f"{addr}/lora_b"]),
-                       graph.lora_scale)
-    return y
+    if a is None:
+        return ad.matmul(x, binding[addr])
+    return ad.lora_matmul(x, binding[addr], a, binding[f"{addr}/lora_b"],
+                          graph.lora_scale)
 
 
 def adapter_residual(binding, x: ad.Tensor, block: str) -> ad.Tensor:

@@ -1,6 +1,7 @@
 """Shared independent oracles: finite differences, brute-force ranking
 metrics, attention over one sequence composed from per-op tape nodes, which
 masked_attention and the batched text encoder are checked against, the
+factored LoRA projection that lora_matmul is checked against, the
 piecewise sigmoid of bce_with_logits' backward, and the redaction, audit
 counting and audit probe that redact, _count_features and
 _probe_macro_auroc are checked against."""
@@ -9,7 +10,7 @@ import re
 
 import numpy as np
 
-from petfuse.autodiff import Tensor, _add_grad, _result, as_tensor, matmul, mul
+from petfuse.autodiff import Tensor, _add_grad, _result, add, as_tensor, matmul, mul
 from petfuse.errors import NumericError, ShapeError
 from petfuse.metrics import macro_auroc
 from petfuse.redaction import (_NUM_RE, _TOKEN_RE, MASKS, Lexicon, RedactedReport,
@@ -132,6 +133,12 @@ def softmax_attention(q, k, v, scale: float) -> Tensor:
         raise ShapeError(f"k/v sequence lengths disagree: {k.data.shape} vs {v.data.shape}")
     scores = mul(matmul(q, transpose(k)), scale)
     return matmul(softmax_rows(scores), v)
+
+
+def factored_lora(x, w, a, b, scale: float) -> Tensor:
+    """x @ w + scale * ((x @ a) @ b): a LoRA projection as the frozen GEMM
+    plus its rank-r detour, one tape node per op."""
+    return add(matmul(x, w), mul(matmul(matmul(x, a), b), scale))
 
 
 def bce_grad_piecewise(z, y):

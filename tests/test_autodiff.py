@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
-from conftest import (bce_grad_piecewise, grad_check, softmax_attention, softmax_rows,
-                      transpose, tsum)
+from conftest import (bce_grad_piecewise, factored_lora, grad_check, softmax_attention,
+                      softmax_rows, transpose, tsum)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from petfuse import autodiff as ad
 from petfuse.errors import ConfigError, NumericError, ShapeError, numeric_guard
@@ -31,6 +33,94 @@ def test_matmul_gradient_vs_finite_differences():
     w = rng.normal(0, 1, (4, 3))
     err = grad_check(lambda: tsum(ad.mul(ad.matmul(a, b), w)), [a, b])
     assert err < 1e-6
+
+
+def _lora_operands(rng, n, n_in, n_out, rank):
+    """x, w, a and b of a LoRA projection, each a leaf that requires a gradient."""
+    shapes = ((n, n_in), (n_in, n_out), (n_in, rank), (rank, n_out))
+    return [ad.Tensor(rng.normal(0, 1, s), requires_grad=True) for s in shapes]
+
+
+def _relative_error(got, want) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 9), n_in=st.integers(1, 12), n_out=st.integers(1, 12),
+       rank=st.integers(1, 8), alpha=st.floats(0.25, 64.0), seed=st.integers(0, 2**32 - 1))
+def test_lora_matmul_is_the_factored_projection(n, n_in, n_out, rank, alpha, seed):
+    """The merged-weight op's output and its four gradients are the factored
+    form's within 1e-12 relative; with b = 0 its output is x @ w bit for bit."""
+    rng = np.random.default_rng(seed)
+    scale = alpha / rank
+    c = rng.normal(0, 1, (n, n_out))
+    merged, factored = _lora_operands(rng, n, n_in, n_out, rank), []
+    for t in merged:
+        factored.append(ad.Tensor(t.data.copy(), requires_grad=True))
+    y = ad.lora_matmul(*merged, scale)
+    want = factored_lora(*factored, scale)
+    assert _relative_error(y.data, want.data) < 1e-12
+    tsum(ad.mul(y, c)).backward()
+    tsum(ad.mul(want, c)).backward()
+    for got, ref in zip(merged, factored):
+        assert _relative_error(got.grad, ref.grad) < 1e-12
+    x, w, a, _ = (t.data for t in merged)
+    at_init = ad.lora_matmul(x, w, a, np.zeros((rank, n_out)), scale).data
+    assert at_init.tobytes() == ad.matmul(x, w).data.tobytes()
+
+
+def test_lora_matmul_gradient_vs_finite_differences():
+    """Rank 2 and alpha 3: a scale of 1.5, which no power-of-two rounding
+    hides if it lands on the wrong operand."""
+    rng = np.random.default_rng(17)
+    x, w, a, b = _lora_operands(rng, 4, 5, 3, 2)
+    c = rng.normal(0, 1, (4, 3))
+    err = grad_check(lambda: tsum(ad.mul(ad.lora_matmul(x, w, a, b, 3.0 / 2), c)),
+                     [x, w, a, b])
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("trains", [(True, False, True, True), (False, False, True, True),
+                                    (True, False, False, False), (False, True, False, False)],
+                         ids=["x_a_b", "a_b", "x", "w"])
+def test_lora_matmul_keeps_only_what_its_backward_reads(trains):
+    """The merged weight is kept only for x's gradient, x only for w's, a's
+    or b's, and each factor only for the other's; each gradient formed is
+    the same bits as when every operand trains."""
+    rng = np.random.default_rng(19)
+    data = [t.data for t in _lora_operands(rng, 4, 5, 3, 2)]
+    c = rng.normal(0, 1, (4, 3))
+
+    def run(flags):
+        ts = [ad.Tensor(d, requires_grad=f) for d, f in zip(data, flags)]
+        y = ad.lora_matmul(*ts, 1.5)
+        held = [cell.cell_contents for cell in y._record.backward.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)]
+        tsum(ad.mul(y, c)).backward()
+        return held, [t.grad for t in ts]
+
+    held, grads = run(trains)
+    _, every = run((True,) * 4)
+    x, w, a, b = data
+    kept = [d for d, k in ((x, any(trains[1:])), (a, trains[3]), (b, trains[2])) if k]
+    operands = [h for h in held if any(h is d for d in data)]
+    assert sorted(map(id, operands)) == sorted(map(id, kept))
+    merged = [h for h in held if all(h is not d for d in data)]
+    assert [m.shape for m in merged] == [w.shape] * trains[0]
+    for g, g_all, f in zip(grads, every, trains):
+        assert (g is not None) == f
+        if f:
+            assert g.tobytes() == g_all.tobytes()
+
+
+def test_lora_matmul_shape_mismatch():
+    x, w, a, b = (np.ones(s) for s in ((2, 3), (3, 4), (3, 2), (2, 4)))
+    with pytest.raises(ShapeError):
+        ad.lora_matmul(x, w, a, np.ones((2, 5)), 1.0)
+    with pytest.raises(ShapeError):
+        ad.lora_matmul(np.ones((2, 4)), w, a, b, 1.0)
+    with pytest.raises(ShapeError):
+        ad.lora_matmul(x, w, np.ones(3), b, 1.0)
 
 
 def test_attention_single_key_returns_value():

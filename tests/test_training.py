@@ -752,9 +752,9 @@ def _lora_batch_loss(monkeypatch=None, watch=None):
 
 
 def test_a_lora_tape_frees_the_activations_no_backward_reads(monkeypatch):
-    """The output of each LoRA projection (the add of x W and the scaled
-    x A B) is read by the next add, whose backward keeps only shapes: it is
-    freed while the tape that passes gradients through it is still alive."""
+    """The output of each LoRA projection (x times the merged weight) is
+    read by the next add, whose backward keeps only shapes: it is freed
+    while the tape that passes gradients through it is still alive."""
     watch = []
     _, loss, binding = _lora_batch_loss(monkeypatch, watch)
     assert len(watch) == 8  # q, k, v and o projections of two blocks
