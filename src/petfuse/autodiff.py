@@ -5,34 +5,35 @@ injections and the training loss need: matmul, a LoRA projection as one
 merged-weight matmul, broadcast add (also as `+`) and mul, relu,
 non-affine layer norm, dropout, row gathers and concatenation, attention
 over a batch of padded sequences with a key mask, and binary cross-entropy
-on logits. Tensors are float64 throughout;
-the graph is a dynamic tape, backward visits each node once.
+on logits. Tensors are float64 throughout; the graph is a dynamic tape,
+backward visits each node once.
 
 A Tensor is its value, `data`, plus a tape record when it requires a
 gradient. The record says where gradients go (its gradient so far, a leaf's
 sink, the records of the inputs that need one, and a backward closure); it
 never holds a forward value. Each op's backward captures only the arrays it
 reads: matmul and mul keep an operand's value only when the other operand
-requires a gradient, lora_matmul its merged weight only for x's
-gradient, x only for w's, a's or b's, and each factor only for the
-other's, add keeps only shapes, relu and dropout their masks, layer_norm
-its output and inverse deviation, masked_attention its weights
-and only the q, k and v rows that a needed gradient reads, gather_rows its
-ids, and bce_with_logits its logits, exponential and targets. So an
-activation that no backward reads is freed as soon as the forward pass drops
-it: a LoRA training micro-batch's tape holds about a quarter of the bytes it
-would if each record kept its inputs' values.
+requires a gradient, lora_matmul its merged weight only for x's gradient,
+x only for w's, a's or b's, and each factor only for the other's, add
+keeps only shapes, relu and dropout their masks, layer_norm its output and
+inverse deviation, masked_attention its weights and only the q, k and v
+rows that a needed gradient reads, gather_rows its ids, and bce_with_logits
+its logits, exponential and targets. So an activation that no backward
+reads is freed as soon as the forward pass drops it: a LoRA training
+micro-batch's tape holds about a quarter of the bytes it would if each
+record kept its inputs' values.
 
 A constant carries no record: a forward pass over constants (a frozen
 encoder, or any pass but a training one) holds no tape and its
 intermediates are freed as soon as the next op has read them. Backward
 forms only the gradients that are needed: it visits only records, and
 matmul, lora_matmul, mul, add and masked_attention form each operand's
-product only when that operand requires one. A frozen weight, or a constant input such as
-precomputed features, costs no backward GEMM. Once backward has passed an
-inner record's gradient on, the record drops that gradient, its parents and
-its backward closure; leaves keep their gradients. So a tape is single-use,
-and by the time its backward returns nothing holds its activations.
+product only when that operand requires one. A frozen weight, or a constant
+input such as precomputed features, costs no backward GEMM. Once backward
+has passed an inner record's gradient on, the record drops that gradient,
+its parents and its backward closure; leaves keep their gradients. So a
+tape is single-use, and by the time its backward returns nothing holds its
+activations.
 
 A leaf may carry a GradSink, a preallocated array such as its view of an
 optimizer's flat gradient. The first gradient to reach an unwritten sink is

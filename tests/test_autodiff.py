@@ -54,9 +54,8 @@ def test_lora_matmul_is_the_factored_projection(n, n_in, n_out, rank, alpha, see
     rng = np.random.default_rng(seed)
     scale = alpha / rank
     c = rng.normal(0, 1, (n, n_out))
-    merged, factored = _lora_operands(rng, n, n_in, n_out, rank), []
-    for t in merged:
-        factored.append(ad.Tensor(t.data.copy(), requires_grad=True))
+    merged = _lora_operands(rng, n, n_in, n_out, rank)
+    factored = [ad.Tensor(t.data.copy(), requires_grad=True) for t in merged]
     y = ad.lora_matmul(*merged, scale)
     want = factored_lora(*factored, scale)
     assert _relative_error(y.data, want.data) < 1e-12

@@ -789,7 +789,7 @@ def _tape_bytes(loss, params) -> int:
 
 
 def test_a_batch_16_lora_tape_holds_what_its_backward_reads():
-    """Measured at 10.4 MB (43.2 MB when each tape node kept its input
+    """Measured at 10.7 MB (43.2 MB when each tape node kept its input
     tensors); the bound leaves 15% for the text lengths of another
     tokenizer or platform."""
     model, loss, _ = _lora_batch_loss()
