@@ -5,8 +5,9 @@ injections and the training loss need: matmul, a LoRA projection as one
 merged-weight matmul, broadcast add (also as `+`) and mul, relu,
 non-affine layer norm, dropout, row gathers and concatenation, attention
 over a batch of padded sequences with a key mask, and binary cross-entropy
-on logits. Tensors are float64 throughout; the graph is a dynamic tape,
-backward visits each node once.
+on logits, whose gradient (`bce_grad`) the leakage audit's probe also
+steps from without a tape. Tensors are float64 throughout; the graph is a
+dynamic tape, backward visits each node once.
 
 A Tensor is its value, `data`, plus a tape record when it requires a
 gradient. The record says where gradients go (its gradient so far, a leaf's
@@ -487,12 +488,19 @@ def bce_with_logits(logits, targets) -> Tensor:
         raise ShapeError(f"targets shape {y.shape} != logits shape {logits.data.shape}")
     rl = logits._record
     z = logits.data
-    e = np.exp(-np.abs(z))  # in [0, 1]: exp(-z) where z >= 0, exp(z) below
+    e = np.exp(-np.abs(z))
     loss = np.maximum(z, 0.0) - z * y + np.log1p(e)
-    n = z.size
 
     def bw(g):
-        p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))  # sigmoid(z)
-        _add_grad(rl, g * (p - y) / n)
+        _add_grad(rl, bce_grad(z, e, y, g))
 
     return _result(loss.mean(), (rl,), bw)
+
+
+def bce_grad(z, e, y, g):
+    """g * (sigmoid(z) - y) / z.size: the gradient of g times the mean
+    binary cross-entropy of logits z against targets y, given
+    e = exp(-|z|), which lies in [0, 1] (exp(-z) where z >= 0, exp(z)
+    below), so the sigmoid neither overflows nor divides by zero."""
+    p = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return g * (p - y) / z.size

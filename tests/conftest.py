@@ -2,19 +2,23 @@
 metrics, attention over one sequence composed from per-op tape nodes, which
 masked_attention and the batched text encoder are checked against, the
 factored LoRA projection that lora_matmul is checked against, the
-piecewise sigmoid of bce_with_logits' backward, and the redaction, audit
-counting and audit probe that redact, _count_features and
-_probe_macro_auroc are checked against."""
+piecewise sigmoid of bce_with_logits' backward, the audit probe stepped
+through the autodiff tape, which _fit_linear_probe is checked against, and
+the redaction, audit counting and audit probe that redact, _count_features
+and _probe_macro_auroc are checked against."""
 
 import re
 
 import numpy as np
 
+from petfuse import autodiff as ad
 from petfuse.autodiff import Tensor, _add_grad, _result, add, as_tensor, matmul, mul
 from petfuse.errors import NumericError, ShapeError
 from petfuse.metrics import macro_auroc
+from petfuse.model import ModelGraph
 from petfuse.redaction import (_NUM_RE, _TOKEN_RE, MASKS, Lexicon, RedactedReport,
                                _fit_linear_probe, _tokenize_lower)
+from petfuse.training import AdamW, clip_gradients, lr_schedule
 
 
 def grad_check(fn, tensors, step=1e-5):
@@ -151,6 +155,28 @@ def bce_grad_piecewise(z, y):
     ez = np.exp(z[~pos])
     p[~pos] = ez / (1.0 + ez)
     return (p - y) / z.size
+
+
+def tape_linear_probe(x_train, y_train, seed, steps=300, lr=0.05):
+    """The audit probe with each step's gradient formed by the autodiff
+    tape: a graph bound per step, its BCE loss and backward into the
+    optimizer's sinks, then the same clip, schedule and AdamW step."""
+    rng = ad.make_rng(seed, "audit", "probe")
+    n_feat, n_lab = x_train.shape[1], y_train.shape[1]
+    graph = ModelGraph()
+    w = graph.add_param("probe/w", rng.normal(0, 0.01, (n_feat, n_lab)), trainable=True)
+    b = graph.add_param("probe/b", np.zeros((1, n_lab)), trainable=True)
+    opt = AdamW(graph.trainable(), weight_decay=1e-4)
+    xt = Tensor(x_train)
+    warmup = max(1, steps // 10)
+    for step in range(steps):
+        binding = graph.bind(training=True)
+        logits = matmul(xt, binding["probe/w"]) + binding["probe/b"]
+        ad.bce_with_logits(logits, y_train).backward()
+        opt.settle_grads()
+        clip_gradients(opt.flat_grad, 5.0)
+        opt.step(lr_schedule(step, steps, warmup, lr))
+    return w.data, b.data
 
 
 def count_tokens_one_at_a_time(texts, vocab):

@@ -370,6 +370,30 @@ def test_bce_backward_is_the_piecewise_sigmoid_bit_for_bit():
         assert logits.grad.tobytes() == want.tobytes()
 
 
+def test_bce_grad_is_the_piecewise_sigmoid_at_large_logits():
+    """Beyond |z| = 40, where exp(-|z|) is below half an ulp of 1, the
+    shared gradient still gives the piecewise form's bits on either side."""
+    rng = np.random.default_rng(31)
+    z = rng.uniform(40.0, 800.0, (50, 6)) * rng.choice([-1.0, 1.0], (50, 6))
+    y = (rng.random(z.shape) < 0.5).astype(float)
+    got = ad.bce_grad(z, np.exp(-np.abs(z)), y, 1.0)
+    assert got.tobytes() == bce_grad_piecewise(z, y).tobytes()
+
+
+def test_bce_grad_is_the_old_expression_under_accumulation():
+    """At an upstream gradient of 1/3, as three accumulated micro-batches
+    pass back, bce_grad gives the bits of g * (p - y) / n with the sigmoid
+    formed per branch."""
+    rng = np.random.default_rng(37)
+    z = rng.normal(0, 5, (16, 14))
+    z.flat[:4] = [0.0, -0.0, 745.0, -745.0]
+    y = (rng.random(z.shape) < 0.5).astype(float)
+    e = np.exp(-np.abs(z))
+    g = np.asarray(1.0 / 3)
+    p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    assert ad.bce_grad(z, e, y, g).tobytes() == (g * (p - y) / z.size).tobytes()
+
+
 def test_forward_bit_reproducible():
     def run():
         rng = ad.make_rng(42, "forward")

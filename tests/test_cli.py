@@ -1508,6 +1508,29 @@ def test_audit_leakage_cli(capsys, tmp_path):
     assert set(doc) >= {"auroc_raw", "auroc_redacted", "delta"}
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs 2 usable cores to run BLAS on 2 threads")
+def test_audit_leakage_bytes_do_not_depend_on_the_blas_thread_count(capsys, tmp_path):
+    """audit-leakage on the leakage benchmark's corpus size writes and
+    prints the same bytes in a child process at 1 and at 2 OpenBLAS
+    threads."""
+    data = tmp_path / "data.jsonl"
+    run(capsys, "gen-data", "--patients", "400", "--seed", "7", "--out", str(data))
+    src = str(Path(petfuse.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"audit{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from petfuse.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "audit-leakage", "--data", str(data),
+             "--seed", "7", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out.read_bytes(), proc.stdout))
+    assert outputs[0] == outputs[1]
+
+
 def test_a_test_split_without_both_classes_names_the_run(capsys, tmp_path):
     """With every test label 0 no test AUROC is defined: attribute and report
     each exit 2 with one line naming predictions.json and the run."""

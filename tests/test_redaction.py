@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 from conftest import (_is_word, count_tokens_one_at_a_time, reference_redact,
-                      two_pass_probe_macro_auroc)
+                      tape_linear_probe, two_pass_probe_macro_auroc)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petfuse.autodiff import make_rng
-from petfuse.data import LABELS, generate_synthetic
-from petfuse.errors import InputError, ParseError
+from petfuse.data import LABELS, SplitSpec, generate_synthetic, label_matrix, split_patients
+from petfuse.errors import InputError, NumericError, ParseError
 from petfuse.redaction import (_TOKEN_RE, DEFAULT_LOCATION, Lexicon, _count_features,
-                               _tokenize_lower, audit_leakage, redact)
+                               _fit_linear_probe, _tokenize_lower, audit_leakage, redact)
 
 
 def test_worked_negation_example_is_byte_exact():
@@ -274,3 +274,54 @@ def test_audit_deterministic():
     a = audit_leakage(raw, red, labels, idx[:30], idx[30:], seed=5)
     b = audit_leakage(raw, red, labels, idx[:30], idx[30:], seed=5)
     assert a == b
+
+
+def _same_bits(got, want):
+    return [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 12), st.integers(1, 4),
+       st.sampled_from([0.5, 3.0, 30.0]), st.integers(0, 2**32 - 1),
+       st.integers(1, 12), st.sampled_from([0, 1]))
+def test_probe_steps_as_the_tape_does_bit_for_bit(rows, feats, labs, mean_count, seed,
+                                                  steps, constant):
+    """The probe's closed-form steps give the w and b bytes that stepping
+    through the autodiff tape gives, with an all-zero feature column and a
+    label column that is constant, at counts from sparse to large enough
+    that the clip acts."""
+    rng = np.random.default_rng(seed)
+    x = rng.poisson(mean_count, (rows, feats)).astype(float)
+    x[:, rng.integers(feats)] = 0.0
+    y = (rng.random((rows, labs)) < 0.4).astype(int)
+    y[:, rng.integers(labs)] = constant
+    assert _same_bits(_fit_linear_probe(x, y, seed, steps=steps),
+                      tape_linear_probe(x, y, seed, steps=steps))
+
+
+def test_probe_at_the_benchmark_size_steps_as_the_tape_does():
+    """Both probes of the leakage benchmark's audit (400 patients, findings
+    padded to 12, 300 full-batch steps) give the tape's w and b bytes."""
+    samples = generate_synthetic(400, seed=3201, leak_prob=0.9,
+                                 prevalence_profile=[0.25] * len(LABELS),
+                                 pad_findings_to=12)
+    train, _, _ = split_patients(samples, SplitSpec(seed=3201))
+    y = label_matrix(train)
+    for texts in ([s.text for s in train], [redact(s.text).text for s in train]):
+        tokens = [_tokenize_lower(t) for t in texts]
+        vocab = {tok: j for j, tok in enumerate(dict.fromkeys(
+            t for toks in tokens for t in toks))}
+        x = _count_features(tokens, vocab)
+        assert _same_bits(_fit_linear_probe(x, y, 3201), tape_linear_probe(x, y, 3201))
+
+
+def test_a_probe_whose_logits_are_not_finite_is_refused():
+    """An inf count gives a non-finite logit, which the probe refuses before
+    it forms a gradient. The GEMM itself may flag the inf as an invalid
+    operation, so the flag is not raised here."""
+    x = np.ones((5, 3))
+    x[2, 1] = np.inf
+    y = np.zeros((5, 2), dtype=int)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericError, match="^non-finite logits in bce loss$"):
+        _fit_linear_probe(x, y, 0, steps=3)
