@@ -165,15 +165,14 @@ def _fit_linear_probe(x_train, y_train, seed, steps=300, lr=0.05):
     w = Param("probe/w", rng.normal(0, 0.01, (n_feat, n_lab)), trainable=True)
     b = Param("probe/b", np.zeros((1, n_lab)), trainable=True)
     opt = AdamW([w, b], weight_decay=1e-4)
-    x = np.asarray(x_train, dtype=np.float64)
     y = np.asarray(y_train, dtype=np.float64)
     warmup = max(1, steps // 10)
     for step in range(steps):
-        z = x @ w.data + b.data
+        z = x_train @ w.data + b.data
         if not np.isfinite(z).all():
             raise NumericError("non-finite logits in bce loss")
         g = ad.bce_grad(z, np.exp(-np.abs(z)), y, 1.0)
-        np.matmul(x.T, g, out=opt.grads[w.name])
+        np.matmul(x_train.T, g, out=opt.grads[w.name])
         np.sum(g, axis=0, keepdims=True, out=opt.grads[b.name])
         clip_gradients(opt.flat_grad, 5.0)
         opt.step(lr_schedule(step, steps, warmup, lr))

@@ -11,8 +11,8 @@ import re
 
 import numpy as np
 
-from petfuse import autodiff as ad
-from petfuse.autodiff import Tensor, _add_grad, _result, add, as_tensor, matmul, mul
+from petfuse.autodiff import (Tensor, _add_grad, _result, add, as_tensor, bce_with_logits,
+                              make_rng, matmul, mul)
 from petfuse.errors import NumericError, ShapeError
 from petfuse.metrics import macro_auroc
 from petfuse.model import ModelGraph
@@ -161,7 +161,7 @@ def tape_linear_probe(x_train, y_train, seed, steps=300, lr=0.05):
     """The audit probe with each step's gradient formed by the autodiff
     tape: a graph bound per step, its BCE loss and backward into the
     optimizer's sinks, then the same clip, schedule and AdamW step."""
-    rng = ad.make_rng(seed, "audit", "probe")
+    rng = make_rng(seed, "audit", "probe")
     n_feat, n_lab = x_train.shape[1], y_train.shape[1]
     graph = ModelGraph()
     w = graph.add_param("probe/w", rng.normal(0, 0.01, (n_feat, n_lab)), trainable=True)
@@ -172,7 +172,7 @@ def tape_linear_probe(x_train, y_train, seed, steps=300, lr=0.05):
     for step in range(steps):
         binding = graph.bind(training=True)
         logits = matmul(xt, binding["probe/w"]) + binding["probe/b"]
-        ad.bce_with_logits(logits, y_train).backward()
+        bce_with_logits(logits, y_train).backward()
         opt.settle_grads()
         clip_gradients(opt.flat_grad, 5.0)
         opt.step(lr_schedule(step, steps, warmup, lr))
