@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The seeded artifact set of every petfuse command, and its digests.
 
-    PYTHONPATH=src python3 scripts/artifacts.py --out DIR
+    PYTHONPATH=src python3 scripts/artifacts.py --out DIR [--against DIGESTS]
 
 Runs through `petfuse.cli.main`, inside DIR and with paths relative to it:
 `gen-data`, plain and with a signal plan; `redact` and `audit-leakage`;
@@ -12,8 +12,10 @@ the triad at two seeds; and `report`. DIR/digests.json holds the SHA-256
 of every file the commands wrote and of each command's stdout, and is
 printed. `history.csv` is hashed without its `seconds` column, the one
 value that is not seeded. Two checkouts make the same artifacts when their
-digests.json files are byte-identical. A command that exits non-zero stops
-the script.
+digests.json files are byte-identical. With --against, a digests.json of
+another checkout, the script then names on stderr every `files` or
+`stdout` entry that differs from it or that only one side holds, and exits
+1 if there is one. A command that exits non-zero stops the script.
 """
 
 import argparse
@@ -22,6 +24,8 @@ import csv
 import hashlib
 import io
 import json
+import os
+import sys
 from pathlib import Path
 
 from petfuse import cli
@@ -92,21 +96,49 @@ def run_all(stdout: dict) -> None:
     petfuse(stdout, "report", "--results", "attribution")
 
 
+def differences(got: dict, want: dict) -> list[str]:
+    """Each `files` or `stdout` entry of two digests documents whose digest
+    differs, or that only one of them holds."""
+    found = []
+    for section in ("files", "stdout"):
+        ours, theirs = got[section], want[section]
+        for key in sorted(ours.keys() | theirs.keys()):
+            if key not in theirs:
+                found.append(f"{section} {key!r}: only in this run")
+            elif key not in ours:
+                found.append(f"{section} {key!r}: only in the digests compared against")
+            elif ours[key] != theirs[key]:
+                found.append(f"{section} {key!r}: differs")
+    return found
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="directory for the artifacts")
+    ap.add_argument("--against", metavar="DIGESTS",
+                    help="a digests.json to compare this run's digests with")
     args = ap.parse_args(argv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stdout: dict[str, str] = {}
-    with contextlib.chdir(out):
+    cwd = os.getcwd()
+    os.chdir(out)
+    try:
         run_all(stdout)
+    finally:
+        os.chdir(cwd)
     files = {p.relative_to(out).as_posix(): file_digest(p)
              for p in sorted(out.rglob("*")) if p.is_file() and p.name != "digests.json"}
-    text = json.dumps({"files": files, "stdout": stdout}, indent=2, sort_keys=True)
+    digests = {"files": files, "stdout": stdout}
+    text = json.dumps(digests, indent=2, sort_keys=True)
     (out / "digests.json").write_text(text + "\n")
     print(text)
-    return 0
+    if args.against is None:
+        return 0
+    found = differences(digests, json.loads(Path(args.against).read_text()))
+    for line in found:
+        print(f"artifacts: {line}", file=sys.stderr)
+    return 1 if found else 0
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ values. A line is written as json.dumps(record, sort_keys=True) writes it.
 
 from __future__ import annotations
 
+import array
 import hashlib
 import io
 import json
@@ -246,23 +247,12 @@ def _vision_floats(feats) -> np.ndarray | None:
     it is a list of VISION_DIM finite JSON numbers (a bool counts as an int;
     json reads NaN, Infinity and numbers beyond the float range as
     non-finite floats)."""
+    if not isinstance(feats, list) or len(feats) != VISION_DIM:
+        return None
     try:
-        arr = np.array(feats)
-    except ValueError:  # a ragged nested list
-        return None
-    if arr.dtype.kind in "biuf":
-        if arr.shape != (VISION_DIM,):
-            return None
-    # an object or string array, e.g. one holding a None or an int beyond
-    # 64 bits: element by element
-    elif not isinstance(feats, list) or len(feats) != VISION_DIM or not all(
-            isinstance(v, (int, float)) for v in feats):
-        return None
-    else:
-        try:
-            arr = np.array([float(v) for v in feats])
-        except OverflowError:  # an int beyond the float range
-            return None
+        arr = np.frombuffer(array.array("d", feats))
+    except (TypeError, OverflowError):
+        return None  # a str, None, list or dict; an int beyond the float range
     arr = _read_only(arr)
     return arr if np.isfinite(arr).all() else None
 

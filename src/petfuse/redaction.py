@@ -7,17 +7,20 @@ lexicons hold no negation word, so "no", "without" and the like stay. The
 phrase index and the location set are built once per lexicon content and
 reused by every report redacted with it; editing a Lexicon's lists takes
 effect on the next call. The audit trains bag-of-tokens linear classifiers
-on raw vs redacted corpora and compares test macro AUROC. Each probe steps
-from the closed-form gradient of its BCE loss (autodiff.bce_grad, the one
-the tape's bce_with_logits passes back) with the package optimizer:
-AdamW, gradient clipping and the warmup-cosine schedule. It records no
-tape.
+on raw vs redacted corpora and compares test macro AUROC. Each report is
+tokenized once into vocabulary ids, and each count matrix is counted from
+its (row, id) pairs, so no report is held as token strings while the
+probes fit. Each probe steps from the closed-form gradient of its BCE loss
+(autodiff.bce_grad, the one the tape's bce_with_logits passes back) with
+the package optimizer: AdamW, gradient clipping and the warmup-cosine
+schedule. It records no tape.
 """
 
 from __future__ import annotations
 
+import array
 import functools
-import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -145,13 +148,37 @@ def _tokenize_lower(text: str):
                                    .replace("[num]", "[NUM]").replace("[loc]", "[LOC]"))
 
 
-def _count_features(token_lists, vocab):
-    """Bag-of-tokens counts, one row per token list; a token outside vocab is
-    dropped."""
-    x = np.zeros((len(token_lists), len(vocab)))
-    for i, tokens in enumerate(token_lists):
-        ids = [j for j in map(vocab.get, tokens) if j is not None]
-        x[i] = np.bincount(np.array(ids, dtype=np.intp), minlength=len(vocab))
+class _Vocabulary(dict):
+    """Token -> column id. Looking up a token it lacks adds the token with the
+    next id, so the ids follow first appearance."""
+
+    def __missing__(self, token):
+        self[token] = j = len(self)
+        return j
+
+
+_IS_ID = functools.partial(operator.is_not, None)
+
+
+def _count_features(texts, vocab):
+    """Bag-of-tokens counts of texts as float64, one row per text and one
+    column per id of vocab, a dict from token to column. Each text is
+    tokenized once into ids, and the matrix is counted from the (row, id)
+    pairs in one pass. A token vocab lacks is dropped, unless vocab is a
+    _Vocabulary, which adds it as the next column."""
+    lookup = vocab.__getitem__ if isinstance(vocab, _Vocabulary) else vocab.get
+    ids = array.array("q")
+    kept = np.empty(len(texts), dtype=np.intp)
+    for i, text in enumerate(texts):
+        start = len(ids)
+        ids.extend(filter(_IS_ID, map(lookup, _tokenize_lower(text))))
+        kept[i] = len(ids) - start
+    rows, width = len(texts), len(vocab)
+    # pair (row, id) counts at the flat index row * width + id
+    cells = np.repeat(np.arange(rows) * width, kept)
+    cells += np.frombuffer(ids, dtype=np.int64)
+    x = np.zeros((rows, width))
+    np.add.at(x.reshape(-1), cells, 1.0)
     return x
 
 
@@ -180,12 +207,11 @@ def _fit_linear_probe(x_train, y_train, seed, steps=300, lr=0.05):
 
 
 def _probe_macro_auroc(texts_train, texts_test, y_train, y_test, seed):
-    tokens_train = [_tokenize_lower(t) for t in texts_train]
-    # the training tokens in order of first appearance
-    vocab = {tok: j for j, tok in enumerate(dict.fromkeys(
-        itertools.chain.from_iterable(tokens_train)))}
-    x_train = _count_features(tokens_train, vocab)
-    x_test = _count_features([_tokenize_lower(t) for t in texts_test], vocab)
+    # the training tokens in order of first appearance; a plain dict of them
+    # drops each test token outside them
+    vocab = _Vocabulary()
+    x_train = _count_features(texts_train, vocab)
+    x_test = _count_features(texts_test, dict(vocab))
     w, b = _fit_linear_probe(x_train, y_train, seed)
     return macro_auroc(x_test @ w + b, y_test)
 

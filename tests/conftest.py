@@ -5,7 +5,9 @@ factored LoRA projection that lora_matmul is checked against, the
 piecewise sigmoid of bce_with_logits' backward, the audit probe stepped
 through the autodiff tape, which _fit_linear_probe is checked against, and
 the redaction, audit counting and audit probe that redact, _count_features
-and _probe_macro_auroc are checked against."""
+and _probe_macro_auroc are checked against, and the numpy-dtype-discovery
+reader of a manifest row's vision features that _vision_floats is checked
+against."""
 
 import re
 
@@ -13,6 +15,7 @@ import numpy as np
 
 from petfuse.autodiff import (Tensor, _add_grad, _result, add, as_tensor, bce_with_logits,
                               make_rng, matmul, mul)
+from petfuse.data import VISION_DIM, _read_only
 from petfuse.errors import NumericError, ShapeError
 from petfuse.metrics import macro_auroc
 from petfuse.model import ModelGraph
@@ -258,3 +261,29 @@ def reference_redact(text: str, lexicon: Lexicon | None = None) -> RedactedRepor
             counts["LOC"] += 1
 
     return RedactedReport("".join(parts), counts)
+
+
+def reference_vision_floats(feats) -> np.ndarray | None:
+    """A manifest's vision_features as a read-only float64 array, or None, read
+    by numpy's dtype discovery: a numeric array must have shape (VISION_DIM,);
+    an object or string array is converted element by element when it is a
+    list of VISION_DIM ints and floats; every value must be finite."""
+    try:
+        arr = np.array(feats)
+    except ValueError:  # a ragged nested list
+        return None
+    if arr.dtype.kind in "biuf":
+        if arr.shape != (VISION_DIM,):
+            return None
+    # an object or string array, e.g. one holding a None or an int beyond
+    # 64 bits: element by element
+    elif not isinstance(feats, list) or len(feats) != VISION_DIM or not all(
+            isinstance(v, (int, float)) for v in feats):
+        return None
+    else:
+        try:
+            arr = np.array([float(v) for v in feats])
+        except OverflowError:  # an int beyond the float range
+            return None
+    arr = _read_only(arr)
+    return arr if np.isfinite(arr).all() else None

@@ -6,12 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import reference_vision_floats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petfuse.cli import main
-from petfuse.data import (DEFAULT_PREVALENCE, LABELS, Sample, SplitSpec,
-                          _round6, _six_decimal_json, generate_synthetic,
+from petfuse.data import (DEFAULT_PREVALENCE, LABELS, VISION_DIM, Sample, SplitSpec,
+                          _round6, _six_decimal_json, _vision_floats, generate_synthetic,
                           label_matrix, load_manifest, load_splits, save_manifest,
                           split_patients)
 from petfuse.errors import ConfigError, ParseError
@@ -317,6 +318,41 @@ def test_vision_features_accepted_and_converted_as_element_by_element(
     if want is not None:
         assert got.dtype == np.float64 and got.shape == (2048,)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+_MIXED_VALUES = st.one_of(
+    st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]),
+    st.booleans(), st.integers(-2**70, 2**70), st.integers(-10**400, 10**400),
+    st.sampled_from([2**63, 2**64 - 1, 2**64, 10**308, 10**309, -10**400]),
+    st.none(), st.text(max_size=3), st.lists(st.floats(), max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(), max_size=1))
+
+
+@st.composite
+def _mixed_rows(draw):
+    """A list at VISION_DIM, one short of it or one past it, of one in-range
+    value with a few mixed ones set in; or a short list of mixed values."""
+    if draw(st.booleans()):
+        return draw(st.lists(_MIXED_VALUES, max_size=4))
+    length = draw(st.sampled_from([VISION_DIM - 1, VISION_DIM, VISION_DIM, VISION_DIM + 1]))
+    row = [draw(st.one_of(st.floats(-1e6, 1e6), st.integers(-2**70, 2**70),
+                          st.booleans()))] * length
+    for i, v in draw(st.dictionaries(st.integers(0, length - 1), _MIXED_VALUES,
+                                     max_size=4)).items():
+        row[i] = v
+    return row
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed_rows())
+def test_vision_floats_equal_numpy_dtype_discovery(feats):
+    """One buffer conversion accepts and refuses the lists numpy's dtype
+    discovery does, and gives the same read-only float64 bytes."""
+    got, want = _vision_floats(feats), reference_vision_floats(feats)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert (got.dtype, got.shape, got.flags.writeable) == (np.float64, (VISION_DIM,), False)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("feats", [

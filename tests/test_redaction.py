@@ -1,5 +1,7 @@
 """Redaction pipeline: phrase masking, idempotence, and the leakage audit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import (_is_word, count_tokens_one_at_a_time, reference_redact,
@@ -11,7 +13,8 @@ from petfuse.autodiff import make_rng
 from petfuse.data import LABELS, SplitSpec, generate_synthetic, label_matrix, split_patients
 from petfuse.errors import InputError, NumericError, ParseError
 from petfuse.redaction import (_TOKEN_RE, DEFAULT_LOCATION, Lexicon, _count_features,
-                               _fit_linear_probe, _tokenize_lower, audit_leakage, redact)
+                               _fit_linear_probe, _probe_macro_auroc, _tokenize_lower,
+                               _Vocabulary, audit_leakage, redact)
 
 
 def test_worked_negation_example_is_byte_exact():
@@ -167,11 +170,42 @@ def test_count_features_matches_adding_one_token_at_a_time():
             vocab.setdefault(tok, len(vocab))
     texts = [redact(t).text for t in train] + [
         "", "zebra quokka 12 unseen", "Effusion EFFUSION effusion [LOC] [loc] zebra"]
-    got = _count_features([_tokenize_lower(t) for t in texts], vocab)
+    got = _count_features(texts, vocab)
     assert got.shape == (len(texts), len(vocab))
     assert got.tobytes() == count_tokens_one_at_a_time(texts, vocab).tobytes()
     assert not got[len(train)].any()  # the empty text
-    assert _count_features([[], ["zebra"]], {}).shape == (2, 0)
+    assert _count_features(["", "zebra"], {}).shape == (2, 0)
+    assert _count_features([], _Vocabulary()).shape == (0, 0)
+
+
+_AUDIT_WORDS = ["effusion", "Effusion", "EFFUSION", "[FINDING]", "[finding]", "[Loc]",
+                "[NUM]", "no", "left", "3", "3.5cm", "don't", "x-ray", "zebra", "quokka"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_AUDIT_WORDS), max_size=12), max_size=8),
+       st.lists(st.lists(st.sampled_from(_AUDIT_WORDS + ["unseen", "[LOC]"]), max_size=12),
+                max_size=5),
+       st.sampled_from([" ", ". ", ", ", "\n"]))
+def test_counts_from_ids_equal_adding_one_token_at_a_time(train, test, sep):
+    """The training vocabulary grows in first-appearance order, and both count
+    matrices equal adding each token on its own, bit for bit: empty reports,
+    repeated tokens, mask tokens in either case, and tokens seen only at test
+    time, which are dropped."""
+    train, test = [sep.join(words) for words in train], [sep.join(words) for words in test]
+    want_vocab = {}
+    for t in train:
+        for tok in _tokenize_lower(t):
+            want_vocab.setdefault(tok, len(want_vocab))
+    vocab = _Vocabulary()
+    x_train = _count_features(train, vocab)
+    assert list(vocab.items()) == list(want_vocab.items())
+    x_test = _count_features(test, dict(vocab))
+    assert len(vocab) == len(want_vocab)  # the test reports add no column
+    for got, texts in ((x_train, train), (x_test, test)):
+        want = count_tokens_one_at_a_time(texts, want_vocab)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_redact_corpus_order_preserving():
@@ -308,11 +342,29 @@ def test_probe_at_the_benchmark_size_steps_as_the_tape_does():
     train, _, _ = split_patients(samples, SplitSpec(seed=3201))
     y = label_matrix(train)
     for texts in ([s.text for s in train], [redact(s.text).text for s in train]):
-        tokens = [_tokenize_lower(t) for t in texts]
-        vocab = {tok: j for j, tok in enumerate(dict.fromkeys(
-            t for toks in tokens for t in toks))}
-        x = _count_features(tokens, vocab)
+        x = _count_features(texts, _Vocabulary())
         assert _same_bits(_fit_linear_probe(x, y, 3201), tape_linear_probe(x, y, 3201))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_the_probe_holds_its_reports_as_ids_not_token_strings(seed):
+    """The audit probe's traced peak at the leakage benchmark's corpus shape
+    (400 patients, findings padded to 12; 300 training reports of about
+    28,500 tokens) stays under 1 MB. It read 0.69-0.71 MB over seeds 1-6;
+    holding each training report as a list of token strings for the fit
+    read 2.78-2.86 MB."""
+    samples = generate_synthetic(400, seed=seed, leak_prob=0.9,
+                                 prevalence_profile=[0.25] * len(LABELS),
+                                 pad_findings_to=12)
+    texts, y = [s.text for s in samples], label_matrix(samples)
+    tracemalloc.start()
+    try:
+        auroc = _probe_macro_auroc(texts[:300], texts[300:], y[:300], y[300:], seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert auroc > 0.9
+    assert peak < 1_000_000
 
 
 def test_a_probe_whose_logits_are_not_finite_is_refused():
