@@ -28,7 +28,7 @@ from .encoders import SPECIALS, Tokenizer
 from .errors import ConfigError, InputError, PetfuseError, PolicyError
 from .fusion import FusionConfig
 from .pet import AdapterConfig, LoRAConfig, count_params
-from .training import load_checkpoint, save_checkpoint, train_loop
+from .training import adamw_kernel, load_checkpoint, save_checkpoint, train_loop
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,15 +44,31 @@ class _UsageError(Exception):
 def _build_hash() -> str:
     h = hashlib.sha256()
     pkg = Path(__file__).parent
-    for path in sorted(pkg.glob("*.py")):
+    for path in sorted([*pkg.glob("*.py"), *pkg.glob("*.c")]):
         h.update(path.read_bytes())
     return h.hexdigest()[:12]
 
 
+class _Version(argparse.Action):
+    """--version: the package version, a digest of its sources and the AdamW
+    update this process runs, `adamw fused` or `adamw numpy`, so that a slow
+    host explains itself. Looking for the kernel may compile it, so it is
+    done only when asked for."""
+
+    def __init__(self, option_strings, dest, help=None):
+        super().__init__(option_strings, argparse.SUPPRESS, default=argparse.SUPPRESS,
+                         nargs=0, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        path = "numpy" if adamw_kernel() is None else "fused"
+        print(f"petfuse {__version__} (build {_build_hash()}, adamw {path})")
+        parser.exit()
+
+
 def _parser() -> _Parser:
     p = _Parser(prog="petfuse", description=__doc__)
-    p.add_argument("--version", action="version",
-                   version=f"petfuse {__version__} (build {_build_hash()})")
+    p.add_argument("--version", action=_Version,
+                   help="show the version, build and AdamW path, then exit")
     sub = p.add_subparsers(dest="command")
 
     g = sub.add_parser("gen-data", help="generate a synthetic manifest")

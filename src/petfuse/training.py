@@ -4,12 +4,20 @@ accumulation and clipping, early stopping on validation AUROC, checkpoints.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import hashlib
 import json
 import math
 import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +36,7 @@ CHECKPOINT_MAGIC = b"PFCKPT01"
 # trainable arrays (cli.py writes and reads it); version 1 had none.
 CHECKPOINT_VERSION = 2
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# Elements per pass of the fused AdamW step: the 128 KB slices of p/m/v/g
+# Elements per pass of the numpy AdamW block plan: the 128 KB slices of p/m/v/g
 # and the two scratch blocks stay in cache between the pass's ufuncs. Of 8K,
 # 16K, 32K and 64K, 16K gave the fastest median folded step on a 2-core
 # x86_64 VM, in each of three runs: 8.8-9.2 ms against 9.4-10.4 ms over
@@ -36,6 +44,19 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # With the step's block plan, 32K against 16K read +0.4% on the benchmark's
 # `attribution_frozen` run_s (median of 8 seeds, faster in 4 of 8): noise.
 ADAM_BLOCK = 16384
+# The fused update (_adamw.c) and how it is built. No flag that lets the
+# compiler reorder, contract or approximate a float64 operation: the kernel
+# is held to the numpy plan's bits.
+_KERNEL_SOURCE = Path(__file__).with_name("_adamw.c")
+_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+# 0-d ufunc calls that raise the kernel's flags 1 (divide by zero),
+# 2 (overflow) and 4 (invalid) again, in numpy's order of handling them
+_FLAG_REPLAYS = ((1, np.divide, 1.0, 0.0), (2, np.multiply, 1e300, 1e300),
+                 (4, np.subtract, np.inf, np.inf))
+_UNLOADED = object()
+# The fused update once `adamw_kernel` has looked for it; None runs the
+# numpy block plan.
+_kernel = _UNLOADED
 
 
 @dataclass
@@ -90,6 +111,64 @@ def clip_gradients(grads, max_norm: float = 1.0):
     return grads, norm
 
 
+def _load_kernel():
+    """`adamw_update` of _adamw.c as a ctypes function, loaded from
+    $XDG_CACHE_HOME/petfuse (default ~/.cache/petfuse) and compiled into it
+    first if absent; None if any step fails. The file name carries a digest
+    of the source, the compiler command, its flags and the platform. A cache
+    directory that is not ours alone (another owner, or writable by group or
+    world) is not loaded from."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc:
+        return None
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    try:
+        cache = Path(base if os.path.isabs(base) else Path.home() / ".cache") / "petfuse"
+        source = _KERNEL_SOURCE.read_bytes()
+        key = hashlib.sha256(b"\0".join([source, *map(str.encode, cc + list(_KERNEL_FLAGS)),
+                                         sysconfig.get_platform().encode()]))
+        lib = cache / f"adamw-{key.hexdigest()[:16]}.so"
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = cache.stat()
+        if st.st_uid != os.getuid() or st.st_mode & 0o022:
+            return None
+        if not lib.exists():
+            fd, tmp = tempfile.mkstemp(prefix=".adamw-", suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run([*cc, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
+                               stdin=subprocess.DEVNULL, capture_output=True, check=True,
+                               timeout=120)
+                os.replace(tmp, lib)
+            finally:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(tmp)
+        kernel = ctypes.CDLL(str(lib)).adamw_update
+    except (OSError, RuntimeError, subprocess.SubprocessError, AttributeError):
+        return None  # RuntimeError: no home directory; AttributeError: no such symbol
+    kernel.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 5
+    kernel.restype = ctypes.c_int
+    return kernel
+
+
+def adamw_kernel():
+    """The fused AdamW update, looked for once per process; None where it
+    cannot be built or loaded, and AdamW runs its numpy block plan."""
+    global _kernel
+    if _kernel is _UNLOADED:
+        _kernel = _load_kernel()
+    return _kernel
+
+
+def _replay_flags(flags: int):
+    """Raise the floating-point flags the kernel reported again in numpy, so
+    that numpy's error state in this thread acts on them as on its own: a
+    FloatingPointError under 'raise', a RuntimeWarning under 'warn'."""
+    for bit, ufunc, a, b in _FLAG_REPLAYS:
+        if flags & bit:
+            ufunc(np.array(a), np.array(b))
+
+
 class AdamW:
     """Decoupled weight decay applied before the bias-corrected Adam update,
     with the bias corrections folded into the step size (Kingma & Ba 2015,
@@ -105,8 +184,8 @@ class AdamW:
     gradient arenas start as untouched zero pages, and a view that no
     gradient ever reaches is never written.
 
-    `step` updates the arena in place, block by block. It keeps the moments
-    as m = (textbook m)/(1-b1) and v = (textbook v)/(1-b2), so with
+    `step` updates the arena in place. It keeps the moments as
+    m = (textbook m)/(1-b1) and v = (textbook v)/(1-b2), so with
     c_t = sqrt((1-b2**t)/(1-b2)) the textbook update is, up to rounding,
 
         p *= 1 - lr*wd;   m = b1*m + g;   v = b2*v + g*g
@@ -114,22 +193,27 @@ class AdamW:
         alpha_t = lr*(1-b1)/(1-b1**t)*c_t,   eps_t = eps*c_t
 
     A parameter whose gradient has been +0.0 throughout at every step only
-    decays: `step` writes moments only through the blocks of the full
+    decays: `step` writes moments only through the runs of the full
     update, so its m and v are still the zero pages they started as, and its
     full update would be 0/(sqrt(0)+eps_t) = 0. Once its gradient is not, it
     takes the full update from then on.
 
-    The first `step` builds the plan of views it updates: each ADAM_BLOCK
-    slice of each run of full-update parameters, and the decay-only
-    parameters between those runs. Each later step only checks the
-    decay-only parameters' gradients, and rebuilds the plan when one of them
-    leaves, so at most once per parameter.
+    The first `step` builds the plan it updates by: each run of full-update
+    parameters, and the decay-only parameters between those runs. Where the
+    fused kernel of `adamw_kernel` loaded, a run is the base addresses and
+    length the kernel takes, and it is updated in one call that does the
+    operations above for each element in turn, each rounded once, so it
+    writes the same bits; elsewhere a run is cut into ADAM_BLOCK slices, each
+    updated by 11 ufunc calls. Each later step only checks the decay-only
+    parameters' gradients, and rebuilds the plan when one of them leaves, so
+    at most once per parameter.
     """
 
     def __init__(self, params, weight_decay: float = 1e-2):
         self.params = list(params)
         self.weight_decay = weight_decay
         self.step_count = 0
+        self._kernel = adamw_kernel()
         self._bounds = np.cumsum([0] + [p.data.size for p in self.params])
         self.flat = np.empty(self._bounds[-1])
         # np.zeros maps zero pages; np.zeros_like would write every one
@@ -166,19 +250,26 @@ class AdamW:
     def _build_plan(self):
         """Drop from the decay-only spans each one whose gradient is not
         +0.0 throughout. Returns ((param, grad) views of each decay-only
-        span, (param, m, v, grad, scratch0, scratch1) views of each
-        ADAM_BLOCK slice of each run between them)."""
+        span, the runs between them): with the kernel, the (param, m, v,
+        grad) base addresses and length of each run; without it, the
+        (param, m, v, grad, scratch0, scratch1) views of each ADAM_BLOCK
+        slice of each run."""
         self._decay_only = [(a, b) for a, b in self._decay_only
                             if _is_clear(self.flat_grad[a:b])]
-        runs = zip([0] + [b for _, b in self._decay_only],
-                   [a for a, _ in self._decay_only] + [self.flat.size])
+        runs = [(a, b) for a, b in zip([0] + [b for _, b in self._decay_only],
+                                       [a for a, _ in self._decay_only] + [self.flat.size])
+                if a < b]
+        decaying = [(self.flat[a:b], self.flat_grad[a:b]) for a, b in self._decay_only]
+        arenas = (self.flat, self.flat_m, self.flat_v, self.flat_grad)
+        if self._kernel is not None:
+            bases = [x.ctypes.data for x in arenas]
+            return decaying, [(*(base + int(a) * self.flat.itemsize for base in bases),
+                               int(b - a)) for a, b in runs]
         blocks = []
         for a, b in runs:
             for lo in range(a, b, ADAM_BLOCK):
                 hi = min(lo + ADAM_BLOCK, b)
-                blocks.append((self.flat[lo:hi], self.flat_m[lo:hi], self.flat_v[lo:hi],
-                               self.flat_grad[lo:hi], *self._scratch[:, :hi - lo]))
-        decaying = [(self.flat[a:b], self.flat_grad[a:b]) for a, b in self._decay_only]
+                blocks.append((*(x[lo:hi] for x in arenas), *self._scratch[:, :hi - lo]))
         return decaying, blocks
 
     def step(self, lr_t: float):
@@ -194,6 +285,12 @@ class AdamW:
         decaying, blocks = self._plan
         for p, _ in decaying:
             np.multiply(p, shrink, out=p)
+        if self._kernel is not None:
+            for run in blocks:
+                flags = self._kernel(*run, shrink, ADAM_BETA1, ADAM_BETA2, eps, alpha)
+                if flags:
+                    _replay_flags(flags)
+            return
         # 0-d arrays and a positional `out` spare each of the 11 calls per
         # block numpy's conversion of a Python float and its keyword parsing
         shrink, b1, b2, eps, alpha = map(np.array, (shrink, ADAM_BETA1, ADAM_BETA2,

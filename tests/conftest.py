@@ -7,11 +7,15 @@ through the autodiff tape, which _fit_linear_probe is checked against, and
 the redaction, audit counting and audit probe that redact, _count_features
 and _probe_macro_auroc are checked against, and the numpy-dtype-discovery
 reader of a manifest row's vision features that _vision_floats is checked
-against."""
+against.
+
+Every test session keeps the fused AdamW kernel in a cache directory of its
+own, so that it writes nothing under the user's home and starts cold."""
 
 import re
 
 import numpy as np
+import pytest
 
 from petfuse.autodiff import (Tensor, _add_grad, _result, add, as_tensor, bce_with_logits,
                               make_rng, matmul, mul)
@@ -22,6 +26,15 @@ from petfuse.model import ModelGraph
 from petfuse.redaction import (_NUM_RE, _TOKEN_RE, MASKS, Lexicon, RedactedReport,
                                _fit_linear_probe, _tokenize_lower)
 from petfuse.training import AdamW, clip_gradients, lr_schedule
+
+
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """XDG_CACHE_HOME, for this process and every child it starts, is a
+    directory of the session's."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
 
 
 def grad_check(fn, tensors, step=1e-5):

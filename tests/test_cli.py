@@ -75,13 +75,21 @@ def test_missing_input_file_is_runtime_error(capsys, tmp_path):
     assert "error" in err.lower()
 
 
-def test_version_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--version"])
-    assert exc.value.code == 0
-    out = capsys.readouterr().out
-    assert out.startswith("petfuse ")
-    assert "build" in out
+def test_version_flag(capsys, monkeypatch):
+    """--version names the AdamW path the process runs: fused where the
+    kernel loads, numpy where it does not."""
+    paths = [("numpy", None)]
+    if training.adamw_kernel() is not None:
+        paths.insert(0, ("fused", training.adamw_kernel()))
+    for name, kernel in paths:
+        monkeypatch.setattr(training, "_kernel", kernel)
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("petfuse ")
+        assert "build" in out
+        assert out.rstrip().endswith(f"adamw {name})"), out
 
 
 # ---------------------------------------------------------------- gen + redact

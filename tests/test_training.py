@@ -1,10 +1,17 @@
 """Optimizer, schedule, accumulation-equivalence, and checkpoint tests."""
 
+import csv
 import hashlib
+import importlib.resources
+import json
 import math
 import os
+import shlex
+import shutil
+import stat
 import subprocess
 import sys
+import sysconfig
 import tracemalloc
 import weakref
 
@@ -14,10 +21,10 @@ from conftest import tsum
 
 import petfuse.autodiff as ad
 import petfuse.training as training
-from petfuse import encoders
+from petfuse import cli, encoders
 from petfuse.data import SplitSpec, generate_synthetic, label_matrix, split_patients
 from petfuse.encoders import Tokenizer
-from petfuse.errors import ConfigError, InputError
+from petfuse.errors import ConfigError, InputError, NumericError, numeric_guard
 from petfuse.fusion import FusionConfig
 from petfuse.harness import ENCODE_CHUNK, MultimodalModel
 from petfuse.model import ModelGraph
@@ -226,6 +233,32 @@ def test_adamw_matches_hand_iteration():
     assert np.max(np.abs(graph.params["p"].data - expected)) <= 1e-12
 
 
+def _fused_kernel():
+    """The fused AdamW kernel; skips the test where this host cannot build
+    or load it."""
+    kernel = training.adamw_kernel()
+    if kernel is None:
+        pytest.skip("the fused AdamW kernel cannot be built or loaded here")
+    return kernel
+
+
+def _kernels():
+    """Each AdamW path this host runs: the fused kernel where it loads, and
+    the numpy block plan (None)."""
+    kernel = training.adamw_kernel()
+    return [None] if kernel is None else [kernel, None]
+
+
+def _use_path(block, monkeypatch):
+    """Block None runs the fused kernel; a block size runs the numpy block
+    plan with that block."""
+    if block is None:
+        monkeypatch.setattr(training, "_kernel", _fused_kernel())
+    else:
+        monkeypatch.setattr(training, "_kernel", None)
+        monkeypatch.setattr(training, "ADAM_BLOCK", block)
+
+
 def _arena_graph():
     """Mixed shapes: a parameter spanning two default blocks, a (1, n) bias,
     a vector and a scalar, plus one frozen parameter."""
@@ -237,13 +270,14 @@ def _arena_graph():
     return graph
 
 
-@pytest.mark.parametrize("block", [ADAM_BLOCK, 5])
+@pytest.mark.parametrize("block", [ADAM_BLOCK, 5, pytest.param(None, id="fused")])
 def test_adamw_arena_equals_reference_exactly(block, monkeypatch):
     """20 steps over several parameters, one of which ("u") gets no gradient
     on every third step, equal the hand iteration of the folded recurrence
-    bit for bit and the textbook one within 1e-12; a block of 5 elements
-    cuts through every parameter boundary."""
-    monkeypatch.setattr(training, "ADAM_BLOCK", block)
+    bit for bit and the textbook one within 1e-12, on the fused kernel and
+    on the numpy block plan; a block of 5 elements cuts through every
+    parameter boundary."""
+    _use_path(block, monkeypatch)
     graph = _arena_graph()
     theta0 = {p.name: p.data.copy() for p in graph.trainable()}
     rng = np.random.default_rng(12)
@@ -390,14 +424,15 @@ def test_train_loop_matches_dict_reference_loop(tmp_path):
         assert (tmp_path / "got").read_bytes() == (tmp_path / "ref").read_bytes()
 
 
-def test_adamw_decay_only_shrinks():
-    theta0 = np.array([2.0])
-    graph = ModelGraph()
-    graph.add_param("p", theta0.copy(), trainable=True)
-    opt = AdamW(graph.trainable(), weight_decay=0.5)
-    opt.step(lr_t=0.1)
-    # zero gradient: only the decoupled decay term applies
-    assert graph.params["p"].data[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5))
+def test_adamw_decay_only_shrinks(monkeypatch):
+    for kernel in _kernels():
+        monkeypatch.setattr(training, "_kernel", kernel)
+        graph = ModelGraph()
+        graph.add_param("p", np.array([2.0]), trainable=True)
+        opt = AdamW(graph.trainable(), weight_decay=0.5)
+        opt.step(lr_t=0.1)
+        # zero gradient: only the decoupled decay term applies
+        assert graph.params["p"].data[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5))
 
 
 def test_adamw_first_step_magnitude():
@@ -411,13 +446,146 @@ def test_adamw_first_step_magnitude():
     assert graph.params["p"].data[0] == pytest.approx(-1e-3, rel=1e-6)
 
 
-def test_adamw_zero_lr_is_noop():
-    graph = ModelGraph()
-    graph.add_param("p", np.array([3.0]), trainable=True)
-    opt = AdamW(graph.trainable(), weight_decay=0.5)
-    opt.grads["p"][...] = 1.0
-    opt.step(lr_t=0.0)
-    assert graph.params["p"].data[0] == 3.0
+def test_adamw_zero_lr_is_noop(monkeypatch):
+    for kernel in _kernels():
+        monkeypatch.setattr(training, "_kernel", kernel)
+        graph = ModelGraph()
+        graph.add_param("p", np.array([3.0]), trainable=True)
+        opt = AdamW(graph.trainable(), weight_decay=0.5)
+        opt.grads["p"][...] = 1.0
+        opt.step(lr_t=0.0)
+        assert graph.params["p"].data[0] == 3.0
+
+
+@pytest.mark.parametrize("block", [ADAM_BLOCK, pytest.param(None, id="fused")])
+def test_an_overflowing_step_is_a_numeric_error_guarded_and_a_warning_not(block,
+                                                                          monkeypatch):
+    """A gradient of 1e200 overflows g*g: inside numeric_guard, as in
+    train_loop, the step ends as NumericError; outside it numpy's default
+    error state gives a RuntimeWarning. The fused kernel reports its flags
+    through numpy's error state as the numpy plan's ufuncs do."""
+    _use_path(block, monkeypatch)
+
+    def overflowing():
+        graph = ModelGraph()
+        graph.add_param("p", np.ones(5), trainable=True)
+        opt = AdamW(graph.trainable())
+        opt.grads["p"][...] = 1e200
+        return opt
+
+    opt = overflowing()
+    with pytest.raises(NumericError, match="training: overflow"):
+        with numeric_guard("training"):
+            opt.step(lr_t=1e-3)
+    opt = overflowing()
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        opt.step(lr_t=1e-3)
+    assert np.isinf(opt.flat_v).all()
+
+
+def test_train_writes_the_same_bytes_on_the_fused_kernel_and_the_numpy_plan(tmp_path,
+                                                                            monkeypatch):
+    """A LoRA `train` run, whose dead attention wq/wk only decay, writes the
+    same checkpoint and history.csv (without its seconds column) on both
+    AdamW paths."""
+    kernel = _fused_kernel()
+    data, cfg = tmp_path / "data.jsonl", tmp_path / "cfg.json"
+    assert cli.main(["gen-data", "--patients", "24", "--seed", "5", "--out", str(data)]) == 0
+    cfg.write_text(json.dumps({"arm": "full_pet", "policy": "lora",
+                               "train": {"max_epochs": 2, "lr": 3e-3, "batch": 8}}))
+    written = []
+    for name, k in (("fused", kernel), ("numpy", None)):
+        monkeypatch.setattr(training, "_kernel", k)
+        out = tmp_path / name
+        assert cli.main(["train", "--config", str(cfg), "--data", str(data),
+                         "--out", str(out)]) == 0
+        with open(out / "history.csv", newline="") as f:
+            rows = [row[:-1] for row in csv.reader(f)]
+        assert rows[0] == ["epoch", "train_loss", "val_auroc", "lr"] and len(rows) == 3
+        written.append(((out / "checkpoint.bin").read_bytes(), rows))
+    assert written[0] == written[1]
+
+
+_KERNEL_PROBE = """
+import hashlib, subprocess
+import numpy as np
+import petfuse.training as training
+from petfuse.model import ModelGraph
+
+compiles, run = [], subprocess.run
+subprocess.run = lambda *a, **k: compiles.append(a) or run(*a, **k)
+graph = ModelGraph()
+graph.add_param("p", np.linspace(-1.0, 1.0, 1000), trainable=True)
+opt = training.AdamW(graph.trainable())
+for k in range(5):
+    opt.grads["p"][...] = np.sin(np.arange(1000.0) * (k + 1))
+    opt.step(1e-2)
+bits = hashlib.sha256(b"".join(a.tobytes() for a in (opt.flat, opt.flat_m, opt.flat_v)))
+print(training.adamw_kernel() is not None, len(compiles), bits.hexdigest())
+"""
+
+
+def _kernel_probe(cache, path=None):
+    """(fused, compiler calls, SHA-256 of flat/m/v after 5 steps) of a child
+    process that takes its AdamW kernel cache from `cache` and, if given,
+    looks for the compiler on `path`."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(training.__file__)),
+           "XDG_CACHE_HOME": str(cache)}
+    if path is not None:
+        env["PATH"] = str(path)
+    proc = subprocess.run([sys.executable, "-c", _KERNEL_PROBE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    fused, compiles, bits = proc.stdout.split()
+    return fused == "True", int(compiles), bits
+
+
+def _compiler():
+    """Python's own C compiler command; skips the test where it is not on PATH."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("Python's C compiler is not on PATH")
+    return cc
+
+
+def test_a_cold_cache_compiles_the_kernel_once_and_the_next_process_loads_it(tmp_path):
+    _compiler()
+    first = _kernel_probe(tmp_path)
+    assert first[:2] == (True, 1)
+    assert _kernel_probe(tmp_path) == (True, 0, first[2])
+    cache = tmp_path / "petfuse"
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+    [lib] = cache.iterdir()  # no temporary file is left behind
+    assert lib.name.startswith("adamw-") and lib.suffix == ".so"
+
+
+def test_without_a_compiler_adamw_runs_the_numpy_plan_to_the_same_bits(tmp_path):
+    if os.path.isabs(_compiler()[0]):
+        pytest.skip("Python's C compiler is named by an absolute path")
+    fused = _kernel_probe(tmp_path / "with")
+    (tmp_path / "bin").mkdir()
+    plain = _kernel_probe(tmp_path / "without", path=tmp_path / "bin")
+    assert fused[0] and not plain[0]
+    assert plain[2] == fused[2]
+    assert not any((tmp_path / "without" / "petfuse").iterdir())
+
+
+def test_a_cache_directory_others_can_write_is_not_loaded_from(tmp_path):
+    """A copy of a good cache, made group- or world-writable, is neither
+    loaded from nor compiled into."""
+    _compiler()
+    assert _kernel_probe(tmp_path / "own")[:2] == (True, 1)
+    shared = tmp_path / "shared" / "petfuse"
+    shutil.copytree(tmp_path / "own" / "petfuse", shared)
+    for mode in (0o770, 0o707):
+        shared.chmod(mode)
+        assert _kernel_probe(tmp_path / "shared")[:2] == (False, 0), oct(mode)
+
+
+def test_the_kernel_source_ships_in_the_package():
+    """pyproject's package-data puts _adamw.c in an installed petfuse, which
+    compiles it at run time."""
+    assert (importlib.resources.files("petfuse") / "_adamw.c").is_file()
 
 
 # ---------------------------------------------------------------- config
@@ -796,15 +964,15 @@ def test_a_batch_16_lora_tape_holds_what_its_backward_reads():
     assert 8e6 < _tape_bytes(loss, model.graph.params.values()) < 12e6
 
 
-@pytest.mark.parametrize("block", [ADAM_BLOCK, 5])
+@pytest.mark.parametrize("block", [ADAM_BLOCK, 5, pytest.param(None, id="fused")])
 def test_a_parameter_first_reached_at_step_3_matches_the_folded_update(block, monkeypatch):
     """A parameter whose first nonzero gradient comes at step 3 ("u"), and
     one whose first comes at step 5 ("b"), only decay before then, their
     moments stay +0.0, and after 8 steps every parameter equals the folded
-    recurrence over its gradients (zeros first) bit for bit. Each departure
-    rebuilds the block plan mid-run; a block of 5 elements cuts through
-    every parameter boundary."""
-    monkeypatch.setattr(training, "ADAM_BLOCK", block)
+    recurrence over its gradients (zeros first) bit for bit, on the fused
+    kernel and on the numpy block plan. Each departure rebuilds the plan
+    mid-run; a block of 5 elements cuts through every parameter boundary."""
+    _use_path(block, monkeypatch)
     graph = _arena_graph()
     theta0 = {p.name: p.data.copy() for p in graph.trainable()}
     first = {"u": 2, "b": 4}  # the index of the step of each one's first gradient
