@@ -78,11 +78,10 @@ def test_missing_input_file_is_runtime_error(capsys, tmp_path):
 def test_version_flag(capsys, monkeypatch):
     """--version names the AdamW path the process runs: fused where the
     kernel loads, numpy where it does not."""
-    paths = [("numpy", None)]
-    if training.adamw_kernel() is not None:
-        paths.insert(0, ("fused", training.adamw_kernel()))
-    for name, kernel in paths:
-        monkeypatch.setattr(training, "_kernel", kernel)
+    kernel = training.adamw_kernel()
+    paths = {"numpy": None} if kernel is None else {"fused": kernel, "numpy": None}
+    for name, k in paths.items():
+        monkeypatch.setattr(training, "_kernel", k)
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
