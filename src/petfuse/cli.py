@@ -52,7 +52,9 @@ def _build_hash() -> str:
 class _Version(argparse.Action):
     """--version: the package version, a digest of its sources and the AdamW
     update this process runs, `adamw fused` or `adamw numpy`, so that a slow
-    host explains itself. Looking for the kernel may compile it, so it is
+    host explains itself. The fused update and the native manifest row
+    reader come from one library, so `adamw numpy` also means that every
+    row is read by json. Looking for the library may compile it, so it is
     done only when asked for."""
 
     def __init__(self, option_strings, dest, help=None):
@@ -205,10 +207,11 @@ def _training_run(cfg, manifest, digest):
     and validation splits of `manifest`, whose bytes `digest` is fed.
 
     The manifest is parsed on a second thread while this one draws the
-    arm's trainable weights, which numpy fills with the GIL released; the
-    model over the real vocabulary is then built from those arrays. They
-    are drawn here, not on the second thread: freed into that thread's
-    malloc arena, they stayed resident (lora_cli peak RSS 136 -> 154 MB).
+    arm's trainable weights. numpy fills them, and the native row reader
+    reads each row's features, with the GIL released; the model over the
+    real vocabulary is then built from those arrays. They are drawn here,
+    not on the second thread: freed into that thread's malloc arena, they
+    stayed resident (lora_cli peak RSS 136 -> 154 MB).
     Errors come in the order of a serial run: the manifest's, the split's,
     the tokenizer's, then the arm's. The drawn arrays are referenced only
     from here, so the optimizer's copy is their last use."""

@@ -10,6 +10,7 @@ values. A line is written as json.dumps(record, sort_keys=True) writes it.
 from __future__ import annotations
 
 import array
+import ctypes
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _native
 from . import autodiff as ad
 from .errors import ConfigError, InputError, ParseError
 
@@ -240,6 +242,9 @@ def generate_synthetic(n_patients: int, prevalence_profile=None, signal_plan=Non
 
 _REQUIRED = ("id", "patient_id", "text", "labels")
 _OPTIONAL = ("vision_features",)
+# The native row reader once `_numbers_kernel` has looked for it; None reads
+# every row through json.
+_numbers = _native._UNLOADED
 
 
 def _vision_floats(feats) -> np.ndarray | None:
@@ -287,9 +292,36 @@ def _sample(path, lineno: int, rec) -> Sample:
                   [int(v) for v in labels], feats)
 
 
+def _numbers_kernel():
+    """`parse_numbers` of the native library, looked for once per process;
+    None where it cannot be built or loaded, and every row is read by json."""
+    global _numbers
+    if _numbers is _native._UNLOADED:
+        _numbers = _native._function(
+            "parse_numbers", [ctypes.c_char_p, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t],
+            ctypes.c_ssize_t)
+    return _numbers
+
+
 def _parse_line(path, lineno: int, raw: bytes) -> Sample | None:
     """The sample on manifest line `lineno`, whose bytes are `raw`; None for
-    a blank line."""
+    a blank line.
+
+    Where the native reader loaded, a line that has a head (`_head`) whose
+    feature bytes it reads as VISION_DIM numbers is the head's sample with
+    those numbers. That is the sample json reads from the whole line: the
+    head holds every other field, and each number is the double float()
+    gives its text. Every other line is read by json, so its errors are
+    json's."""
+    numbers = _numbers_kernel()
+    head = None if numbers is None else _head(raw)
+    if head is not None:
+        rec, body = head
+        feats = np.empty(VISION_DIM)
+        if numbers(body, len(body), feats.ctypes.data, VISION_DIM) == VISION_DIM:
+            sample = _sample(path, lineno, rec)
+            sample.vision_features = _read_only(feats)
+            return sample
     try:
         line = raw.decode("utf-8").strip()
     except UnicodeDecodeError as e:
@@ -303,7 +335,7 @@ def _parse_line(path, lineno: int, raw: bytes) -> Sample | None:
     return _sample(path, lineno, rec)
 
 
-def _samples(path, lines, parse=_parse_line) -> list[Sample]:
+def _samples(path, lines, parse) -> list[Sample]:
     """The samples of a manifest's lines (bytes, as iterating its file in
     binary mode yields them), each read by `parse(path, lineno, raw)`;
     sample ids must be unique (models cache frozen text features by id)."""
@@ -333,26 +365,31 @@ def load_manifest(path, digest=None) -> list[Sample]:
     must be unique. `digest`, a hashlib object, is updated with every byte
     of the file."""
     with open(path, "rb") as f:
-        return _samples(path, f if digest is None else _hashed(f, digest))
+        return _samples(path, f if digest is None else _hashed(f, digest), _parse_line)
 
 
 _FEATURES_KEY = b', "vision_features": ['
 
 
-def _head(raw: bytes) -> dict | None:
+def _head(raw: bytes) -> tuple[dict, bytes] | None:
     """A manifest line's JSON object without its vision_features, read from
-    the bytes before `, "vision_features": [`; None unless the line ends in
-    `]}`, no '"' follows that key, and those bytes closed by "}" are an
-    object without vision_features, which makes that key its last one."""
+    the bytes before `, "vision_features": [`, and the bytes between that
+    `[` and the line's closing `]}`; None unless the line ends in `]}`, no
+    '"' follows that key, and those bytes closed by "}" are a non-empty
+    object without vision_features, which makes that key its last one (after
+    an empty one, `{, "vision_features": [...]}` is not JSON)."""
     line = raw.rstrip()
     at = line.find(_FEATURES_KEY)
-    if at < 0 or not line.endswith(b"]}") or line.find(b'"', at + len(_FEATURES_KEY)) >= 0:
+    body = at + len(_FEATURES_KEY)
+    if at < 0 or not line.endswith(b"]}") or line.find(b'"', body) >= 0:
         return None
     try:
         rec = json.loads(line[:at].decode("utf-8") + "}")
     except ValueError:  # the key sat inside a nested value, or not UTF-8
         return None
-    return rec if isinstance(rec, dict) and "vision_features" not in rec else None
+    if isinstance(rec, dict) and rec and "vision_features" not in rec:
+        return rec, line[body:-2]
+    return None
 
 
 def load_splits(path, spec: SplitSpec, sha256: str, scored):
@@ -376,10 +413,10 @@ def load_splits(path, spec: SplitSpec, sha256: str, scored):
     spans = {}  # sample id -> (line number, start, end) of each line read from its head
 
     def parse(path, lineno, raw):
-        rec = _head(raw)
-        if rec is None:
+        head = _head(raw)
+        if head is None:
             return _parse_line(path, lineno, raw)
-        sample = _sample(path, lineno, rec)
+        sample = _sample(path, lineno, head[0])
         end = lines.tell()
         spans[sample.id] = (lineno, end - len(raw), end)
         return sample

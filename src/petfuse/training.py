@@ -4,20 +4,13 @@ accumulation and clipping, early stopping on validation AUROC, checkpoints.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import ctypes
-import hashlib
 import json
 import math
 import os
-import shlex
-import subprocess
-import sysconfig
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +19,7 @@ try:
 except ImportError:  # numpy < 2
     from numpy.core.multiarray import _set_madvise_hugepage
 
+from . import _native
 from . import autodiff as ad
 from .errors import ConfigError, InputError, numeric_guard
 from .metrics import UndefinedMetric
@@ -44,19 +38,13 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # With the step's block plan, 32K against 16K read +0.4% on the benchmark's
 # `attribution_frozen` run_s (median of 8 seeds, faster in 4 of 8): noise.
 ADAM_BLOCK = 16384
-# The fused update (_adamw.c) and how it is built. No flag that lets the
-# compiler reorder, contract or approximate a float64 operation: the kernel
-# is held to the numpy plan's bits.
-_KERNEL_SOURCE = Path(__file__).with_name("_adamw.c")
-_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 # 0-d ufunc calls that raise the kernel's flags 1 (divide by zero),
 # 2 (overflow) and 4 (invalid) again, in numpy's order of handling them
 _FLAG_REPLAYS = ((1, np.divide, 1.0, 0.0), (2, np.multiply, 1e300, 1e300),
                  (4, np.subtract, np.inf, np.inf))
-_UNLOADED = object()
 # The fused update once `adamw_kernel` has looked for it; None runs the
 # numpy block plan.
-_kernel = _UNLOADED
+_kernel = _native._UNLOADED
 
 
 @dataclass
@@ -111,52 +99,15 @@ def clip_gradients(grads, max_norm: float = 1.0):
     return grads, norm
 
 
-def _load_kernel():
-    """`adamw_update` of _adamw.c as a ctypes function, loaded from
-    $XDG_CACHE_HOME/petfuse (default ~/.cache/petfuse) and compiled into it
-    first if absent; None if any step fails. The file name carries a digest
-    of the source, the compiler command, its flags and the platform. A cache
-    directory that is not ours alone (another owner, or writable by group or
-    world) is not loaded from."""
-    cc = shlex.split(sysconfig.get_config_var("CC") or "")
-    if not cc:
-        return None
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    try:
-        cache = Path(base if os.path.isabs(base) else Path.home() / ".cache") / "petfuse"
-        source = _KERNEL_SOURCE.read_bytes()
-        key = hashlib.sha256(b"\0".join([source, *map(str.encode, cc + list(_KERNEL_FLAGS)),
-                                         sysconfig.get_platform().encode()]))
-        lib = cache / f"adamw-{key.hexdigest()[:16]}.so"
-        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-        st = cache.stat()
-        if st.st_uid != os.getuid() or st.st_mode & 0o022:
-            return None
-        if not lib.exists():
-            fd, tmp = tempfile.mkstemp(prefix=".adamw-", suffix=".so", dir=cache)
-            os.close(fd)
-            try:
-                subprocess.run([*cc, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
-                               stdin=subprocess.DEVNULL, capture_output=True, check=True,
-                               timeout=120)
-                os.replace(tmp, lib)
-            finally:
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(tmp)
-        kernel = ctypes.CDLL(str(lib)).adamw_update
-    except (OSError, RuntimeError, subprocess.SubprocessError, AttributeError):
-        return None  # RuntimeError: no home directory; AttributeError: no such symbol
-    kernel.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 5
-    kernel.restype = ctypes.c_int
-    return kernel
-
-
 def adamw_kernel():
-    """The fused AdamW update, looked for once per process; None where it
-    cannot be built or loaded, and AdamW runs its numpy block plan."""
+    """The fused AdamW update, `adamw_update` of the native library, looked
+    for once per process; None where it cannot be built or loaded, and AdamW
+    runs its numpy block plan."""
     global _kernel
-    if _kernel is _UNLOADED:
-        _kernel = _load_kernel()
+    if _kernel is _native._UNLOADED:
+        _kernel = _native._function(
+            "adamw_update", [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 5,
+            ctypes.c_int)
     return _kernel
 
 

@@ -552,15 +552,17 @@ def test_a_restore_draws_nothing_the_checkpoint_holds(arm, policy, streams, trai
 
 
 class _CountingParser:
-    """Stands in for `data._vision_floats`, the parser of one row's vision
-    features, and counts its calls."""
+    """Stands in for `data._parse_line`, the parse of one whole manifest row
+    on the native path and on json's, and counts the rows it gives with
+    their vision features."""
 
     def __init__(self, parse):
         self.parse, self.calls = parse, 0
 
-    def __call__(self, feats):
-        self.calls += 1
-        return self.parse(feats)
+    def __call__(self, *args):
+        sample = self.parse(*args)
+        self.calls += sample is not None and sample.vision_features is not None
+        return sample
 
 
 @pytest.mark.parametrize("command, scored", [("eval", (2,)), ("calibrate", (1, 2))])
@@ -569,7 +571,8 @@ def test_a_restore_parses_features_only_of_the_rows_it_scores(command, scored, t
     """On the manifest the checkpoint trained on, eval parses the features of
     test rows only and calibrate those of validation and test rows. The same
     manifest with a blank line appended has another digest: every row is
-    parsed, and what the command prints is the same."""
+    parsed, and what the command prints is the same. Both hold with the
+    native row reader and with json alone."""
     _, data, _, run_dir = trained
     ckpt = run_dir / "checkpoint.bin"
     header, _ = load_checkpoint(ckpt)
@@ -578,17 +581,20 @@ def test_a_restore_parses_features_only_of_the_rows_it_scores(command, scored, t
     appended.write_bytes(data.read_bytes() + b"\n")
     capsys.readouterr()
     printed = []
-    for manifest, parsed in ((data, sum(len(splits[i]) for i in scored)),
-                             (appended, sum(map(len, splits)))):
-        counter = _CountingParser(data_mod._vision_floats)
-        with monkeypatch.context() as m:
-            m.setattr(data_mod, "_vision_floats", counter)
-            code, out, err = run(capsys, command, "--checkpoint", str(ckpt),
-                                 "--data", str(manifest))
-        assert (code, err) == (0, "")
-        assert counter.calls == parsed
-        printed.append(out)
-    assert printed[0] == printed[1]
+    numbers = data_mod._numbers_kernel()
+    for reader in [None] if numbers is None else [numbers, None]:
+        for manifest, parsed in ((data, sum(len(splits[i]) for i in scored)),
+                                 (appended, sum(map(len, splits)))):
+            counter = _CountingParser(data_mod._parse_line)
+            with monkeypatch.context() as m:
+                m.setattr(data_mod, "_numbers", reader)
+                m.setattr(data_mod, "_parse_line", counter)
+                code, out, err = run(capsys, command, "--checkpoint", str(ckpt),
+                                     "--data", str(manifest))
+            assert (code, err) == (0, "")
+            assert counter.calls == parsed, reader
+            printed.append(out)
+    assert all(out == printed[0] for out in printed)
 
 
 def _arm_without_kind(tmp_path, data, run_dir):

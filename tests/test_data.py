@@ -10,11 +10,12 @@ from conftest import reference_vision_floats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import petfuse.data as data
 from petfuse.cli import main
 from petfuse.data import (DEFAULT_PREVALENCE, LABELS, VISION_DIM, Sample, SplitSpec,
-                          _round6, _six_decimal_json, _vision_floats, generate_synthetic,
-                          label_matrix, load_manifest, load_splits, save_manifest,
-                          split_patients)
+                          _parse_line, _round6, _six_decimal_json, _vision_floats,
+                          generate_synthetic, label_matrix, load_manifest, load_splits,
+                          save_manifest, split_patients)
 from petfuse.errors import ConfigError, ParseError
 
 
@@ -334,7 +335,7 @@ def _mixed_rows(draw):
     value with a few mixed ones set in; or a short list of mixed values."""
     if draw(st.booleans()):
         return draw(st.lists(_MIXED_VALUES, max_size=4))
-    length = draw(st.sampled_from([VISION_DIM - 1, VISION_DIM, VISION_DIM, VISION_DIM + 1]))
+    length = draw(st.sampled_from([*[VISION_DIM] * 4, VISION_DIM - 1, VISION_DIM + 1]))
     row = [draw(st.one_of(st.floats(-1e6, 1e6), st.integers(-2**70, 2**70),
                           st.booleans()))] * length
     for i, v in draw(st.dictionaries(st.integers(0, length - 1), _MIXED_VALUES,
@@ -459,6 +460,153 @@ def test_load_splits_reads_only_the_scored_features_of_a_vouched_manifest(tmp_pa
     # exactly the generated rows (ids s00000_0, ...) of the unscored splits
     assert unread == {s.id for i in {0, 1, 2} - set(scored) for s in got[i]
                       if s.id.startswith("s0")}
+
+
+def _row_reader():
+    """The native row reader; skips the test where this host cannot build or
+    load it."""
+    numbers = data._numbers_kernel()
+    if numbers is None:
+        pytest.skip("the native row reader cannot be built or loaded here")
+    return numbers
+
+
+def _parsed(raw: bytes, numbers):
+    """What _parse_line makes of `raw` as line 1 with the row reader
+    `numbers` (None: json alone): the sample's fields, or the ParseError's
+    text. A sample's features must be a read-only float64 vector."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(data, "_numbers", numbers)
+        try:
+            sample = _parse_line("m.jsonl", 1, raw)
+        except ParseError as e:
+            return str(e)
+    if sample is not None and sample.vision_features is not None:
+        feats = sample.vision_features
+        assert (feats.dtype, feats.shape, feats.flags.writeable) == \
+            (np.float64, (VISION_DIM,), False)
+    return None if sample is None else _fields(sample)
+
+
+_HEAD_REC = {"id": "a", "labels": [0, 1] * 7, "patient_id": "p", "text": "t"}
+_HEAD = json.dumps(_HEAD_REC, sort_keys=True)[:-1]
+_HEADS = [
+    *[_HEAD] * 12,
+    "{",                                                         # empty head
+    "{ ",
+    json.dumps(dict(_HEAD_REC, text=', "vision_features": [1]}'))[:-1],  # key inside text
+    json.dumps(dict(_HEAD_REC, text="x\té "))[:-1],
+    json.dumps(dict(_HEAD_REC, id=7))[:-1],
+    json.dumps({k: v for k, v in _HEAD_REC.items() if k != "patient_id"})[:-1],
+    json.dumps(dict(_HEAD_REC, mystery=1))[:-1],                 # unknown field
+    json.dumps(dict(_HEAD_REC, labels=[2] * 14))[:-1],
+    json.dumps(dict(_HEAD_REC, patient_id=""))[:-1],
+    '{"vision_features": null, ' + _HEAD[1:],                    # key given twice
+    '{"vision\\u005ffeatures": null, ' + _HEAD[1:],
+    _HEAD + ",",
+    '{"id": {"x": 1',                                            # key in a nested value
+    '[{"id": 1',
+    _HEAD.replace('"text": "t"', '"text": "t\\ud800"'),
+]
+_PREFIXES = [*[b""] * 6, b" ", b"\t\r", b"\x0c", b"\xef\xbb\xbf"]  # a BOM
+_SUFFIXES = [*[b"", b"\n", b"\r", b"\r\n"] * 3, b" \t\n", b"\x0b\x0c", b"\xc2\xa0", b" x",
+             b"}", b"\xff"]
+_SEPARATORS = [", ", ", ", ",", " , ", "\t,\t", "\n,\r", ",\x0c", " ,", ";", ""]
+_SPECIAL_TOKENS = [
+    "0", "-0", "-0.0", "-0e0", "0e0", "-0E-0", "5e-06", "-5e-06", "1E+22", "1e22", "-1e-22",
+    "1e23", "1e-23", "1e400", "-1e400", "1e-400", "0e400", "0.0e-999999999999999999999",
+    "123456789012345", "-999999999999999", "1234567890123456", "0.123456789012345",
+    "0.1234567890123456", "1.00000000000000", "1.000000000000000", "999999999.999999",
+    # 16 and 17 digits, where w / 10**k rounds twice and misses float()'s double
+    "0.9425800138526967", "-928.4816785797377", "1188995418.4831833",
+    # an exponent longer than the reader counts, after a long zero fraction
+    "0." + "0" * 99 + "1e1000", "0." + "0" * 99 + "1e100",
+    "0.000000000000000000001", "0.0000000000000000000001", "1e0000000000000000000001",
+    "00", "01", "-01", "00.5", ".5", "-.5", "1.", "1.e5", "+1", "-", "1e", "1e+", "--1",
+    "true", "false", "null", "NaN", "-NaN", "Infinity", "-Infinity", '"1"', "[1]", "{}",
+    "0x10", "1_0", "١", "",
+]
+_NUMBER_TOKENS = st.one_of(
+    st.sampled_from(_SPECIAL_TOKENS),
+    st.from_regex(r"-?(0|[1-9][0-9]{0,16})(\.[0-9]{1,18})?([eE][+-]?[0-9]{1,3})?",
+                  fullmatch=True),
+    st.from_regex(r"[+-]?0{0,2}[0-9]{0,3}\.?[0-9]{0,3}([eE][+-]?[0-9]{0,2})?", fullmatch=True),
+    st.floats().map(repr))
+# what the writer writes
+_SIX_DECIMAL_TOKENS = st.integers(-10**15 + 1, 10**15 - 1).map(lambda k: repr(k / 1e6))
+
+
+@st.composite
+def _feature_lines(draw):
+    """A manifest line of a head, the features key and a list of 2,047 to
+    2,049 numbers with a few tokens and separators drawn from a grammar
+    around JSON's, between byte-level prefixes and suffixes."""
+    length = draw(st.sampled_from([*[VISION_DIM] * 4, VISION_DIM - 1, VISION_DIM + 1]))
+    tokens = [draw(st.one_of(_SIX_DECIMAL_TOKENS, _NUMBER_TOKENS))] * length
+    for i, tok in draw(st.dictionaries(st.integers(0, length - 1),
+                                       st.one_of(_SIX_DECIMAL_TOKENS, _SIX_DECIMAL_TOKENS,
+                                                 _NUMBER_TOKENS),
+                                       max_size=3)).items():
+        tokens[i] = tok
+    seps = [draw(st.sampled_from(_SEPARATORS[:6]))] * (length - 1)
+    for i, sep in draw(st.dictionaries(st.integers(0, length - 2),
+                                       st.sampled_from(_SEPARATORS * 2 + _SEPARATORS[:6]),
+                                       max_size=2)).items():
+        seps[i] = sep
+    body = tokens[0] + "".join(sep + tok for sep, tok in zip(seps, tokens[1:]))
+    pad = st.sampled_from(["", "", " ", "\t", "\r\n ", "\x0c"])
+    line = (draw(st.sampled_from(_HEADS)) + ', "vision_features": [' + draw(pad) + body
+            + draw(pad) + "]}").encode("utf-8", "surrogatepass")
+    if draw(st.integers(0, 3)) == 3:  # a byte that is not UTF-8, in the head or the list
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + b"\xff" + line[at:]
+    return draw(st.sampled_from(_PREFIXES)) + line + draw(st.sampled_from(_SUFFIXES))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_feature_lines())
+def test_the_native_row_reader_gives_what_json_gives(raw):
+    """A line read with the native row reader gives the sample json reads
+    from it, to the bytes of its features, or the same ParseError."""
+    assert _parsed(raw, _row_reader()) == _parsed(raw, None)
+
+
+def _row_line(head: str, tokens) -> bytes:
+    return (head + ', "vision_features": [' + ", ".join(tokens) + "]}").encode()
+
+
+@pytest.mark.parametrize("raw", [
+    b"", b"\r\n", b"  \n", _row_line(_HEAD, ["0.5"] * VISION_DIM),
+    _row_line("{", ["0.5"] * VISION_DIM),
+], ids=["empty", "crlf", "spaces", "row", "empty_head"])
+def test_the_native_row_reader_keeps_blank_lines_and_errors(raw):
+    assert _parsed(raw, _row_reader()) == _parsed(raw, None)
+
+
+def test_each_special_token_reads_as_json_reads_it():
+    """Each token of the grammar's special list, alone in a row of 0.5s or
+    filling it, gives what json gives."""
+    numbers = _row_reader()
+    for tok in _SPECIAL_TOKENS:
+        for tokens in (["0.5"] * 100 + [tok] + ["0.5"] * (VISION_DIM - 101),
+                       [tok] * VISION_DIM):
+            raw = _row_line(_HEAD, tokens)
+            assert _parsed(raw, numbers) == _parsed(raw, None), tok
+
+
+def test_generated_rows_are_read_without_json(tmp_path, monkeypatch):
+    """Every row the writer writes is read by the native reader: json never
+    reads its features."""
+    _row_reader()
+    path = tmp_path / "m.jsonl"
+    samples = generate_synthetic(n_patients=30, seed=4)
+    save_manifest(path, samples)
+
+    def refuse(feats):
+        raise AssertionError("features read by json")
+
+    monkeypatch.setattr(data, "_vision_floats", refuse)
+    assert [_fields(s) for s in load_manifest(path)] == [_fields(s) for s in samples]
 
 
 def test_manifest_bytes_deterministic(tmp_path):

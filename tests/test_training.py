@@ -525,18 +525,36 @@ print(training.adamw_kernel() is not None, len(compiles), bits.hexdigest())
 """
 
 
-def _kernel_probe(cache, path=None):
-    """(fused, compiler calls, SHA-256 of flat/m/v after 5 steps) of a child
-    process that takes its AdamW kernel cache from `cache` and, if given,
-    looks for the compiler on `path`."""
+_READER_PROBE = """
+import hashlib, sys
+import petfuse.data as data
+
+bits = hashlib.sha256()
+for s in data.load_manifest(sys.argv[1]):
+    bits.update(repr((s.id, s.patient_id, s.text, s.labels)).encode())
+    bits.update(s.vision_features.tobytes())
+print(data._numbers_kernel() is not None, bits.hexdigest())
+"""
+
+
+def _probe(code, cache, path=None, *args):
+    """The stdout words of a child process that runs `code` with `args`,
+    takes its native library cache from `cache` and, if given, looks for
+    the compiler on `path`."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(training.__file__)),
            "XDG_CACHE_HOME": str(cache)}
     if path is not None:
         env["PATH"] = str(path)
-    proc = subprocess.run([sys.executable, "-c", _KERNEL_PROBE], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    fused, compiles, bits = proc.stdout.split()
+    return proc.stdout.split()
+
+
+def _kernel_probe(cache, path=None):
+    """(fused, compiler calls, SHA-256 of flat/m/v after 5 steps) of a child
+    process that steps AdamW (`_probe`)."""
+    fused, compiles, bits = _probe(_KERNEL_PROBE, cache, path)
     return fused == "True", int(compiles), bits
 
 
@@ -556,7 +574,7 @@ def test_a_cold_cache_compiles_the_kernel_once_and_the_next_process_loads_it(tmp
     cache = tmp_path / "petfuse"
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
     [lib] = cache.iterdir()  # no temporary file is left behind
-    assert lib.name.startswith("adamw-") and lib.suffix == ".so"
+    assert lib.name.startswith("native-") and lib.suffix == ".so"
 
 
 def test_without_a_compiler_adamw_runs_the_numpy_plan_to_the_same_bits(tmp_path):
@@ -582,10 +600,73 @@ def test_a_cache_directory_others_can_write_is_not_loaded_from(tmp_path):
         assert _kernel_probe(tmp_path / "shared")[:2] == (False, 0), oct(mode)
 
 
+def test_without_a_compiler_a_manifest_is_read_by_json_to_the_same_samples(tmp_path):
+    """Where no library can be built the row reader is json, whose samples
+    are the native reader's to the bytes, and no temporary file is left."""
+    if os.path.isabs(_compiler()[0]):
+        pytest.skip("Python's C compiler is named by an absolute path")
+    manifest = tmp_path / "m.jsonl"
+    assert cli.main(["gen-data", "--patients", "12", "--seed", "3",
+                     "--out", str(manifest)]) == 0
+    native = _probe(_READER_PROBE, tmp_path / "with", None, str(manifest))
+    (tmp_path / "bin").mkdir()
+    plain = _probe(_READER_PROBE, tmp_path / "without", tmp_path / "bin", str(manifest))
+    assert (native[0], plain[0]) == ("True", "False")
+    assert plain[1] == native[1]
+    assert not any((tmp_path / "without" / "petfuse").iterdir())
+
+
+def test_a_library_of_an_older_source_is_not_loaded(tmp_path):
+    """An AdamW-only library that an older petfuse left in the cache, here
+    a file dlopen would refuse, is neither loaded nor removed: the library
+    of this source is compiled beside it."""
+    _compiler()
+    cache = tmp_path / "petfuse"
+    cache.mkdir(mode=0o700)
+    old = cache / "adamw-0123456789abcdef.so"
+    old.write_bytes(b"not a shared object")
+    assert _kernel_probe(tmp_path)[:2] == (True, 1)
+    assert sorted(p.name.split("-")[0] for p in cache.iterdir()) == ["adamw", "native"]
+    assert old.read_bytes() == b"not a shared object"
+
+
+_THREADS_PROBE = """
+import subprocess, sys, threading
+import petfuse.data as data
+import petfuse.training as training
+
+compiles, run = [], subprocess.run
+subprocess.run = lambda *a, **k: compiles.append(a) or run(*a, **k)
+sys.setswitchinterval(1e-6)
+barrier, found = threading.Barrier(8), []
+
+def look(find):
+    barrier.wait(timeout=60)
+    found.append(find() is not None)
+
+threads = [threading.Thread(target=look, args=(f,))
+           for f in [data._numbers_kernel, training.adamw_kernel] * 4]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=120)
+print(not any(t.is_alive() for t in threads), len(compiles), sum(found))
+"""
+
+
+def test_threads_that_meet_a_cold_cache_compile_the_library_once(tmp_path):
+    """Eight threads that ask for the row reader and the AdamW kernel at
+    once, switching every microsecond, all get them from one compile."""
+    _compiler()
+    assert _probe(_THREADS_PROBE, tmp_path) == ["True", "1", "8"]
+    [lib] = (tmp_path / "petfuse").iterdir()
+    assert lib.name.startswith("native-")
+
+
 def test_the_kernel_source_ships_in_the_package():
-    """pyproject's package-data puts _adamw.c in an installed petfuse, which
+    """pyproject's package-data puts _native.c in an installed petfuse, which
     compiles it at run time."""
-    assert (importlib.resources.files("petfuse") / "_adamw.c").is_file()
+    assert (importlib.resources.files("petfuse") / "_native.c").is_file()
 
 
 # ---------------------------------------------------------------- config
