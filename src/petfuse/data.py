@@ -298,7 +298,7 @@ def _numbers_kernel():
     global _numbers
     if _numbers is _native._UNLOADED:
         _numbers = _native._function(
-            "parse_numbers", [ctypes.c_char_p, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t],
+            "parse_numbers", [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t],
             ctypes.c_ssize_t)
     return _numbers
 
@@ -316,9 +316,11 @@ def _parse_line(path, lineno: int, raw: bytes) -> Sample | None:
     numbers = _numbers_kernel()
     head = None if numbers is None else _head(raw)
     if head is not None:
-        rec, body = head
+        rec, start, end = head
         feats = np.empty(VISION_DIM)
-        if numbers(body, len(body), feats.ctypes.data, VISION_DIM) == VISION_DIM:
+        # the address of raw's own bytes: the list is read where it lies
+        at = ctypes.cast(raw, ctypes.c_void_p).value + start
+        if numbers(at, end - start, feats.ctypes.data, VISION_DIM) == VISION_DIM:
             sample = _sample(path, lineno, rec)
             sample.vision_features = _read_only(feats)
             return sample
@@ -369,26 +371,30 @@ def load_manifest(path, digest=None) -> list[Sample]:
 
 
 _FEATURES_KEY = b', "vision_features": ['
+_SPACE = b" \t\n\r\x0b\x0c"  # what bytes.strip() strips
 
 
-def _head(raw: bytes) -> tuple[dict, bytes] | None:
+def _head(raw: bytes) -> tuple[dict, int, int] | None:
     """A manifest line's JSON object without its vision_features, read from
-    the bytes before `, "vision_features": [`, and the bytes between that
-    `[` and the line's closing `]}`; None unless the line ends in `]}`, no
-    '"' follows that key, and those bytes closed by "}" are a non-empty
-    object without vision_features, which makes that key its last one (after
-    an empty one, `{, "vision_features": [...]}` is not JSON)."""
-    line = raw.rstrip()
-    at = line.find(_FEATURES_KEY)
-    body = at + len(_FEATURES_KEY)
-    if at < 0 or not line.endswith(b"]}") or line.find(b'"', body) >= 0:
+    the bytes before `, "vision_features": [`, and the start and end in
+    `raw` of the bytes between that `[` and the line's closing `]}`; None
+    unless the line ends in `]}`, no '"' follows that key, and those bytes
+    closed by "}" are a non-empty object without vision_features, which
+    makes that key its last one (after an empty one, `{, "vision_features":
+    [...]}` is not JSON). No copy of the list is made."""
+    end = len(raw)
+    while end and raw[end - 1] in _SPACE:
+        end -= 1
+    at = raw.find(_FEATURES_KEY, 0, end)
+    start = at + len(_FEATURES_KEY)
+    if at < 0 or raw[end - 2:end] != b"]}" or raw.find(b'"', start, end) >= 0:
         return None
     try:
-        rec = json.loads(line[:at].decode("utf-8") + "}")
+        rec = json.loads(raw[:at].decode("utf-8") + "}")
     except ValueError:  # the key sat inside a nested value, or not UTF-8
         return None
     if isinstance(rec, dict) and rec and "vision_features" not in rec:
-        return rec, line[body:-2]
+        return rec, start, end - 2
     return None
 
 

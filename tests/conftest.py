@@ -9,8 +9,9 @@ and _probe_macro_auroc are checked against, and the numpy-dtype-discovery
 reader of a manifest row's vision features that _vision_floats is checked
 against.
 
-Every test session keeps the fused AdamW kernel in a cache directory of its
-own, so that it writes nothing under the user's home and starts cold."""
+Every test session keeps the native library (the fused AdamW kernel and
+the manifest row reader) in a cache directory of its own, so that it
+writes nothing under the user's home and starts cold."""
 
 import re
 
