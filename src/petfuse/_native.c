@@ -1,14 +1,15 @@
 /* petfuse's native library: the fused AdamW update of petfuse.training and
-   the manifest row reader of petfuse.data. _native.py compiles this file
-   with Python's own C compiler and loads it through ctypes; each caller
-   keeps a pure-Python path, which gives the same bits, for a host where it
-   cannot be built or loaded. */
+   the manifest row reader and writer of petfuse.data. _native.py compiles
+   this file with Python's own C compiler and loads it through ctypes; each
+   caller keeps a pure-Python path, which gives the same bits or bytes, for
+   a host where it cannot be built or loaded. */
 
 #include <float.h>
 #include <fenv.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* The AdamW update as one pass over p, m, v and g.
 
@@ -139,4 +140,79 @@ ptrdiff_t parse_numbers(const char *s, size_t n, double *out, size_t cap)
             return -1;
         i++;
     }
+}
+
+/* Writes the n decimal digits of v, leading zeros included, to s. */
+static void put_digits(char *s, uint64_t v, int n)
+{
+    while (n--) {
+        s[n] = (char)('0' + v % 10);
+        v /= 10;
+    }
+}
+
+/* The text json.dumps(x.tolist()) gives for the n doubles at x, written to
+   out; returns its length, or -1 unless every value is zero or a 6-decimal
+   number k/1e6 with 1e-6 <= |x| < 1e9. It also returns -1 where cap might
+   not hold the text: 2 + 19*n bytes always do.
+
+   Such a value's repr is its decimal (the printing counterpart of the
+   reader above: Steele and White, "How to Print Floating-Point Numbers
+   Accurately", PLDI 1990). It has at most 15 significant digits, so no
+   shorter decimal reads back as the same double and no search for one is
+   needed. repr writes the sign bit's '-', so -0.0 is "-0.0", the whole
+   digits, the point and the fraction without its trailing zeros, one digit
+   kept each side of the point. Below 1e-4, where |k| < 100, it writes an
+   exponent instead: 5e-06, 1e-05, 1.5e-05. k = rint(x*1e6) and the test
+   k/1e6 == x are each rounded once, as numpy's rint, multiply and divide
+   round them. */
+ptrdiff_t format_six_decimals(const double *x, size_t n, char *out, size_t cap)
+{
+#if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
+    return -1;  /* an extended intermediate would round twice */
+#endif
+    /* a value's ", ", its at most 17 characters ("-999999999.999999") and "]" */
+    const size_t room = 2 + 17 + 1;
+    size_t at = 0;
+    if (cap < 2)
+        return -1;
+    out[at++] = '[';
+    for (size_t i = 0; i < n; i++) {
+        double v = x[i], a = fabs(v);
+        if (!(a < 1e9) || (a < 1e-6 && v != 0))  /* NaN fails a < 1e9 */
+            return -1;
+        double k = rint(v * 1e6);
+        if (k / 1e6 != v || cap - at < room)
+            return -1;
+        if (i) {
+            out[at++] = ',';
+            out[at++] = ' ';
+        }
+        if (signbit(v))
+            out[at++] = '-';
+        uint64_t u = (uint64_t)fabs(k);
+        if (u != 0 && u < 100) {
+            out[at++] = (char)('0' + (u < 10 ? u : u / 10));
+            if (u >= 10 && u % 10) {
+                out[at++] = '.';
+                out[at++] = (char)('0' + u % 10);
+            }
+            memcpy(out + at, u < 10 ? "e-06" : "e-05", 4);
+            at += 4;
+            continue;
+        }
+        uint64_t whole = u / 1000000, frac = u % 1000000;
+        int w = 1, f = 6;
+        for (uint64_t t = whole; t >= 10; t /= 10)
+            w++;
+        put_digits(out + at, whole, w);
+        at += (size_t)w;
+        out[at++] = '.';
+        for (; f > 1 && frac % 10 == 0; f--)
+            frac /= 10;
+        put_digits(out + at, frac, f);
+        at += (size_t)f;
+    }
+    out[at++] = ']';
+    return (ptrdiff_t)at;
 }

@@ -1,6 +1,6 @@
 """petfuse's native library, _native.c, compiled once into a per-user cache
 and loaded through ctypes; training takes its fused AdamW update from it
-and data its manifest row reader.
+and data its manifest row reader and writer.
 
 Each caller keeps a pure-Python path that gives the same bits, so a host
 without a C compiler, or a cache it cannot trust, runs without the library.

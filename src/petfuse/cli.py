@@ -53,9 +53,9 @@ class _Version(argparse.Action):
     """--version: the package version, a digest of its sources and the AdamW
     update this process runs, `adamw fused` or `adamw numpy`, so that a slow
     host explains itself. The fused update and the native manifest row
-    reader come from one library, so `adamw numpy` also means that every
-    row is read by json. Looking for the library may compile it, so it is
-    done only when asked for."""
+    reader and writer come from one library, so `adamw numpy` also means
+    that every row is read and written by json. Looking for the library may
+    compile it, so it is done only when asked for."""
 
     def __init__(self, option_strings, dest, help=None):
         super().__init__(option_strings, argparse.SUPPRESS, default=argparse.SUPPRESS,

@@ -78,7 +78,8 @@ def read_json_object(path, what: str) -> dict:
     unless the file holds one."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as e:  # malformed JSON, not UTF-8, or an int too long to parse
+    # malformed JSON, not UTF-8, an int too long to parse, or nesting too deep
+    except (ValueError, RecursionError) as e:
         raise ConfigError(f"{path}: invalid {what} JSON ({e})") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: {what} must be a JSON object")

@@ -242,9 +242,11 @@ def generate_synthetic(n_patients: int, prevalence_profile=None, signal_plan=Non
 
 _REQUIRED = ("id", "patient_id", "text", "labels")
 _OPTIONAL = ("vision_features",)
-# The native row reader once `_numbers_kernel` has looked for it; None reads
-# every row through json.
+# The native row reader and writer once `_numbers_kernel` and
+# `_format_kernel` have looked for them; None reads or writes every row
+# through json.
 _numbers = _native._UNLOADED
+_format = _native._UNLOADED
 
 
 def _vision_floats(feats) -> np.ndarray | None:
@@ -332,8 +334,9 @@ def _parse_line(path, lineno: int, raw: bytes) -> Sample | None:
         return None
     try:
         rec = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+    except (ValueError, RecursionError) as e:  # or an int too long to parse, or deep nesting
+        why = e.msg if isinstance(e, json.JSONDecodeError) else e
+        raise ParseError(f"{path}:{lineno}: invalid JSON ({why})") from e
     return _sample(path, lineno, rec)
 
 
@@ -391,7 +394,9 @@ def _head(raw: bytes) -> tuple[dict, int, int] | None:
         return None
     try:
         rec = json.loads(raw[:at].decode("utf-8") + "}")
-    except ValueError:  # the key sat inside a nested value, or not UTF-8
+    # the key sat inside a nested value, not UTF-8, an int too long to parse,
+    # or nesting too deep
+    except (ValueError, RecursionError):
         return None
     if isinstance(rec, dict) and rec and "vision_features" not in rec:
         return rec, start, end - 2
@@ -437,81 +442,46 @@ def load_splits(path, spec: SplitSpec, sha256: str, scored):
     return splits
 
 
-# repr(k / 1e6) for 1 <= k < 100, which repr writes with an exponent: one
-# column per k of its characters, padded to 7, and of which of them to keep
-_EXPONENT_FORMS = [f"{k}e-06" if k < 10 else f"{k // 10}e-05" if k % 10 == 0
-                   else f"{k // 10}.{k % 10}e-05" for k in range(100)]
-_EXPONENT_CHARS = np.array([list(f.ljust(7).encode()) for f in _EXPONENT_FORMS],
-                           np.uint8).T
-_EXPONENT_KEEP = _EXPONENT_CHARS != ord(" ")
-
-
-def _six_decimal_json(x: np.ndarray) -> str | None:
-    """json.dumps(x.tolist()) of a float64 row whose every value is a
-    6-decimal number k/1e6 with 1e-6 <= |x| < 1e9, or zero; None otherwise.
-
-    Such a value's repr is its decimal: it has at most 15 significant
-    digits, so no shorter string maps to the same double. Each value is laid
-    out in one column of a character grid: the sign, the integer digits, the
-    point and six fraction digits, then ", ". Dropping the sign of a
-    non-negative value, leading zeros and trailing fraction zeros (one digit
-    stays each side of the point) and reading the grid value by value gives
-    the text. Below 1e-4, where |k| < 100, repr writes an exponent instead
-    (5e-06, 1e-05, 1.5e-05): such a column holds the sign and that form.
-    """
-    if x.dtype != np.float64 or not x.size:
-        return None
-    ax = np.abs(x)  # NaN and infinities fail the range test
-    if not ((ax < 1e9) & ((ax >= 1e-6) | (x == 0))).all():
-        return None
-    k = np.rint(x * 1e6)
-    if not (k / 1e6 == x).all():
-        return None
-    whole, frac = np.divmod(np.abs(k).astype(np.int64), 1_000_000)
-    w = len(str(whole.max()))
-    chars = np.empty((w + 10, len(x)), np.uint8)
-    keep = np.ones(chars.shape, bool)
-    chars[0] = ord("-")
-    keep[0] = np.signbit(x)  # -0.0 keeps its sign
-    for j in range(w, 0, -1):
-        keep[j] = whole > 0
-        whole, digit = np.divmod(whole, 10)
-        chars[j] = digit + ord("0")
-    keep[w] = True
-    chars[w + 1] = ord(".")
-    nonzero_after = np.zeros(len(x), bool)
-    for j in range(w + 7, w + 1, -1):
-        frac, digit = np.divmod(frac, 10)
-        chars[j] = digit + ord("0")
-        nonzero_after |= digit != 0
-        keep[j] = nonzero_after
-    keep[w + 2] = True
-    chars[w + 8] = ord(",")
-    chars[w + 9] = ord(" ")
-    keep[w + 8:, -1] = False
-    small = (ax < 1e-4) & (x != 0)
-    if small.any():
-        kk = np.abs(k[small]).astype(np.int64)
-        keep[1:w + 8, small] = False
-        chars[1:8, small] = _EXPONENT_CHARS[:, kk]
-        keep[1:8, small] = _EXPONENT_KEEP[:, kk]
-    return "[" + chars.T[keep.T].tobytes().decode("ascii") + "]"
+def _format_kernel():
+    """`format_six_decimals` of the native library, looked for once per
+    process; None where it cannot be built or loaded, and every row is
+    written by json."""
+    global _format
+    if _format is _native._UNLOADED:
+        _format = _native._function(
+            "format_six_decimals",
+            [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t],
+            ctypes.c_ssize_t)
+    return _format
 
 
 def save_manifest(path, samples):
     """Write samples as JSONL, each line the bytes of json.dumps(record,
     sort_keys=True): vision_features, when present, sorts last and is
-    appended to the other fields' JSON."""
-    with open(path, "w", encoding="utf-8") as f:
+    appended to the other fields' JSON.
+
+    Where the native writer loaded, a non-empty, 1-D, C-contiguous float64
+    row of zeros and 6-decimal values (the rows gen-data makes) is written
+    by it, and every other row by json."""
+    fmt = _format_kernel()
+    # room for VISION_DIM values; the writer refuses a longer row, which json writes
+    buf = np.empty(2 + 19 * VISION_DIM, np.uint8)
+    with open(path, "wb") as f:
         for s in samples:
             head = json.dumps({"id": s.id, "labels": s.labels,
                                "patient_id": s.patient_id, "text": s.text},
                               sort_keys=True)
             x = s.vision_features
-            if x is not None:
-                feats = _six_decimal_json(x) or json.dumps(x.tolist())
-                head = f'{head[:-1]}, "vision_features": {feats}}}'
-            f.write(head + "\n")
+            if x is None:
+                f.write(f"{head}\n".encode())
+                continue
+            n = -1
+            if (fmt is not None and x.dtype == np.float64 and x.ndim == 1 and x.size
+                    and x.flags.c_contiguous):
+                n = fmt(x.ctypes.data, x.size, buf.ctypes.data, buf.size)
+            f.write(f'{head[:-1]}, "vision_features": '.encode())
+            f.write(buf[:n] if n >= 0 else json.dumps(x.tolist()).encode())
+            f.write(b"}\n")
 
 
 def label_matrix(samples) -> np.ndarray:

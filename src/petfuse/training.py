@@ -316,7 +316,7 @@ def load_checkpoint(path):
                              f"{max(size - 16, 0)} follow")
         try:
             header = json.loads(f.read(hlen).decode("utf-8"))
-        except ValueError as e:  # truncated or corrupt header
+        except (ValueError, RecursionError) as e:  # truncated, corrupt or too deeply nested
             raise InputError(f"{path}: unreadable checkpoint header ({e})") from e
         sizes = _array_sizes(header)
         if sizes is None:

@@ -759,7 +759,8 @@ def _location_not_utf8(tmp_path):
 def _plan(doc):
     def make_argv(tmp_path, data, run_dir):
         plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps({"arms": [{"kind": "vision_only"}], **doc}))
+        plan.write_text(doc if isinstance(doc, str)
+                        else json.dumps({"arms": [{"kind": "vision_only"}], **doc}))
         return ["attribute", "--plan", plan, "--data", data, "--out", tmp_path / "res"]
     return make_argv
 
@@ -779,7 +780,7 @@ def _writes_nothing(make_argv):
 def _config(doc, command="train"):
     def make_argv(tmp_path, data, run_dir):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
+        cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         if command == "count-params":
             return ["count-params", "--config", cfg]
         return ["train", "--config", cfg, "--data", data, "--out", tmp_path / "run"]
@@ -817,7 +818,8 @@ def _split_checkpoint(raw):
 
 
 def _join_checkpoint(header, blobs):
-    hbytes = json.dumps(header).encode()
+    """A checkpoint file of the header, a dict or its JSON text, and the arrays."""
+    hbytes = (header if isinstance(header, str) else json.dumps(header)).encode()
     return b"PFCKPT01" + len(hbytes).to_bytes(8, "little") + hbytes + blobs
 
 
@@ -891,6 +893,39 @@ def _config_int_too_long_to_parse(tmp_path, data, run_dir):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"train": {"lr": 1' + "0" * 5000 + "}}")
     return ["train", "--config", cfg, "--data", data, "--out", tmp_path / "run"]
+
+
+# nested past Python's recursion limit, so json raises RecursionError
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _with_raw(doc, key, text):
+    """json.dumps(doc) with doc[key] written as the JSON text `text`."""
+    return json.dumps({**doc, key: "@raw@"}).replace('"@raw@"', text)
+
+
+def _raw_row(command, key, text):
+    """`command` on the fixture's manifest with its first row's `key`
+    written as `text`; vision_features stays that row's last key."""
+    def make_argv(tmp_path, data, run_dir):
+        lines = data.read_text().splitlines(keepends=True)
+        manifest = tmp_path / "raw.jsonl"
+        manifest.write_text(_with_raw(json.loads(lines[0]), key, text) + "\n"
+                            + "".join(lines[1:]))
+        if command == "redact":
+            return ["redact", "--in", manifest, "--out", tmp_path / "red.jsonl"]
+        return [command, "--data", manifest, "--out", tmp_path / "run"]
+    return make_argv
+
+
+def _raw_header(command, key, text):
+    """The fixture's checkpoint with its header's `key` written as `text`."""
+    def make_argv(tmp_path, data, run_dir):
+        header, blobs = _split_checkpoint((run_dir / "checkpoint.bin").read_bytes())
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes(_join_checkpoint(_with_raw(header, key, text), blobs))
+        return [command, "--checkpoint", ckpt, "--data", data]
+    return make_argv
 
 
 def _trailing_bytes(tmp_path, data, run_dir):
@@ -1010,6 +1045,20 @@ def _trailing_bytes(tmp_path, data, run_dir):
                           "adapter": {"bottleneck": 100000}}),
                  id="adapter_bottleneck_beyond_width"),
     _config_int_too_long_to_parse,
+    # json raises a plain ValueError for an int of more than 4,300 digits,
+    # and RecursionError for nesting past the recursion limit
+    pytest.param(_says("raw.jsonl:1: invalid JSON (Exceeds the limit (4300 digits)",
+                       _raw_row("redact", "id", "1" * 5000)), id="manifest_id_5000_digits"),
+    pytest.param(_says("raw.jsonl:1: invalid JSON (maximum recursion depth exceeded",
+                       _raw_row("train", "labels", _DEEP)), id="manifest_labels_nested_deep"),
+    pytest.param(_says("invalid config JSON (maximum recursion depth exceeded",
+                       _config(_with_raw({}, "train", _DEEP), "count-params")),
+                 id="config_train_nested_deep"),
+    pytest.param(_says("invalid plan JSON (maximum recursion depth exceeded",
+                       _plan(_with_raw({"arms": [{"kind": "vision_only"}]}, "train", _DEEP))),
+                 id="plan_train_nested_deep"),
+    pytest.param(_says("unreadable checkpoint header (maximum recursion depth exceeded",
+                       _raw_header("eval", "extra", _DEEP)), id="header_nested_deep"),
     # a float64 overflow in training stops the run, or the arm, without a warning
     pytest.param(_config({"arm": "full_pet", "train": {"lr": 1e200, "max_epochs": 2}}),
                  id="train_lr_overflows"),

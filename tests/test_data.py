@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import petfuse.data as data
 from petfuse.cli import main
 from petfuse.data import (DEFAULT_PREVALENCE, LABELS, VISION_DIM, Sample, SplitSpec,
-                          _parse_line, _round6, _six_decimal_json, _vision_floats,
+                          _parse_line, _round6, _vision_floats,
                           generate_synthetic, label_matrix, load_manifest, load_splits,
                           save_manifest, split_patients)
 from petfuse.errors import ConfigError, ParseError
@@ -665,7 +665,7 @@ def _oracle_manifest(samples) -> bytes:
     return "".join(lines).encode("utf-8")
 
 
-# 6-decimal values on both sides of every edge of the array formatter:
+# 6-decimal values on both sides of every edge of the row writer:
 # zero and its sign, 1e-4 (below it repr writes an exponent), 1e9, and the
 # carries of the last fraction digit
 _EDGE_VALUES = [0.0, -0.0, 1e-4, -1e-4, 5e-05, -5e-05, 1e-06, 9.9e-05, 0.000101,
@@ -692,12 +692,37 @@ def _feature_rows(draw):
 @given(rows=st.lists(st.one_of(st.none(), _feature_rows()), min_size=1, max_size=5),
        text=st.text(max_size=12))
 def test_save_manifest_writes_the_json_dumps_bytes(tmp_path_factory, rows, text):
+    """With the native row writer, where it loads, and with json alone."""
     samples = [Sample(id=f"s{i}", patient_id=f"p{i}", text=text,
                       labels=[i % 2] * len(LABELS), vision_features=row)
                for i, row in enumerate(rows)]
     path = tmp_path_factory.mktemp("writer") / "m.jsonl"
-    save_manifest(path, samples)
-    assert path.read_bytes() == _oracle_manifest(samples)
+    for fmt in (data._format_kernel(), None):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(data, "_format", fmt)
+            save_manifest(path, samples)
+        assert path.read_bytes() == _oracle_manifest(samples)
+
+
+def _row_writer():
+    """The native row writer; skips the test where this host cannot build or
+    load it."""
+    fmt = data._format_kernel()
+    if fmt is None:
+        pytest.skip("the native row writer cannot be built or loaded here")
+    return fmt
+
+
+def _written(x: np.ndarray, cap=None) -> str | None:
+    """The text the native row writer gives for the float64 row `x` in a
+    buffer of `cap` bytes (default the 2 + 19 per value that always hold
+    it); None where it refuses the row. Not a byte past `cap` is written."""
+    assert x.dtype == np.float64 and x.ndim == 1 and x.flags.c_contiguous
+    cap = 2 + 19 * x.size if cap is None else cap
+    buf = np.full(cap + 64, ord("#"), np.uint8)
+    n = _row_writer()(x.ctypes.data, x.size, buf.ctypes.data, cap)
+    assert (buf[cap:] == ord("#")).all()
+    return None if n < 0 else buf[:n].tobytes().decode("ascii")
 
 
 @pytest.mark.parametrize("row, fast", [
@@ -709,21 +734,34 @@ def test_save_manifest_writes_the_json_dumps_bytes(tmp_path_factory, rows, text)
     ([0.5, 5e-05, -1.5e-05, 1e-06], True),  # repr writes exponents
 ])
 def test_six_decimal_rows_take_the_array_path(row, fast):
-    x = np.array(row)
-    got = _six_decimal_json(x)
+    """The native row writer writes a row of 6-decimal values as json.dumps
+    does and refuses every other row."""
+    got = _written(np.array(row))
     assert (got is not None) == fast
     if fast:
         assert got == json.dumps(row)
 
 
 def test_generated_rows_take_the_array_path():
-    """Every generated row is formatted from its integers, the rows with a
+    """The native row writer writes every generated row, the rows with a
     value below 1e-4 too."""
     samples = generate_synthetic(n_patients=40, seed=8)
     assert any(((np.abs(s.vision_features) < 1e-4) & (s.vision_features != 0)).any()
                for s in samples)
     for s in samples:
-        assert _six_decimal_json(s.vision_features) == json.dumps(s.vision_features.tolist())
+        assert _written(s.vision_features) == json.dumps(s.vision_features.tolist())
+
+
+def test_the_row_writer_refuses_a_buffer_it_might_overflow():
+    """A buffer shorter than the longest text the row's length allows is
+    refused and not written past, even where this row's text would fit."""
+    longest = np.full(5, -999999999.999999)
+    text = json.dumps(longest.tolist())
+    assert _written(longest, cap=len(text)) == text
+    assert _written(longest, cap=len(text) - 1) is None
+    assert _written(np.array([0.5, 7.0]), cap=len("[0.5, 7.0]")) is None
+    assert _written(np.array([]), cap=2) == "[]"
+    assert _written(np.array([]), cap=1) is None
 
 
 def test_every_exponent_form_matches_json_dumps():
@@ -735,9 +773,9 @@ def test_every_exponent_form_matches_json_dumps():
         ordinary = rng.integers(-10 ** width, 10 ** width, small.size) / 1e6
         for row in (small, np.stack([ordinary, small], axis=1).ravel(),
                     np.concatenate([small[::-1], ordinary, [0.0, -0.0]])):
-            assert _six_decimal_json(row) == json.dumps(row.tolist())
+            assert _written(row) == json.dumps(row.tolist())
         for x in small:
-            assert _six_decimal_json(np.array([x])) == json.dumps([x])
+            assert _written(np.array([x])) == json.dumps([x])
 
 
 # Digests of manifests written by the generator and writer before either was

@@ -18,6 +18,7 @@ import weakref
 import numpy as np
 import pytest
 from conftest import tsum
+from test_data import GEN_DATA_12_SEED_9_SHA256
 
 import petfuse.autodiff as ad
 import petfuse.training as training
@@ -537,6 +538,18 @@ print(data._numbers_kernel() is not None, bits.hexdigest())
 """
 
 
+_WRITER_PROBE = """
+import contextlib, hashlib, io, sys
+import petfuse.data as data
+from petfuse.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["gen-data", "--patients", "12", "--seed", "9", "--out", sys.argv[1]]) == 0
+with open(sys.argv[1], "rb") as f:
+    print(data._format_kernel() is not None, hashlib.sha256(f.read()).hexdigest())
+"""
+
+
 def _probe(code, cache, path=None, *args):
     """The stdout words of a child process that runs `code` with `args`,
     takes its native library cache from `cache` and, if given, looks for
@@ -613,6 +626,19 @@ def test_without_a_compiler_a_manifest_is_read_by_json_to_the_same_samples(tmp_p
     plain = _probe(_READER_PROBE, tmp_path / "without", tmp_path / "bin", str(manifest))
     assert (native[0], plain[0]) == ("True", "False")
     assert plain[1] == native[1]
+    assert not any((tmp_path / "without" / "petfuse").iterdir())
+
+
+def test_without_a_compiler_gen_data_writes_the_same_manifest(tmp_path):
+    """Where no library can be built every row is written by json, to the
+    bytes of the native writer's pinned digest, and no temporary file is
+    left."""
+    if os.path.isabs(_compiler()[0]):
+        pytest.skip("Python's C compiler is named by an absolute path")
+    (tmp_path / "bin").mkdir()
+    written = [_probe(_WRITER_PROBE, tmp_path / cache, path, str(tmp_path / f"{cache}.jsonl"))
+               for cache, path in (("with", None), ("without", tmp_path / "bin"))]
+    assert written == [["True", GEN_DATA_12_SEED_9_SHA256], ["False", GEN_DATA_12_SEED_9_SHA256]]
     assert not any((tmp_path / "without" / "petfuse").iterdir())
 
 
