@@ -466,15 +466,19 @@ def run_plan(plan: ExperimentPlan, samples, out_dir) -> AttributionResult:
     ids, labels = [s.id for s in test_set], label_matrix(test_set).tolist()
     runs: list[ArmRun] = []
     failures: dict[str, str] = {}
+
+    def run_arm(arm, seed) -> ArmRun:
+        # the model is freed on return, before the next arm's is built
+        model = arm.build(tokenizer, seed, text_store=text_stores.setdefault(seed, {}))
+        train_loop(model, train_set, val_set, replace(plan.train, seed=seed))
+        budget = count_params(model.graph)
+        return ArmRun(arm.name, seed, budget.total_trainable, budget.total_params,
+                      ids, predict_logits(model, test_set).tolist(), labels)
+
     for arm in plan.arms:
         for seed in arm.seeds:
             try:
-                model = arm.build(tokenizer, seed,
-                                  text_store=text_stores.setdefault(seed, {}))
-                train_loop(model, train_set, val_set, replace(plan.train, seed=seed))
-                budget = count_params(model.graph)
-                runs.append(ArmRun(arm.name, seed, budget.total_trainable, budget.total_params,
-                                   ids, predict_logits(model, test_set).tolist(), labels))
+                runs.append(run_arm(arm, seed))
             except PetfuseError as e:  # record and continue with other arms
                 failures[f"{arm.name}/seed{seed}"] = f"{type(e).__name__}: {e}"
 

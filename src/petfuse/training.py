@@ -14,11 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    from numpy._core.multiarray import _set_madvise_hugepage
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import _set_madvise_hugepage
-
 from . import _native
 from . import autodiff as ad
 from .errors import ConfigError, InputError, numeric_guard
@@ -45,6 +40,34 @@ _FLAG_REPLAYS = ((1, np.divide, 1.0, 0.0), (2, np.multiply, 1e300, 1e300),
 # The fused update once `adamw_kernel` has looked for it; None runs the
 # numpy block plan.
 _kernel = _native._UNLOADED
+# glibc's mallopt parameters and the values pinned for them: 32 MB is the
+# largest mmap threshold glibc accepts, and the trim threshold is twice it.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD, TRIM_THRESHOLD = 32 << 20, 64 << 20
+
+
+def _pin_malloc_thresholds():
+    """Fix glibc malloc's mmap and trim thresholds where its sliding ones
+    end: every array under 32 MB comes from the heap, and the heap keeps up
+    to 64 MB of free memory at its top. Left sliding, each freed map of up
+    to 32 MB raised the mmap threshold to its size and the trim threshold to
+    twice that, so whether an arena or the best-epoch copy came from fresh
+    pages or from free heap memory still resident depended on where small
+    objects lay in the heap, which moves with the length of the environment
+    or of the checkout's path. On a 2-core x86_64 VM that left
+    `attribution_frozen`'s peak RSS at 147, 159 or 167 MB from one run to
+    the next (16.9 MB between the quartiles of 10 seeds); pinned, 1.6 MB.
+    A no-op where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no libc to load
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+_pin_malloc_thresholds()
 
 
 @dataclass
@@ -359,20 +382,6 @@ class TrainResult:
                             f"{secs:.3f}"])
 
 
-def _copy_without_huge_pages(a: np.ndarray) -> np.ndarray:
-    """A copy of `a` that numpy does not advise the kernel to back with
-    transparent huge pages. numpy gives that advice for every array of 4 MB
-    or more, and whether the kernel follows it depends on the host's free
-    memory and timing. On a 2-core x86_64 VM, with the advice, the best-epoch
-    copy left `attribution_frozen`'s peak RSS at 147 or 166 MB from one run
-    of one seed to the next; without it, at 159.2-159.5 MB in 14 of 14 runs."""
-    advised = _set_madvise_hugepage(False)
-    try:
-        return a.copy()
-    finally:
-        _set_madvise_hugepage(advised)
-
-
 @numeric_guard("training")
 def train_loop(model, train_samples, val_samples, cfg: TrainConfig) -> TrainResult:
     """Run up to max_epochs with accumulation, clipping, and early stopping.
@@ -441,7 +450,7 @@ def train_loop(model, train_samples, val_samples, cfg: TrainConfig) -> TrainResu
             best_val, best_epoch, since_improve = val_auroc, epoch, 0
             if epoch < cfg.max_epochs:  # the last epoch's parameters stay live
                 if best_flat is None:
-                    best_flat = _copy_without_huge_pages(opt.flat)
+                    best_flat = opt.flat.copy()
                 else:
                     np.copyto(best_flat, opt.flat)
         else:

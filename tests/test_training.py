@@ -789,18 +789,11 @@ class _WideStubModel(_StubModel):
     ([0.6, 0.5], 1, True),   # epoch 1 is copied and loaded back
     ([0.5, 0.6], 1, False),  # epoch 1 is copied; the last epoch beats it
 ])
-def test_only_a_best_epoch_before_the_last_is_copied(scores, copies, restored,
-                                                     monkeypatch):
+def test_only_a_best_epoch_before_the_last_is_copied(scores, copies, restored):
     """Traced peak memory is the arena, its two moments and its gradient,
     plus one arena-sized copy for a best epoch that another epoch follows.
-    The copy is made with numpy's huge-page advice off, and the process's
-    setting is put back after it. The parameters end as the best epoch left
-    them, which differs from the last epoch when the copy is loaded back."""
-    set_advice, calls = training._set_madvise_hugepage, []
-    monkeypatch.setattr(training, "_set_madvise_hugepage",
-                        lambda enabled: calls.append(enabled) or set_advice(enabled))
-    advised = set_advice(True)
-    set_advice(advised)
+    The parameters end as the best epoch left them, which differs from the
+    last epoch when the copy is loaded back."""
     width = 1 << 20
     model = _WideStubModel(scores, width)
     arena = 8 * (width + 1)
@@ -814,13 +807,38 @@ def test_only_a_best_epoch_before_the_last_is_copied(scores, copies, restored,
     finally:
         tracemalloc.stop()
     assert (4 + copies) * arena <= peak < (4.5 + copies) * arena
-    assert calls == [False, advised] * copies
     assert result.best_epoch == 1 + scores.index(max(scores))
     best, last = model.after[result.best_epoch - 1], model.after[-1]
     for name in ("w", "wide"):
         live = model.graph.params[name].data
         assert (live == best[name]).all()
         assert (best[name] != last[name]) == restored
+
+
+@pytest.mark.skipif(sys.platform != "linux" or os.confstr("CS_GNU_LIBC_VERSION") is None,
+                    reason="glibc's mallopt and /proc/self/maps")
+def test_arrays_under_the_pinned_mmap_threshold_come_from_the_heap():
+    """Once petfuse.training is imported, the first array just under 32 MB
+    is carved from the brk heap, where glibc's sliding threshold would map
+    it apart; one over 32 MB is still mapped apart."""
+    code = """if True:
+        import numpy as np
+        import petfuse.training
+        def in_heap(a):
+            for line in open("/proc/self/maps"):
+                fields = line.split()
+                if fields[-1] == "[heap]":
+                    lo, hi = (int(x, 16) for x in fields[0].split("-"))
+                    return lo <= a.ctypes.data < hi
+            return False
+        under = (petfuse.training.MMAP_THRESHOLD >> 3) - 4096
+        a, b = np.empty(under), np.empty(under + 8192)
+        print(in_heap(a), in_heap(b))
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["True", "False"]
 
 
 def test_history_rows_complete():
