@@ -21,8 +21,8 @@ _SOURCE = Path(__file__).with_name("_native.c")
 _FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 _UNLOADED = object()
 _library = _UNLOADED
-# held while the library is looked for: `train` reads its manifest on a
-# second thread, so two threads can ask for it at once
+# held while the library is looked for, so threads that ask for it at once
+# compile and load it once
 _lock = threading.Lock()
 
 

@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import sys
-import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -194,60 +193,13 @@ def _load_arm_model(cfg, tokenizer, seed, stored=None):
                           stored=stored)
 
 
-def _specials_model(cfg):
-    """The arm a RunConfig describes, and its model over the special tokens
-    alone. Its trainable weights are those `train` draws for any
-    vocabulary: only the frozen token embedding has the vocabulary's shape,
-    and it is drawn from the encoder's own stream."""
-    return _load_arm_model(cfg, Tokenizer.from_tokens(list(SPECIALS)), cfg.train.seed)
-
-
-def _training_run(cfg, manifest, digest):
-    """The arm `cfg` describes, its model, its tokenizer, and the training
-    and validation splits of `manifest`, whose bytes `digest` is fed.
-
-    The manifest is parsed on a second thread while this one draws the
-    arm's trainable weights. numpy fills them, and the native row reader
-    reads each row's features, with the GIL released; the model over the
-    real vocabulary is then built from those arrays. They are drawn here,
-    not on the second thread: freed into that thread's malloc arena, they
-    stayed resident (lora_cli peak RSS 136 -> 154 MB).
-    Errors come in the order of a serial run: the manifest's, the split's,
-    the tokenizer's, then the arm's. The drawn arrays are referenced only
-    from here, so the optimizer's copy is their last use."""
-    parsed = []  # the manifest's samples, or the exception its parse raised
-
-    def parse():
-        try:
-            parsed.append(data_mod.load_manifest(manifest, digest))
-        except BaseException as e:
-            parsed.append(e)
-
-    worker = threading.Thread(target=parse)
-    worker.start()
-    arm_error = None
-    try:
-        arm, specials = _specials_model(cfg)
-    except Exception as e:
-        arm_error = e
-    finally:
-        worker.join()
-    if isinstance(parsed[0], BaseException):
-        raise parsed[0]
-    train_set, val_set, _ = data_mod.split_patients(parsed[0], SplitSpec(seed=cfg.train.seed))
-    tokenizer = Tokenizer.build([s.text for s in train_set])
-    if arm_error is not None:
-        raise arm_error
-    drawn = {p.name: p.data for p in specials.graph.trainable()}
-    model = arm.build(tokenizer, cfg.train.seed, lora=cfg.lora, adapter=cfg.adapter,
-                      stored=drawn)
-    return arm, model, tokenizer, train_set, val_set
-
-
 def _cmd_train(args):
     cfg = load_config(args.config)
     digest = hashlib.sha256()
-    arm, model, tokenizer, train_set, val_set = _training_run(cfg, args.data, digest)
+    train_set, val_set, _ = data_mod.split_patients(data_mod.load_manifest(args.data, digest),
+                                                    SplitSpec(seed=cfg.train.seed))
+    tokenizer = Tokenizer.build([s.text for s in train_set])
+    arm, model = _load_arm_model(cfg, tokenizer, cfg.train.seed)
     out = Path(args.out)
     echo_config(cfg, out)
     result = train_loop(model, train_set, val_set, cfg.train)
@@ -357,7 +309,8 @@ DECLARED_TOTAL_PARAMS = 94_300_000
 def _cmd_count_params(args):
     """The counts of the model `train` builds for the config. No policy trains
     the token embedding, so the special tokens alone stand for the vocabulary."""
-    _, model = _specials_model(load_config(args.config))
+    cfg = load_config(args.config)
+    _, model = _load_arm_model(cfg, Tokenizer.from_tokens(list(SPECIALS)), cfg.train.seed)
     report = count_params(model.graph)
     if args.json:
         print(report.to_json(DECLARED_TOTAL_PARAMS))

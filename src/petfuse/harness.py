@@ -298,21 +298,16 @@ class ArmSpec:
         """The arm's model, its weights drawn from `seed`, or taken from
         `stored` (address -> array) if given. A ConfigError, before anything
         is drawn, for a lora or adapter section that differs from its default
-        while the policy does not read it. The built graph holds no
-        reference to `stored`, so an array of it that an optimizer copies
-        is freed once its caller lets go of it."""
+        while the policy does not read it."""
         for name, section in (("lora", lora), ("adapter", adapter)):
             if self.policy != name and section not in (None, type(section)()):
                 raise ConfigError(f"arm {self.name!r} with policy {self.policy!r} "
                                   f"would ignore config section {name!r}")
         if self.kind == "vision_only":
-            model = VisionOnlyModel(seed=seed, stored=stored)
-        else:
-            model = MultimodalModel(self.fusion, tokenizer, seed=seed, policy=self.policy,
-                                    lora_cfg=lora, adapter_cfg=adapter,
-                                    text_store=text_store, stored=stored)
-        model.graph.stored = None
-        return model
+            return VisionOnlyModel(seed=seed, stored=stored)
+        return MultimodalModel(self.fusion, tokenizer, seed=seed, policy=self.policy,
+                               lora_cfg=lora, adapter_cfg=adapter,
+                               text_store=text_store, stored=stored)
 
 
 @dataclass

@@ -5,10 +5,9 @@ Tuning policies (pet.py) pick their targets by address and attach new
 parameters under the addresses they extend. Binding a graph produces fresh
 Tensors for one forward pass; only a training pass records a tape.
 
-A graph built from stored arrays (a checkpoint's, or those `train` drew
-ahead) holds them in `stored` while it is built and draws nothing: each
-trainable parameter that construction would draw at random is taken from
-its stored array instead (`add_drawn`).
+A graph built from a checkpoint's stored arrays holds them in `stored` and
+draws nothing: each trainable parameter that construction would draw at
+random is taken from its stored array instead (`add_drawn`).
 """
 
 from __future__ import annotations

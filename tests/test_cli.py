@@ -260,16 +260,16 @@ def test_count_params_counts_the_model_train_builds(arm, policy, trainable, caps
     ("full_pet", "adapter", {"adapter": {"bottleneck": 16}}),
 ])
 def test_the_trainable_weights_do_not_depend_on_the_vocabulary(arm, policy, sections):
-    """The model over the special tokens alone, whose trainable arrays train
-    draws before the manifest is parsed, and models over two real
-    vocabularies of different sizes hold the same trainable arrays, bit for
-    bit."""
+    """The model over the special tokens alone, which count-params builds
+    to count what train trains, and models over two real vocabularies of
+    different sizes hold the same trainable arrays, bit for bit. train
+    builds only the model over its manifest's vocabulary."""
     cfg = build_section("config", RunConfig,
                         {"arm": arm, "policy": policy, "train": {"seed": 5}, **sections})
     tokenizers = [Tokenizer.from_tokens(list(SPECIALS))] + [
         Tokenizer.build([s.text for s in generate_synthetic(n, seed=n)]) for n in (6, 40)]
     assert len({len(t) for t in tokenizers}) == 3
-    specials = cli._specials_model(cfg)[1].graph.trainable()
+    specials = cli._load_arm_model(cfg, tokenizers[0], cfg.train.seed)[1].graph.trainable()
     assert specials
     for tokenizer in tokenizers[1:]:
         real = cli._load_arm_model(cfg, tokenizer, cfg.train.seed)[1].graph.trainable()
@@ -279,40 +279,39 @@ def test_the_trainable_weights_do_not_depend_on_the_vocabulary(arm, policy, sect
             assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64)), a.name
 
 
-def test_train_draws_on_its_thread_while_another_parses(trained, capsys, tmp_path,
-                                                         monkeypatch):
-    """train parses the manifest on a second thread while the calling thread
-    draws the trainable weights; the model over the manifest's vocabulary
-    then takes each of them from the drawn arrays and draws none again."""
+def test_train_builds_one_model(trained, capsys, tmp_path, monkeypatch):
+    """train reads its manifest once and then builds one model: each
+    trainable address is drawn once, in a graph that draws, on the calling
+    thread."""
     _, data, cfg, _ = trained
-    parsed_on, drawn, taken = [], [], []
+    loads, drawn = [], []
     load = data_mod.load_manifest
 
     def recording_load(*args):
-        parsed_on.append(threading.get_ident())
+        loads.append(args)
         return load(*args)
 
     add_drawn = ModelGraph.add_drawn
 
     def recording_add_drawn(graph, name, shape, draw):
-        (drawn if graph.stored is None else taken).append((threading.get_ident(), name))
+        drawn.append((threading.get_ident(), graph.stored is None, name))
         return add_drawn(graph, name, shape, draw)
 
     monkeypatch.setattr(data_mod, "load_manifest", recording_load)
     monkeypatch.setattr(ModelGraph, "add_drawn", recording_add_drawn)
     assert main(["train", "--config", str(cfg), "--data", str(data),
                  "--out", str(tmp_path / "run")]) == 0
-    here = threading.get_ident()
-    assert len(parsed_on) == 1 and parsed_on[0] != here
-    assert drawn and {ident for ident, _ in drawn + taken} == {here}
-    assert [name for _, name in drawn] == [name for _, name in taken]
+    _, arrays = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+    assert len(loads) == 1
+    assert {(ident, draws) for ident, draws, _ in drawn} == {(threading.get_ident(), True)}
+    assert sorted(name for _, _, name in drawn) == sorted(k[len("param/"):] for k in arrays)
 
 
 def test_the_drawn_arrays_die_once_the_optimizer_holds_its_copy(trained, capsys,
                                                                 tmp_path, monkeypatch):
     """Once train_loop has built its optimizer, which copies every trainable
-    array into its arena, no array train drew is alive, and the model's
-    graph holds no stored arrays."""
+    array into its arena, no trainable array of the model train built is
+    alive."""
     _, data, _, _ = trained
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -322,11 +321,9 @@ def test_the_drawn_arrays_die_once_the_optimizer_holds_its_copy(trained, capsys,
     seen = {}
     build = harness.ArmSpec.build
 
-    def recording_build(arm, *args, stored=None, **kwargs):
-        model = build(arm, *args, stored=stored, **kwargs)
-        if stored is not None:
-            seen["drawn"] = [weakref.ref(a) for a in stored.values()]
-            seen["model"] = model
+    def recording_build(*args, **kwargs):
+        model = build(*args, **kwargs)
+        seen["drawn"] = [weakref.ref(p.data) for p in model.graph.trainable()]
         return model
 
     class CheckedAdamW(training.AdamW):
@@ -334,13 +331,12 @@ def test_the_drawn_arrays_die_once_the_optimizer_holds_its_copy(trained, capsys,
             super().__init__(*args, **kwargs)
             gc.collect()
             seen["alive"] = sum(ref() is not None for ref in seen["drawn"])
-            seen["stored"] = seen["model"].graph.stored
 
     monkeypatch.setattr(harness.ArmSpec, "build", recording_build)
     monkeypatch.setattr(training, "AdamW", CheckedAdamW)
     assert main(["train", "--config", str(cfg), "--data", str(data),
                  "--out", str(tmp_path / "run")]) == 0
-    assert seen["drawn"] and seen["alive"] == 0 and seen["stored"] is None
+    assert seen["drawn"] and seen["alive"] == 0
 
 
 # ---------------------------------------------------------------- train + eval
