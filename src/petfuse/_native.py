@@ -1,9 +1,10 @@
 """petfuse's native library, _native.c, compiled once into a per-user cache
 and loaded through ctypes; training takes its fused AdamW update from it
-and data its manifest row reader and writer.
+and data its manifest row reader and writer, each through `function(name)`.
 
-Each caller keeps a pure-Python path that gives the same bits, so a host
-without a C compiler, or a cache it cannot trust, runs without the library.
+The C interface is declared here alone, in _SIGNATURES. Each caller keeps a
+pure-Python path that gives the same bits, so a host without a C compiler,
+or a cache it cannot trust, runs without the library.
 """
 
 from __future__ import annotations
@@ -19,8 +20,16 @@ _SOURCE = Path(__file__).with_name("_native.c")
 # No flag that lets the compiler reorder, contract or approximate a float64
 # operation: each function is held to the bits of its Python path.
 _FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
-_UNLOADED = object()
-_library = _UNLOADED
+_ROW = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t]
+# name -> (argtypes, restype) of each function _native.c exports
+_SIGNATURES = {
+    "adamw_update": ([ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 5,
+                     ctypes.c_int),
+    "parse_numbers": (_ROW, ctypes.c_ssize_t),
+    "format_six_decimals": (_ROW, ctypes.c_ssize_t),
+}
+# name -> the library's function, or None where it cannot be built or loaded
+_functions = {}
 # held while the library is looked for, so threads that ask for it at once
 # compile and load it once
 _lock = threading.Lock()
@@ -75,16 +84,21 @@ def _load():
         return None
 
 
-def _function(name: str, argtypes, restype):
-    """The library's function `name` as a ctypes function, the library
-    looked for once per process; None where it cannot be built or loaded."""
-    global _library
+def function(name: str):
+    """The library's function `name` of _SIGNATURES as a ctypes function;
+    None where the library cannot be built or loaded. The first call of a
+    process looks for the library and fills `_functions` for every name, so
+    a later call is one dict lookup."""
+    try:
+        return _functions[name]
+    except KeyError:
+        pass
     with _lock:
-        if _library is _UNLOADED:
-            _library = _load()
-        try:
-            fn = getattr(_library, name)
-        except AttributeError:  # no library, or no such symbol
-            return None
-        fn.argtypes, fn.restype = argtypes, restype
-        return fn
+        if name not in _functions:
+            library = _load()
+            for n, (argtypes, restype) in _SIGNATURES.items():
+                fn = getattr(library, n, None)  # None: no library, or no such symbol
+                if fn is not None:
+                    fn.argtypes, fn.restype = argtypes, restype
+                _functions.setdefault(n, fn)  # an entry set before stands
+    return _functions[name]

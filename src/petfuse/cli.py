@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _native
 from . import data as data_mod
 from . import harness, metrics, redaction
 from .config import build_section, echo_config, load_config, read_json_object
@@ -27,7 +27,7 @@ from .encoders import SPECIALS, Tokenizer
 from .errors import ConfigError, InputError, PetfuseError, PolicyError
 from .fusion import FusionConfig
 from .pet import AdapterConfig, LoRAConfig, count_params
-from .training import adamw_kernel, load_checkpoint, save_checkpoint, train_loop
+from .training import load_checkpoint, save_checkpoint, train_loop
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +61,7 @@ class _Version(argparse.Action):
                          nargs=0, help=help)
 
     def __call__(self, parser, namespace, values, option_string=None):
-        path = "numpy" if adamw_kernel() is None else "fused"
+        path = "numpy" if _native.function("adamw_update") is None else "fused"
         print(f"petfuse {__version__} (build {_build_hash()}, adamw {path})")
         parser.exit()
 

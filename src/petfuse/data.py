@@ -242,11 +242,6 @@ def generate_synthetic(n_patients: int, prevalence_profile=None, signal_plan=Non
 
 _REQUIRED = ("id", "patient_id", "text", "labels")
 _OPTIONAL = ("vision_features",)
-# The native row reader and writer once `_numbers_kernel` and
-# `_format_kernel` have looked for them; None reads or writes every row
-# through json.
-_numbers = _native._UNLOADED
-_format = _native._UNLOADED
 
 
 def _vision_floats(feats) -> np.ndarray | None:
@@ -294,28 +289,17 @@ def _sample(path, lineno: int, rec) -> Sample:
                   [int(v) for v in labels], feats)
 
 
-def _numbers_kernel():
-    """`parse_numbers` of the native library, looked for once per process;
-    None where it cannot be built or loaded, and every row is read by json."""
-    global _numbers
-    if _numbers is _native._UNLOADED:
-        _numbers = _native._function(
-            "parse_numbers", [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t],
-            ctypes.c_ssize_t)
-    return _numbers
-
-
 def _parse_line(path, lineno: int, raw: bytes) -> Sample | None:
     """The sample on manifest line `lineno`, whose bytes are `raw`; None for
     a blank line.
 
-    Where the native reader loaded, a line that has a head (`_head`) whose
-    feature bytes it reads as VISION_DIM numbers is the head's sample with
-    those numbers. That is the sample json reads from the whole line: the
+    Where the native reader, `parse_numbers`, loaded, a line that has a head
+    (`_head`) whose feature bytes it reads as VISION_DIM numbers is the
+    head's sample with those numbers. That is the sample json reads from the whole line: the
     head holds every other field, and each number is the double float()
     gives its text. Every other line is read by json, so its errors are
     json's."""
-    numbers = _numbers_kernel()
+    numbers = _native.function("parse_numbers")
     head = None if numbers is None else _head(raw)
     if head is not None:
         rec, start, end = head
@@ -442,28 +426,15 @@ def load_splits(path, spec: SplitSpec, sha256: str, scored):
     return splits
 
 
-def _format_kernel():
-    """`format_six_decimals` of the native library, looked for once per
-    process; None where it cannot be built or loaded, and every row is
-    written by json."""
-    global _format
-    if _format is _native._UNLOADED:
-        _format = _native._function(
-            "format_six_decimals",
-            [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t],
-            ctypes.c_ssize_t)
-    return _format
-
-
 def save_manifest(path, samples):
     """Write samples as JSONL, each line the bytes of json.dumps(record,
     sort_keys=True): vision_features, when present, sorts last and is
     appended to the other fields' JSON.
 
-    Where the native writer loaded, a non-empty, 1-D, C-contiguous float64
-    row of zeros and 6-decimal values (the rows gen-data makes) is written
-    by it, and every other row by json."""
-    fmt = _format_kernel()
+    Where the native writer, `format_six_decimals`, loaded, a non-empty,
+    1-D, C-contiguous float64 row of zeros and 6-decimal values (the rows
+    gen-data makes) is written by it, and every other row by json."""
+    fmt = _native.function("format_six_decimals")
     # room for VISION_DIM values; the writer refuses a longer row, which json writes
     buf = np.empty(2 + 19 * VISION_DIM, np.uint8)
     with open(path, "wb") as f:

@@ -199,8 +199,8 @@ def _fit_linear_probe(x_train, y_train, seed, steps=300, lr=0.05):
         if not np.isfinite(z).all():
             raise NumericError("non-finite logits in bce loss")
         g = ad.bce_grad(z, np.exp(-np.abs(z)), y, 1.0)
-        np.matmul(x_train.T, g, out=opt.grads[w.name])
-        np.sum(g, axis=0, keepdims=True, out=opt.grads[b.name])
+        np.matmul(x_train.T, g, out=w.sink.out)
+        np.sum(g, axis=0, keepdims=True, out=b.sink.out)
         clip_gradients(opt.flat_grad, 5.0)
         opt.step(lr_schedule(step, steps, warmup, lr))
     return w.data, b.data

@@ -37,9 +37,6 @@ ADAM_BLOCK = 16384
 # 2 (overflow) and 4 (invalid) again, in numpy's order of handling them
 _FLAG_REPLAYS = ((1, np.divide, 1.0, 0.0), (2, np.multiply, 1e300, 1e300),
                  (4, np.subtract, np.inf, np.inf))
-# The fused update once `adamw_kernel` has looked for it; None runs the
-# numpy block plan.
-_kernel = _native._UNLOADED
 # glibc's mallopt parameters and the values pinned for them: 32 MB is the
 # largest mmap threshold glibc accepts, and the trim threshold is twice it.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -122,18 +119,6 @@ def clip_gradients(grads, max_norm: float = 1.0):
     return grads, norm
 
 
-def adamw_kernel():
-    """The fused AdamW update, `adamw_update` of the native library, looked
-    for once per process; None where it cannot be built or loaded, and AdamW
-    runs its numpy block plan."""
-    global _kernel
-    if _kernel is _native._UNLOADED:
-        _kernel = _native._function(
-            "adamw_update", [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 5,
-            ctypes.c_int)
-    return _kernel
-
-
 def _replay_flags(flags: int):
     """Raise the floating-point flags the kernel reported again in numpy, so
     that numpy's error state in this thread acts on them as on its own: a
@@ -150,9 +135,9 @@ class AdamW:
 
     The parameters live in one flat float64 arena, `flat`: construction
     copies each parameter in and rebinds its `Param.data` to a shaped view of
-    it. The gradient lives only in `flat_grad`, and `grads` is a name -> view
-    dict over it. Construction also gives each parameter a GradSink over its
-    view, so a training pass writes its gradient straight into the arena:
+    it. The gradient lives only in `flat_grad`: construction gives each
+    parameter a GradSink whose `out` is its shaped view of that arena, so a
+    training pass writes its gradient straight into the arena:
     the first backward of a step writes a view, later ones add to it, and
     `settle_grads` zeroes any view that no backward reached. The moment and
     gradient arenas start as untouched zero pages, and a view that no
@@ -174,11 +159,11 @@ class AdamW:
 
     The first `step` builds the plan it updates by: each run of full-update
     parameters, and the decay-only parameters between those runs. Where the
-    fused kernel of `adamw_kernel` loaded, a run is the base addresses and
-    length the kernel takes, and it is updated in one call that does the
-    operations above for each element in turn, each rounded once, so it
-    writes the same bits; elsewhere a run is cut into ADAM_BLOCK slices, each
-    updated by 11 ufunc calls. Each later step only checks the decay-only
+    native library's fused kernel, `adamw_update`, loaded, a run is the base
+    addresses and length the kernel takes, and it is updated in one call that
+    does the operations above for each element in turn, each rounded once, so
+    it writes the same bits; elsewhere a run is cut into ADAM_BLOCK slices,
+    each updated by 11 ufunc calls. Each later step only checks the decay-only
     parameters' gradients, and rebuilds the plan when one of them leaves, so
     at most once per parameter.
     """
@@ -187,7 +172,7 @@ class AdamW:
         self.params = list(params)
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._kernel = adamw_kernel()
+        self._kernel = _native.function("adamw_update")
         self._bounds = np.cumsum([0] + [p.data.size for p in self.params])
         self.flat = np.empty(self._bounds[-1])
         # np.zeros maps zero pages; np.zeros_like would write every one
@@ -197,19 +182,12 @@ class AdamW:
         # arena spans of the parameters that have only ever decayed, in order
         self._decay_only = list(zip(self._bounds[:-1], self._bounds[1:]))
         self._plan = None
-        views = self.views(self.flat)
-        for p in self.params:
-            views[p.name][...] = p.data
-            p.data = views[p.name]
-        self.grads = self.views(self.flat_grad)
-        for p in self.params:
-            p.sink = ad.GradSink(self.grads[p.name])
+        for p, a, b in zip(self.params, self._bounds, self._bounds[1:]):
+            view = self.flat[a:b].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            p.sink = ad.GradSink(self.flat_grad[a:b].reshape(view.shape))
         self._scratch = np.empty((2, min(ADAM_BLOCK, self.flat.size)))
-
-    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Name -> view of `flat` in each parameter's shape."""
-        return {p.name: flat[a:b].reshape(p.data.shape)
-                for p, a, b in zip(self.params, self._bounds, self._bounds[1:])}
 
     def settle_grads(self):
         """Zero each gradient view that no backward wrote since the last

@@ -312,7 +312,7 @@ def test_criterion_08_schedule_and_optimizer():
     v = np.zeros(3)
     ref = theta.copy()
     for t, g in enumerate(gs, start=1):
-        opt.grads["p"][...] = g
+        graph.params["p"].sink.out[...] = g
         opt.step(lr_t=1e-2)
         ref = ref - 1e-2 * 1e-2 * ref
         m = 0.9 * m + 0.1 * g

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import petfuse
 from petfuse import autodiff as ad
 from petfuse import data as data_mod
-from petfuse import cli, harness, training
+from petfuse import _native, cli, harness, training
 from petfuse.cli import main
 from petfuse.config import RunConfig, build_section
 from petfuse.data import (LABELS, SplitSpec, generate_synthetic, load_manifest,
@@ -78,10 +78,10 @@ def test_missing_input_file_is_runtime_error(capsys, tmp_path):
 def test_version_flag(capsys, monkeypatch):
     """--version names the AdamW path the process runs: fused where the
     kernel loads, numpy where it does not."""
-    kernel = training.adamw_kernel()
+    kernel = _native.function("adamw_update")
     paths = {"numpy": None} if kernel is None else {"fused": kernel, "numpy": None}
     for name, k in paths.items():
-        monkeypatch.setattr(training, "_kernel", k)
+        monkeypatch.setitem(_native._functions, "adamw_update", k)
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
@@ -577,13 +577,13 @@ def test_a_restore_parses_features_only_of_the_rows_it_scores(command, scored, t
     appended.write_bytes(data.read_bytes() + b"\n")
     capsys.readouterr()
     printed = []
-    numbers = data_mod._numbers_kernel()
+    numbers = _native.function("parse_numbers")
     for reader in [None] if numbers is None else [numbers, None]:
         for manifest, parsed in ((data, sum(len(splits[i]) for i in scored)),
                                  (appended, sum(map(len, splits)))):
             counter = _CountingParser(data_mod._parse_line)
             with monkeypatch.context() as m:
-                m.setattr(data_mod, "_numbers", reader)
+                m.setitem(_native._functions, "parse_numbers", reader)
                 m.setattr(data_mod, "_parse_line", counter)
                 code, out, err = run(capsys, command, "--checkpoint", str(ckpt),
                                      "--data", str(manifest))

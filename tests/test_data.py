@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import petfuse.data as data
+from petfuse import _native
 from petfuse.cli import main
 from petfuse.data import (DEFAULT_PREVALENCE, LABELS, VISION_DIM, Sample, SplitSpec,
                           _parse_line, _round6, _vision_floats,
@@ -465,7 +466,7 @@ def test_load_splits_reads_only_the_scored_features_of_a_vouched_manifest(tmp_pa
 def _row_reader():
     """The native row reader; skips the test where this host cannot build or
     load it."""
-    numbers = data._numbers_kernel()
+    numbers = _native.function("parse_numbers")
     if numbers is None:
         pytest.skip("the native row reader cannot be built or loaded here")
     return numbers
@@ -476,7 +477,7 @@ def _parsed(raw: bytes, numbers):
     `numbers` (None: json alone): the sample's fields, or the ParseError's
     text. A sample's features must be a read-only float64 vector."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(data, "_numbers", numbers)
+        m.setitem(_native._functions, "parse_numbers", numbers)
         try:
             sample = _parse_line("m.jsonl", 1, raw)
         except ParseError as e:
@@ -697,9 +698,9 @@ def test_save_manifest_writes_the_json_dumps_bytes(tmp_path_factory, rows, text)
                       labels=[i % 2] * len(LABELS), vision_features=row)
                for i, row in enumerate(rows)]
     path = tmp_path_factory.mktemp("writer") / "m.jsonl"
-    for fmt in (data._format_kernel(), None):
+    for fmt in (_native.function("format_six_decimals"), None):
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(data, "_format", fmt)
+            m.setitem(_native._functions, "format_six_decimals", fmt)
             save_manifest(path, samples)
         assert path.read_bytes() == _oracle_manifest(samples)
 
@@ -707,7 +708,7 @@ def test_save_manifest_writes_the_json_dumps_bytes(tmp_path_factory, rows, text)
 def _row_writer():
     """The native row writer; skips the test where this host cannot build or
     load it."""
-    fmt = data._format_kernel()
+    fmt = _native.function("format_six_decimals")
     if fmt is None:
         pytest.skip("the native row writer cannot be built or loaded here")
     return fmt

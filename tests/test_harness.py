@@ -61,7 +61,7 @@ def _read_arm(doc):
     return build_section("arm", ArmSpec, doc)
 
 
-def test_build_arm_overrides_and_rejects_unknown():
+def test_plan_arm_reads_overrides_and_rejects_unknown():
     """A plan arm is read with its overrides; an unknown key or kind is refused."""
     arm = _read_arm({"kind": "full_pet", "seeds": [1, 2], "policy": "lora"})
     assert arm.seeds == [1, 2]
@@ -84,7 +84,7 @@ def test_build_arm_overrides_and_rejects_unknown():
     ("vision_only", {"fusion": {"shared_dim": 32}}),
     ("budget_matched", {"fusion": {"shared_dim": 32}}),
 ])
-def test_build_arm_rejects_overrides_its_kind_ignores(kind, overrides):
+def test_plan_arm_rejects_overrides_its_kind_ignores(kind, overrides):
     with pytest.raises(InputError):
         _read_arm({"kind": kind, **overrides})
     # frozen is what these kinds train anyway, so saying so is accepted

@@ -6,6 +6,7 @@ import importlib.resources
 import json
 import math
 import os
+import re
 import shlex
 import shutil
 import stat
@@ -22,7 +23,7 @@ from test_data import GEN_DATA_12_SEED_9_SHA256
 
 import petfuse.autodiff as ad
 import petfuse.training as training
-from petfuse import cli, encoders
+from petfuse import _native, cli, encoders
 from petfuse.data import SplitSpec, generate_synthetic, label_matrix, split_patients
 from petfuse.encoders import Tokenizer
 from petfuse.errors import ConfigError, InputError, NumericError, numeric_guard
@@ -93,12 +94,13 @@ def test_clip_global_norm_across_params():
     graph.add_param("a", np.zeros(1), trainable=True)
     graph.add_param("b", np.zeros(1), trainable=True)
     opt = AdamW(graph.trainable())
-    opt.grads["a"][...] = 3.0
-    opt.grads["b"][...] = 4.0
+    a, b = graph.params["a"].sink.out, graph.params["b"].sink.out
+    a[...] = 3.0
+    b[...] = 4.0
     _, norm = clip_gradients(opt.flat_grad, max_norm=2.5)
     assert norm == pytest.approx(5.0)
-    assert np.allclose(opt.grads["a"], [1.5])
-    assert np.allclose(opt.grads["b"], [2.0])
+    assert np.allclose(a, [1.5])
+    assert np.allclose(b, [2.0])
 
 
 def test_clip_norm_is_the_per_parameter_norm_within_rounding():
@@ -111,12 +113,13 @@ def test_clip_norm_is_the_per_parameter_norm_within_rounding():
         graph.add_param(name, np.zeros(shape), trainable=True)
     opt = AdamW(graph.trainable())
     opt.flat_grad[...] = rng.normal(0, 1, opt.flat_grad.shape)
-    reference = math.sqrt(sum(float((g * g).sum()) for g in opt.grads.values()))
+    grads = {p.name: p.sink.out for p in opt.params}
+    reference = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     before = opt.flat_grad.copy()
     _, norm = clip_gradients(opt.flat_grad, max_norm=2 * reference)
     assert abs(norm - reference) <= 1e-12 * reference
     assert opt.flat_grad.tobytes() == before.tobytes()
-    _, per_array = clip_gradients(opt.grads, max_norm=2 * reference)
+    _, per_array = clip_gradients(grads, max_norm=2 * reference)
     assert abs(per_array - reference) <= 1e-12 * reference
 
 
@@ -228,7 +231,7 @@ def test_adamw_matches_hand_iteration():
     graph.add_param("p", theta0.copy(), trainable=True)
     opt = AdamW(graph.trainable(), weight_decay=1e-2)
     for g in gs:
-        opt.grads["p"][...] = g
+        graph.params["p"].sink.out[...] = g
         opt.step(lr_t=1e-2)
     expected = _reference_adamw(theta0, gs, lr=1e-2, wd=1e-2)
     assert np.max(np.abs(graph.params["p"].data - expected)) <= 1e-12
@@ -237,7 +240,7 @@ def test_adamw_matches_hand_iteration():
 def _fused_kernel():
     """The fused AdamW kernel; skips the test where this host cannot build
     or load it."""
-    kernel = training.adamw_kernel()
+    kernel = _native.function("adamw_update")
     if kernel is None:
         pytest.skip("the fused AdamW kernel cannot be built or loaded here")
     return kernel
@@ -246,7 +249,7 @@ def _fused_kernel():
 def _kernels():
     """Each AdamW path this host runs: the fused kernel where it loads, and
     the numpy block plan (None)."""
-    kernel = training.adamw_kernel()
+    kernel = _native.function("adamw_update")
     return [None] if kernel is None else [kernel, None]
 
 
@@ -254,9 +257,9 @@ def _use_path(block, monkeypatch):
     """Block None runs the fused kernel; a block size runs the numpy block
     plan with that block."""
     if block is None:
-        monkeypatch.setattr(training, "_kernel", _fused_kernel())
+        monkeypatch.setitem(_native._functions, "adamw_update", _fused_kernel())
     else:
-        monkeypatch.setattr(training, "_kernel", None)
+        monkeypatch.setitem(_native._functions, "adamw_update", None)
         monkeypatch.setattr(training, "ADAM_BLOCK", block)
 
 
@@ -288,7 +291,7 @@ def test_adamw_arena_equals_reference_exactly(block, monkeypatch):
     for grads in steps:
         opt.flat_grad.fill(0.0)
         for n, g in grads.items():
-            opt.grads[n][...] = g
+            graph.params[n].sink.out[...] = g
         opt.step(lr_t=1e-2)
     for n, t in theta0.items():
         gs = [grads.get(n, np.zeros_like(t)) for grads in steps]
@@ -306,7 +309,7 @@ def test_adamw_params_are_views_of_the_arena():
     for p in graph.trainable():
         assert np.shares_memory(p.data, opt.flat), p.name
         assert np.array_equal(p.data, before[p.name])
-        assert np.shares_memory(opt.grads[p.name], opt.flat_grad)
+        assert np.shares_memory(p.sink.out, opt.flat_grad)
     assert graph.params["frozen"].data is frozen
     assert not np.shares_memory(frozen, opt.flat)
     state = {n: np.full(a.shape, 3.0) for n, a in before.items()}
@@ -427,7 +430,7 @@ def test_train_loop_matches_dict_reference_loop(tmp_path):
 
 def test_adamw_decay_only_shrinks(monkeypatch):
     for kernel in _kernels():
-        monkeypatch.setattr(training, "_kernel", kernel)
+        monkeypatch.setitem(_native._functions, "adamw_update", kernel)
         graph = ModelGraph()
         graph.add_param("p", np.array([2.0]), trainable=True)
         opt = AdamW(graph.trainable(), weight_decay=0.5)
@@ -442,18 +445,18 @@ def test_adamw_first_step_magnitude():
     graph = ModelGraph()
     graph.add_param("p", np.array([0.0]), trainable=True)
     opt = AdamW(graph.trainable(), weight_decay=0.0)
-    opt.grads["p"][...] = 7.0
+    graph.params["p"].sink.out[...] = 7.0
     opt.step(lr_t=1e-3)
     assert graph.params["p"].data[0] == pytest.approx(-1e-3, rel=1e-6)
 
 
 def test_adamw_zero_lr_is_noop(monkeypatch):
     for kernel in _kernels():
-        monkeypatch.setattr(training, "_kernel", kernel)
+        monkeypatch.setitem(_native._functions, "adamw_update", kernel)
         graph = ModelGraph()
         graph.add_param("p", np.array([3.0]), trainable=True)
         opt = AdamW(graph.trainable(), weight_decay=0.5)
-        opt.grads["p"][...] = 1.0
+        graph.params["p"].sink.out[...] = 1.0
         opt.step(lr_t=0.0)
         assert graph.params["p"].data[0] == 3.0
 
@@ -471,7 +474,7 @@ def test_an_overflowing_step_is_a_numeric_error_guarded_and_a_warning_not(block,
         graph = ModelGraph()
         graph.add_param("p", np.ones(5), trainable=True)
         opt = AdamW(graph.trainable())
-        opt.grads["p"][...] = 1e200
+        graph.params["p"].sink.out[...] = 1e200
         return opt
 
     opt = overflowing()
@@ -496,7 +499,7 @@ def test_train_writes_the_same_bytes_on_the_fused_kernel_and_the_numpy_plan(tmp_
                                "train": {"max_epochs": 2, "lr": 3e-3, "batch": 8}}))
     written = []
     for name, k in (("fused", kernel), ("numpy", None)):
-        monkeypatch.setattr(training, "_kernel", k)
+        monkeypatch.setitem(_native._functions, "adamw_update", k)
         out = tmp_path / name
         assert cli.main(["train", "--config", str(cfg), "--data", str(data),
                          "--out", str(out)]) == 0
@@ -511,6 +514,7 @@ _KERNEL_PROBE = """
 import hashlib, subprocess
 import numpy as np
 import petfuse.training as training
+from petfuse import _native
 from petfuse.model import ModelGraph
 
 compiles, run = [], subprocess.run
@@ -519,34 +523,36 @@ graph = ModelGraph()
 graph.add_param("p", np.linspace(-1.0, 1.0, 1000), trainable=True)
 opt = training.AdamW(graph.trainable())
 for k in range(5):
-    opt.grads["p"][...] = np.sin(np.arange(1000.0) * (k + 1))
+    graph.params["p"].sink.out[...] = np.sin(np.arange(1000.0) * (k + 1))
     opt.step(1e-2)
 bits = hashlib.sha256(b"".join(a.tobytes() for a in (opt.flat, opt.flat_m, opt.flat_v)))
-print(training.adamw_kernel() is not None, len(compiles), bits.hexdigest())
+print(_native.function("adamw_update") is not None, len(compiles), bits.hexdigest())
 """
 
 
 _READER_PROBE = """
 import hashlib, sys
 import petfuse.data as data
+from petfuse import _native
 
 bits = hashlib.sha256()
 for s in data.load_manifest(sys.argv[1]):
     bits.update(repr((s.id, s.patient_id, s.text, s.labels)).encode())
     bits.update(s.vision_features.tobytes())
-print(data._numbers_kernel() is not None, bits.hexdigest())
+print(_native.function("parse_numbers") is not None, bits.hexdigest())
 """
 
 
 _WRITER_PROBE = """
 import contextlib, hashlib, io, sys
-import petfuse.data as data
+from petfuse import _native
 from petfuse.cli import main
 
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["gen-data", "--patients", "12", "--seed", "9", "--out", sys.argv[1]]) == 0
 with open(sys.argv[1], "rb") as f:
-    print(data._format_kernel() is not None, hashlib.sha256(f.read()).hexdigest())
+    print(_native.function("format_six_decimals") is not None,
+          hashlib.sha256(f.read()).hexdigest())
 """
 
 
@@ -658,35 +664,67 @@ def test_a_library_of_an_older_source_is_not_loaded(tmp_path):
 
 _THREADS_PROBE = """
 import subprocess, sys, threading
-import petfuse.data as data
-import petfuse.training as training
+from petfuse import _native
 
 compiles, run = [], subprocess.run
 subprocess.run = lambda *a, **k: compiles.append(a) or run(*a, **k)
 sys.setswitchinterval(1e-6)
 barrier, found = threading.Barrier(8), []
+names = ["adamw_update", "parse_numbers", "format_six_decimals"]
 
-def look(find):
+def look(name):
     barrier.wait(timeout=60)
-    found.append(find() is not None)
+    found.append(_native.function(name) is not None)
 
-threads = [threading.Thread(target=look, args=(f,))
-           for f in [data._numbers_kernel, training.adamw_kernel] * 4]
+threads = [threading.Thread(target=look, args=(names[i % 3],)) for i in range(8)]
 for t in threads:
     t.start()
 for t in threads:
     t.join(timeout=120)
-print(not any(t.is_alive() for t in threads), len(compiles), sum(found))
+first = len(compiles)
+again = sum(_native.function(name) is not None for name in names)
+print(not any(t.is_alive() for t in threads), first, sum(found), again, len(compiles))
 """
 
 
 def test_threads_that_meet_a_cold_cache_compile_the_library_once(tmp_path):
-    """Eight threads that ask for the row reader and the AdamW kernel at
-    once, switching every microsecond, all get them from one compile."""
+    """Eight threads that ask for the AdamW kernel, the row reader and the
+    row writer at once, switching every microsecond, all get them from one
+    compile, and a second ask for each compiles nothing."""
     _compiler()
-    assert _probe(_THREADS_PROBE, tmp_path) == ["True", "1", "8"]
+    assert _probe(_THREADS_PROBE, tmp_path) == ["True", "1", "8", "3", "1"]
     [lib] = (tmp_path / "petfuse").iterdir()
     assert lib.name.startswith("native-")
+
+
+def test_without_a_compiler_every_function_is_none_and_is_looked_for_once(tmp_path):
+    """Where the library cannot be built, every name is None after the one
+    failed compile, and a second ask for each does not try again."""
+    if os.path.isabs(_compiler()[0]):
+        pytest.skip("Python's C compiler is named by an absolute path")
+    (tmp_path / "bin").mkdir()
+    assert _probe(_THREADS_PROBE, tmp_path, tmp_path / "bin") == ["True", "1", "0", "0", "1"]
+    assert not any((tmp_path / "petfuse").iterdir())
+
+
+def _exported(source: str) -> set[str]:
+    """The names of the functions C `source` defines that are not static:
+    each definition starts a line, and comments are dropped first."""
+    code = re.sub(r"/\*.*?\*/", "", source, flags=re.S)
+    return set(re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\s*\(", code, re.M))
+
+
+def test_the_signature_table_declares_every_function_of_the_c_source():
+    """_native._SIGNATURES names each function _native.c exports and no
+    other; where a compiler is present, each loaded function carries its
+    entry's argtypes and restype."""
+    assert _exported(_native._SOURCE.read_text()) == set(_native._SIGNATURES)
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc or shutil.which(cc[0]) is None:
+        return  # no library to hold to the table
+    for name, (argtypes, restype) in _native._SIGNATURES.items():
+        fn = _native.function(name)
+        assert (list(fn.argtypes), fn.restype) == (list(argtypes), restype), name
 
 
 def test_the_kernel_source_ships_in_the_package():
@@ -935,7 +973,7 @@ def test_arena_gradients_equal_the_per_leaf_gradients(policy, accumulation):
                     g += binding[name].grad
         opt.settle_grads()
         for name, g in expected.items():
-            assert opt.grads[name].tobytes() == g.tobytes(), (group, name)
+            assert got.graph.params[name].sink.out.tobytes() == g.tobytes(), (group, name)
         # move off the initial point (LoRA's B starts at zero), in step
         opt.step(lr_t=1e-2)
         ref.graph.load_state({p.name: p.data for p in got.graph.trainable()})
@@ -1105,12 +1143,14 @@ def test_a_parameter_first_reached_at_step_3_matches_the_folded_update(block, mo
     steps = [{n: rng.normal(size=t.shape) for n, t in theta0.items()
               if k >= first.get(n, 0)} for k in range(8)]
     opt = AdamW(graph.trainable(), weight_decay=1e-2)
+    spans = {p.name: (a, b) for p, a, b in zip(opt.params, opt._bounds, opt._bounds[1:])}
     for k, grads in enumerate(steps):
         for n, g in grads.items():
-            opt.grads[n][...] = g
+            graph.params[n].sink.out[...] = g
         opt.step(lr_t=1e-2)
         for n, k0 in first.items():
-            m, v = opt.views(opt.flat_m)[n], opt.views(opt.flat_v)[n]
+            a, b = spans[n]
+            m, v = opt.flat_m[a:b], opt.flat_v[a:b]
             assert (m.tobytes() == bytes(m.nbytes)) == (k < k0), (n, k)
             assert (v.tobytes() == bytes(v.nbytes)) == (k < k0), (n, k)
     for n, t in theta0.items():
