@@ -295,10 +295,10 @@ def _parse_line(path, lineno: int, raw: bytes) -> Sample | None:
 
     Where the native reader, `parse_numbers`, loaded, a line that has a head
     (`_head`) whose feature bytes it reads as VISION_DIM numbers is the
-    head's sample with those numbers. That is the sample json reads from the whole line: the
-    head holds every other field, and each number is the double float()
-    gives its text. Every other line is read by json, so its errors are
-    json's."""
+    head's sample with those numbers. That is the sample json reads from the
+    whole line: the head holds every other field, and each number is the
+    double float() gives its text. Every other line is read by json, so its
+    errors are json's."""
     numbers = _native.function("parse_numbers")
     head = None if numbers is None else _head(raw)
     if head is not None:
