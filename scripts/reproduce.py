@@ -9,13 +9,20 @@ manifest to DIR/raw/ and DIR/redacted/, and `audit-leakage` on the raw
 manifest at each arm seed. DIR/reproduction.json holds the commands' own
 JSON output, {"raw": ..., "redacted": ..., "leakage": {seed: ...}}, and is
 printed. A command that exits non-zero stops the script.
+
+DIR/timings.json, a sidecar that is neither printed nor part of
+reproduction.json, holds the wall seconds of generating and saving the
+corpus (`generate_s`), of each command in the order run (`commands`, each
+{"argv": [...], "wall_s": ...}), and the process's peak RSS in MB.
 """
 
 import argparse
 import contextlib
 import io
 import json
+import resource
 import sys
+import time
 from pathlib import Path
 
 from petfuse import cli, data
@@ -35,12 +42,15 @@ TRAIN = {"batch": 16, "accumulation": 1, "max_epochs": 12, "patience": 4,
          "lr": 3e-3, "weight_decay": 1e-6, "clip_norm": 10.0}
 
 
-def petfuse(*argv) -> str:
-    """The stdout of one petfuse command; SystemExit naming it if it fails."""
+def petfuse(timings, *argv) -> str:
+    """The stdout of one petfuse command, whose argv and wall seconds are
+    appended to `timings`; SystemExit naming it if it fails."""
     argv = [str(a) for a in argv]
     out = io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
+    timings.append({"argv": argv, "wall_s": time.perf_counter() - start})
     if code != 0:
         raise SystemExit(f"reproduce: petfuse {' '.join(argv)} exited {code}")
     return out.getvalue()
@@ -53,22 +63,28 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     signal_plan = {name: "text" if i < TEXT_LABELS else "vision"
                    for i, name in enumerate(data.LABELS)}
+    start = time.perf_counter()
     data.save_manifest(out / "raw.jsonl", data.generate_synthetic(
         PATIENTS, seed=CORPUS_SEED, leak_prob=LEAK_PROB, signal_plan=signal_plan,
         signal_strength=SIGNAL_STRENGTH,
         prevalence_profile=[PREVALENCE] * len(data.LABELS)))
-    petfuse("redact", "--in", out / "raw.jsonl", "--out", out / "redacted.jsonl")
+    timings = {"generate_s": time.perf_counter() - start, "commands": []}
+    commands = timings["commands"]
+    petfuse(commands, "redact", "--in", out / "raw.jsonl", "--out", out / "redacted.jsonl")
     (out / "plan.json").write_text(json.dumps(
         {"arms": [{"kind": kind, "seeds": SEEDS} for kind in ARMS], "train": TRAIN}))
-    doc = {reports: json.loads(petfuse("attribute", "--plan", out / "plan.json",
+    doc = {reports: json.loads(petfuse(commands, "attribute", "--plan", out / "plan.json",
                                        "--data", out / f"{reports}.jsonl",
                                        "--out", out / reports))
            for reports in ("raw", "redacted")}
-    doc["leakage"] = {seed: json.loads(petfuse("audit-leakage", "--data", out / "raw.jsonl",
-                                               "--seed", seed))
+    doc["leakage"] = {seed: json.loads(petfuse(commands, "audit-leakage",
+                                               "--data", out / "raw.jsonl", "--seed", seed))
                       for seed in SEEDS}
     text = json.dumps(doc, indent=2, sort_keys=True)
     (out / "reproduction.json").write_text(text + "\n")
+    # ru_maxrss is in KB on Linux
+    timings["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    (out / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
     print(text)
     return 0
 

@@ -349,11 +349,16 @@ def _hashed(lines, digest):
         yield raw
 
 
+# load_manifest's read buffer: a gen-data row is about 22 KB, so the default
+# buffer splits each line over several reads that are joined again
+_READ_BUFFER = 1 << 17
+
+
 def load_manifest(path, digest=None) -> list[Sample]:
     """Samples of a JSONL manifest; every line is checked, and sample ids
     must be unique. `digest`, a hashlib object, is updated with every byte
     of the file."""
-    with open(path, "rb") as f:
+    with open(path, "rb", buffering=_READ_BUFFER) as f:
         return _samples(path, f if digest is None else _hashed(f, digest), _parse_line)
 
 

@@ -526,6 +526,10 @@ _SPECIAL_TOKENS = [
     "00", "01", "-01", "00.5", ".5", "-.5", "1.", "1.e5", "+1", "-", "1e", "1e+", "--1",
     "true", "false", "null", "NaN", "-NaN", "Infinity", "-Infinity", '"1"', "[1]", "{}",
     "0x10", "1_0", "١", "",
+    # around the six-decimal fast path: too many fraction digits, too many
+    # whole digits, an exponent or a second point after it, a short fraction
+    "0.1234567", "12.345678", "1.234567e5", "1.234567E-05", "1.234567.", "1.23456",
+    "9.999999", "0.000000", "-0.000000",
 ]
 _NUMBER_TOKENS = st.one_of(
     st.sampled_from(_SPECIAL_TOKENS),
@@ -579,9 +583,44 @@ def _row_line(head: str, tokens) -> bytes:
 @pytest.mark.parametrize("raw", [
     b"", b"\r\n", b"  \n", _row_line(_HEAD, ["0.5"] * VISION_DIM),
     _row_line("{", ["0.5"] * VISION_DIM),
-], ids=["empty", "crlf", "spaces", "row", "empty_head"])
+    # the last token ends 8 bytes before "]", too close for the fast path
+    _row_line(_HEAD, ["-0.123456", "0.654321"] * (VISION_DIM // 2)),
+], ids=["empty", "crlf", "spaces", "row", "empty_head", "short_tail"])
 def test_the_native_row_reader_keeps_blank_lines_and_errors(raw):
     assert _parsed(raw, _row_reader()) == _parsed(raw, None)
+
+
+def test_the_row_reader_reads_no_byte_past_its_length():
+    """Cut anywhere, a list of six-decimal numbers reads as the numbers
+    json reads from the cut text, or is refused where json refuses it or
+    it is empty, whatever bytes follow the cut: the reader never looks
+    past the length it is given."""
+    numbers = _row_reader()
+    text = b", ".join([b"0.123456", b"-9.999999", b"0.5", b"1.23456"] * 4)
+    out = np.empty(64)
+    for n in range(len(text) + 1):
+        try:
+            want = json.loads(b"[" + text[:n] + b"]") or -1
+        except ValueError:
+            want = -1
+        for after in (text[n:], b"7" * 16, b", 0.123456" * 2):
+            line = text[:n] + after
+            got = numbers(line, n, out.ctypes.data, out.size)
+            assert (got if got < 0 else out[:got].tolist()) == want, (n, after)
+
+
+def test_a_line_longer_than_the_read_buffer_reads_as_json_reads_it(tmp_path):
+    """A row whose report alone is several times load_manifest's read
+    buffer loads to the sample json reads from it."""
+    path = tmp_path / "m.jsonl"
+    text = "Findings: " + "clear lungs, " * 250_000
+    tokens = [repr((i * 7_919 % 2_000_001 - 1_000_000) / 1e6) for i in range(VISION_DIM)]
+    raw = _row_line(json.dumps(dict(_HEAD_REC, id="b", text=text), sort_keys=True)[:-1],
+                    tokens)
+    assert len(raw) > 10 * data._READ_BUFFER
+    path.write_bytes(_row_line(_HEAD, ["0.5"] * VISION_DIM) + b"\n" + raw + b"\n")
+    [_, sample] = load_manifest(path)
+    assert _fields(sample) == _parsed(raw, None)
 
 
 def test_each_special_token_reads_as_json_reads_it():

@@ -78,6 +78,21 @@ def test_the_audit_probe_loses_its_signal_to_redaction(reproduced):
     assert audit["auroc_raw"] - audit["auroc_redacted"] >= 0.08, audit
 
 
+def test_the_timings_sidecar_times_generation_and_every_command(reproduced):
+    """timings.json holds a positive wall time for generation and for each
+    command in the order run, and the peak RSS; reproduction.json holds no
+    timing."""
+    out, doc = reproduced
+    timings = json.loads((out / "timings.json").read_text())
+    assert set(timings) == {"generate_s", "commands", "peak_rss_mb"}
+    assert [c["argv"][0] for c in timings["commands"]] == \
+        ["redact", "attribute", "attribute", "audit-leakage"]
+    assert all(set(c) == {"argv", "wall_s"} for c in timings["commands"])
+    assert timings["generate_s"] > 0 and timings["peak_rss_mb"] > 0
+    assert all(c["wall_s"] > 0 for c in timings["commands"])
+    assert "timings" not in json.dumps(doc) and "wall_s" not in json.dumps(doc)
+
+
 def test_a_failing_command_stops_the_script_naming_it(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(reproduce, "PATIENTS", 2)  # too few patients to split
     with pytest.raises(SystemExit, match=r"^reproduce: petfuse attribute .* exited 2$"):

@@ -727,6 +727,16 @@ def test_the_signature_table_declares_every_function_of_the_c_source():
         assert (list(fn.argtypes), fn.restype) == (list(argtypes), restype), name
 
 
+def test_the_compiler_flags_keep_every_float64_operation_exact():
+    """The library is compiled without contraction into fused multiply-adds
+    and with no flag that lets the compiler reorder or approximate a float64
+    operation or tune it to the building machine: each function is held to
+    the bits of its Python path."""
+    assert "-ffp-contract=off" in _native._FLAGS
+    for flag in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-march=native"):
+        assert flag not in _native._FLAGS
+
+
 def test_the_kernel_source_ships_in_the_package():
     """pyproject's package-data puts _native.c in an installed petfuse, which
     compiles it at run time."""
