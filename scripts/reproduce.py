@@ -42,15 +42,15 @@ TRAIN = {"batch": 16, "accumulation": 1, "max_epochs": 12, "patience": 4,
          "lr": 3e-3, "weight_decay": 1e-6, "clip_norm": 10.0}
 
 
-def petfuse(timings, *argv) -> str:
+def petfuse(commands, *argv) -> str:
     """The stdout of one petfuse command, whose argv and wall seconds are
-    appended to `timings`; SystemExit naming it if it fails."""
+    appended to `commands`; SystemExit naming it if it fails."""
     argv = [str(a) for a in argv]
     out = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    timings.append({"argv": argv, "wall_s": time.perf_counter() - start})
+    commands.append({"argv": argv, "wall_s": time.perf_counter() - start})
     if code != 0:
         raise SystemExit(f"reproduce: petfuse {' '.join(argv)} exited {code}")
     return out.getvalue()
@@ -68,8 +68,7 @@ def main(argv=None) -> int:
         PATIENTS, seed=CORPUS_SEED, leak_prob=LEAK_PROB, signal_plan=signal_plan,
         signal_strength=SIGNAL_STRENGTH,
         prevalence_profile=[PREVALENCE] * len(data.LABELS)))
-    timings = {"generate_s": time.perf_counter() - start, "commands": []}
-    commands = timings["commands"]
+    generate_s, commands = time.perf_counter() - start, []
     petfuse(commands, "redact", "--in", out / "raw.jsonl", "--out", out / "redacted.jsonl")
     (out / "plan.json").write_text(json.dumps(
         {"arms": [{"kind": kind, "seeds": SEEDS} for kind in ARMS], "train": TRAIN}))
@@ -82,8 +81,9 @@ def main(argv=None) -> int:
                       for seed in SEEDS}
     text = json.dumps(doc, indent=2, sort_keys=True)
     (out / "reproduction.json").write_text(text + "\n")
-    # ru_maxrss is in KB on Linux
-    timings["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    timings = {"generate_s": generate_s, "commands": commands,
+               # ru_maxrss is in KB on Linux
+               "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
     (out / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
     print(text)
     return 0

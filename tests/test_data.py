@@ -527,7 +527,8 @@ _SPECIAL_TOKENS = [
     "true", "false", "null", "NaN", "-NaN", "Infinity", "-Infinity", '"1"', "[1]", "{}",
     "0x10", "1_0", "١", "",
     # around the six-decimal fast path: too many fraction digits, too many
-    # whole digits, an exponent or a second point after it, a short fraction
+    # whole digits, an exponent or a second point after it, a short
+    # fraction, the largest six-decimal fraction and both zeros
     "0.1234567", "12.345678", "1.234567e5", "1.234567E-05", "1.234567.", "1.23456",
     "9.999999", "0.000000", "-0.000000",
 ]
