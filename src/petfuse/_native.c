@@ -63,12 +63,14 @@ static int digit(const char *s, size_t n, size_t i)
     return i < n && s[i] >= '0' && s[i] <= '9';
 }
 
+/* short_decimal needs GNU C's __builtin_ctzll and a little-endian word */
 #if defined(__GNUC__) && defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
 #define SHORT_DECIMALS 1
 /* 10**k for the fraction lengths k that short_decimal reads */
 static const uint64_t UPOW10[] = {1, 10, 100, 1000, 10000, 100000, 1000000, 10000000};
 /* the byte b in each of a word's eight bytes */
 #define BYTES(b) (0x0101010101010101ull * (b))
+#endif
 
 /* The token -?D.F at s, one digit D and a fraction F of k = 1 to 7 digits
    that no digit, 'e' or 'E' follows, written to *x; returns the token's
@@ -76,9 +78,14 @@ static const uint64_t UPOW10[] = {1, 10, 100, 1000, 10000, 100000, 1000000, 1000
    are read as two words (Lemire, "Number parsing at a gigabyte per
    second", Software: Practice and Experience, 2021): the eight bytes after
    the point are tested for digits a byte at a time by masks, and F is made
-   from the leading k of them by three multiplies. */
+   from the leading k of them by three multiplies. Without SHORT_DECIMALS
+   it takes no token. */
 static size_t short_decimal(const char *s, double *x)
 {
+#ifndef SHORT_DECIMALS
+    (void)s, (void)x;
+    return 0;
+#else
     uint64_t lo, hi;
     memcpy(&lo, s, 8);
     memcpy(&hi, s + 8, 8);
@@ -108,8 +115,8 @@ static size_t short_decimal(const char *s, double *x)
     bits ^= (uint64_t)negative << 63;  /* -v, without a branch on the sign */
     memcpy(x, &bits, sizeof bits);
     return negative + 2 + k;
-}
 #endif
+}
 
 /* The numbers of s[0..n), which must be `ws num ws (, ws num ws)*` with ws
    JSON's whitespace and num a JSON number, written to out; returns how
@@ -124,15 +131,16 @@ static size_t short_decimal(const char *s, double *x)
    fraction or an exponent is an integer, as json reads it, so "-0" is +0.0;
    "-0.0" is -0.0.
 
-   Where short_decimal is compiled, it reads each token of its shape, the
-   one save_manifest writes most, that starts 16 or more bytes before the
-   end; any other token goes through the loop. Its w = D*10**k + F and
-   scale -k are the w and scale the loop gives the same token: a zero D, or
-   a leading zero of F, adds nothing to w there either. So its one division
-   gives the same double, and flipping the sign bit is the loop's negation. It takes digits up to the first byte that is
-   not one and refuses a token an exponent follows, so a take cannot run
-   past the token's end. A take that stopped short would leave a digit where
-   the separator check needs whitespace, a comma or the end: the call would
+   Where SHORT_DECIMALS is defined, short_decimal reads each token of its
+   shape, the one save_manifest writes most, that starts 16 or more bytes
+   before the end; any other token goes through the loop. Its w = D*10**k +
+   F and scale -k are the w and scale the loop gives the same token: a zero
+   D, or a leading zero of F, adds nothing to w there either. So its one
+   division gives the same double, and flipping the sign bit is the loop's
+   negation. It takes digits up to the first byte that is not one and
+   refuses a token an exponent follows, so a take cannot run past the
+   token's end. A take that stopped short would leave a digit where the
+   separator check needs whitespace, a comma or the end: the call would
    return -1 and the row would be read by json, never given another value. */
 ptrdiff_t parse_numbers(const char *s, size_t n, double *out, size_t cap)
 {
@@ -143,14 +151,12 @@ ptrdiff_t parse_numbers(const char *s, size_t n, double *out, size_t cap)
     for (;;) {
         while (i < n && json_space(s[i]))
             i++;
-#ifdef SHORT_DECIMALS
         size_t len;
         if (n - i >= 16 && count < cap && (len = short_decimal(s + i, out + count))) {
             count++;
             i += len;
             goto separator;
         }
-#endif
         int negative = i < n && s[i] == '-';
         i += negative;
         if (!digit(s, n, i))
