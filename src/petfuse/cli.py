@@ -228,14 +228,14 @@ def _frozen_sha256(tokenizer, graph) -> str:
     return h.hexdigest()
 
 
-def _restore_model(checkpoint, manifest, scored):
+def _restore_model(checkpoint, manifest):
     """The model a checkpoint holds, built from its stored arrays, with its
     stored vocabulary and normalizers, and the validation and test splits of
-    `manifest` under the checkpoint's seed. Only the splits indexed in
-    `scored` (1 validation, 2 test) surely carry vision features: when
-    `manifest` is the one the checkpoint trained on, the others' are not
-    read. InputError for an array outside `param/`, or an empty scored
-    split."""
+    `manifest` under the checkpoint's seed. The manifest is read whole, as
+    `train` reads one, whether or not it is the one the checkpoint trained
+    on. InputError for an array outside `param/`, or an empty test split
+    (SPLIT_FRACTIONS leave the validation split non-empty whenever the
+    split succeeds)."""
     header, arrays = load_checkpoint(checkpoint)
     try:
         cfg = build_section("extra", CheckpointExtra, header.get("extra"))
@@ -251,13 +251,10 @@ def _restore_model(checkpoint, manifest, scored):
         raise InputError(f"{checkpoint}: checkpoint array {stray!r} is not a "
                          f"parameter (param/<address>)")
     params = {k[len("param/"):]: v for k, v in arrays.items()}
-    splits = data_mod.load_splits(manifest, SplitSpec(seed=cfg.seed),
-                                  cfg.manifest_sha256, scored)
-    for i in scored:
-        if not splits[i]:
-            raise InputError(f"{manifest}: the {('train', 'validation', 'test')[i]} split is "
-                             f"empty: too few patients to score")
-    _, val_set, test_set = splits
+    _, val_set, test_set = data_mod.split_patients(data_mod.load_manifest(manifest),
+                                                   SplitSpec(seed=cfg.seed))
+    if not test_set:
+        raise InputError(f"{manifest}: the test split is empty: too few patients to score")
     tokenizer = Tokenizer.from_tokens(state["vocab"])
     # each trainable weight is its stored array, checked for its shape before
     # anything of that shape is allocated; the frozen ones are drawn from the
@@ -280,7 +277,7 @@ def _restore_model(checkpoint, manifest, scored):
 
 
 def _cmd_eval(args):
-    model, cfg, _, test_set = _restore_model(args.checkpoint, args.data, scored=(2,))
+    model, cfg, _, test_set = _restore_model(args.checkpoint, args.data)
     try:
         report = harness.evaluate_model(model, cfg.arm, cfg.seed, test_set)
     except metrics.UndefinedMetric as e:  # no label of the split holds both classes
@@ -290,8 +287,7 @@ def _cmd_eval(args):
 
 
 def _cmd_calibrate(args):
-    model, _, val_set, test_set = _restore_model(args.checkpoint, args.data,
-                                                 scored=(1, 2))
+    model, _, val_set, test_set = _restore_model(args.checkpoint, args.data)
     val_logits = harness.predict_logits(model, val_set)
     test_logits = harness.predict_logits(model, test_set)
     y_test = label_matrix(test_set)

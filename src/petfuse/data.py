@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import array
 import ctypes
-import hashlib
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -324,24 +322,6 @@ def _parse_line(path, lineno: int, raw: bytes) -> Sample | None:
     return _sample(path, lineno, rec)
 
 
-def _samples(path, lines, parse) -> list[Sample]:
-    """The samples of a manifest's lines (bytes, as iterating its file in
-    binary mode yields them), each read by `parse(path, lineno, raw)`;
-    sample ids must be unique (models cache frozen text features by id)."""
-    samples = []
-    id_line: dict[str, int] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        sample = parse(path, lineno, raw)
-        if sample is None:
-            continue
-        if sample.id in id_line:
-            raise ParseError(f"{path}:{lineno}: duplicate sample id {sample.id!r} "
-                             f"(first on line {id_line[sample.id]})")
-        id_line[sample.id] = lineno
-        samples.append(sample)
-    return samples
-
-
 def _hashed(lines, digest):
     """`lines`, each passed to `digest.update` as it is read."""
     for raw in lines:
@@ -355,11 +335,24 @@ _READ_BUFFER = 1 << 17
 
 
 def load_manifest(path, digest=None) -> list[Sample]:
-    """Samples of a JSONL manifest; every line is checked, and sample ids
-    must be unique. `digest`, a hashlib object, is updated with every byte
-    of the file."""
+    """Samples of a JSONL manifest, each line read by `_parse_line`; every
+    line is checked, and sample ids must be unique (models cache frozen
+    text features by id). `digest`, a hashlib object, is updated with every
+    byte of the file: `train` keeps the SHA-256 of the manifest it trained
+    on as the checkpoint's provenance."""
+    samples = []
+    id_line: dict[str, int] = {}
     with open(path, "rb", buffering=_READ_BUFFER) as f:
-        return _samples(path, f if digest is None else _hashed(f, digest), _parse_line)
+        for lineno, raw in enumerate(f if digest is None else _hashed(f, digest), start=1):
+            sample = _parse_line(path, lineno, raw)
+            if sample is None:
+                continue
+            if sample.id in id_line:
+                raise ParseError(f"{path}:{lineno}: duplicate sample id {sample.id!r} "
+                                 f"(first on line {id_line[sample.id]})")
+            id_line[sample.id] = lineno
+            samples.append(sample)
+    return samples
 
 
 _FEATURES_KEY = b', "vision_features": ['
@@ -390,45 +383,6 @@ def _head(raw: bytes) -> tuple[dict, int, int] | None:
     if isinstance(rec, dict) and rec and "vision_features" not in rec:
         return rec, start, end - 2
     return None
-
-
-def load_splits(path, spec: SplitSpec, sha256: str, scored):
-    """split_patients(load_manifest(path), spec), with vision features read
-    only for the splits indexed in `scored` (0 train, 1 validation, 2 test)
-    when the file's SHA-256 is `sha256`.
-
-    That digest is one that load_manifest took of a manifest it read whole
-    and accepted. So on a match each line that has a head (`_head`) is
-    checked from its head alone, and its sample has no vision_features
-    unless its split is scored: a scored one is read again from its whole
-    line. Any other line is read as load_manifest reads it. A file with
-    another digest is read by load_manifest.
-    """
-    with open(path, "rb") as f:
-        data = f.read()
-    if hashlib.sha256(data).hexdigest() != sha256:
-        del data  # so that it is not held while load_manifest reads the file
-        return split_patients(load_manifest(path), spec)
-    lines = io.BytesIO(data)
-    spans = {}  # sample id -> (line number, start, end) of each line read from its head
-
-    def parse(path, lineno, raw):
-        head = _head(raw)
-        if head is None:
-            return _parse_line(path, lineno, raw)
-        sample = _sample(path, lineno, head[0])
-        end = lines.tell()
-        spans[sample.id] = (lineno, end - len(raw), end)
-        return sample
-
-    def whole(sample):
-        lineno, start, end = spans[sample.id]
-        return _parse_line(path, lineno, data[start:end])
-
-    splits = split_patients(_samples(path, lines, parse), spec)
-    for i in scored:
-        splits[i][:] = [whole(s) if s.id in spans else s for s in splits[i]]
-    return splits
 
 
 def save_manifest(path, samples):

@@ -91,8 +91,6 @@ def macro_auroc(scores, labels) -> float:
 class CalibrationReport:
     ece: float
     bins: list  # (mean confidence, accuracy, count) per non-empty bin
-    n_bins: int
-    n_pairs: int
 
 
 def ece(probs, labels, bins: int = 15) -> CalibrationReport:
@@ -121,7 +119,7 @@ def ece(probs, labels, bins: int = 15) -> CalibrationReport:
         c_mean, acc = float(conf[m].mean()), float(correct[m].mean())
         value += cnt / total * abs(acc - c_mean)
         rows.append((c_mean, acc, cnt))
-    return CalibrationReport(float(value), rows, bins, total)
+    return CalibrationReport(float(value), rows)
 
 
 def sigmoid(logits: np.ndarray) -> np.ndarray:
