@@ -231,11 +231,10 @@ def _frozen_sha256(tokenizer, graph) -> str:
 def _restore_model(checkpoint, manifest):
     """The model a checkpoint holds, built from its stored arrays, with its
     stored vocabulary and normalizers, and the validation and test splits of
-    `manifest` under the checkpoint's seed. The manifest is read whole, as
-    `train` reads one, whether or not it is the one the checkpoint trained
-    on. InputError for an array outside `param/`, or an empty test split
-    (SPLIT_FRACTIONS leave the validation split non-empty whenever the
-    split succeeds)."""
+    `manifest`, read as `train` reads one, under the checkpoint's seed.
+    InputError for an array outside `param/`, or an empty test split
+    (SPLIT_FRACTIONS leave the validation split non-empty whenever
+    split_patients succeeds)."""
     header, arrays = load_checkpoint(checkpoint)
     try:
         cfg = build_section("extra", CheckpointExtra, header.get("extra"))
